@@ -2,8 +2,8 @@
 
 A chain is declared as an ascending list of exact decimal labels that must
 include "0" and "1".  Values are compared as rationals, never as floats, and
-only the order is ever used: meet and join are min and max by rank.  The
-declared spelling of each label is kept as the canonical one for rendering.
+only the order is ever used.  The declared spelling of each label is kept as
+the canonical one for rendering.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 _DECIMAL_RE = re.compile(r"\d+(\.\d+)?\Z")
 
@@ -141,18 +141,6 @@ class ChainValue:
 def _require_same_chain(a: ChainValue, b: ChainValue) -> None:
     if a.chain != b.chain:
         raise ValueError("values live on different chains")
-
-
-def meet(a: ChainValue, b: ChainValue) -> ChainValue:
-    """Greatest lower bound: the smaller of the two values."""
-    _require_same_chain(a, b)
-    return a if a.rank <= b.rank else b
-
-
-def join(a: ChainValue, b: ChainValue) -> ChainValue:
-    """Least upper bound: the larger of the two values."""
-    _require_same_chain(a, b)
-    return a if a.rank >= b.rank else b
 
 
 @dataclass(frozen=True)
@@ -285,18 +273,29 @@ class IntervalVector:
             raise ValueError(f"point dimension {len(values)} != {self.dim}")
         return all(c.contains(v) for c, v in zip(self.coords, values))
 
+    def contains_vector(self, other: "IntervalVector") -> bool:
+        """True when each coordinate of other lies inside the matching one here."""
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return all(
+            b.is_empty or (a.lo_rank <= b.lo_rank and b.hi_rank <= a.hi_rank)
+            for a, b in zip(self.coords, other.coords)
+        )
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Canonically sorted, duplicate-free set of interval vectors of one dimension.
+    """The live, maximal interval vectors of one dimension, canonically sorted.
 
-    Construction normalizes: vectors are deduplicated and sorted by bound ranks
-    (EMPTY coordinates first), so equal sets compare equal structurally.
-    Vectors with EMPTY coordinates are kept; `has_nonempty_vector` reports
-    whether anything in the set actually denotes a point.
+    Construction normalizes: vectors with an EMPTY coordinate denote no point
+    and are dropped, as is every vector contained in another one, and the rest
+    are sorted by bound ranks.  The stored vectors cover the same points as
+    the given ones and none lies inside another; sets built from the same
+    vectors in any order or multiplicity compare equal structurally.  The set
+    is empty exactly when it denotes no point.
     """
 
     dim: int
@@ -311,15 +310,18 @@ class SolutionSet:
             chains.update(c.chain for c in v.coords if not c.is_empty)
         if len(chains) > 1:
             raise ValueError("solution set mixes chains")
-        canonical = tuple(sorted(set(self.vectors), key=lambda v: v.sort_key))
-        object.__setattr__(self, "vectors", canonical)
-
-    @property
-    def has_nonempty_vector(self) -> bool:
-        return any(v.is_nonempty for v in self.vectors)
-
-    def nonempty_vectors(self) -> tuple[IntervalVector, ...]:
-        return tuple(v for v in self.vectors if v.is_nonempty)
+        # a strict container is wider in total, so it is seen before what it contains
+        maximal: list[IntervalVector] = []
+        for v in sorted(
+            {v for v in self.vectors if v.is_nonempty},
+            key=lambda v: sum(c.hi_rank - c.lo_rank for c in v.coords),
+            reverse=True,
+        ):
+            if not any(u.contains_vector(v) for u in maximal):
+                maximal.append(v)
+        object.__setattr__(
+            self, "vectors", tuple(sorted(maximal, key=lambda v: v.sort_key))
+        )
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -327,16 +329,13 @@ class SolutionSet:
     def __iter__(self) -> Iterator[IntervalVector]:
         return iter(self.vectors)
 
-    def __contains__(self, v: object) -> bool:
-        return v in self.vectors
-
 
 def cross_intersect(s1: SolutionSet, s2: SolutionSet) -> SolutionSet:
     """Intersect every vector of s1 with every vector of s2.
 
-    The result never has more vectors than len(s1) * len(s2); deduplication
-    usually keeps it far smaller.  Vectors that picked up an EMPTY coordinate
-    stay in the set so the cardinality accounting remains visible.
+    The result covers exactly the points common to both sets.  It never has
+    more vectors than len(s1) * len(s2): intersections that come out empty or
+    inside another one are not stored.
     """
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")

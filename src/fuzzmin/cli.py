@@ -107,10 +107,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("unsolvable" if witness is None else " ".join(witness.labels()))
         return 0
     cap = _budget(args.budget_phi, DEFAULT_SOLUTION_CAP)
-    vectors = solve_intervals(system, max_vectors=cap).nonempty_vectors()
-    if not vectors:
+    solutions = solve_intervals(system, max_vectors=cap)
+    if not solutions:
         print("unsolvable")
-    for vec in vectors:
+    for vec in solutions:
         print(vec)
     return 0
 

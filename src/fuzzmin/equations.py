@@ -1,14 +1,14 @@
 """Systems of max-min polynomial equations over a chain.
 
 A monomial is the min of a duplicate-free set of variables, a polynomial is
-the max of monomials, and an equation constrains a polynomial to equal (or,
-internally, to stay below) one chain value.  Coefficients are fixed at 1;
-the solvers rely on that shape.
+the max of monomials, and an equation constrains a polynomial to equal one
+chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
 Two solvers are provided.  `solve_intervals` builds, per equation, the finite
 family of interval vectors that covers the solutions, then intersects the
-families across equations; the system is solvable iff some resulting vector
-has no empty coordinate.  `solve_points` exploits that a solvable system is
+families across equations.  Every family is a `SolutionSet`, which stores
+only non-empty boxes, none inside another, so the system is solvable iff the
+final set is non-empty.  `solve_points` exploits that a solvable system is
 already solvable using only values that appear on some right-hand side, and
 searches that finite grid directly.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chain import (
     Chain,
@@ -34,8 +34,8 @@ DEFAULT_SOLUTION_CAP = 1_000_000
 
 
 class Relation(Enum):
+    # "=" is the only relation; Equation.relation stays as perfbench/corpus.py copies it
     EQ = "="
-    LE = "<="
 
 
 @dataclass(frozen=True)
@@ -142,15 +142,10 @@ def satisfies(system: EquationSystem, assignment: PointAssignment) -> bool:
         raise ValueError(
             f"assignment has {len(assignment.values)} values, system has {system.n_vars} variables"
         )
-    for eq in system.equations:
-        value = eval_polynomial(eq.lhs, assignment)
-        if eq.relation is Relation.EQ:
-            if value.rank != eq.rhs.rank:
-                return False
-        else:
-            if value.rank > eq.rhs.rank:
-                return False
-    return True
+    return all(
+        eval_polynomial(eq.lhs, assignment).rank == eq.rhs.rank
+        for eq in system.equations
+    )
 
 
 def rhs_values(system: EquationSystem) -> tuple[ChainValue, ...]:
@@ -223,23 +218,18 @@ def polynomial_eq_solutions(p: Polynomial, rhs: ChainValue, n_vars: int) -> Solu
     return SolutionSet(n_vars, tuple(vectors))
 
 
-def _require_plain_eq(system: EquationSystem) -> None:
-    for eq in system.equations:
-        if eq.relation is not Relation.EQ:
-            raise ValueError("solvers take systems of = equations only")
-
-
 def solve_intervals(
     system: EquationSystem, *, max_vectors: int = DEFAULT_SOLUTION_CAP
 ) -> SolutionSet:
     """Interval cover of the whole system: the cross-intersection of the
-    per-equation families.  Solvable iff some vector has no empty coordinate.
+    per-equation families.  The boxes hold only solutions, cover every
+    solution, and none lies inside another; the system is solvable iff the
+    set is non-empty.
 
-    Raises SizeExceededError once the running set passes max_vectors; the raw
-    product can grow like (k * n**k)**m even though deduplication usually
-    keeps it tiny.
+    Raises SizeExceededError once the running set stores more than
+    max_vectors vectors; it can grow like (k * n**k)**m even though dropping
+    empty and contained boxes usually keeps it tiny.
     """
-    _require_plain_eq(system)
     result: SolutionSet | None = None
     for eq in system.equations:
         family = polynomial_eq_solutions(eq.lhs, eq.rhs, system.n_vars)
@@ -261,7 +251,6 @@ def solve_points(
     returned witness is deterministic.  A caller may widen the grid via
     `values`.
     """
-    _require_plain_eq(system)
     if values is None:
         base = rhs_values(system)
     else:

@@ -7,8 +7,7 @@ parse(render(x)) == x, and render(parse(t)) is the canonical form of t.
 Automaton documents: kind, chain (ascending decimal labels), alphabet, n,
 pi (n values), eta (n values), delta (symbol -> n*n values, row-major).
 System documents: kind, chain, n_vars, equations; each equation is a list of
-monomials (1-based variable index lists) plus an rhs value.  Documents carry
-equalities only; the solver's internal <= relation never needs to travel.
+monomials (1-based variable index lists) plus an rhs value.
 Instance documents: an automaton plus a target state count k.
 
 Parsing is strict: unknown or duplicate keys, wrong shapes, and values
@@ -46,6 +45,8 @@ def _decode(text: str) -> Any:
         return json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
 
 
 def _root_object(text: str, kind: str) -> dict[str, Any]:
@@ -207,16 +208,13 @@ def render_automaton(a: FuzzyAutomaton) -> str:
 
 
 def render_system(s: EquationSystem) -> str:
-    equations = []
-    for eq in s.equations:
-        if eq.relation is not Relation.EQ:
-            raise ValueError("documents carry equalities only")
-        equations.append(
-            {
-                "monomials": [[v + 1 for v in m.vars] for m in eq.lhs.monomials],
-                "rhs": eq.rhs.label,
-            }
-        )
+    equations = [
+        {
+            "monomials": [[v + 1 for v in m.vars] for m in eq.lhs.monomials],
+            "rhs": eq.rhs.label,
+        }
+        for eq in s.equations
+    ]
     return _dump(
         {
             "kind": "system",

@@ -8,14 +8,6 @@ enumerates that grid and tests each candidate with the fixpoint equivalence
 checker; `minimize` walks k upward and returns the first winner, or the input
 itself when nothing smaller works.
 
-`decide_k_via_equations` keeps the literal reduction alive for oracle
-testing: it materializes, for every word up to a length bound, the polynomial
-equation saying "the candidate's value on this word equals the input's", and
-greps the same grid for a satisfying point.  Agreement on every word up to
-`CandidateSpace.word_bound` is conclusive, because the candidate's values lie
-in V too and the bounded-equivalence length bound for the pair is then at
-most |V|**(n+k) - 1.
-
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
 such automata is exactly NFA state minimization.
@@ -25,30 +17,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .automaton import (
     DEFAULT_VECTOR_BUDGET,
     FuzzyAutomaton,
-    Word,
     language_value,
     _quick_equivalent,
 )
 from .chain import Chain, ChainValue
-from .equations import (
-    Equation,
-    EquationSystem,
-    Monomial,
-    PointAssignment,
-    Polynomial,
-    Relation,
-    satisfies,
-)
 from .errors import BudgetExceededError, NonBooleanValueError
 from .linalg import FuzzyMatrix
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
-DEFAULT_EQUATION_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -183,75 +164,6 @@ def decide_k(
             values = tuple(a.chain[r] for r in assignment)
             return CandidateAutomaton(
                 values, decode_candidate(a.chain, a.alphabet, k, values)
-            )
-    return None
-
-
-def _words_length_lex(n_sym: int, max_len: int) -> Iterator[Word]:
-    for length in range(max_len + 1):
-        yield from itertools.product(range(n_sym), repeat=length)
-
-
-def decide_k_via_equations(
-    inst: MinimizeInstance,
-    max_len: int,
-    *,
-    max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
-    max_equations: int = DEFAULT_EQUATION_BUDGET,
-) -> CandidateAutomaton | None:
-    """Literal reduction: materialize one equation per word, grid-search points.
-
-    The unknowns are the candidate's weights in the `decode_candidate` layout.
-    For a word x, the candidate's value is the max over state paths of the min
-    of the weights along the path, a polynomial with one monomial per path;
-    the equation pins it to the input automaton's value on x.  With
-    max_len = word_bound the verdict matches `decide_k`; smaller bounds give a
-    necessary but not sufficient check.  Kept for oracle testing; the word
-    count is exponential in max_len.
-    """
-    space = build_candidate_space(inst)
-    if not 0 <= max_len <= space.word_bound:
-        raise ValueError(
-            f"word length bound must lie in [0, {space.word_bound}], got {max_len}"
-        )
-    a = inst.automaton
-    k = inst.k
-    n_sym = len(a.alphabet)
-    total_words = 0
-    for length in range(max_len + 1):
-        total_words += n_sym**length
-        if total_words > max_equations:
-            raise BudgetExceededError(
-                total_words, max_equations, "materialized word equations"
-            )
-    total = len(space.values) ** space.var_count
-    if total > max_candidates:
-        raise BudgetExceededError(
-            total, max_candidates, f"candidate assignments for k={inst.k}"
-        )
-
-    kk = k * k
-
-    def delta_var(sym: int, row: int, col: int) -> int:
-        return 2 * k + sym * kk + row * k + col
-
-    equations = []
-    for word in _words_length_lex(n_sym, max_len):
-        monomials = []
-        for path in itertools.product(range(k), repeat=len(word) + 1):
-            vs = {path[0], k + path[-1]}
-            for t, sym in enumerate(word):
-                vs.add(delta_var(sym, path[t], path[t + 1]))
-            monomials.append(Monomial(tuple(vs)))
-        equations.append(
-            Equation(Polynomial(tuple(monomials)), Relation.EQ, language_value(a, word))
-        )
-    system = EquationSystem(a.chain, space.var_count, tuple(equations))
-
-    for combo in itertools.product(space.values, repeat=space.var_count):
-        if satisfies(system, PointAssignment(combo)):
-            return CandidateAutomaton(
-                combo, decode_candidate(a.chain, a.alphabet, k, combo)
             )
     return None
 

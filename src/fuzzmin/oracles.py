@@ -6,6 +6,14 @@ enumeration instead of matrix folds, point solving from a plain grid walk
 instead of interval algebra, NFA acceptance from the classical subset
 construction, and k-state search from full-chain candidate grids judged by
 the bounded word check rather than the fixpoint.
+
+`decide_k_via_equations` keeps the paper's literal reduction alive: it
+materializes, for every word up to a length bound, the polynomial equation
+saying "the candidate's value on this word equals the input's", and greps the
+same grid as `decide_k` for a satisfying point.  Agreement on every word up
+to `CandidateSpace.word_bound` is conclusive, because the candidate's values
+lie in V too and the bounded-equivalence length bound for the pair is then at
+most |V|**(n+k) - 1.
 """
 
 from __future__ import annotations
@@ -20,11 +28,30 @@ from .automaton import (
     build_joint_form,
     equivalence_length_bound,
     k_equivalent,
+    language_value,
     _quick_equivalent,
 )
 from .chain import Chain, ChainValue
-from .equations import EquationSystem, Relation
-from .minimization import MinimizeInstance, decode_candidate, nfa_view
+from .equations import (
+    Equation,
+    EquationSystem,
+    Monomial,
+    PointAssignment,
+    Polynomial,
+    Relation,
+    satisfies,
+)
+from .errors import BudgetExceededError
+from .minimization import (
+    DEFAULT_CANDIDATE_BUDGET,
+    CandidateAutomaton,
+    MinimizeInstance,
+    build_candidate_space,
+    decode_candidate,
+    nfa_view,
+)
+
+DEFAULT_EQUATION_BUDGET = 100_000
 
 
 def brute_language_value(a: FuzzyAutomaton, word: Sequence[int]) -> ChainValue:
@@ -49,14 +76,13 @@ def grid_search_point(
     """
     ranks = tuple(v.rank for v in values)
     compiled = [
-        (tuple(m.vars for m in eq.lhs.monomials), eq.relation, eq.rhs.rank)
+        (tuple(m.vars for m in eq.lhs.monomials), eq.rhs.rank)
         for eq in system.equations
     ]
     chain = system.chain
     for combo in itertools.product(ranks, repeat=system.n_vars):
-        for monos, relation, target in compiled:
-            got = max(min(combo[i] for i in vs) for vs in monos)
-            if got != target if relation is Relation.EQ else got > target:
+        for monos, target in compiled:
+            if max(min(combo[i] for i in vs) for vs in monos) != target:
                 break
         else:
             return tuple(chain[r] for r in combo)
@@ -143,3 +169,67 @@ def all_words_up_to(n_sym: int, max_len: int) -> Iterator[Word]:
     """Every word over n_sym symbols of length <= max_len, length-lex order."""
     for length in range(max_len + 1):
         yield from itertools.product(range(n_sym), repeat=length)
+
+
+def decide_k_via_equations(
+    inst: MinimizeInstance,
+    max_len: int,
+    *,
+    max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
+    max_equations: int = DEFAULT_EQUATION_BUDGET,
+) -> CandidateAutomaton | None:
+    """Literal reduction: materialize one equation per word, grid-search points.
+
+    The unknowns are the candidate's weights in the `decode_candidate` layout.
+    For a word x, the candidate's value is the max over state paths of the min
+    of the weights along the path, a polynomial with one monomial per path;
+    the equation pins it to the input automaton's value on x.  With
+    max_len = word_bound the verdict matches `decide_k`; smaller bounds give a
+    necessary but not sufficient check.  The word count is exponential in
+    max_len.
+    """
+    space = build_candidate_space(inst)
+    if not 0 <= max_len <= space.word_bound:
+        raise ValueError(
+            f"word length bound must lie in [0, {space.word_bound}], got {max_len}"
+        )
+    a = inst.automaton
+    k = inst.k
+    n_sym = len(a.alphabet)
+    total_words = 0
+    for length in range(max_len + 1):
+        total_words += n_sym**length
+        if total_words > max_equations:
+            raise BudgetExceededError(
+                total_words, max_equations, "materialized word equations"
+            )
+    total = len(space.values) ** space.var_count
+    if total > max_candidates:
+        raise BudgetExceededError(
+            total, max_candidates, f"candidate assignments for k={inst.k}"
+        )
+
+    kk = k * k
+
+    def delta_var(sym: int, row: int, col: int) -> int:
+        return 2 * k + sym * kk + row * k + col
+
+    equations = []
+    for word in all_words_up_to(n_sym, max_len):
+        monomials = []
+        for path in itertools.product(range(k), repeat=len(word) + 1):
+            vs = {path[0], k + path[-1]}
+            for t, sym in enumerate(word):
+                vs.add(delta_var(sym, path[t], path[t + 1]))
+            monomials.append(Monomial(tuple(vs)))
+        equations.append(
+            Equation(Polynomial(tuple(monomials)), Relation.EQ, language_value(a, word))
+        )
+    system = EquationSystem(a.chain, space.var_count, tuple(equations))
+
+    for combo in itertools.product(space.values, repeat=space.var_count):
+        if satisfies(system, PointAssignment(combo)):
+            return CandidateAutomaton(
+                combo, decode_candidate(a.chain, a.alphabet, k, combo)
+            )
+    return None

@@ -19,7 +19,6 @@ from fuzzmin import (
     build_candidate_space,
     bounded_counterexample,
     decide_k,
-    decide_k_via_equations,
     decode_candidate,
     equivalence_length_bound,
     equivalent,
@@ -43,6 +42,7 @@ from fuzzmin.generate import (
     random_system,
 )
 from fuzzmin.oracles import (
+    decide_k_via_equations,
     enumerate_boolean_automata,
     grid_search_k_candidate,
     grid_search_point,
@@ -89,7 +89,7 @@ def test_criterion_1_interval_solver_agrees_with_point_solver():
     for system in _solver_corpus():
         sols = solve_intervals(system)
         point = solve_points(system)
-        if sols.has_nonempty_vector != (point is not None):
+        if bool(sols) != (point is not None):
             bad += 1
             continue
         if point is None:
@@ -97,7 +97,7 @@ def test_criterion_1_interval_solver_agrees_with_point_solver():
         solvable += 1
         if not satisfies(system, point):
             bad += 1
-        elif not any(v.contains_point(point.values) for v in sols.nonempty_vectors()):
+        elif not any(v.contains_point(point.values) for v in sols):
             bad += 1
         elif any(
             eval_polynomial(eq.lhs, point).rank != eq.rhs.rank

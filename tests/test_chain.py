@@ -18,8 +18,6 @@ from fuzzmin import (
     cross_intersect,
     intersect,
     is_decimal_label,
-    join,
-    meet,
 )
 
 CH = Chain(("0", "0.25", "0.5", "0.75", "1"))
@@ -75,16 +73,14 @@ def test_decimal_label_shapes():
 
 def test_meet_join_are_min_max():
     a, b = CH.value("0.25"), CH.value("0.75")
-    assert meet(a, b) == a
-    assert join(a, b) == b
-    assert meet(a, a) == a
+    assert min(a, b) == a
+    assert max(a, b) == b
+    assert min(a, a) == a
     assert a < b <= CH.one
 
 
 def test_values_from_different_chains_do_not_mix():
     other = Chain(("0", "1"))
-    with pytest.raises(ValueError):
-        meet(CH.zero, other.zero)
     with pytest.raises(ValueError):
         CH.zero < other.one  # noqa: B015
 
@@ -159,21 +155,34 @@ def test_vector_point_membership():
 
 
 def test_solution_sets_canonicalize():
-    a = IntervalVector((Interval.full(CH),))
-    b = IntervalVector((Interval.point(CH.one),))
-    assert SolutionSet(1, (a, b, a)) == SolutionSet(1, (b, a))
-    assert len(SolutionSet(1, (a, b, a))) == 2
-    assert [str(v) for v in SolutionSet(1, (b, a))] == ["([0,1])", "([1,1])"]
+    a = IntervalVector((Interval.full(CH), Interval.point(CH.one)))
+    b = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
+    assert SolutionSet(2, (a, b, a)) == SolutionSet(2, (b, a))
+    assert len(SolutionSet(2, (a, b, a))) == 2
+    assert [str(v) for v in SolutionSet(2, (b, a))] == [
+        "([0,1], [1,1])",
+        "([1,1], [0,1])",
+    ]
 
 
-def test_empty_coordinate_vectors_are_kept_but_flagged():
+def test_vector_containment_is_coordinatewise():
+    full = IntervalVector((Interval.full(CH), Interval.full(CH)))
+    inner = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
+    dead = IntervalVector((EMPTY, Interval.full(CH)))
+    assert full.contains_vector(inner) and full.contains_vector(full)
+    assert not inner.contains_vector(full)
+    assert inner.contains_vector(dead) and not dead.contains_vector(inner)
+    with pytest.raises(ValueError):
+        full.contains_vector(IntervalVector((Interval.full(CH),)))
+
+
+def test_empty_and_contained_vectors_are_dropped():
     dead = IntervalVector((EMPTY, Interval.full(CH)))
     live = IntervalVector((Interval.full(CH), Interval.full(CH)))
-    s = SolutionSet(2, (dead,))
-    assert len(s) == 1
-    assert not s.has_nonempty_vector
-    assert s.nonempty_vectors() == ()
-    assert SolutionSet(2, (dead, live)).has_nonempty_vector
+    inner = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
+    assert len(SolutionSet(2, (dead,))) == 0
+    assert SolutionSet(2, (dead, inner)).vectors == (inner,)
+    assert SolutionSet(2, (inner, dead, live)).vectors == (live,)
     with pytest.raises(ValueError):
         SolutionSet(2, (IntervalVector((Interval.full(CH),)),))
 
@@ -184,6 +193,10 @@ sets2 = st.lists(vectors2, min_size=1, max_size=4).map(
 )
 
 
+def _points(v):
+    return {p for p in itertools.product(CH, repeat=v.dim) if v.contains_point(p)}
+
+
 @given(sets2, sets2)
 def test_cross_intersect_covers_exactly_the_common_points(s1, s2):
     prod = cross_intersect(s1, s2)
@@ -192,3 +205,8 @@ def test_cross_intersect_covers_exactly_the_common_points(s1, s2):
         in1 = any(v.contains_point(p) for v in s1)
         in2 = any(v.contains_point(p) for v in s2)
         assert any(v.contains_point(p) for v in prod) == (in1 and in2)
+    # an antichain of live boxes: each holds a point, none lies inside another
+    boxes = [_points(v) for v in prod]
+    for i, box in enumerate(boxes):
+        assert box
+        assert not any(box <= other for j, other in enumerate(boxes) if j != i)

@@ -202,6 +202,15 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["eval", str(path), "a"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["solve", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -59,17 +60,15 @@ def test_evaluation_is_max_of_mins():
         eval_polynomial(p, PointAssignment((CH.value("1"),)))
 
 
-def test_satisfies_both_relations():
+def test_satisfies_requires_the_exact_value():
     x = Polynomial((Monomial((0,)),))
     eq_sys = EquationSystem(CH, 1, (Equation(x, Relation.EQ, CH.value("0.5")),))
-    le_sys = EquationSystem(CH, 1, (Equation(x, Relation.LE, CH.value("0.5")),))
     low = PointAssignment((CH.value("0.2"),))
     exact = PointAssignment((CH.value("0.5"),))
     high = PointAssignment((CH.value("1"),))
     assert satisfies(eq_sys, exact)
     assert not satisfies(eq_sys, low)
-    assert satisfies(le_sys, low) and satisfies(le_sys, exact)
-    assert not satisfies(le_sys, high)
+    assert not satisfies(eq_sys, high)
     with pytest.raises(ValueError):
         satisfies(eq_sys, PointAssignment((CH.value("0"), CH.value("0"))))
 
@@ -141,15 +140,8 @@ def _system():
 
 
 def test_interval_solver_by_hand():
-    sols = solve_intervals(_system())
-    assert sols.has_nonempty_vector
-    assert _strs(sols) == [
-        "([0,0.5], [0,1], EMPTY)",
-        "([0,1], [0,0.5], EMPTY)",
-        "([0.5,0.5], [0.5,1], [0.2,0.2])",
-        "([0.5,1], [0.5,0.5], [0.2,0.2])",
-    ]
-    assert [str(v) for v in sols.nonempty_vectors()] == [
+    # the x3 = 0.5 cases of the first equation die against x3 = 0.2
+    assert _strs(solve_intervals(_system())) == [
         "([0.5,0.5], [0.5,1], [0.2,0.2])",
         "([0.5,1], [0.5,0.5], [0.2,0.2])",
     ]
@@ -194,19 +186,8 @@ def test_unsolvable_system():
             Equation(x, Relation.EQ, CH.value("1")),
         ),
     )
-    sols = solve_intervals(clash)
-    assert not sols.has_nonempty_vector
+    assert len(solve_intervals(clash)) == 0
     assert solve_points(clash) is None
-
-
-def test_solvers_reject_inequalities():
-    system = EquationSystem(
-        CH, 1, (Equation(Polynomial((Monomial((0,)),)), Relation.LE, CH.value("0.5")),)
-    )
-    with pytest.raises(ValueError):
-        solve_intervals(system)
-    with pytest.raises(ValueError):
-        solve_points(system)
 
 
 def test_rhs_value_pool_is_sorted_and_distinct():
@@ -222,13 +203,21 @@ def test_solvers_agree_and_answers_check_out(seed):
 
     sols = solve_intervals(system)
     point = solve_points(system)
-    assert sols.has_nonempty_vector == (point is not None)
+    assert bool(sols) == (point is not None)
 
     if point is not None:
         assert satisfies(system, point)
-        assert any(
-            v.contains_point(point.values) for v in sols.nonempty_vectors()
-        )
+        assert any(v.contains_point(point.values) for v in sols)
+
+    # the boxes hold exactly the solutions on the full chain grid, and they
+    # form an antichain of live boxes
+    grid = list(itertools.product(chain, repeat=n_vars))
+    boxes = [{p for p in grid if v.contains_point(p)} for v in sols]
+    for p in grid:
+        assert satisfies(system, PointAssignment(p)) == any(p in box for box in boxes)
+    assert all(v.is_nonempty for v in sols)
+    for i, box in enumerate(boxes):
+        assert not any(box <= other for j, other in enumerate(boxes) if j != i)
 
     # grid search over the full chain is the ground truth for solvability
     brute = grid_search_point(system, tuple(chain))

@@ -167,13 +167,3 @@ def test_system_variable_indices_are_one_based_and_in_range():
         parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", "[3]"))
     with pytest.raises(DocumentError, match="monomials\\[0\\] must be a nonempty list"):
         parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", "[]"))
-
-
-def test_render_system_refuses_inequalities():
-    le = EquationSystem(
-        CH,
-        1,
-        (Equation(Polynomial((Monomial((0,)),)), Relation.LE, CH.value("0.5")),),
-    )
-    with pytest.raises(ValueError, match="equalities only"):
-        render_system(le)

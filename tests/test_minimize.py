@@ -15,14 +15,13 @@ from fuzzmin import (
     build_candidate_space,
     cost_estimate,
     decide_k,
-    decide_k_via_equations,
     decode_candidate,
     encode_automaton,
     minimize,
     nfa_view,
     pad_states,
 )
-from fuzzmin.oracles import all_words_up_to, crisp_accepts
+from fuzzmin.oracles import all_words_up_to, crisp_accepts, decide_k_via_equations
 
 from helpers import automaton
 
