@@ -8,11 +8,20 @@ all under max-min.
 Two deciders for language equality live here and are deliberately independent
 implementations:
 
-* `equivalent_fixpoint` saturates the set of suffix evaluation vectors
-  M(x) . eta of the joint block form of the two automata, expanding words on
-  the left.  This is the production path; it also yields the stabilization
-  index and, on a negative verdict, the length-lexicographically least
-  distinguishing word.
+* `equivalent_fixpoint` decides on alpha-cuts.  Over a chain, a word's value
+  is >= alpha exactly when some path reading it has every weight >= alpha,
+  that is, when the NFA keeping only the weights >= alpha accepts it.  So two
+  automata are equivalent iff their cut NFAs accept the same language at
+  every positive level alpha, and only the positive ranks that occur in the
+  automata need checking.  At each level a breadth-first search over suffix
+  subsets (int bitsets), extending words on the left, stores every subset
+  with the length-lex least word that reaches it; the first stored subset
+  the two sides' initial states disagree on gives that level's least
+  counterexample, and the length-lex least of those is the least
+  counterexample overall.  The stabilization index is the deepest level's
+  saturation depth: the least l such that words up to length l reach every
+  cut subset at every level.  `minimization.decide_k` runs the same kernel,
+  `_saturate_cut`, on every candidate.
 
 * `k_equivalent` / `bounded_counterexample` walk words in length-lex order,
   extending on the right, and memoize on the pair of transition matrices
@@ -29,11 +38,11 @@ occurring in either automaton (initial weights deliberately do not count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .chain import Chain, ChainValue
 from .errors import BudgetExceededError
-from .linalg import FuzzyMatrix, direct_sum, fold_maxmin_product, maxmin_product
+from .linalg import FuzzyMatrix, fold_maxmin_product, maxmin_product
 
 DEFAULT_VECTOR_BUDGET = 1_000_000
 
@@ -137,9 +146,8 @@ def equivalence_length_bound(
     return bound
 
 
-# Rank-level kernels.  Vectors are plain tuples of ranks; matrices are tuples
-# of row tuples.  Everything downstream of the public constructors funnels
-# through these.
+# Rank-level helpers of the bounded check.  Vectors are plain tuples of ranks;
+# matrices are tuples of row tuples.
 
 def _mv(rows: Sequence[tuple[int, ...]], vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(map(min, row, vec)) for row in rows)
@@ -237,56 +245,110 @@ def bounded_counterexample(
     return _pair_bfs(a1, a2, k, max_pairs)
 
 
-@dataclass(frozen=True)
-class JointForm:
-    """Block form of a pair of automata sharing chain and alphabet.
+# Threshold cuts.  A set of states is an int bitset, bit i for state i.  At a
+# level alpha, a matrix cuts to one mask per row (the columns whose entry is
+# >= alpha) and a vector to the mask of its entries >= alpha.
 
-    m_sigma[s] is the direct sum of the two transition matrices for symbol s,
-    eta_joint stacks the final columns, and the extended initial rows pad each
-    pi with zeros over the other automaton's states.
+def _levels(*automata: FuzzyAutomaton) -> list[int]:
+    """The positive ranks occurring anywhere in the automata, ascending.
+
+    Every word value occurs among the weights or is 0, so a cut at any other
+    level equals the cut at the next occurring rank above it."""
+    ranks: set[int] = set()
+    for a in automata:
+        ranks.update(a.pi.data, a.eta.data)
+        for m in a.delta:
+            ranks.update(m.data)
+    ranks.discard(0)
+    return sorted(ranks)
+
+
+def _cut_mask(ranks: Sequence[int], alpha: int) -> int:
+    return sum(1 << i for i, r in enumerate(ranks) if r >= alpha)
+
+
+def _cut_rows(m: FuzzyMatrix, alpha: int, shift: int = 0) -> tuple[int, ...]:
+    return tuple(_cut_mask(row, alpha) << shift for row in m.as_row_tuples())
+
+
+def _saturate_cut(
+    rows: Sequence[Sequence[int]],
+    final: int,
+    pi1: int,
+    pi2: int,
+    stored: int,
+    max_vectors: int,
+    exhaust: bool,
+) -> tuple[dict[int, Word], Word | None, int]:
+    """Saturate the suffix subsets of one cut NFA of a joint pair of automata.
+
+    rows[s][i] is the set of states that state i steps to on symbol s, final
+    the set of final states, pi1 and pi2 the initial states of each side.  The
+    subset of a word x holds the states with a path reading x into a final
+    state, so subset(s x) = {i : rows[s][i] meets subset(x)}.  Words grow by
+    prepending, and symbol-major iteration over a frontier kept in discovery
+    order makes every stored witness the length-lex least word of its subset.
+
+    Returns (witness of every stored subset, the first word on which the sides
+    disagree, depth), where depth counts the rounds that stored something.  A
+    mismatch is the first stored subset that one side's initial states meet
+    and the other's do not; its witness is the least word telling the sides
+    apart at this level.  Unless exhaust is set, the search stops there.
+    stored counts subsets kept by earlier levels toward max_vectors, which is
+    checked at every store.
     """
-
-    m_sigma: tuple[FuzzyMatrix, ...]
-    eta_joint: FuzzyMatrix
-    pi1_ext: FuzzyMatrix
-    pi2_ext: FuzzyMatrix
-
-
-def build_joint_form(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> JointForm:
-    _require_compatible(a1, a2)
-    n1, n2 = a1.n, a2.n
-    chain = a1.chain
-    m_sigma = tuple(direct_sum(d1, d2) for d1, d2 in zip(a1.delta, a2.delta))
-    eta_joint = FuzzyMatrix(chain, n1 + n2, 1, a1.eta.data + a2.eta.data)
-    pi1_ext = FuzzyMatrix(chain, 1, n1 + n2, a1.pi.data + (0,) * n2)
-    pi2_ext = FuzzyMatrix(chain, 1, n1 + n2, (0,) * n1 + a2.pi.data)
-    return JointForm(m_sigma, eta_joint, pi1_ext, pi2_ext)
-
-
-@dataclass(frozen=True)
-class ReachableVectors:
-    """Canonical set of suffix evaluation vectors, with the level it closed at.
-
-    level is the least l with the same vectors after one more round of symbol
-    applications; the vectors are all M(x) . eta for words up to that length.
-    """
-
-    level: int
-    vectors: tuple[FuzzyMatrix, ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self) -> Iterator[FuzzyMatrix]:
-        return iter(self.vectors)
+    bits = [1 << i for i in range(len(rows[0]))]
+    if stored >= max_vectors:
+        raise BudgetExceededError(stored + 1, max_vectors, "cut subsets")
+    stored += 1
+    witness: dict[int, Word] = {final: ()}
+    mismatch: Word | None = None
+    if bool(pi1 & final) != bool(pi2 & final):
+        mismatch = ()
+        if not exhaust:
+            return witness, mismatch, 0
+    frontier = [final]
+    depth = 0
+    while frontier:
+        new: list[int] = []
+        for s, sym_rows in enumerate(rows):
+            for v in frontier:
+                u = 0
+                for row, bit in zip(sym_rows, bits):
+                    if row & v:
+                        u |= bit
+                if u in witness:
+                    continue
+                if stored >= max_vectors:
+                    raise BudgetExceededError(stored + 1, max_vectors, "cut subsets")
+                stored += 1
+                word = (s,) + witness[v]
+                witness[u] = word
+                if mismatch is None and bool(pi1 & u) != bool(pi2 & u):
+                    mismatch = word
+                    if not exhaust:
+                        return witness, mismatch, depth + 1
+                new.append(u)
+        if new:
+            depth += 1
+        frontier = new
+    return witness, mismatch, depth
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
+    """Outcome of `equivalent_fixpoint`.
+
+    stabilization_index is the deepest per-level saturation depth: every
+    cut subset is reached by a word no longer than it.  reached holds every
+    stored (alpha, subset) pair, levels ascending, each level in discovery
+    order.
+    """
+
     equivalent: bool
     stabilization_index: int
     counterexample: Word | None
-    reached: ReachableVectors
+    reached: tuple[tuple[int, int], ...]
 
 
 def equivalent_fixpoint(
@@ -295,56 +357,41 @@ def equivalent_fixpoint(
     *,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
 ) -> EquivalenceResult:
-    """Decide language equality by saturating the joint suffix vectors.
+    """Decide language equality level by level on the alpha-cuts.
 
-    Round l holds M(x) . eta for all words of length <= l.  A vector new at
-    round l+1 must come from applying one symbol matrix to a vector new at
-    round l, so only the frontier is expanded.  Each vector remembers the
-    first word that produced it (words grow by prepending, so symbol-major
-    iteration over a witness-sorted frontier keeps witnesses length-lex
-    minimal).  The verdict compares both extended initial rows against every
-    vector; on failure the witness of the first offending vector in discovery
-    order is the least distinguishing word overall.
+    At each level the two automata sit side by side in one cut NFA, the first
+    automaton's states before the second's, and `_saturate_cut` stores every
+    suffix subset.  The least counterexample overall is the length-lex least
+    of the per-level ones.  max_vectors bounds the subsets stored over all
+    levels together.
     """
-    form = build_joint_form(a1, a2)
-    sym_rows = [m.as_row_tuples() for m in form.m_sigma]
-    eta = tuple(form.eta_joint.data)
-    pi1 = form.pi1_ext.data
-    pi2 = form.pi2_ext.data
-
-    witness: dict[tuple[int, ...], Word] = {eta: ()}
-    frontier: list[tuple[int, ...]] = [eta]
-    level = 0
-    while True:
-        new: list[tuple[int, ...]] = []
-        for s, rows in enumerate(sym_rows):
-            for v in frontier:
-                w = _mv(rows, v)
-                if w not in witness:
-                    witness[w] = (s,) + witness[v]
-                    new.append(w)
-        if not new:
-            break
-        if len(witness) > max_vectors:
-            raise BudgetExceededError(
-                len(witness), max_vectors, "suffix evaluation vectors"
-            )
-        level += 1
-        frontier = new
-
-    counterexample: Word | None = None
-    for v, w in witness.items():
-        if _dot(pi1, v) != _dot(pi2, v):
-            counterexample = w
-            break
-
-    chain = a1.chain
-    total = a1.n + a2.n
-    reached = ReachableVectors(
-        level,
-        tuple(FuzzyMatrix(chain, total, 1, v) for v in sorted(witness)),
-    )
-    return EquivalenceResult(counterexample is None, level, counterexample, reached)
+    _require_compatible(a1, a2)
+    n1 = a1.n
+    reached: list[tuple[int, int]] = []
+    least: Word | None = None
+    depth = 0
+    for alpha in _levels(a1, a2):
+        rows = [
+            _cut_rows(d1, alpha) + _cut_rows(d2, alpha, n1)
+            for d1, d2 in zip(a1.delta, a2.delta)
+        ]
+        final = _cut_mask(a1.eta.data, alpha) | _cut_mask(a2.eta.data, alpha) << n1
+        witness, mismatch, level_depth = _saturate_cut(
+            rows,
+            final,
+            _cut_mask(a1.pi.data, alpha),
+            _cut_mask(a2.pi.data, alpha) << n1,
+            len(reached),
+            max_vectors,
+            exhaust=True,
+        )
+        reached.extend((alpha, subset) for subset in witness)
+        depth = max(depth, level_depth)
+        if mismatch is not None and (
+            least is None or (len(mismatch), mismatch) < (len(least), least)
+        ):
+            least = mismatch
+    return EquivalenceResult(least is None, depth, least, tuple(reached))
 
 
 def equivalent(
@@ -354,37 +401,3 @@ def equivalent(
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
 ) -> bool:
     return equivalent_fixpoint(a1, a2, max_vectors=max_vectors).equivalent
-
-
-def _quick_equivalent(
-    sym_rows: Sequence[Sequence[tuple[int, ...]]],
-    eta: tuple[int, ...],
-    pi1: tuple[int, ...],
-    pi2: tuple[int, ...],
-    max_vectors: int,
-) -> bool:
-    """Verdict-only fixpoint on raw ranks, aborting at the first mismatch.
-
-    Same saturation as `equivalent_fixpoint` without witness bookkeeping; the
-    hot path for candidate enumeration.
-    """
-    if _dot(pi1, eta) != _dot(pi2, eta):
-        return False
-    seen = {eta}
-    frontier = [eta]
-    while frontier:
-        new = []
-        for rows in sym_rows:
-            for v in frontier:
-                w = _mv(rows, v)
-                if w not in seen:
-                    if _dot(pi1, w) != _dot(pi2, w):
-                        return False
-                    seen.add(w)
-                    new.append(w)
-        if len(seen) > max_vectors:
-            raise BudgetExceededError(
-                len(seen), max_vectors, "suffix evaluation vectors"
-            )
-        frontier = new
-    return True

@@ -2,7 +2,7 @@
 
 Subcommands: eval, equiv, solve, decide-min, minimize, gen.  Witness automata
 and generated instances are written to stdout as documents; diagnostics and
-cost predictions go to stderr.  Exit codes: 0 when a command reaches a
+cost figures go to stderr.  Exit codes: 0 when a command reaches a
 verdict (either way), 2 for input or usage problems, 3 when an enumeration
 budget is exceeded.  The FUZZMIN_BUDGET environment variable replaces every
 default ceiling; per-run --budget-* flags take precedence over it.
@@ -60,11 +60,9 @@ def _budget(flag_value: int | None, default: int) -> int:
 
 def _cost_line(inst: MinimizeInstance) -> str:
     est = cost_estimate(inst)
-    eqs = "n/a" if est.equation_count is None else str(est.equation_count)
-    ops = "n/a" if est.predicted_ops is None else str(est.predicted_ops)
     return (
         f"cost k={inst.k}: candidates={est.candidate_count} "
-        f"word_bound={est.word_bound} equations={eqs} predicted_ops={ops}"
+        f"word_bound={est.word_bound}"
     )
 
 
@@ -173,7 +171,7 @@ def _budget_flags(p: argparse.ArgumentParser, *, candidates: bool = False) -> No
         "--budget-phi",
         type=int,
         metavar="N",
-        help="max stored vectors (fixpoint states, matrix pairs, interval solutions)",
+        help="max stored vectors (cut subsets, matrix pairs, interval solutions)",
     )
 
 

@@ -4,9 +4,9 @@ Whether a given automaton has an equivalent realization on k states is
 decidable by brute force over a finite grid: if any k-state equivalent
 exists, one exists whose initial, final, and transition weights are all drawn
 from V, the set of values occurring in the input automaton.  `decide_k`
-enumerates that grid and tests each candidate with the fixpoint equivalence
-checker; `minimize` walks k upward and returns the first winner, or the input
-itself when nothing smaller works.
+enumerates that grid and tests each candidate on the alpha-cuts with the
+kernel `equivalent_fixpoint` uses; `minimize` walks k upward and returns the
+first winner, or the input itself when nothing smaller works.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automaton import (
     DEFAULT_VECTOR_BUDGET,
     FuzzyAutomaton,
     language_value,
-    _quick_equivalent,
+    _cut_mask,
+    _cut_rows,
+    _levels,
+    _saturate_cut,
 )
 from .chain import Chain, ChainValue
 from .errors import BudgetExceededError, NonBooleanValueError
@@ -111,6 +114,53 @@ def encode_automaton(a: FuzzyAutomaton) -> tuple[ChainValue, ...]:
     return tuple(a.chain[r] for r in ranks)
 
 
+def _cut_verdict(
+    a: FuzzyAutomaton, k: int, v_ranks: Sequence[int], max_vectors: int
+) -> Callable[[tuple[int, ...]], bool]:
+    """Equivalence of `a` to one grid assignment, decided on the alpha-cuts.
+
+    The input's cut rows are built once per level.  A candidate adds its k
+    rows per symbol, shifted past the input's n states, and each level runs
+    `_saturate_cut` until the first mismatch.  Candidate values lie in V, so
+    the positive ranks of V are all the levels the pair needs.
+    """
+    n = a.n
+    kk = k * k
+    block_starts = range(2 * k, 2 * k + len(a.alphabet) * kk, kk)
+    levels = []
+    for alpha in _levels(a):
+        # cut mask of every k-tuple over V, placed on the candidate's states
+        masks = {
+            row: _cut_mask(row, alpha) << n
+            for row in itertools.product(v_ranks, repeat=k)
+        }
+        left = [_cut_rows(d, alpha) for d in a.delta]
+        levels.append(
+            (masks, left, _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha))
+        )
+
+    def verdict(assignment: tuple[int, ...]) -> bool:
+        pi2 = assignment[:k]
+        eta2 = assignment[k : 2 * k]
+        blocks = [
+            [assignment[i : i + k] for i in range(start, start + kk, k)]
+            for start in block_starts
+        ]
+        for masks, left, eta1, pi1 in levels:
+            rows = [
+                rows1 + tuple(map(masks.__getitem__, block))
+                for rows1, block in zip(left, blocks)
+            ]
+            _, mismatch, _ = _saturate_cut(
+                rows, eta1 | masks[eta2], pi1, masks[pi2], 0, max_vectors, exhaust=False
+            )
+            if mismatch is not None:
+                return False
+        return True
+
+    return verdict
+
+
 def decide_k(
     inst: MinimizeInstance,
     *,
@@ -121,7 +171,10 @@ def decide_k(
 
     Candidates are enumerated lexicographically by value rank in layout order,
     so the witness is deterministic.  Refuses up front (budget error carrying
-    the count) when the grid is larger than max_candidates.
+    the count) when the grid is larger than max_candidates.  max_vectors bounds
+    the cut subsets held at once, which is one level of one candidate: a level
+    is dropped before the next starts, and it never holds more subsets than
+    the candidate pair has joint suffix vectors.
     """
     space = build_candidate_space(inst)
     total = len(space.values) ** space.var_count
@@ -131,36 +184,14 @@ def decide_k(
         )
     a = inst.automaton
     k = inst.k
-    n = a.n
-    n_sym = len(a.alphabet)
     v_ranks = tuple(v.rank for v in space.values)
-    pi1 = a.pi.data
-    eta1 = a.eta.data
-    zeros_left = (0,) * n
-    zeros_right = (0,) * k
-    left_rows = [
-        tuple(row + zeros_right for row in d.as_row_tuples()) for d in a.delta
-    ]
-    pi1_ext = pi1 + zeros_right
-    f_lambda = max(map(min, pi1, eta1))
-    kk = k * k
+    f_lambda = max(map(min, a.pi.data, a.eta.data))
+    verdict = _cut_verdict(a, k, v_ranks, max_vectors)
     for assignment in itertools.product(v_ranks, repeat=space.var_count):
-        pi2 = assignment[:k]
-        eta2 = assignment[k : 2 * k]
         # cheap filter: the empty word already fixes pi' . eta'
-        if max(map(min, pi2, eta2)) != f_lambda:
+        if max(map(min, assignment[:k], assignment[k : 2 * k])) != f_lambda:
             continue
-        sym_rows = []
-        for s in range(n_sym):
-            base = 2 * k + s * kk
-            right = tuple(
-                zeros_left + assignment[base + r * k : base + (r + 1) * k]
-                for r in range(k)
-            )
-            sym_rows.append(left_rows[s] + right)
-        if _quick_equivalent(
-            sym_rows, eta1 + eta2, pi1_ext, zeros_left + pi2, max_vectors
-        ):
+        if verdict(assignment):
             values = tuple(a.chain[r] for r in assignment)
             return CandidateAutomaton(
                 values, decode_candidate(a.chain, a.alphabet, k, values)
@@ -238,32 +269,16 @@ def nfa_view(a: FuzzyAutomaton) -> NfaView:
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Predicted work figures for `decide_k`; informational only.
+    """Work figures for `decide_k`; informational only.
 
-    candidate_count is the grid size, word_bound the conclusive agreement
-    length, equation_count the number of words up to that length (None when
-    too large to materialize as an integer), predicted_ops the literal
-    reduction's operation count candidate_count * N * k**2 + N * n**2.
+    candidate_count is the grid size and word_bound the conclusive agreement
+    length.
     """
 
     candidate_count: int
     word_bound: int
-    equation_count: int | None
-    predicted_ops: int | None
 
 
-def cost_estimate(inst: MinimizeInstance, *, exact_limit: int = 4096) -> CostEstimate:
+def cost_estimate(inst: MinimizeInstance) -> CostEstimate:
     space = build_candidate_space(inst)
-    a = inst.automaton
-    k = inst.k
-    n_sym = len(a.alphabet)
-    candidates = len(space.values) ** space.var_count
-    c = space.word_bound
-    if n_sym == 1:
-        n_words: int | None = c + 1
-    elif c <= exact_limit:
-        n_words = (n_sym ** (c + 1) - 1) // (n_sym - 1)
-    else:
-        n_words = None
-    ops = None if n_words is None else candidates * n_words * k * k + n_words * a.n * a.n
-    return CostEstimate(candidates, c, n_words, ops)
+    return CostEstimate(len(space.values) ** space.var_count, space.word_bound)

@@ -4,8 +4,10 @@ Everything here trades speed for obviousness and stays structurally
 independent of the code it checks: language values come from explicit path
 enumeration instead of matrix folds, point solving from a plain grid walk
 instead of interval algebra, NFA acceptance from the classical subset
-construction, and k-state search from full-chain candidate grids judged by
-the bounded word check rather than the fixpoint.
+construction, equivalence verdicts from saturating whole joint vectors
+(`joint_vector_equivalent`) instead of alpha-cuts, and k-state search from
+full-chain candidate grids judged by the bounded word check rather than the
+fixpoint.
 
 `decide_k_via_equations` keeps the paper's literal reduction alive: it
 materializes, for every word up to a length bound, the polynomial equation
@@ -19,17 +21,17 @@ most |V|**(n+k) - 1.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .automaton import (
     DEFAULT_VECTOR_BUDGET,
     FuzzyAutomaton,
     Word,
-    build_joint_form,
     equivalence_length_bound,
     k_equivalent,
     language_value,
-    _quick_equivalent,
+    _require_compatible,
 )
 from .chain import Chain, ChainValue
 from .equations import (
@@ -42,6 +44,7 @@ from .equations import (
     satisfies,
 )
 from .errors import BudgetExceededError
+from .linalg import FuzzyMatrix, direct_sum
 from .minimization import (
     DEFAULT_CANDIDATE_BUDGET,
     CandidateAutomaton,
@@ -101,15 +104,69 @@ def enumerate_boolean_automata(
         yield decode_candidate(chain, alphabet, n, bits)
 
 
-def _fixpoint_equal(a1: FuzzyAutomaton, a2: FuzzyAutomaton, max_vectors: int) -> bool:
+@dataclass(frozen=True)
+class JointForm:
+    """Block form of a pair of automata sharing chain and alphabet.
+
+    m_sigma[s] is the direct sum of the two transition matrices for symbol s,
+    eta_joint stacks the final columns, and the extended initial rows pad each
+    pi with zeros over the other automaton's states.
+    """
+
+    m_sigma: tuple[FuzzyMatrix, ...]
+    eta_joint: FuzzyMatrix
+    pi1_ext: FuzzyMatrix
+    pi2_ext: FuzzyMatrix
+
+
+def build_joint_form(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> JointForm:
+    _require_compatible(a1, a2)
+    n1, n2 = a1.n, a2.n
+    chain = a1.chain
+    m_sigma = tuple(direct_sum(d1, d2) for d1, d2 in zip(a1.delta, a2.delta))
+    eta_joint = FuzzyMatrix(chain, n1 + n2, 1, a1.eta.data + a2.eta.data)
+    pi1_ext = FuzzyMatrix(chain, 1, n1 + n2, a1.pi.data + (0,) * n2)
+    pi2_ext = FuzzyMatrix(chain, 1, n1 + n2, (0,) * n1 + a2.pi.data)
+    return JointForm(m_sigma, eta_joint, pi1_ext, pi2_ext)
+
+
+def joint_vector_equivalent(
+    a1: FuzzyAutomaton,
+    a2: FuzzyAutomaton,
+    *,
+    max_vectors: int = DEFAULT_VECTOR_BUDGET,
+) -> bool:
+    """Language equality by saturating the joint suffix vectors M(x) . eta.
+
+    Works on whole rank vectors of the block form, with no cuts: the vectors
+    of words up to length l+1 are those up to l plus every symbol matrix
+    applied to them, and the pair is equivalent iff both extended initial
+    rows give the same value on every vector once the set closes.
+    """
     form = build_joint_form(a1, a2)
-    return _quick_equivalent(
-        [m.as_row_tuples() for m in form.m_sigma],
-        tuple(form.eta_joint.data),
-        form.pi1_ext.data,
-        form.pi2_ext.data,
-        max_vectors,
-    )
+    sym_rows = [m.as_row_tuples() for m in form.m_sigma]
+    pi1, pi2 = form.pi1_ext.data, form.pi2_ext.data
+
+    def value(pi: tuple[int, ...], v: tuple[int, ...]) -> int:
+        return max(map(min, pi, v))
+
+    eta = form.eta_joint.data
+    seen = {eta}
+    frontier = [eta]
+    while frontier:
+        if any(value(pi1, v) != value(pi2, v) for v in frontier):
+            return False
+        new = []
+        for rows in sym_rows:
+            for v in frontier:
+                w = tuple(value(row, v) for row in rows)
+                if w not in seen:
+                    seen.add(w)
+                    new.append(w)
+        if len(seen) > max_vectors:
+            raise BudgetExceededError(len(seen), max_vectors, "joint suffix vectors")
+        frontier = new
+    return True
 
 
 def min_nfa_states_brute(
@@ -118,13 +175,13 @@ def min_nfa_states_brute(
     """Least state count of any boolean automaton with the same language.
 
     Searches the full boolean grid at each k (not just the input's values)
-    and judges language equality with the verdict-only fixpoint.  The input
-    realizes itself, so k = n needs no search.
+    and judges language equality with the joint-vector saturation.  The
+    input realizes itself, so k = n needs no search.
     """
     nfa_view(a)
     for k in range(1, a.n):
         for cand in enumerate_boolean_automata(a.chain, a.alphabet, k):
-            if _fixpoint_equal(a, cand, max_vectors):
+            if joint_vector_equivalent(a, cand, max_vectors=max_vectors):
                 return k
     return a.n
 

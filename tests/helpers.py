@@ -71,3 +71,58 @@ def literal_suffix_vectors(
         v2 = fz.maxmin_product(fz.delta_word(a2, word), a2.eta)
         out.add(v1.data + v2.data)
     return out
+
+
+def positive_ranks(*automata: fz.FuzzyAutomaton) -> list[int]:
+    """The positive ranks occurring in pi, eta or delta of the automata."""
+    ranks = set()
+    for a in automata:
+        for m in (a.pi, a.eta, *a.delta):
+            ranks.update(m.data)
+    return sorted(ranks - {0})
+
+
+def literal_suffix_cuts(
+    a1: fz.FuzzyAutomaton, a2: fz.FuzzyAutomaton, up_to: int
+) -> set[tuple[int, int]]:
+    """(alpha, bitset of the entries >= alpha) for every stacked suffix vector
+    of a word of length <= up_to and every positive rank alpha occurring in
+    the pair."""
+    return {
+        (alpha, sum(1 << i for i, r in enumerate(v) if r >= alpha))
+        for v in literal_suffix_vectors(a1, a2, up_to)
+        for alpha in positive_ranks(a1, a2)
+    }
+
+
+def permutation_pair(
+    n: int, seed: int, *, broken: bool
+) -> tuple[fz.FuzzyAutomaton, fz.FuzzyAutomaton]:
+    """a = n-cycle, b = transposition, eta holds n distinct values; paired
+    with its padded copy, or with that copy after one final weight changed."""
+    rng = random.Random(f"perm/{n}/{seed}")
+    chain = fz.Chain(fz.random_chain_labels(rng, n + 1))
+    top = len(chain) - 1
+    swap = list(range(n))
+    swap[0], swap[1] = 1, 0
+    cycle = [top if j == (i + 1) % n else 0 for i in range(n) for j in range(n)]
+    transposition = [top if j == swap[i] else 0 for i in range(n) for j in range(n)]
+    a = fz.FuzzyAutomaton(
+        chain,
+        ("a", "b"),
+        fz.FuzzyMatrix(chain, 1, n, (top,) + (0,) * (n - 1)),
+        fz.FuzzyMatrix(chain, n, 1, tuple(rng.sample(range(len(chain)), n))),
+        (
+            fz.FuzzyMatrix(chain, n, n, tuple(cycle)),
+            fz.FuzzyMatrix(chain, n, n, tuple(transposition)),
+        ),
+    )
+    b = fz.pad_states(a, n + 1)
+    if broken:
+        state = rng.randrange(n)
+        eta = list(b.eta.data)
+        eta[state] = rng.choice([r for r in range(len(chain)) if r != eta[state]])
+        b = fz.FuzzyAutomaton(
+            chain, b.alphabet, b.pi, fz.FuzzyMatrix(chain, n + 1, 1, tuple(eta)), b.delta
+        )
+    return a, b

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,9 +11,14 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.oracles import all_words_up_to, brute_language_value
+from fuzzmin.minimization import _cut_verdict
+from fuzzmin.oracles import (
+    all_words_up_to,
+    brute_language_value,
+    joint_vector_equivalent,
+)
 
-from helpers import automaton, literal_suffix_vectors, random_pair
+from helpers import automaton, literal_suffix_cuts, permutation_pair, random_pair
 
 CH2 = Chain(("0", "1"))
 CH3 = Chain(("0", "0.5", "1"))
@@ -146,7 +152,8 @@ def test_fixpoint_counterexample_is_least():
     assert res.counterexample == (0, 0)
     assert ALL_ONE.format_word(res.counterexample) == "a a"
     assert res.stabilization_index == 2
-    assert {m.data for m in res.reached} == {(1, 0, 0), (1, 1, 0), (1, 1, 1)}
+    # the suffix vectors (1,1,1), (1,1,0), (1,0,0) cut at the only level, 1
+    assert set(res.reached) == {(1, 0b111), (1, 0b011), (1, 0b001)}
 
 
 def test_fixpoint_equivalence_with_duplicate_state():
@@ -164,10 +171,11 @@ def test_fixpoint_equivalence_with_duplicate_state():
 def test_reached_vectors_match_literal_word_enumeration():
     for pair in [(ALL_ONE, SPLIT), (NONMONO, NONMONO)]:
         res = fz.equivalent_fixpoint(*pair)
-        lit = literal_suffix_vectors(*pair, res.stabilization_index)
-        assert {m.data for m in res.reached} == lit
-        # one more level adds nothing: the set already closed off
-        assert lit == literal_suffix_vectors(*pair, res.stabilization_index + 1)
+        lit = literal_suffix_cuts(*pair, res.stabilization_index)
+        assert set(res.reached) == lit
+        assert len(res.reached) == len(lit)
+        # one more word length adds nothing: every level already closed off
+        assert lit == literal_suffix_cuts(*pair, res.stabilization_index + 1)
 
 
 def test_fixpoint_budget():
@@ -175,14 +183,43 @@ def test_fixpoint_budget():
         fz.equivalent_fixpoint(NONMONO, NONMONO, max_vectors=2)
 
 
-@given(st.integers(0, 2**32))
-def test_deciders_agree(seed):
-    a1, a2 = random_pair(random.Random(seed))
+def test_fixpoint_budget_stops_at_the_first_subset_over_it():
+    pair = permutation_pair(7, 0, broken=False)
+    total = len(fz.equivalent_fixpoint(*pair).reached)
+    assert total > 100
+    for limit in (1, 5, 40, 100, total - 1):
+        with pytest.raises(BudgetExceededError) as info:
+            fz.equivalent_fixpoint(*pair, max_vectors=limit)
+        assert info.value.count == limit + 1
+        assert info.value.limit == limit
+    assert fz.equivalent_fixpoint(*pair, max_vectors=total).equivalent
+
+
+def _check_against_references(a1, a2):
+    """The cut decider matches the bounded check at its conclusive length
+    (verdict and least counterexample) and the joint-vector verdict."""
     res = fz.equivalent_fixpoint(a1, a2)
     bound = fz.equivalence_length_bound(a1, a2)
     assert res.stabilization_index <= bound
-    cex = fz.bounded_counterexample(a1, a2, bound)
-    assert res.counterexample == cex
+    assert res.counterexample == fz.bounded_counterexample(a1, a2, bound)
+    assert res.equivalent == joint_vector_equivalent(a1, a2)
+    return res
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cut_decider_matches_references_on_permutation_pairs(n):
+    for seed in range(3):
+        res = _check_against_references(*permutation_pair(n, seed, broken=False))
+        assert res.equivalent
+        res = _check_against_references(*permutation_pair(n, seed, broken=True))
+        assert not res.equivalent
+
+
+@given(st.integers(0, 2**32))
+def test_deciders_agree(seed):
+    a1, a2 = random_pair(random.Random(seed))
+    res = _check_against_references(a1, a2)
+    cex = res.counterexample
     if cex is not None:
         assert len(cex) <= res.stabilization_index
         assert fz.language_value(a1, cex) != fz.language_value(a2, cex)
@@ -192,3 +229,45 @@ def test_deciders_agree(seed):
                 if word == cex:
                     break
                 assert fz.language_value(a1, word) == fz.language_value(a2, word)
+
+
+# decide_k's per-candidate check against the joint-vector referee
+
+
+def _boolean_nfa():
+    """The first 3-state boolean automaton of the NFA-minimization corpus."""
+    code = random.Random(63).sample(range(2**24), 1)[0]
+    bits = tuple(CH2.one if (code >> p) & 1 else CH2.zero for p in range(24))
+    return fz.decode_candidate(CH2, ("a", "b"), 3, bits)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        fz.MinimizeInstance(_boolean_nfa(), 2),
+        fz.MinimizeInstance(fz.gen_automaton(3, 3, 1, 5), 1),
+        fz.MinimizeInstance(fz.gen_automaton(8, 3, 1, 5), 2),
+    ],
+    ids=["boolean-k2", "fuzzy3-k1", "fuzzy8-k2"],
+)
+def test_candidate_verdicts_match_the_joint_referee(inst):
+    a, k = inst.automaton, inst.k
+    space = fz.build_candidate_space(inst)
+    v_ranks = [v.rank for v in space.values]
+    verdict = _cut_verdict(a, k, v_ranks, fz.DEFAULT_VECTOR_BUDGET)
+    f_lambda = fz.language_value(a, ()).rank
+    first = None
+    checked = 0
+    for values in itertools.product(space.values, repeat=space.var_count):
+        ranks = tuple(v.rank for v in values)
+        if max(map(min, ranks[:k], ranks[k : 2 * k])) != f_lambda:
+            continue
+        checked += 1
+        cand = fz.decode_candidate(a.chain, a.alphabet, k, values)
+        expected = joint_vector_equivalent(a, cand)
+        assert verdict(ranks) == expected, values
+        if expected and first is None:
+            first = values
+    assert checked > 0
+    witness = fz.decide_k(inst)
+    assert (None if witness is None else witness.assignment) == first

@@ -132,7 +132,7 @@ def test_solve_budgets(system_doc, capsys):
 def test_decide_min_witness(dup_doc, capsys):
     assert main(["decide-min", dup_doc, "1"]) == 0
     out, err = capsys.readouterr()
-    assert "cost k=1: candidates=8 word_bound=7 equations=8 predicted_ops=96" in err
+    assert err == "cost k=1: candidates=8 word_bound=7\n"
     witness = parse_automaton(out)
     assert witness.n == 1
     assert equivalent(pad_states(witness, 2), parse_automaton(open(dup_doc).read()))
