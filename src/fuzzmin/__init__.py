@@ -24,7 +24,6 @@ from .automaton import (
     language_value,
 )
 from .chain import (
-    EMPTY,
     Chain,
     ChainValue,
     Interval,
@@ -55,7 +54,6 @@ from .errors import (
     BudgetExceededError,
     DocumentError,
     NonBooleanValueError,
-    SizeExceededError,
 )
 from .formats import (
     parse_automaton,
@@ -86,7 +84,6 @@ from .minimization import (
     cost_estimate,
     decide_k,
     decode_candidate,
-    encode_automaton,
     minimize,
     nfa_view,
     pad_states,
@@ -105,7 +102,6 @@ __all__ = [
     "DEFAULT_SOLUTION_CAP",
     "DEFAULT_VECTOR_BUDGET",
     "DocumentError",
-    "EMPTY",
     "Equation",
     "EquationSystem",
     "EquivalenceResult",
@@ -120,7 +116,6 @@ __all__ = [
     "PointAssignment",
     "Polynomial",
     "Relation",
-    "SizeExceededError",
     "SolutionSet",
     "Word",
     "bounded_counterexample",
@@ -131,7 +126,6 @@ __all__ = [
     "decode_candidate",
     "delta_word",
     "direct_sum",
-    "encode_automaton",
     "equivalence_length_bound",
     "equivalent",
     "equivalent_fixpoint",

@@ -126,24 +126,18 @@ def _require_compatible(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> None:
         raise ValueError("automata have different alphabets")
 
 
-def equivalence_length_bound(
-    a1: FuzzyAutomaton, a2: FuzzyAutomaton, *, ceiling: int | None = None
-) -> int:
+def equivalence_length_bound(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> int:
     """Word length that makes bounded equivalence conclusive.
 
     d counts the distinct values in the transition matrices and final columns
     of both automata; initial weights do not enter the count.  The bound is
-    d**(n1+n2) - 1 and grows fast; pass ceiling to fail with a budget error
-    instead of handing an unusable number to an enumeration.
+    d**(n1+n2) - 1 and grows fast.
     """
     _require_compatible(a1, a2)
     ranks = set(a1.eta.data) | set(a2.eta.data)
     for m in a1.delta + a2.delta:
         ranks.update(m.data)
-    bound = len(ranks) ** (a1.n + a2.n) - 1
-    if ceiling is not None and bound > ceiling:
-        raise BudgetExceededError(bound, ceiling, "equivalence word-length bound")
-    return bound
+    return len(ranks) ** (a1.n + a2.n) - 1
 
 
 # Rank-level helpers of the bounded check.  Vectors are plain tuples of ranks;

@@ -145,25 +145,19 @@ def _require_same_chain(a: ChainValue, b: ChainValue) -> None:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval of chain ranks, or the single distinguished EMPTY.
+    """Closed, non-empty interval of ranks on one chain.
 
-    EMPTY is represented canonically (chain None, ranks -1) rather than by any
-    crossed pair of bounds, so structural equality is set equality.
+    Intervals whose bounds would cross do not exist: `intersect` returns None
+    for them, and "no solution" is only ever the empty `SolutionSet`.
     """
 
-    chain: Chain | None
+    chain: Chain
     lo_rank: int
     hi_rank: int
 
     def __post_init__(self) -> None:
-        if self.chain is None:
-            if (self.lo_rank, self.hi_rank) != (-1, -1):
-                raise ValueError("the empty interval is Interval(None, -1, -1); use EMPTY")
-        else:
-            if not 0 <= self.lo_rank <= self.hi_rank < len(self.chain):
-                raise ValueError(
-                    f"bad interval bounds [{self.lo_rank}, {self.hi_rank}]"
-                )
+        if not 0 <= self.lo_rank <= self.hi_rank < len(self.chain):
+            raise ValueError(f"bad interval bounds [{self.lo_rank}, {self.hi_rank}]")
 
     @classmethod
     def closed(cls, lo: ChainValue, hi: ChainValue) -> "Interval":
@@ -189,19 +183,11 @@ class Interval:
         return cls(v.chain, v.rank, len(v.chain) - 1)
 
     @property
-    def is_empty(self) -> bool:
-        return self.chain is None
-
-    @property
     def lo(self) -> ChainValue:
-        if self.chain is None:
-            raise ValueError("the empty interval has no bounds")
         return ChainValue(self.chain, self.lo_rank)
 
     @property
     def hi(self) -> ChainValue:
-        if self.chain is None:
-            raise ValueError("the empty interval has no bounds")
         return ChainValue(self.chain, self.hi_rank)
 
     @property
@@ -209,31 +195,20 @@ class Interval:
         return (self.lo_rank, self.hi_rank)
 
     def contains(self, v: ChainValue) -> bool:
-        if self.chain is None:
-            return False
-        _require_same_chain(v, ChainValue(self.chain, 0))
+        _require_same_chain(v, self.lo)
         return self.lo_rank <= v.rank <= self.hi_rank
 
     def __str__(self) -> str:
-        if self.chain is None:
-            return "EMPTY"
         return f"[{self.chain.label(self.lo_rank)},{self.chain.label(self.hi_rank)}]"
 
 
-EMPTY = Interval(None, -1, -1)
-
-
-def intersect(x: Interval, y: Interval) -> Interval:
-    """Intersection of two intervals; EMPTY once the bounds cross."""
-    if x.is_empty or y.is_empty:
-        return EMPTY
+def intersect(x: Interval, y: Interval) -> Interval | None:
+    """Intersection of two intervals, or None once the bounds cross."""
     if x.chain != y.chain:
         raise ValueError("intervals live on different chains")
     lo = max(x.lo_rank, y.lo_rank)
     hi = min(x.hi_rank, y.hi_rank)
-    if lo > hi:
-        return EMPTY
-    return Interval(x.chain, lo, hi)
+    return Interval(x.chain, lo, hi) if lo <= hi else None
 
 
 @dataclass(frozen=True)
@@ -245,8 +220,7 @@ class IntervalVector:
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
         object.__setattr__(self, "coords", coords)
-        chains = {c.chain for c in coords if not c.is_empty}
-        if len(chains) > 1:
+        if len({c.chain for c in coords}) > 1:
             raise ValueError("interval vector mixes chains")
 
     @property
@@ -255,18 +229,25 @@ class IntervalVector:
 
     @property
     def is_nonempty(self) -> bool:
-        return all(not c.is_empty for c in self.coords)
+        # intervals are never empty, so always true; perfbench/spans.py reads it
+        return True
 
     @property
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(c.sort_key for c in self.coords)
 
-    def intersect(self, other: "IntervalVector") -> "IntervalVector":
+    def intersect(self, other: "IntervalVector") -> "IntervalVector | None":
+        """Coordinatewise intersection, or None when some coordinate pair is
+        disjoint: then the two boxes share no point."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return IntervalVector(
-            tuple(intersect(a, b) for a, b in zip(self.coords, other.coords))
-        )
+        coords = []
+        for a, b in zip(self.coords, other.coords):
+            c = intersect(a, b)
+            if c is None:
+                return None
+            coords.append(c)
+        return IntervalVector(tuple(coords))
 
     def contains_point(self, values: Sequence[ChainValue]) -> bool:
         if len(values) != self.dim:
@@ -278,7 +259,7 @@ class IntervalVector:
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return all(
-            b.is_empty or (a.lo_rank <= b.lo_rank and b.hi_rank <= a.hi_rank)
+            a.lo_rank <= b.lo_rank and b.hi_rank <= a.hi_rank
             for a, b in zip(self.coords, other.coords)
         )
 
@@ -288,14 +269,14 @@ class IntervalVector:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """The live, maximal interval vectors of one dimension, canonically sorted.
+    """The maximal interval vectors of one dimension, canonically sorted.
 
-    Construction normalizes: vectors with an EMPTY coordinate denote no point
-    and are dropped, as is every vector contained in another one, and the rest
-    are sorted by bound ranks.  The stored vectors cover the same points as
-    the given ones and none lies inside another; sets built from the same
-    vectors in any order or multiplicity compare equal structurally.  The set
-    is empty exactly when it denotes no point.
+    Construction normalizes: every vector contained in another one is dropped
+    and the rest are sorted by bound ranks.  The stored vectors cover the same
+    points as the given ones and none lies inside another; sets built from the
+    same vectors in any order or multiplicity compare equal structurally.
+    Every vector holds a point, so the set is empty exactly when it denotes no
+    point.
     """
 
     dim: int
@@ -305,15 +286,12 @@ class SolutionSet:
         for v in self.vectors:
             if v.dim != self.dim:
                 raise ValueError(f"vector dimension {v.dim} != set dimension {self.dim}")
-        chains = set()
-        for v in self.vectors:
-            chains.update(c.chain for c in v.coords if not c.is_empty)
-        if len(chains) > 1:
+        if len({c.chain for v in self.vectors for c in v.coords}) > 1:
             raise ValueError("solution set mixes chains")
         # a strict container is wider in total, so it is seen before what it contains
         maximal: list[IntervalVector] = []
         for v in sorted(
-            {v for v in self.vectors if v.is_nonempty},
+            set(self.vectors),
             key=lambda v: sum(c.hi_rank - c.lo_rank for c in v.coords),
             reverse=True,
         ):
@@ -334,11 +312,10 @@ def cross_intersect(s1: SolutionSet, s2: SolutionSet) -> SolutionSet:
     """Intersect every vector of s1 with every vector of s2.
 
     The result covers exactly the points common to both sets.  It never has
-    more vectors than len(s1) * len(s2): intersections that come out empty or
-    inside another one are not stored.
+    more vectors than len(s1) * len(s2): disjoint pairs build no vector, and
+    intersections inside another one are not stored.
     """
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    return SolutionSet(
-        s1.dim, tuple(x.intersect(y) for x in s1.vectors for y in s2.vectors)
-    )
+    pairs = (x.intersect(y) for x in s1.vectors for y in s2.vectors)
+    return SolutionSet(s1.dim, tuple(v for v in pairs if v is not None))

@@ -24,7 +24,7 @@ from .automaton import (
     language_value,
 )
 from .equations import DEFAULT_SOLUTION_CAP, rhs_values, solve_intervals, solve_points
-from .errors import BudgetExceededError, SizeExceededError
+from .errors import BudgetExceededError
 from .formats import parse_automaton, parse_system, render_automaton
 from .generate import gen_automaton_document, gen_system_document
 from .minimization import (
@@ -241,7 +241,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, SizeExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

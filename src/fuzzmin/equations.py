@@ -6,11 +6,11 @@ chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
 Two solvers are provided.  `solve_intervals` builds, per equation, the finite
 family of interval vectors that covers the solutions, then intersects the
-families across equations.  Every family is a `SolutionSet`, which stores
-only non-empty boxes, none inside another, so the system is solvable iff the
-final set is non-empty.  `solve_points` exploits that a solvable system is
-already solvable using only values that appear on some right-hand side, and
-searches that finite grid directly.
+families across equations.  Every family is a `SolutionSet` of boxes, none
+inside another; two boxes that share no point build no intersection, so the
+system is solvable iff the final set is non-empty.  `solve_points` exploits
+that a solvable system is already solvable using only values that appear on
+some right-hand side, and searches that finite grid directly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .chain import (
     Chain,
@@ -28,7 +27,7 @@ from .chain import (
     SolutionSet,
     cross_intersect,
 )
-from .errors import SizeExceededError
+from .errors import BudgetExceededError
 
 DEFAULT_SOLUTION_CAP = 1_000_000
 
@@ -226,39 +225,28 @@ def solve_intervals(
     solution, and none lies inside another; the system is solvable iff the
     set is non-empty.
 
-    Raises SizeExceededError once the running set stores more than
-    max_vectors vectors; it can grow like (k * n**k)**m even though dropping
-    empty and contained boxes usually keeps it tiny.
+    Raises BudgetExceededError once the running set stores more than
+    max_vectors vectors; it can grow like (k * n**k)**m even though skipping
+    disjoint pairs and dropping contained boxes usually keeps it tiny.
     """
     result: SolutionSet | None = None
     for eq in system.equations:
         family = polynomial_eq_solutions(eq.lhs, eq.rhs, system.n_vars)
         result = family if result is None else cross_intersect(result, family)
         if len(result) > max_vectors:
-            raise SizeExceededError(len(result), max_vectors, "intersecting equation families")
+            raise BudgetExceededError(len(result), max_vectors, "interval solution set")
     assert result is not None
     return result
 
 
-def solve_points(
-    system: EquationSystem, *, values: Sequence[ChainValue] | None = None
-) -> PointAssignment | None:
-    """First satisfying assignment over a finite value grid, else None.
+def solve_points(system: EquationSystem) -> PointAssignment | None:
+    """First satisfying assignment over the right-hand-side values, else None.
 
-    By default the grid is the set of distinct right-hand-side values, which
-    is enough: a system solvable anywhere is solvable there.  Enumeration is
-    lexicographic by rank with the first variable most significant, so the
-    returned witness is deterministic.  A caller may widen the grid via
-    `values`.
+    That grid is enough: a system solvable anywhere is solvable there.
+    Enumeration is lexicographic by rank with the first variable most
+    significant, so the returned witness is deterministic.
     """
-    if values is None:
-        base = rhs_values(system)
-    else:
-        base = tuple(values)
-        for v in base:
-            if v.chain != system.chain:
-                raise ValueError("grid value from a different chain")
-    ranks = sorted({v.rank for v in base})
+    ranks = [v.rank for v in rhs_values(system)]
     chain = system.chain
     polys = [
         (tuple(m.vars for m in eq.lhs.monomials), eq.rhs.rank)

@@ -8,26 +8,15 @@ expected to catch and act on: resource ceilings and document problems.
 from __future__ import annotations
 
 
-class SizeExceededError(RuntimeError):
-    """An interval solution set grew past its configured cap."""
-
-    def __init__(self, count: int, limit: int, context: str = ""):
-        self.count = count
-        self.limit = limit
-        self.context = context
-        where = f" while {context}" if context else ""
-        super().__init__(f"solution set size {count} exceeds cap {limit}{where}")
-
-
 class BudgetExceededError(RuntimeError):
-    """A finite but oversized enumeration was refused or cut short."""
+    """An enumeration or a stored set outgrew its budget: refused or cut short."""
 
     def __init__(self, count: int, limit: int, context: str = ""):
         self.count = count
         self.limit = limit
         self.context = context
         where = f" ({context})" if context else ""
-        super().__init__(f"enumeration size {count} exceeds budget {limit}{where}")
+        super().__init__(f"size {count} exceeds budget {limit}{where}")
 
 
 class NonBooleanValueError(ValueError):

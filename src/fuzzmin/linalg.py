@@ -42,32 +42,6 @@ class FuzzyMatrix:
         return cls(chain, n, n, data)
 
     @classmethod
-    def zeros(cls, chain: Chain, rows: int, cols: int) -> "FuzzyMatrix":
-        return cls(chain, rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def filled(cls, chain: Chain, rows: int, cols: int, value: ChainValue) -> "FuzzyMatrix":
-        if value.chain != chain:
-            raise ValueError("fill value from a different chain")
-        return cls(chain, rows, cols, (value.rank,) * (rows * cols))
-
-    @classmethod
-    def from_values(cls, grid: Sequence[Sequence[ChainValue]]) -> "FuzzyMatrix":
-        if not grid or not grid[0]:
-            raise ValueError("empty grid")
-        chain = grid[0][0].chain
-        cols = len(grid[0])
-        data = []
-        for row in grid:
-            if len(row) != cols:
-                raise ValueError("ragged grid")
-            for v in row:
-                if v.chain != chain:
-                    raise ValueError("grid mixes chains")
-                data.append(v.rank)
-        return cls(chain, len(grid), cols, tuple(data))
-
-    @classmethod
     def from_labels(cls, chain: Chain, grid: Sequence[Sequence[str]]) -> "FuzzyMatrix":
         if not grid or not grid[0]:
             raise ValueError("empty grid")
@@ -102,13 +76,6 @@ class FuzzyMatrix:
         c = self.cols
         return tuple(self.data[i * c : (i + 1) * c] for i in range(self.rows))
 
-    def entries(self) -> tuple[ChainValue, ...]:
-        return tuple(ChainValue(self.chain, r) for r in self.data)
-
-    def entrywise_le(self, other: "FuzzyMatrix") -> bool:
-        _require_conformable(self, other, same_shape=True)
-        return all(a <= b for a, b in zip(self.data, other.data))
-
     def __str__(self) -> str:
         label = self.chain.label
         return "[" + ", ".join(
@@ -117,13 +84,10 @@ class FuzzyMatrix:
         ) + "]"
 
 
-def _require_conformable(a: FuzzyMatrix, b: FuzzyMatrix, *, same_shape: bool = False) -> None:
+def _require_conformable(a: FuzzyMatrix, b: FuzzyMatrix) -> None:
     if a.chain != b.chain:
         raise ValueError("matrices live on different chains")
-    if same_shape:
-        if (a.rows, a.cols) != (b.rows, b.cols):
-            raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    elif a.cols != b.rows:
+    if a.cols != b.rows:
         raise ValueError(
             f"inner dimensions differ: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
         )

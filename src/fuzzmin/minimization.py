@@ -51,13 +51,11 @@ class CandidateSpace:
 
     values: the distinct weights of the input automaton, ascending.
     var_count: 2k + |alphabet| * k**2 unknowns (pi', eta', then each delta').
-    d: the value-diversity figure entering the analysis, |V| + |alphabet|*k**2 + k.
     word_bound: |V|**(n+k) - 1, the conclusive agreement length.
     """
 
     values: tuple[ChainValue, ...]
     var_count: int
-    d: int
     word_bound: int
 
 
@@ -70,9 +68,8 @@ def build_candidate_space(inst: MinimizeInstance) -> CandidateSpace:
     values = tuple(a.chain[r] for r in sorted(ranks))
     n_sym = len(a.alphabet)
     var_count = 2 * k + n_sym * k * k
-    d = len(values) + n_sym * k * k + k
     word_bound = len(values) ** (a.n + k) - 1
-    return CandidateSpace(values, var_count, d, word_bound)
+    return CandidateSpace(values, var_count, word_bound)
 
 
 @dataclass(frozen=True)
@@ -104,14 +101,6 @@ def decode_candidate(
         for s in range(len(alphabet))
     )
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
-
-
-def encode_automaton(a: FuzzyAutomaton) -> tuple[ChainValue, ...]:
-    """Inverse of `decode_candidate` for automata of any size."""
-    ranks = a.pi.data + a.eta.data
-    for m in a.delta:
-        ranks += m.data
-    return tuple(a.chain[r] for r in ranks)
 
 
 def _cut_verdict(

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmin import (
-    EMPTY,
     Chain,
     Interval,
     IntervalVector,
@@ -99,23 +98,25 @@ def test_interval_constructors():
         Interval.closed(v, CH.zero)
 
 
-def test_empty_interval_is_canonical():
-    assert EMPTY.is_empty
-    assert str(EMPTY) == "EMPTY"
-    assert not EMPTY.contains(CH.zero)
+def test_intervals_are_never_empty():
+    # crossed or out-of-range bounds are not representable
+    for lo, hi in ((3, 1), (-1, -1), (0, len(CH))):
+        with pytest.raises(ValueError):
+            Interval(CH, lo, hi)
+    point = Interval(CH, 2, 2)
+    assert point.lo == point.hi == CH.value("0.5")
+    assert point.contains(CH.value("0.5")) and not point.contains(CH.one)
     with pytest.raises(ValueError):
-        Interval(None, 0, 0)  # crossed or fake empties are not representable
-    with pytest.raises(ValueError):
-        EMPTY.lo
-    with pytest.raises(ValueError):
-        Interval(CH, 3, 1)
+        point.contains(Chain(("0", "1")).zero)
 
 
 def test_intersection_crosses_to_empty():
     lo, hi = CH.value("0.25"), CH.value("0.75")
-    assert intersect(Interval.at_most(lo), Interval.at_least(hi)) == EMPTY
+    assert intersect(Interval.at_most(lo), Interval.at_least(hi)) is None
     assert str(intersect(Interval.at_least(lo), Interval.at_most(hi))) == "[0.25,0.75]"
-    assert intersect(EMPTY, Interval.full(CH)) == EMPTY
+    assert str(intersect(Interval.at_most(lo), Interval.at_least(lo))) == "[0.25,0.25]"
+    with pytest.raises(ValueError):
+        intersect(Interval.full(CH), Interval.full(Chain(("0", "1"))))
 
 
 intervals = st.tuples(
@@ -126,8 +127,11 @@ intervals = st.tuples(
 @given(intervals, intervals)
 def test_intersection_agrees_with_membership(x, y):
     z = intersect(x, y)
-    for v in CH:
-        assert z.contains(v) == (x.contains(v) and y.contains(v))
+    common = [v for v in CH if x.contains(v) and y.contains(v)]
+    # None exactly when no chain value lies in both; otherwise exactly those values
+    assert (z is None) == (not common)
+    if z is not None:
+        assert [v for v in CH if z.contains(v)] == common
 
 
 # interval vectors and solution sets
@@ -135,13 +139,29 @@ def test_intersection_agrees_with_membership(x, y):
 
 def test_vector_intersection_is_coordinatewise():
     v1 = IntervalVector((Interval.at_least(CH.value("0.5")), Interval.full(CH)))
-    v2 = IntervalVector((Interval.at_most(CH.value("0.25")), Interval.point(CH.one)))
-    got = v1.intersect(v2)
-    assert not got.is_nonempty
-    assert got.coords[0] == EMPTY
-    assert str(got.coords[1]) == "[1,1]"
+    v2 = IntervalVector((Interval.at_most(CH.value("0.5")), Interval.point(CH.one)))
+    v3 = IntervalVector((Interval.at_most(CH.value("0.25")), Interval.point(CH.one)))
+    assert str(v1.intersect(v2)) == "([0.5,0.5], [1,1])"
+    # one disjoint coordinate pair makes the whole intersection empty
+    assert v1.intersect(v3) is None
+    assert v3.intersect(v1) is None
     with pytest.raises(ValueError):
         v1.intersect(IntervalVector((Interval.full(CH),)))
+
+
+vectors2 = st.tuples(intervals, intervals).map(IntervalVector)
+
+
+@given(vectors2, vectors2)
+def test_vector_intersection_is_none_iff_a_coordinate_pair_is_disjoint(v, w):
+    got = v.intersect(w)
+    disjoint = any(intersect(a, b) is None for a, b in zip(v.coords, w.coords))
+    assert (got is None) == disjoint
+    if got is not None:
+        assert got.coords == tuple(map(intersect, v.coords, w.coords))
+        for p in itertools.product(CH, repeat=2):
+            both = v.contains_point(p) and w.contains_point(p)
+            assert got.contains_point(p) == both
 
 
 def test_vector_point_membership():
@@ -150,8 +170,8 @@ def test_vector_point_membership():
     )
     assert v.contains_point((CH.one, CH.zero))
     assert not v.contains_point((CH.zero, CH.zero))
-    dead = IntervalVector((EMPTY, Interval.full(CH)))
-    assert not dead.contains_point((CH.zero, CH.zero))
+    with pytest.raises(ValueError):
+        v.contains_point((CH.one,))
 
 
 def test_solution_sets_canonicalize():
@@ -168,26 +188,31 @@ def test_solution_sets_canonicalize():
 def test_vector_containment_is_coordinatewise():
     full = IntervalVector((Interval.full(CH), Interval.full(CH)))
     inner = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
-    dead = IntervalVector((EMPTY, Interval.full(CH)))
+    beside = IntervalVector((Interval.full(CH), Interval.point(CH.zero)))
     assert full.contains_vector(inner) and full.contains_vector(full)
     assert not inner.contains_vector(full)
-    assert inner.contains_vector(dead) and not dead.contains_vector(inner)
+    # overlapping but incomparable boxes: neither holds the other
+    assert not inner.contains_vector(beside) and not beside.contains_vector(inner)
     with pytest.raises(ValueError):
         full.contains_vector(IntervalVector((Interval.full(CH),)))
 
 
-def test_empty_and_contained_vectors_are_dropped():
-    dead = IntervalVector((EMPTY, Interval.full(CH)))
-    live = IntervalVector((Interval.full(CH), Interval.full(CH)))
+def test_contained_vectors_are_dropped():
+    full = IntervalVector((Interval.full(CH), Interval.full(CH)))
     inner = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
-    assert len(SolutionSet(2, (dead,))) == 0
-    assert SolutionSet(2, (dead, inner)).vectors == (inner,)
-    assert SolutionSet(2, (inner, dead, live)).vectors == (live,)
+    point = IntervalVector((Interval.point(CH.one), Interval.point(CH.one)))
+    beside = IntervalVector((Interval.full(CH), Interval.point(CH.zero)))
+    assert len(SolutionSet(2, ())) == 0
+    assert SolutionSet(2, (point, inner)).vectors == (inner,)
+    assert SolutionSet(2, (inner, point, full)).vectors == (full,)
+    assert SolutionSet(2, (point, beside, inner)).vectors == (beside, inner)
     with pytest.raises(ValueError):
         SolutionSet(2, (IntervalVector((Interval.full(CH),)),))
+    with pytest.raises(ValueError):
+        SolutionSet(1, (IntervalVector((Interval.full(CH),)),
+                        IntervalVector((Interval.full(Chain(("0", "1"))),))))
 
 
-vectors2 = st.tuples(intervals, intervals).map(IntervalVector)
 sets2 = st.lists(vectors2, min_size=1, max_size=4).map(
     lambda vs: SolutionSet(2, tuple(vs))
 )

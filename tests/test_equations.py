@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmin import (
+    BudgetExceededError,
     Chain,
     Equation,
     EquationSystem,
@@ -17,7 +18,6 @@ from fuzzmin import (
     PointAssignment,
     Polynomial,
     Relation,
-    SizeExceededError,
     eval_polynomial,
     monomial_eq_solutions,
     monomial_le_solutions,
@@ -151,8 +151,9 @@ def test_interval_solver_cap():
     p = Polynomial((Monomial((0,)), Monomial((1,)), Monomial((2,))))
     system = EquationSystem(CH, 3, (Equation(p, Relation.EQ, CH.value("0.5")),))
     assert len(solve_intervals(system)) == 3
-    with pytest.raises(SizeExceededError):
+    with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(system, max_vectors=2)
+    assert (refused.value.count, refused.value.limit) == (3, 2)
 
 
 def test_point_solver_walks_the_grid_in_order():
@@ -163,17 +164,11 @@ def test_point_solver_walks_the_grid_in_order():
     assert satisfies(_system(), point)
 
 
-def test_point_solver_accepts_a_custom_value_pool():
+def test_point_solver_on_a_single_rhs_value():
     system = EquationSystem(
         CH, 1, (Equation(Polynomial((Monomial((0,)),)), Relation.EQ, CH.value("0")),)
     )
     assert solve_points(system).labels() == ("0",)
-    # the default pool misses solutions only outside the rhs values, never ones in it
-    widened = solve_points(system, values=(CH.value("0"), CH.value("1")))
-    assert widened.labels() == ("0",)
-    other = Chain(("0", "1"))
-    with pytest.raises(ValueError):
-        solve_points(system, values=(other.value("1"),))
 
 
 def test_unsolvable_system():
@@ -209,13 +204,12 @@ def test_solvers_agree_and_answers_check_out(seed):
         assert satisfies(system, point)
         assert any(v.contains_point(point.values) for v in sols)
 
-    # the boxes hold exactly the solutions on the full chain grid, and they
-    # form an antichain of live boxes
+    # the boxes hold exactly the solutions on the full chain grid, and none
+    # lies inside another
     grid = list(itertools.product(chain, repeat=n_vars))
     boxes = [{p for p in grid if v.contains_point(p)} for v in sols]
     for p in grid:
         assert satisfies(system, PointAssignment(p)) == any(p in box for box in boxes)
-    assert all(v.is_nonempty for v in sols)
     for i, box in enumerate(boxes):
         assert not any(box <= other for j, other in enumerate(boxes) if j != i)
 

@@ -16,7 +16,6 @@ from fuzzmin import (
     cost_estimate,
     decide_k,
     decode_candidate,
-    encode_automaton,
     minimize,
     nfa_view,
     pad_states,
@@ -53,7 +52,6 @@ def test_candidate_space_figures():
     space = build_candidate_space(MinimizeInstance(DUP, 1))
     assert [v.label for v in space.values] == ["0.6", "0.8"]
     assert space.var_count == 3
-    assert space.d == 4
     assert space.word_bound == 7
 
 
@@ -149,19 +147,24 @@ def test_equation_reduction_budgets_the_word_count():
 # layout round trip
 
 
+# DUP's assignment: pi, eta, then the row-major block of symbol a
+DUP_ASSIGNMENT = tuple(DUP.chain.value(v) for v in ["0.8"] * 4 + ["0.6"] * 4)
+
+
 def test_encode_decode_round_trip():
-    enc = encode_automaton(DUP)
-    assert [v.label for v in enc] == ["0.8", "0.8", "0.8", "0.8"] + ["0.6"] * 4
-    assert decode_candidate(DUP.chain, DUP.alphabet, 2, enc) == DUP
+    a = decode_candidate(DUP.chain, DUP.alphabet, 2, DUP_ASSIGNMENT)
+    assert a == DUP
+    assert a.pi.data + a.eta.data + a.delta[0].data == tuple(
+        v.rank for v in DUP_ASSIGNMENT
+    )
 
 
 def test_decode_validates_its_input():
-    enc = encode_automaton(DUP)
     with pytest.raises(ValueError):
-        decode_candidate(DUP.chain, DUP.alphabet, 1, enc)
+        decode_candidate(DUP.chain, DUP.alphabet, 1, DUP_ASSIGNMENT)
     other = Chain(("0", "1"))
     with pytest.raises(ValueError):
-        decode_candidate(other, DUP.alphabet, 2, enc)
+        decode_candidate(other, DUP.alphabet, 2, DUP_ASSIGNMENT)
 
 
 # padding
