@@ -21,7 +21,8 @@ implementations:
   counterexample overall.  The stabilization index is the deepest level's
   saturation depth: the least l such that words up to length l reach every
   cut subset at every level.  `minimization.decide_k` runs the same kernel,
-  `_saturate_cut`, on every candidate.
+  `_saturate_cut`, on every candidate prefix it checks, restricted to the
+  symbols whose transitions the prefix already fixes.
 
 * `k_equivalent` / `bounded_counterexample` walk words in length-lex order,
   extending on the right, and memoize on the pair of transition matrices

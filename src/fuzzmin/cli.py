@@ -32,6 +32,7 @@ from .minimization import (
     MinimizeInstance,
     cost_estimate,
     decide_k,
+    minimize,
 )
 
 
@@ -131,18 +132,13 @@ def _cmd_decide_min(args: argparse.Namespace) -> int:
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
     a = parse_automaton(_read(args.file))
-    max_candidates = _budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET)
-    max_vectors = _budget(args.budget_phi, DEFAULT_VECTOR_BUDGET)
-    for k in range(1, a.n):
-        inst = MinimizeInstance(a, k)
-        print(_cost_line(inst), file=sys.stderr)
-        witness = decide_k(
-            inst, max_candidates=max_candidates, max_vectors=max_vectors
-        )
-        if witness is not None:
-            sys.stdout.write(render_automaton(witness.automaton))
-            return 0
-    sys.stdout.write(render_automaton(a))
+    small = minimize(
+        a,
+        max_candidates=_budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET),
+        max_vectors=_budget(args.budget_phi, DEFAULT_VECTOR_BUDGET),
+        on_k=lambda inst: print(_cost_line(inst), file=sys.stderr),
+    )
+    sys.stdout.write(render_automaton(small))
     return 0
 
 

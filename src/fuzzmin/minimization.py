@@ -4,9 +4,12 @@ Whether a given automaton has an equivalent realization on k states is
 decidable by brute force over a finite grid: if any k-state equivalent
 exists, one exists whose initial, final, and transition weights are all drawn
 from V, the set of values occurring in the input automaton.  `decide_k`
-enumerates that grid and tests each candidate on the alpha-cuts with the
-kernel `equivalent_fixpoint` uses; `minimize` walks k upward and returns the
-first winner, or the input itself when nothing smaller works.
+searches that grid depth first in its lexicographic order, testing prefixes
+on the alpha-cuts with the kernel `equivalent_fixpoint` uses, and cuts only
+assignments that cannot be the first witness, so the witness is still the
+lexicographically first equivalent grid assignment.  `minimize` walks k
+upward and returns the first winner, or the input itself when nothing
+smaller works.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -103,53 +106,6 @@ def decode_candidate(
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
 
 
-def _cut_verdict(
-    a: FuzzyAutomaton, k: int, v_ranks: Sequence[int], max_vectors: int
-) -> Callable[[tuple[int, ...]], bool]:
-    """Equivalence of `a` to one grid assignment, decided on the alpha-cuts.
-
-    The input's cut rows are built once per level.  A candidate adds its k
-    rows per symbol, shifted past the input's n states, and each level runs
-    `_saturate_cut` until the first mismatch.  Candidate values lie in V, so
-    the positive ranks of V are all the levels the pair needs.
-    """
-    n = a.n
-    kk = k * k
-    block_starts = range(2 * k, 2 * k + len(a.alphabet) * kk, kk)
-    levels = []
-    for alpha in _levels(a):
-        # cut mask of every k-tuple over V, placed on the candidate's states
-        masks = {
-            row: _cut_mask(row, alpha) << n
-            for row in itertools.product(v_ranks, repeat=k)
-        }
-        left = [_cut_rows(d, alpha) for d in a.delta]
-        levels.append(
-            (masks, left, _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha))
-        )
-
-    def verdict(assignment: tuple[int, ...]) -> bool:
-        pi2 = assignment[:k]
-        eta2 = assignment[k : 2 * k]
-        blocks = [
-            [assignment[i : i + k] for i in range(start, start + kk, k)]
-            for start in block_starts
-        ]
-        for masks, left, eta1, pi1 in levels:
-            rows = [
-                rows1 + tuple(map(masks.__getitem__, block))
-                for rows1, block in zip(left, blocks)
-            ]
-            _, mismatch, _ = _saturate_cut(
-                rows, eta1 | masks[eta2], pi1, masks[pi2], 0, max_vectors, exhaust=False
-            )
-            if mismatch is not None:
-                return False
-        return True
-
-    return verdict
-
-
 def decide_k(
     inst: MinimizeInstance,
     *,
@@ -158,12 +114,27 @@ def decide_k(
 ) -> CandidateAutomaton | None:
     """First k-state equivalent over the candidate grid, or None.
 
-    Candidates are enumerated lexicographically by value rank in layout order,
-    so the witness is deterministic.  Refuses up front (budget error carrying
-    the count) when the grid is larger than max_candidates.  max_vectors bounds
-    the cut subsets held at once, which is one level of one candidate: a level
-    is dropped before the next starts, and it never holds more subsets than
-    the candidate pair has joint suffix vectors.
+    The grid is searched depth first in layout order: pi', eta', then one
+    delta' block per symbol, each chunk in ascending lexicographic order by
+    value rank.  Surviving leaves are therefore met in the order of the flat
+    grid, and the witness is the lexicographically first grid assignment
+    equivalent to the input.  Three cuts drop only assignments that cannot be
+    that first witness:
+
+    * once eta' is chosen, the empty word fixes max(min(pi', eta'));
+    * renumbering the k states maps a witness to a witness, so the first one
+      is the least of its renumberings: pi' is non-decreasing, and so are the
+      pairs (pi'_i, eta'_i);
+    * once the block of symbol s is chosen, the candidate must already agree
+      with the input on every word over the symbols up to s.  That check runs
+      `_saturate_cut` on those symbols' cut rows at every level; after the
+      last block it is the full verdict.
+
+    Refuses up front (budget error carrying the count) when the grid is larger
+    than max_candidates.  max_vectors bounds the cut subsets held at once,
+    which is one level of one check: a level is dropped before the next
+    starts, and it never holds more subsets than the pair has joint suffix
+    vectors.
     """
     space = build_candidate_space(inst)
     total = len(space.values) ** space.var_count
@@ -173,18 +144,63 @@ def decide_k(
         )
     a = inst.automaton
     k = inst.k
+    n = a.n
+    n_sym = len(a.alphabet)
     v_ranks = tuple(v.rank for v in space.values)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
-    verdict = _cut_verdict(a, k, v_ranks, max_vectors)
-    for assignment in itertools.product(v_ranks, repeat=space.var_count):
-        # cheap filter: the empty word already fixes pi' . eta'
-        if max(map(min, assignment[:k], assignment[k : 2 * k])) != f_lambda:
-            continue
-        if verdict(assignment):
-            values = tuple(a.chain[r] for r in assignment)
-            return CandidateAutomaton(
-                values, decode_candidate(a.chain, a.alphabet, k, values)
-            )
+    row_tuples = list(itertools.product(v_ranks, repeat=k))
+    levels = []
+    for alpha in _levels(a):
+        # cut mask of every k-tuple over V, placed on the candidate's states
+        masks = {row: _cut_mask(row, alpha) << n for row in row_tuples}
+        left = [_cut_rows(d, alpha) for d in a.delta]
+        levels.append(
+            (masks, left, _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha))
+        )
+
+    def search(
+        s: int, chosen: tuple[int, ...], cuts: list[tuple[list, int, int, int]]
+    ) -> tuple[int, ...] | None:
+        """First completion of `chosen` by the blocks of symbols s, s+1, ...
+
+        cuts holds, per level, the joint cut rows of the symbols before s and
+        the final and initial states of both sides."""
+        if s == n_sym:
+            return chosen
+        for block in itertools.product(row_tuples, repeat=k):
+            deeper = []
+            for (masks, left, _, _), (rows, final, pi1, pi2) in zip(levels, cuts):
+                rows = rows + [left[s] + tuple(map(masks.__getitem__, block))]
+                _, mismatch, _ = _saturate_cut(
+                    rows, final, pi1, pi2, 0, max_vectors, exhaust=False
+                )
+                if mismatch is not None:
+                    break
+                deeper.append((rows, final, pi1, pi2))
+            else:
+                found = search(s + 1, chosen + sum(block, ()), deeper)
+                if found is not None:
+                    return found
+        return None
+
+    # non-decreasing pi' only, in lexicographic order
+    for pi_row in itertools.combinations_with_replacement(v_ranks, k):
+        for eta_col in row_tuples:
+            if max(map(min, pi_row, eta_col)) != f_lambda:
+                continue
+            pairs = list(zip(pi_row, eta_col))
+            if pairs != sorted(pairs):
+                continue
+            cuts = [
+                ([], eta1 | masks[eta_col], pi1, masks[pi_row])
+                for masks, _, eta1, pi1 in levels
+            ]
+            found = search(0, pi_row + eta_col, cuts)
+            if found is not None:
+                values = tuple(a.chain[r] for r in found)
+                return CandidateAutomaton(
+                    values, decode_candidate(a.chain, a.alphabet, k, values)
+                )
     return None
 
 
@@ -193,18 +209,21 @@ def minimize(
     *,
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
+    on_k: Callable[[MinimizeInstance], None] | None = None,
 ) -> FuzzyAutomaton:
     """Smallest equivalent automaton found by trying k = 1, 2, ...
 
     Returns the input itself when no strictly smaller realization exists (the
     input always realizes itself, so k = n needs no search).  A budget error
-    raised at some k reports the smallest k left undecided.
+    raised at some k reports the smallest k left undecided.  on_k, when given,
+    is called with each k's instance before that k is searched.
     """
     for k in range(1, a.n):
+        inst = MinimizeInstance(a, k)
+        if on_k is not None:
+            on_k(inst)
         witness = decide_k(
-            MinimizeInstance(a, k),
-            max_candidates=max_candidates,
-            max_vectors=max_vectors,
+            inst, max_candidates=max_candidates, max_vectors=max_vectors
         )
         if witness is not None:
             return witness.automaton

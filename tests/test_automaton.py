@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.minimization import _cut_verdict
+from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
     all_words_up_to,
     brute_language_value,
@@ -228,7 +228,7 @@ def test_deciders_agree(seed):
                 assert fz.language_value(a1, word) == fz.language_value(a2, word)
 
 
-# decide_k's per-candidate check against the joint-vector referee
+# decide_k's pruned search against a flat scan judged by the joint-vector referee
 
 
 def _boolean_nfa():
@@ -238,33 +238,91 @@ def _boolean_nfa():
     return fz.decode_candidate(CH2, ("a", "b"), 3, bits)
 
 
-@pytest.mark.parametrize(
-    "inst",
-    [
-        fz.MinimizeInstance(_boolean_nfa(), 2),
-        fz.MinimizeInstance(fz.gen_automaton(3, 3, 1, 5), 1),
-        fz.MinimizeInstance(fz.gen_automaton(8, 3, 1, 5), 2),
-    ],
-    ids=["boolean-k2", "fuzzy3-k1", "fuzzy8-k2"],
-)
-def test_candidate_verdicts_match_the_joint_referee(inst):
+def _criterion4_instance(seed):
+    """An instance of the acceptance criterion-4 corpus (seeds 3000-3199)."""
+    rng = random.Random(seed)
+    chain = Chain(fz.random_chain_labels(rng, rng.randint(2, 3)))
+    alphabet = alphabet_of(rng.randint(1, 2))
+    a = fz.random_automaton(rng, chain, alphabet, rng.randint(1, 3))
+    return fz.MinimizeInstance(a, rng.randint(1, 2))
+
+
+def _grid(inst):
+    space = fz.build_candidate_space(inst)
+    return len(space.values) ** space.var_count
+
+
+def _first_by_flat_scan(inst):
+    """The first assignment of the flat grid, in lexicographic rank order,
+    that passes the empty word and the joint-vector referee."""
     a, k = inst.automaton, inst.k
     space = fz.build_candidate_space(inst)
-    v_ranks = [v.rank for v in space.values]
-    verdict = _cut_verdict(a, k, v_ranks, fz.DEFAULT_VECTOR_BUDGET)
     f_lambda = fz.language_value(a, ()).rank
-    first = None
-    checked = 0
     for values in itertools.product(space.values, repeat=space.var_count):
-        ranks = tuple(v.rank for v in values)
+        ranks = [v.rank for v in values]
         if max(map(min, ranks[:k], ranks[k : 2 * k])) != f_lambda:
             continue
-        checked += 1
         cand = fz.decode_candidate(a.chain, a.alphabet, k, values)
-        expected = joint_vector_equivalent(a, cand)
-        assert verdict(ranks) == expected, values
-        if expected and first is None:
-            first = values
-    assert checked > 0
-    witness = fz.decide_k(inst)
-    assert (None if witness is None else witness.assignment) == first
+        if joint_vector_equivalent(a, cand):
+            return values
+    return None
+
+
+CRITERION4_SMALL = [
+    inst
+    for inst in map(_criterion4_instance, range(3000, 3200))
+    if _grid(inst) <= 20_000
+]
+
+
+@pytest.mark.parametrize(
+    "insts",
+    [
+        [fz.MinimizeInstance(_boolean_nfa(), 2)],
+        [fz.MinimizeInstance(fz.gen_automaton(3, 3, 1, 5), 1)],
+        [fz.MinimizeInstance(fz.gen_automaton(8, 3, 1, 5), 2)],
+        CRITERION4_SMALL,
+    ],
+    ids=["boolean-k2", "fuzzy3-k1", "fuzzy8-k2", "criterion4-small-grids"],
+)
+def test_candidate_verdicts_match_the_joint_referee(insts):
+    assert insts
+    for inst in insts:
+        witness = fz.decide_k(inst)
+        expected = _first_by_flat_scan(inst)
+        assert (None if witness is None else witness.assignment) == expected
+
+
+def _renumbered(assignment, k, perm):
+    """The same automaton's assignment with new state i = old state perm[i]."""
+    pi, eta = assignment[:k], assignment[k : 2 * k]
+    out = [pi[p] for p in perm] + [eta[p] for p in perm]
+    for start in range(2 * k, len(assignment), k * k):
+        block = assignment[start : start + k * k]
+        out += [block[perm[i] * k + perm[j]] for i in range(k) for j in range(k)]
+    return tuple(out)
+
+
+def test_witnesses_are_least_among_their_state_renumberings():
+    # k = 3 targets on small one-symbol automata add orbits of six
+    rng = random.Random(11)
+    wide = [
+        fz.MinimizeInstance(
+            fz.random_automaton(rng, CH2, ("a",), rng.randint(1, 3)), 3
+        )
+        for _ in range(20)
+    ]
+    checked = 0
+    for inst in CRITERION4_SMALL + wide:
+        witness = fz.decide_k(inst)
+        if witness is None or inst.k == 1:
+            continue
+        checked += 1
+        a, k = inst.automaton, inst.k
+        ranks = tuple(v.rank for v in witness.assignment)
+        for perm in itertools.permutations(range(k)):
+            other = _renumbered(ranks, k, perm)
+            assert ranks <= other, perm
+            values = tuple(a.chain[r] for r in other)
+            assert fz.equivalent(a, fz.decode_candidate(a.chain, a.alphabet, k, values))
+    assert checked >= 50

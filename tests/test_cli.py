@@ -173,6 +173,43 @@ def test_minimize(dup_doc, capsys):
     assert parse_automaton(out).n == 1
 
 
+@pytest.fixture
+def nonmono_doc(tmp_path):
+    # f(a^k) = 1, 0.5, 0.8, 0, 0, ...: minimize tries k = 1 and k = 2, both empty
+    ch = Chain(("0", "0.5", "0.8", "1"))
+    nonmono = automaton(
+        ch,
+        "a",
+        ["1", "0", "0"],
+        ["1", "0.5", "0.8"],
+        [[["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]],
+    )
+    path = tmp_path / "nonmono.json"
+    path.write_text(render_automaton(nonmono), encoding="utf-8")
+    return str(path)
+
+
+def test_minimize_prints_one_cost_line_per_k(nonmono_doc, capsys):
+    assert main(["minimize", nonmono_doc]) == 0
+    out, err = capsys.readouterr()
+    assert err == (
+        "cost k=1: candidates=64 word_bound=255\n"
+        "cost k=2: candidates=65536 word_bound=1023\n"
+    )
+    assert out == Path(nonmono_doc).read_text(encoding="utf-8")
+
+
+def test_minimize_budget_stops_after_the_stuck_k(nonmono_doc, capsys):
+    assert main(["minimize", nonmono_doc, "--budget-candidates", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "cost k=1: candidates=64 word_bound=255\n"
+        "cost k=2: candidates=65536 word_bound=1023\n"
+        "error: size 65536 exceeds budget 100 (candidate assignments for k=2)\n"
+    )
+
+
 def test_budget_env_var(dup_doc, capsys, monkeypatch):
     monkeypatch.setenv("FUZZMIN_BUDGET", "2")
     assert main(["decide-min", dup_doc, "1"]) == 3

@@ -97,6 +97,31 @@ def test_decide_k_refuses_oversized_grids():
     assert info.value.limit == 7
 
 
+def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
+    # the first check of every candidate sees symbol a's rows only; with room
+    # for one cut subset it already refuses, before any block of b is chosen
+    ch2 = Chain(("0", "1"))
+    a = automaton(
+        ch2,
+        "ab",
+        ["1", "0"],
+        ["0", "1"],
+        [[["0", "1"], ["0", "0"]], [["1", "0"], ["0", "1"]]],
+    )
+    symbols_seen = []
+    kernel = fz.minimization._saturate_cut
+
+    def spy(rows, *args, **kwargs):
+        symbols_seen.append(len(rows))
+        return kernel(rows, *args, **kwargs)
+
+    monkeypatch.setattr(fz.minimization, "_saturate_cut", spy)
+    with pytest.raises(BudgetExceededError) as info:
+        decide_k(MinimizeInstance(a, 1), max_vectors=1)
+    assert (info.value.count, info.value.limit) == (2, 1)
+    assert symbols_seen == [1]
+
+
 def test_minimize_collapses_duplicates():
     small = minimize(DUP)
     assert small.n == 1
