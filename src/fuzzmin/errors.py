@@ -9,9 +9,13 @@ from __future__ import annotations
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration or a stored set outgrew its budget: refused or cut short."""
+    """An enumeration or a stored set outgrew its budget: refused or cut short.
 
-    def __init__(self, count: int, limit: int, context: str = ""):
+    count is an int, or a text such as "5^7320" for a grid too large to write
+    out in digits.
+    """
+
+    def __init__(self, count: int | str, limit: int, context: str = ""):
         self.count = count
         self.limit = limit
         self.context = context

@@ -11,6 +11,12 @@ lexicographically first equivalent grid assignment.  `minimize` walks k
 upward and returns the first winner, or the input itself when nothing
 smaller works.
 
+Before that search, `decide_k` runs the boolean special case as a filter.
+The alpha-cut of a k-state witness is a k-state NFA for the input's cut
+language, so a cut of the input with no k-state NFA rules k out, on a grid of
+2**var_count points instead of |V|**var_count.  It is skipped on inputs with
+one positive level and only ever answers None, so witnesses are unchanged.
+
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
 such automata is exactly NFA state minimization.
@@ -37,6 +43,10 @@ from .linalg import FuzzyMatrix
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 
+# Sizes of more than 4,300 decimal digits (Python's default limit on int-to-str
+# conversion) are reported as powers and never built.
+_SIZE_CAP = 10**4300
+
 
 @dataclass(frozen=True)
 class MinimizeInstance:
@@ -54,12 +64,17 @@ class CandidateSpace:
 
     values: the distinct weights of the input automaton, ascending.
     var_count: 2k + |alphabet| * k**2 unknowns (pi', eta', then each delta').
-    word_bound: |V|**(n+k) - 1, the conclusive agreement length.
+    states: n + k, the states of the input and a candidate together.
+    word_bound: |V|**states - 1, the conclusive agreement length.
     """
 
     values: tuple[ChainValue, ...]
     var_count: int
-    word_bound: int
+    states: int
+
+    @property
+    def word_bound(self) -> int:
+        return len(self.values) ** self.states - 1
 
 
 def build_candidate_space(inst: MinimizeInstance) -> CandidateSpace:
@@ -71,8 +86,7 @@ def build_candidate_space(inst: MinimizeInstance) -> CandidateSpace:
     values = tuple(a.chain[r] for r in sorted(ranks))
     n_sym = len(a.alphabet)
     var_count = 2 * k + n_sym * k * k
-    word_bound = len(values) ** (a.n + k) - 1
-    return CandidateSpace(values, var_count, word_bound)
+    return CandidateSpace(values, var_count, a.n + k)
 
 
 @dataclass(frozen=True)
@@ -106,57 +120,67 @@ def decode_candidate(
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
 
 
-def decide_k(
-    inst: MinimizeInstance,
-    *,
-    max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
-    max_vectors: int = DEFAULT_VECTOR_BUDGET,
-) -> CandidateAutomaton | None:
-    """First k-state equivalent over the candidate grid, or None.
+def _exceeds(base: int, exp: int, limit: int) -> bool:
+    """base**exp > limit, without building a power past the limit's size:
+    for base >= 2 the power is at least 2**exp, which passes the limit once
+    exp reaches its bit length."""
+    if base >= 2 and exp >= limit.bit_length():
+        return True
+    return base**exp > limit
 
-    The grid is searched depth first in layout order: pi', eta', then one
-    delta' block per symbol, each chunk in ascending lexicographic order by
-    value rank.  Surviving leaves are therefore met in the order of the flat
-    grid, and the witness is the lexicographically first grid assignment
-    equivalent to the input.  Three cuts drop only assignments that cannot be
-    that first witness:
 
-    * once eta' is chosen, the empty word fixes max(min(pi', eta'));
-    * renumbering the k states maps a witness to a witness, so the first one
-      is the least of its renumberings: pi' is non-decreasing, and so are the
-      pairs (pi'_i, eta'_i);
-    * once the block of symbol s is chosen, the candidate must already agree
-      with the input on every word over the symbols up to s.  That check runs
-      `_saturate_cut` on those symbols' cut rows at every level; after the
-      last block it is the full verdict.
+def _size(base: int, exp: int, minus: int = 0) -> int | str:
+    """base**exp - minus as an int, or as the text "<base>^<exp>[-<minus>]"
+    once it has more than 4,300 decimal digits.  A power that long is never
+    built: its bit length is bounded from below first."""
+    if base < 2 or exp * (base.bit_length() - 1) < _SIZE_CAP.bit_length():
+        value = base**exp - minus
+        if value < _SIZE_CAP:
+            return value
+    return f"{base}^{exp}" + (f"-{minus}" if minus else "")
 
-    Refuses up front (budget error carrying the count) when the grid is larger
-    than max_candidates.  max_vectors bounds the cut subsets held at once,
-    which is one level of one check: a level is dropped before the next
-    starts, and it never holds more subsets than the pair has joint suffix
-    vectors.
-    """
-    space = build_candidate_space(inst)
-    total = len(space.values) ** space.var_count
-    if total > max_candidates:
+
+def _check_grid(space: CandidateSpace, k: int, max_candidates: int) -> None:
+    """Refuse a grid of more than max_candidates assignments up front."""
+    base = len(space.values)
+    if _exceeds(base, space.var_count, max_candidates):
         raise BudgetExceededError(
-            total, max_candidates, f"candidate assignments for k={inst.k}"
+            _size(base, space.var_count),
+            max_candidates,
+            f"candidate assignments for k={k}",
         )
-    a = inst.automaton
-    k = inst.k
-    n = a.n
-    n_sym = len(a.alphabet)
-    v_ranks = tuple(v.rank for v in space.values)
-    f_lambda = max(map(min, a.pi.data, a.eta.data))
-    row_tuples = list(itertools.product(v_ranks, repeat=k))
-    levels = []
-    for alpha in _levels(a):
-        # cut mask of every k-tuple over V, placed on the candidate's states
-        masks = {row: _cut_mask(row, alpha) << n for row in row_tuples}
-        left = [_cut_rows(d, alpha) for d in a.delta]
-        levels.append(
-            (masks, left, _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha))
-        )
+
+
+# One level of a search: the cut mask of every k-tuple of candidate weights,
+# placed on the candidate's states, then the input's cut rows per symbol and
+# its final and initial cut masks.
+_Level = tuple[dict[tuple[int, ...], int], Sequence[tuple[int, ...]], int, int]
+
+
+def _row_masks(
+    value_ranks: Sequence[int], k: int, alpha: int, shift: int
+) -> dict[tuple[int, ...], int]:
+    return {
+        row: _cut_mask(row, alpha) << shift
+        for row in itertools.product(value_ranks, repeat=k)
+    }
+
+
+def _first_witness(
+    n_sym: int,
+    k: int,
+    value_ranks: Sequence[int],
+    f_lambda: int,
+    levels: Sequence[_Level],
+    max_vectors: int,
+) -> tuple[int, ...] | None:
+    """Ranks of the first k-state assignment over value_ranks, in grid order,
+    that agrees with the input at every level, or None.
+
+    f_lambda is the input's value on the empty word, on the scale of
+    value_ranks.  `decide_k` documents the search order and its cuts.
+    """
+    row_tuples = list(itertools.product(value_ranks, repeat=k))
 
     def search(
         s: int, chosen: tuple[int, ...], cuts: list[tuple[list, int, int, int]]
@@ -184,7 +208,7 @@ def decide_k(
         return None
 
     # non-decreasing pi' only, in lexicographic order
-    for pi_row in itertools.combinations_with_replacement(v_ranks, k):
+    for pi_row in itertools.combinations_with_replacement(value_ranks, k):
         for eta_col in row_tuples:
             if max(map(min, pi_row, eta_col)) != f_lambda:
                 continue
@@ -197,11 +221,91 @@ def decide_k(
             ]
             found = search(0, pi_row + eta_col, cuts)
             if found is not None:
-                values = tuple(a.chain[r] for r in found)
-                return CandidateAutomaton(
-                    values, decode_candidate(a.chain, a.alphabet, k, values)
-                )
+                return found
     return None
+
+
+def decide_k(
+    inst: MinimizeInstance,
+    *,
+    max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
+    max_vectors: int = DEFAULT_VECTOR_BUDGET,
+) -> CandidateAutomaton | None:
+    """First k-state equivalent over the candidate grid, or None.
+
+    The grid is searched depth first in layout order: pi', eta', then one
+    delta' block per symbol, each chunk in ascending lexicographic order by
+    value rank.  Surviving leaves are therefore met in the order of the flat
+    grid, and the witness is the lexicographically first grid assignment
+    equivalent to the input.  Three cuts drop only assignments that cannot be
+    that first witness:
+
+    * once eta' is chosen, the empty word fixes max(min(pi', eta'));
+    * renumbering the k states maps a witness to a witness, so the first one
+      is the least of its renumberings: pi' is non-decreasing, and so are the
+      pairs (pi'_i, eta'_i);
+    * once the block of symbol s is chosen, the candidate must already agree
+      with the input on every word over the symbols up to s.  That check runs
+      `_saturate_cut` on those symbols' cut rows at every level; after the
+      last block it is the full verdict.
+
+    Before that search, an input with more than one positive level is tried
+    one cut at a time, levels ascending: the alpha-cut of a k-state witness
+    is a k-state NFA for the input's cut language, so if the same search over
+    the values 0 and 1, at that one level, finds no k-state NFA for some cut,
+    the answer is None.  That grid has 2**var_count assignments, not
+    |V|**var_count.  With a single level the cut is the input itself, so the
+    check is skipped.  Only empty answers come from the cut check, so
+    witnesses are unchanged.
+
+    Refuses up front (budget error carrying the count, or the text
+    "<|V|>^<var_count>" past 4,300 digits) when the grid is larger than
+    max_candidates.  max_vectors bounds the cut subsets held at once, which
+    is one level of one check: a level is dropped before the next starts, and
+    it never holds more subsets than the pair has joint suffix vectors.  A cut
+    check that exceeds it decides nothing and the search goes on; one that
+    refutes k within it answers None even where the full search would have
+    exceeded it.
+    """
+    space = build_candidate_space(inst)
+    _check_grid(space, inst.k, max_candidates)
+    a = inst.automaton
+    k = inst.k
+    n = a.n
+    n_sym = len(a.alphabet)
+    f_lambda = max(map(min, a.pi.data, a.eta.data))
+    # the input's cut rows per symbol and final and initial cut masks
+    inputs = {
+        alpha: (
+            [_cut_rows(d, alpha) for d in a.delta],
+            _cut_mask(a.eta.data, alpha),
+            _cut_mask(a.pi.data, alpha),
+        )
+        for alpha in _levels(a)
+    }
+    if len(inputs) > 1:
+        bits = _row_masks((0, 1), k, 1, n)
+        for alpha, cut in inputs.items():
+            try:
+                nfa = _first_witness(
+                    n_sym, k, (0, 1), int(f_lambda >= alpha), [(bits, *cut)],
+                    max_vectors,
+                )
+            except BudgetExceededError:
+                continue
+            if nfa is None:
+                return None
+    v_ranks = tuple(v.rank for v in space.values)
+    levels = [
+        (_row_masks(v_ranks, k, alpha, n), *cut) for alpha, cut in inputs.items()
+    ]
+    found = _first_witness(n_sym, k, v_ranks, f_lambda, levels, max_vectors)
+    if found is None:
+        return None
+    values = tuple(a.chain[r] for r in found)
+    return CandidateAutomaton(
+        values, decode_candidate(a.chain, a.alphabet, k, values)
+    )
 
 
 def minimize(
@@ -280,13 +384,17 @@ class CostEstimate:
     """Work figures for `decide_k`; informational only.
 
     candidate_count is the grid size and word_bound the conclusive agreement
-    length.
+    length.  Each is an int, or the text "<|V|>^<var_count>" (or
+    "<|V|>^<states>-1") once it has more than 4,300 digits.
     """
 
-    candidate_count: int
-    word_bound: int
+    candidate_count: int | str
+    word_bound: int | str
 
 
 def cost_estimate(inst: MinimizeInstance) -> CostEstimate:
     space = build_candidate_space(inst)
-    return CostEstimate(len(space.values) ** space.var_count, space.word_bound)
+    base = len(space.values)
+    return CostEstimate(
+        _size(base, space.var_count), _size(base, space.states, minus=1)
+    )

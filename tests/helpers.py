@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import fuzzmin as fz
@@ -126,3 +129,39 @@ def permutation_pair(
             chain, b.alphabet, b.pi, fz.FuzzyMatrix(chain, n + 1, 1, tuple(eta)), b.delta
         )
     return a, b
+
+
+def criterion4_instance(seed: int) -> fz.MinimizeInstance:
+    """An instance of the acceptance criterion-4 corpus (seeds 3000-3199)."""
+    rng = random.Random(seed)
+    chain = fz.Chain(fz.random_chain_labels(rng, rng.randint(2, 3)))
+    alphabet = alphabet_of(rng.randint(1, 2))
+    a = fz.random_automaton(rng, chain, alphabet, rng.randint(1, 3))
+    return fz.MinimizeInstance(a, rng.randint(1, 2))
+
+
+def minimize_benchmark_automata() -> list[fz.FuzzyAutomaton]:
+    """The inputs of the `minimize` benchmark workload's base corpus, from
+    perfbench/corpus.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module body runs
+    sys.modules[spec.name] = corpus
+    spec.loader.exec_module(corpus)
+    return [inst.parts[0] for inst in corpus.base_instances(fz, "minimize")]
+
+
+def boolean_cut(a: fz.FuzzyAutomaton, alpha: int) -> fz.FuzzyAutomaton:
+    """The alpha-cut of a as a boolean automaton: weight 1 where a's rank is
+    at least alpha, 0 elsewhere."""
+    chain = fz.Chain(("0", "1"))
+
+    def cut(m: fz.FuzzyMatrix) -> fz.FuzzyMatrix:
+        return fz.FuzzyMatrix(
+            chain, m.rows, m.cols, tuple(int(r >= alpha) for r in m.data)
+        )
+
+    return fz.FuzzyAutomaton(
+        chain, a.alphabet, cut(a.pi), cut(a.eta), tuple(map(cut, a.delta))
+    )

@@ -11,14 +11,19 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
     all_words_up_to,
     brute_language_value,
     joint_vector_equivalent,
 )
 
-from helpers import automaton, literal_suffix_cuts, permutation_pair, random_pair
+from helpers import (
+    automaton,
+    criterion4_instance,
+    literal_suffix_cuts,
+    permutation_pair,
+    random_pair,
+)
 
 CH2 = Chain(("0", "1"))
 CH3 = Chain(("0", "0.5", "1"))
@@ -238,15 +243,6 @@ def _boolean_nfa():
     return fz.decode_candidate(CH2, ("a", "b"), 3, bits)
 
 
-def _criterion4_instance(seed):
-    """An instance of the acceptance criterion-4 corpus (seeds 3000-3199)."""
-    rng = random.Random(seed)
-    chain = Chain(fz.random_chain_labels(rng, rng.randint(2, 3)))
-    alphabet = alphabet_of(rng.randint(1, 2))
-    a = fz.random_automaton(rng, chain, alphabet, rng.randint(1, 3))
-    return fz.MinimizeInstance(a, rng.randint(1, 2))
-
-
 def _grid(inst):
     space = fz.build_candidate_space(inst)
     return len(space.values) ** space.var_count
@@ -270,7 +266,7 @@ def _first_by_flat_scan(inst):
 
 CRITERION4_SMALL = [
     inst
-    for inst in map(_criterion4_instance, range(3000, 3200))
+    for inst in map(criterion4_instance, range(3000, 3200))
     if _grid(inst) <= 20_000
 ]
 

@@ -14,6 +14,7 @@ from fuzzmin import (
     Polynomial,
     Relation,
     equivalent,
+    gen_automaton_document,
     pad_states,
     parse_automaton,
     render_automaton,
@@ -159,6 +160,38 @@ def test_decide_min_empty(tmp_path, capsys):
 def test_decide_min_budget(dup_doc, capsys):
     assert main(["decide-min", dup_doc, "1", "--budget-candidates", "7"]) == 3
     assert "8 exceeds budget 7" in capsys.readouterr().err
+
+
+@pytest.fixture
+def wide_doc(tmp_path):
+    # `gen automaton --seed 3 --states 3 --symbols 2 --chain-size 5`: five
+    # values, two symbols, so the k-state grid has 5**(2k + 2k**2) points
+    path = tmp_path / "wide.json"
+    path.write_text(gen_automaton_document(3, 3, 2, 5), encoding="utf-8")
+    return str(path)
+
+
+def test_decide_min_refuses_a_grid_too_large_to_print(wide_doc, capsys):
+    # 5**7320 has 5,117 digits, past the 4,300 an int may print with
+    assert main(["decide-min", wide_doc, "60"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"cost k=60: candidates=5^7320 word_bound={5**63 - 1}\n"
+        "error: size 5^7320 exceeds budget 10000000 "
+        "(candidate assignments for k=60)\n"
+    )
+
+
+def test_decide_min_refuses_a_huge_k_without_building_its_grid(wide_doc, capsys):
+    k = 10**6
+    assert main(["decide-min", wide_doc, str(k)]) == 3
+    v = 2 * k + 2 * k * k
+    assert capsys.readouterr().err == (
+        f"cost k={k}: candidates=5^{v} word_bound=5^{k + 3}-1\n"
+        f"error: size 5^{v} exceeds budget 10000000 "
+        f"(candidate assignments for k={k})\n"
+    )
 
 
 def test_decide_min_rejects_k_zero(dup_doc, capsys):

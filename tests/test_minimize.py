@@ -20,9 +20,20 @@ from fuzzmin import (
     nfa_view,
     pad_states,
 )
-from fuzzmin.oracles import all_words_up_to, crisp_accepts, decide_k_via_equations
+from fuzzmin.oracles import (
+    all_words_up_to,
+    crisp_accepts,
+    decide_k_via_equations,
+    min_nfa_states_brute,
+)
 
-from helpers import automaton
+from helpers import (
+    automaton,
+    boolean_cut,
+    criterion4_instance,
+    minimize_benchmark_automata,
+    positive_ranks,
+)
 
 # two interchangeable states: collapses to one
 DUP = automaton(
@@ -82,6 +93,21 @@ def test_cost_figures():
     assert (est.candidate_count, est.word_bound) == (5**12, 5**6 - 1)
 
 
+def test_sizes_past_the_digit_limit_are_written_as_powers():
+    size = fz.minimization._size
+    assert size(10, 4299) == 10**4299  # 4,300 digits
+    assert size(10, 4300) == "10^4300"
+    assert size(10, 4300, minus=1) == 10**4300 - 1
+    assert size(5, 10**12, minus=1) == "5^1000000000000-1"
+    assert size(1, 10**12) == 1
+    exceeds = fz.minimization._exceeds
+    assert not exceeds(2, 23, 2**23)
+    assert exceeds(2, 24, 2**24 - 1)
+    assert exceeds(3, 15, 3**15 - 1)
+    assert not exceeds(3, 15, 3**15)
+    assert exceeds(5, 10**12, 10**7)
+
+
 def test_decide_k_finds_the_one_state_collapse():
     witness = decide_k(MinimizeInstance(DUP, 1))
     assert witness is not None
@@ -120,6 +146,69 @@ def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
         decide_k(MinimizeInstance(a, 1), max_vectors=1)
     assert (info.value.count, info.value.limit) == (2, 1)
     assert symbols_seen == [1]
+
+
+# the cut check: one alpha-cut with no k-state NFA rules k out
+
+
+def test_every_empty_answer_on_several_levels_has_a_cut_needing_more_states():
+    # the referee decides NFA minimality on joint vectors, not on cut subsets
+    insts = [criterion4_instance(seed) for seed in range(3000, 3200)]
+    insts += [
+        MinimizeInstance(a, k)
+        for a in minimize_benchmark_automata()
+        for k in range(1, a.n)
+    ]
+    empty = 0
+    for inst in insts:
+        a, k = inst.automaton, inst.k
+        levels = positive_ranks(a)
+        if len(levels) < 2 or decide_k(inst) is not None:
+            continue
+        empty += 1
+        assert any(
+            min_nfa_states_brute(boolean_cut(a, alpha)) > k for alpha in levels
+        ), inst
+    assert empty >= 15
+
+
+def test_a_refuting_cut_skips_the_full_search(monkeypatch):
+    # NONMONO's lowest cut, at 0.5, accepts exactly {λ, a, aa}, which no
+    # 2-state NFA does
+    searched = []
+    search = fz.minimization._first_witness
+
+    def spy(n_sym, k, value_ranks, *args):
+        searched.append(value_ranks)
+        return search(n_sym, k, value_ranks, *args)
+
+    monkeypatch.setattr(fz.minimization, "_first_witness", spy)
+    assert decide_k(MinimizeInstance(NONMONO, 2)) is None
+    assert searched and set(searched) == {(0, 1)}
+
+
+def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
+    # on an input with several levels, value ranks (0, 1) mark the boolean
+    # cut checks: the input's own values hold more than one positive rank
+    refused = []
+    search = fz.minimization._first_witness
+
+    def spy(n_sym, k, value_ranks, *args):
+        if value_ranks == (0, 1):
+            refused.append(k)
+            raise BudgetExceededError(1, 0, "spy")
+        return search(n_sym, k, value_ranks, *args)
+
+    monkeypatch.setattr(fz.minimization, "_first_witness", spy)
+    witness = decide_k(MinimizeInstance(DUP, 1))
+    assert [v.label for v in witness.assignment] == ["0.8", "0.8", "0.6"]
+    assert refused == [1, 1]
+    assert decide_k(MinimizeInstance(NONMONO, 2)) is None
+    # the full search's own refusal, as before the cut check existed
+    with pytest.raises(BudgetExceededError) as info:
+        decide_k(MinimizeInstance(NONMONO, 1), max_vectors=3)
+    assert (info.value.count, info.value.limit) == (4, 3)
+    assert info.value.context == "cut subsets"
 
 
 def test_minimize_collapses_duplicates():
