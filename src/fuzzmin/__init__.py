@@ -8,33 +8,21 @@ equivalent, when one exists, can be found on a finite candidate grid.  The
 package provides those decision procedures, the interval-based solver for
 the systems of fuzzy polynomial equations they reduce to, and a CLI with
 bit-exact document formats.
+
+The names below are the documented surface; everything else stays
+importable from its own module.
 """
 
 from .automaton import (
-    DEFAULT_VECTOR_BUDGET,
-    EquivalenceResult,
     FuzzyAutomaton,
-    Word,
     bounded_counterexample,
-    delta_word,
     equivalence_length_bound,
-    equivalent,
     equivalent_fixpoint,
     k_equivalent,
     language_value,
 )
-from .chain import (
-    Chain,
-    ChainValue,
-    Interval,
-    IntervalVector,
-    SolutionSet,
-    cross_intersect,
-    intersect,
-    is_decimal_label,
-)
+from .chain import Chain
 from .equations import (
-    DEFAULT_SOLUTION_CAP,
     Equation,
     EquationSystem,
     Monomial,
@@ -42,46 +30,17 @@ from .equations import (
     Polynomial,
     Relation,
     eval_polynomial,
-    monomial_eq_solutions,
-    monomial_le_solutions,
-    polynomial_eq_solutions,
-    rhs_values,
     satisfies,
     solve_intervals,
     solve_points,
 )
-from .errors import (
-    BudgetExceededError,
-    DocumentError,
-    NonBooleanValueError,
-)
-from .formats import (
-    parse_automaton,
-    parse_instance,
-    parse_system,
-    render_automaton,
-    render_instance,
-    render_system,
-)
-from .generate import (
-    gen_automaton,
-    gen_automaton_document,
-    gen_system,
-    gen_system_document,
-    random_automaton,
-    random_chain_labels,
-    random_system,
-)
-from .linalg import FuzzyMatrix, direct_sum, fold_maxmin_product, maxmin_product
+from .errors import BudgetExceededError, DocumentError, NonBooleanValueError
+from .formats import parse_automaton, parse_system, render_automaton, render_system
+from .generate import gen_automaton, gen_system, random_automaton, random_chain_labels
+from .linalg import FuzzyMatrix
 from .minimization import (
-    DEFAULT_CANDIDATE_BUDGET,
-    CandidateAutomaton,
-    CandidateSpace,
-    CostEstimate,
     MinimizeInstance,
-    NfaView,
     build_candidate_space,
-    cost_estimate,
     decide_k,
     decode_candidate,
     minimize,
@@ -92,72 +51,48 @@ from .minimization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
-    "CandidateAutomaton",
-    "CandidateSpace",
+    # types
     "Chain",
-    "ChainValue",
-    "CostEstimate",
-    "DEFAULT_CANDIDATE_BUDGET",
-    "DEFAULT_SOLUTION_CAP",
-    "DEFAULT_VECTOR_BUDGET",
-    "DocumentError",
-    "Equation",
-    "EquationSystem",
-    "EquivalenceResult",
-    "FuzzyAutomaton",
     "FuzzyMatrix",
-    "Interval",
-    "IntervalVector",
+    "FuzzyAutomaton",
     "MinimizeInstance",
     "Monomial",
-    "NfaView",
-    "NonBooleanValueError",
-    "PointAssignment",
     "Polynomial",
     "Relation",
-    "SolutionSet",
-    "Word",
-    "bounded_counterexample",
-    "build_candidate_space",
-    "cost_estimate",
-    "cross_intersect",
-    "decide_k",
-    "decode_candidate",
-    "delta_word",
-    "direct_sum",
-    "equivalence_length_bound",
-    "equivalent",
-    "equivalent_fixpoint",
-    "eval_polynomial",
-    "fold_maxmin_product",
-    "gen_automaton",
-    "gen_automaton_document",
-    "gen_system",
-    "gen_system_document",
-    "intersect",
-    "is_decimal_label",
-    "k_equivalent",
-    "language_value",
-    "maxmin_product",
-    "minimize",
-    "monomial_eq_solutions",
-    "monomial_le_solutions",
-    "nfa_view",
-    "pad_states",
+    "Equation",
+    "EquationSystem",
+    "PointAssignment",
+    # errors
+    "BudgetExceededError",
+    "DocumentError",
+    "NonBooleanValueError",
+    # documents
     "parse_automaton",
-    "parse_instance",
     "parse_system",
-    "polynomial_eq_solutions",
-    "random_automaton",
-    "random_chain_labels",
-    "random_system",
     "render_automaton",
-    "render_instance",
     "render_system",
-    "rhs_values",
-    "satisfies",
+    # equivalence
+    "equivalent_fixpoint",
+    "k_equivalent",
+    "bounded_counterexample",
+    "equivalence_length_bound",
+    "language_value",
+    # solving
     "solve_intervals",
     "solve_points",
+    "eval_polynomial",
+    "satisfies",
+    # minimization
+    "decide_k",
+    "minimize",
+    "nfa_view",
+    "build_candidate_space",
+    "decode_candidate",
+    "pad_states",
+    # generation
+    "gen_automaton",
+    "gen_system",
+    "random_automaton",
+    "random_chain_labels",
     "__version__",
 ]

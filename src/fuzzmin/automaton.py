@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .chain import Chain, ChainValue
 from .errors import BudgetExceededError
-from .linalg import FuzzyMatrix, fold_maxmin_product, maxmin_product
+from .linalg import FuzzyMatrix, maxmin_product
 
 DEFAULT_VECTOR_BUDGET = 1_000_000
 
@@ -110,9 +110,10 @@ def _check_word(a: FuzzyAutomaton, word: Sequence[int]) -> None:
 def delta_word(a: FuzzyAutomaton, word: Sequence[int]) -> FuzzyMatrix:
     """Transition matrix of a word; the empty word maps to the identity."""
     _check_word(a, word)
-    return fold_maxmin_product(
-        (a.delta[s] for s in word), chain=a.chain, dim=a.n
-    )
+    m = FuzzyMatrix.identity(a.chain, a.n)
+    for s in word:
+        m = maxmin_product(m, a.delta[s])
+    return m
 
 
 def language_value(a: FuzzyAutomaton, word: Sequence[int]) -> ChainValue:
@@ -168,27 +169,17 @@ def _pair_bfs(
     _require_compatible(a1, a2)
     if k < 0:
         raise ValueError("word length bound must be >= 0")
-    pi1, pi2 = a1.pi.data, a2.pi.data
-    eta1, eta2 = tuple(a1.eta.data), tuple(a2.eta.data)
-    cols1 = [
-        tuple(tuple(d.data[r * d.cols + j] for r in range(d.rows)) for j in range(d.cols))
-        for d in a1.delta
-    ]
-    cols2 = [
-        tuple(tuple(d.data[r * d.cols + j] for r in range(d.rows)) for j in range(d.cols))
-        for d in a2.delta
-    ]
+
+    def side(a: FuzzyAutomaton):
+        """pi, eta, each symbol's matrix as a tuple of columns, and the identity."""
+        cols = [tuple(zip(*d.as_row_tuples())) for d in a.delta]
+        identity = FuzzyMatrix.identity(a.chain, a.n).as_row_tuples()
+        return a.pi.data, a.eta.data, cols, identity
 
     def value(rows: tuple[tuple[int, ...], ...], pi, eta) -> int:
         return _dot(pi, _mv(rows, eta))
 
-    top1, top2 = len(a1.chain) - 1, len(a2.chain) - 1
-    m1 = tuple(
-        tuple(top1 if i == j else 0 for j in range(a1.n)) for i in range(a1.n)
-    )
-    m2 = tuple(
-        tuple(top2 if i == j else 0 for j in range(a2.n)) for i in range(a2.n)
-    )
+    (pi1, eta1, cols1, m1), (pi2, eta2, cols2, m2) = side(a1), side(a2)
     if value(m1, pi1, eta1) != value(m2, pi2, eta2):
         return ()
     seen = {(m1, m2)}
@@ -388,11 +379,3 @@ def equivalent_fixpoint(
             least = mismatch
     return EquivalenceResult(least is None, depth, least, tuple(reached))
 
-
-def equivalent(
-    a1: FuzzyAutomaton,
-    a2: FuzzyAutomaton,
-    *,
-    max_vectors: int = DEFAULT_VECTOR_BUDGET,
-) -> bool:
-    return equivalent_fixpoint(a1, a2, max_vectors=max_vectors).equivalent

@@ -160,13 +160,6 @@ class Interval:
             raise ValueError(f"bad interval bounds [{self.lo_rank}, {self.hi_rank}]")
 
     @classmethod
-    def closed(cls, lo: ChainValue, hi: ChainValue) -> "Interval":
-        _require_same_chain(lo, hi)
-        if lo.rank > hi.rank:
-            raise ValueError(f"lower bound {lo} above upper bound {hi}")
-        return cls(lo.chain, lo.rank, hi.rank)
-
-    @classmethod
     def point(cls, v: ChainValue) -> "Interval":
         return cls(v.chain, v.rank, v.rank)
 

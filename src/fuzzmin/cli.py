@@ -24,7 +24,7 @@ from .automaton import (
     language_value,
 )
 from .equations import DEFAULT_SOLUTION_CAP, rhs_values, solve_intervals, solve_points
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _exceeds, _size
 from .formats import parse_automaton, parse_system, render_automaton
 from .generate import gen_automaton_document, gen_system_document
 from .minimization import (
@@ -98,10 +98,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     system = parse_system(_read(args.file))
     if args.mode == "points":
-        grid = len(rhs_values(system)) ** system.n_vars
+        base = len(rhs_values(system))
         budget = _budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET)
-        if grid > budget:
-            raise BudgetExceededError(grid, budget, "point-search grid")
+        if _exceeds(base, system.n_vars, budget):
+            raise BudgetExceededError(
+                _size(base, system.n_vars), budget, "point-search grid"
+            )
         witness = solve_points(system)
         print("unsolvable" if witness is None else " ".join(witness.labels()))
         return 0

@@ -1,4 +1,4 @@
-"""Bit-exact JSON documents for automata, equation systems, and instances.
+"""Bit-exact JSON documents for automata and equation systems.
 
 Values travel as decimal strings so nothing is ever rounded.  Render emits a
 fixed key order and a trailing newline, making rendered documents canonical:
@@ -8,7 +8,6 @@ Automaton documents: kind, chain (ascending decimal labels), alphabet, n,
 pi (n values), eta (n values), delta (symbol -> n*n values, row-major).
 System documents: kind, chain, n_vars, equations; each equation is a list of
 monomials (1-based variable index lists) plus an rhs value.
-Instance documents: an automaton plus a target state count k.
 
 Parsing is strict: unknown or duplicate keys, wrong shapes, and values
 missing from the declared chain are all errors.
@@ -24,11 +23,9 @@ from .chain import Chain, is_decimal_label
 from .equations import Equation, EquationSystem, Monomial, Polynomial, Relation
 from .errors import DocumentError
 from .linalg import FuzzyMatrix
-from .minimization import MinimizeInstance
 
 _AUTOMATON_KEYS = ("kind", "chain", "alphabet", "n", "pi", "eta", "delta")
 _SYSTEM_KEYS = ("kind", "chain", "n_vars", "equations")
-_INSTANCE_KEYS = ("kind", "k", "chain", "alphabet", "n", "pi", "eta", "delta")
 
 
 def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -110,7 +107,9 @@ def _value_ranks(chain: Chain, raw: Any, count: int, where: str) -> tuple[int, .
     return tuple(_value_rank(chain, item, where) for item in raw)
 
 
-def _automaton_from(payload: dict[str, Any]) -> FuzzyAutomaton:
+def parse_automaton(text: str) -> FuzzyAutomaton:
+    payload = _root_object(text, "automaton")
+    _expect_keys(payload, _AUTOMATON_KEYS)
     chain = _parse_chain(payload["chain"])
     alphabet = _parse_alphabet(payload["alphabet"])
     n = _positive_int(payload["n"], "n")
@@ -132,12 +131,6 @@ def _automaton_from(payload: dict[str, Any]) -> FuzzyAutomaton:
         for sym in alphabet
     )
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
-
-
-def parse_automaton(text: str) -> FuzzyAutomaton:
-    payload = _root_object(text, "automaton")
-    _expect_keys(payload, _AUTOMATON_KEYS)
-    return _automaton_from(payload)
 
 
 def parse_system(text: str) -> EquationSystem:
@@ -177,34 +170,26 @@ def parse_system(text: str) -> EquationSystem:
     return EquationSystem(chain, n_vars, tuple(equations))
 
 
-def parse_instance(text: str) -> MinimizeInstance:
-    payload = _root_object(text, "instance")
-    _expect_keys(payload, _INSTANCE_KEYS)
-    k = _positive_int(payload["k"], "k")
-    return MinimizeInstance(_automaton_from(payload), k)
-
-
 def _dump(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _automaton_fields(a: FuzzyAutomaton) -> dict[str, Any]:
-    label = a.chain.label
-    return {
-        "chain": list(a.chain.labels),
-        "alphabet": list(a.alphabet),
-        "n": a.n,
-        "pi": [label(r) for r in a.pi.data],
-        "eta": [label(r) for r in a.eta.data],
-        "delta": {
-            sym: [label(r) for r in a.delta[s].data]
-            for s, sym in enumerate(a.alphabet)
-        },
-    }
-
-
 def render_automaton(a: FuzzyAutomaton) -> str:
-    return _dump({"kind": "automaton", **_automaton_fields(a)})
+    label = a.chain.label
+    return _dump(
+        {
+            "kind": "automaton",
+            "chain": list(a.chain.labels),
+            "alphabet": list(a.alphabet),
+            "n": a.n,
+            "pi": [label(r) for r in a.pi.data],
+            "eta": [label(r) for r in a.eta.data],
+            "delta": {
+                sym: [label(r) for r in a.delta[s].data]
+                for s, sym in enumerate(a.alphabet)
+            },
+        }
+    )
 
 
 def render_system(s: EquationSystem) -> str:
@@ -223,7 +208,3 @@ def render_system(s: EquationSystem) -> str:
             "equations": equations,
         }
     )
-
-
-def render_instance(inst: MinimizeInstance) -> str:
-    return _dump({"kind": "instance", "k": inst.k, **_automaton_fields(inst.automaton)})

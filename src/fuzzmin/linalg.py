@@ -1,4 +1,4 @@
-"""Matrices over a chain with max-min composition and block direct sum.
+"""Matrices over a chain with max-min composition.
 
 Entries are stored as int ranks into the owning chain, row-major.  All types
 are immutable; every operation returns a fresh matrix.
@@ -7,7 +7,7 @@ are immutable; every operation returns a fresh matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chain import Chain, ChainValue
 
@@ -106,37 +106,3 @@ def maxmin_product(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
             data.append(max(map(min, row, col)))
     return FuzzyMatrix(a.chain, a.rows, b.cols, tuple(data))
 
-
-def direct_sum(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
-    """Block-diagonal sum; the off-diagonal blocks are all 0."""
-    if a.chain != b.chain:
-        raise ValueError("matrices live on different chains")
-    data = []
-    right = (0,) * b.cols
-    left = (0,) * a.cols
-    for i in range(a.rows):
-        data.extend(a.data[i * a.cols : (i + 1) * a.cols] + right)
-    for i in range(b.rows):
-        data.extend(left + b.data[i * b.cols : (i + 1) * b.cols])
-    return FuzzyMatrix(a.chain, a.rows + b.rows, a.cols + b.cols, tuple(data))
-
-
-def fold_maxmin_product(
-    matrices: Iterable[FuzzyMatrix],
-    *,
-    chain: Chain | None = None,
-    dim: int | None = None,
-) -> FuzzyMatrix:
-    """Left-to-right max-min product of a sequence.
-
-    An empty sequence has no shape of its own, so chain and dim must be given
-    and the result is the identity.
-    """
-    result: FuzzyMatrix | None = None
-    for m in matrices:
-        result = m if result is None else maxmin_product(result, m)
-    if result is None:
-        if chain is None or dim is None:
-            raise ValueError("empty product needs an explicit chain and dimension")
-        return FuzzyMatrix.identity(chain, dim)
-    return result

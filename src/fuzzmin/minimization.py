@@ -38,14 +38,10 @@ from .automaton import (
     _saturate_cut,
 )
 from .chain import Chain, ChainValue
-from .errors import BudgetExceededError, NonBooleanValueError
+from .errors import BudgetExceededError, NonBooleanValueError, _exceeds, _size
 from .linalg import FuzzyMatrix
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
-
-# Sizes of more than 4,300 decimal digits (Python's default limit on int-to-str
-# conversion) are reported as powers and never built.
-_SIZE_CAP = 10**4300
 
 
 @dataclass(frozen=True)
@@ -118,26 +114,6 @@ def decode_candidate(
         for s in range(len(alphabet))
     )
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
-
-
-def _exceeds(base: int, exp: int, limit: int) -> bool:
-    """base**exp > limit, without building a power past the limit's size:
-    for base >= 2 the power is at least 2**exp, which passes the limit once
-    exp reaches its bit length."""
-    if base >= 2 and exp >= limit.bit_length():
-        return True
-    return base**exp > limit
-
-
-def _size(base: int, exp: int, minus: int = 0) -> int | str:
-    """base**exp - minus as an int, or as the text "<base>^<exp>[-<minus>]"
-    once it has more than 4,300 decimal digits.  A power that long is never
-    built: its bit length is bounded from below first."""
-    if base < 2 or exp * (base.bit_length() - 1) < _SIZE_CAP.bit_length():
-        value = base**exp - minus
-        if value < _SIZE_CAP:
-            return value
-    return f"{base}^{exp}" + (f"-{minus}" if minus else "")
 
 
 def _check_grid(space: CandidateSpace, k: int, max_candidates: int) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .automaton import (
@@ -45,7 +44,6 @@ from .equations import (
     satisfies,
 )
 from .errors import BudgetExceededError
-from .linalg import FuzzyMatrix, direct_sum
 from .minimization import (
     DEFAULT_CANDIDATE_BUDGET,
     CandidateAutomaton,
@@ -116,32 +114,6 @@ def _boolean_candidates(
     return tuple(enumerate_boolean_automata(chain, alphabet, n))
 
 
-@dataclass(frozen=True)
-class JointForm:
-    """Block form of a pair of automata sharing chain and alphabet.
-
-    m_sigma[s] is the direct sum of the two transition matrices for symbol s,
-    eta_joint stacks the final columns, and the extended initial rows pad each
-    pi with zeros over the other automaton's states.
-    """
-
-    m_sigma: tuple[FuzzyMatrix, ...]
-    eta_joint: FuzzyMatrix
-    pi1_ext: FuzzyMatrix
-    pi2_ext: FuzzyMatrix
-
-
-def build_joint_form(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> JointForm:
-    _require_compatible(a1, a2)
-    n1, n2 = a1.n, a2.n
-    chain = a1.chain
-    m_sigma = tuple(direct_sum(d1, d2) for d1, d2 in zip(a1.delta, a2.delta))
-    eta_joint = FuzzyMatrix(chain, n1 + n2, 1, a1.eta.data + a2.eta.data)
-    pi1_ext = FuzzyMatrix(chain, 1, n1 + n2, a1.pi.data + (0,) * n2)
-    pi2_ext = FuzzyMatrix(chain, 1, n1 + n2, (0,) * n1 + a2.pi.data)
-    return JointForm(m_sigma, eta_joint, pi1_ext, pi2_ext)
-
-
 def joint_vector_equivalent(
     a1: FuzzyAutomaton,
     a2: FuzzyAutomaton,
@@ -150,19 +122,27 @@ def joint_vector_equivalent(
 ) -> bool:
     """Language equality by saturating the joint suffix vectors M(x) . eta.
 
-    Works on whole rank vectors of the block form, with no cuts: the vectors
-    of words up to length l+1 are those up to l plus every symbol matrix
-    applied to them, and the pair is equivalent iff both extended initial
-    rows give the same value on every vector once the set closes.
+    Works on whole rank vectors of the block form, with no cuts: each symbol's
+    matrix is the block-diagonal sum of the two automata's, the final column
+    stacks both eta, and each initial row pads its pi with zeros over the
+    other automaton's states.  The vectors of words up to length l+1 are those
+    up to l plus every symbol matrix applied to them, and the pair is
+    equivalent iff both initial rows give the same value on every vector once
+    the set closes.
     """
-    form = build_joint_form(a1, a2)
-    sym_rows = [m.as_row_tuples() for m in form.m_sigma]
-    pi1, pi2 = form.pi1_ext.data, form.pi2_ext.data
+    _require_compatible(a1, a2)
+    pad1, pad2 = (0,) * a1.n, (0,) * a2.n
+    sym_rows = [
+        tuple(row + pad2 for row in d1.as_row_tuples())
+        + tuple(pad1 + row for row in d2.as_row_tuples())
+        for d1, d2 in zip(a1.delta, a2.delta)
+    ]
+    pi1, pi2 = a1.pi.data + pad2, pad1 + a2.pi.data
+    eta = a1.eta.data + a2.eta.data
 
     def value(pi: tuple[int, ...], v: tuple[int, ...]) -> int:
         return max(map(min, pi, v))
 
-    eta = form.eta_joint.data
     seen = {eta}
     frontier = [eta]
     while frontier:

@@ -10,7 +10,9 @@ from pathlib import Path
 from typing import Sequence
 
 import fuzzmin as fz
+from fuzzmin.automaton import delta_word
 from fuzzmin.generate import alphabet_of
+from fuzzmin.linalg import maxmin_product
 from fuzzmin.oracles import all_words_up_to
 
 
@@ -70,8 +72,8 @@ def literal_suffix_vectors(
     word enumeration."""
     out = set()
     for word in all_words_up_to(len(a1.alphabet), up_to):
-        v1 = fz.maxmin_product(fz.delta_word(a1, word), a1.eta)
-        v2 = fz.maxmin_product(fz.delta_word(a2, word), a2.eta)
+        v1 = maxmin_product(delta_word(a1, word), a1.eta)
+        v2 = maxmin_product(delta_word(a2, word), a2.eta)
         out.add(v1.data + v2.data)
     return out
 

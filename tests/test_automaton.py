@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
+from fuzzmin.automaton import delta_word
+from fuzzmin.linalg import maxmin_product
 from fuzzmin.oracles import (
     all_words_up_to,
     brute_language_value,
@@ -77,7 +79,7 @@ def test_words_and_symbols():
 
 
 def test_language_values_by_hand():
-    assert fz.delta_word(NONMONO, ()) == fz.FuzzyMatrix.identity(NONMONO.chain, 3)
+    assert delta_word(NONMONO, ()) == fz.FuzzyMatrix.identity(NONMONO.chain, 3)
     got = [fz.language_value(NONMONO, (0,) * k).label for k in range(5)]
     assert got == ["1", "0.5", "0.8", "0", "0"]
 
@@ -95,8 +97,8 @@ def test_word_matrix_is_multiplicative(seed):
     a, _ = random_pair(rng, max_states=3)
     x = tuple(rng.randrange(len(a.alphabet)) for _ in range(rng.randint(0, 3)))
     y = tuple(rng.randrange(len(a.alphabet)) for _ in range(rng.randint(0, 3)))
-    assert fz.delta_word(a, x + y) == fz.maxmin_product(
-        fz.delta_word(a, x), fz.delta_word(a, y)
+    assert delta_word(a, x + y) == maxmin_product(
+        delta_word(a, x), delta_word(a, y)
     )
 
 
@@ -117,7 +119,7 @@ def test_length_bound_requires_shared_chain_and_alphabet():
     with pytest.raises(ValueError):
         fz.equivalence_length_bound(mono, other)
     with pytest.raises(ValueError):
-        fz.equivalent(ALL_ONE, mono)
+        fz.equivalent_fixpoint(ALL_ONE, mono)
 
 
 # bounded equivalence
@@ -167,7 +169,6 @@ def test_fixpoint_equivalence_with_duplicate_state():
     res = fz.equivalent_fixpoint(dup, padded)
     assert res.equivalent
     assert res.counterexample is None
-    assert fz.equivalent(dup, padded)
 
 
 def test_reached_vectors_match_literal_word_enumeration():
@@ -320,5 +321,6 @@ def test_witnesses_are_least_among_their_state_renumberings():
             other = _renumbered(ranks, k, perm)
             assert ranks <= other, perm
             values = tuple(a.chain[r] for r in other)
-            assert fz.equivalent(a, fz.decode_candidate(a.chain, a.alphabet, k, values))
+            cand = fz.decode_candidate(a.chain, a.alphabet, k, values)
+            assert fz.equivalent_fixpoint(a, cand).equivalent
     assert checked >= 50

@@ -13,14 +13,14 @@ from fuzzmin import (
     Monomial,
     Polynomial,
     Relation,
-    equivalent,
-    gen_automaton_document,
+    equivalent_fixpoint,
     pad_states,
     parse_automaton,
     render_automaton,
     render_system,
 )
 from fuzzmin.cli import main
+from fuzzmin.generate import gen_automaton_document
 
 from helpers import automaton
 
@@ -133,13 +133,29 @@ def test_solve_budgets(system_doc, capsys):
     assert err == "error: size 4 exceeds budget 3 (interval solution set)\n"
 
 
+def test_solve_points_refuses_a_grid_too_large_to_print(tmp_path, capsys):
+    # 3**10000 has 4,772 digits, past the 4,300 an int may print with
+    x = Polynomial((Monomial((0,)),))
+    rhs = ("0", "0.5", "1")
+    system = EquationSystem(
+        CH, 10_000, tuple(Equation(x, Relation.EQ, CH.value(v)) for v in rhs)
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(render_system(system), encoding="utf-8")
+    assert main(["solve", str(path), "--mode", "points"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: size 3^10000 exceeds budget 10000000 (point-search grid)\n"
+
+
 def test_decide_min_witness(dup_doc, capsys):
     assert main(["decide-min", dup_doc, "1"]) == 0
     out, err = capsys.readouterr()
     assert err == "cost k=1: candidates=8 word_bound=7\n"
     witness = parse_automaton(out)
     assert witness.n == 1
-    assert equivalent(pad_states(witness, 2), parse_automaton(Path(dup_doc).read_text()))
+    dup = parse_automaton(Path(dup_doc).read_text())
+    assert equivalent_fixpoint(pad_states(witness, 2), dup).equivalent
 
 
 def test_decide_min_empty(tmp_path, capsys):

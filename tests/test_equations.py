@@ -19,13 +19,15 @@ from fuzzmin import (
     Polynomial,
     Relation,
     eval_polynomial,
+    satisfies,
+    solve_intervals,
+    solve_points,
+)
+from fuzzmin.equations import (
     monomial_eq_solutions,
     monomial_le_solutions,
     polynomial_eq_solutions,
     rhs_values,
-    satisfies,
-    solve_intervals,
-    solve_points,
 )
 from fuzzmin.generate import random_chain_labels, random_system
 from fuzzmin.oracles import grid_search_point

@@ -9,15 +9,12 @@ from fuzzmin import (
     DocumentError,
     Equation,
     EquationSystem,
-    MinimizeInstance,
     Monomial,
     Polynomial,
     Relation,
     parse_automaton,
-    parse_instance,
     parse_system,
     render_automaton,
-    render_instance,
     render_system,
 )
 
@@ -93,13 +90,6 @@ def test_rendered_system_is_byte_stable():
 def test_round_trips():
     assert parse_automaton(render_automaton(TINY)) == TINY
     assert parse_system(render_system(_tiny_system())) == _tiny_system()
-    inst = MinimizeInstance(TINY, 1)
-    assert parse_instance(render_instance(inst)) == inst
-
-
-def test_instance_document_carries_k_up_front():
-    text = render_instance(MinimizeInstance(TINY, 3))
-    assert text.startswith('{\n  "kind": "instance",\n  "k": 3,\n')
 
 
 def test_syntax_errors_carry_a_position():

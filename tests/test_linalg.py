@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzmin import Chain, FuzzyMatrix, direct_sum, fold_maxmin_product, maxmin_product
+from fuzzmin import Chain, FuzzyMatrix
+from fuzzmin.linalg import maxmin_product
 
 from helpers import as_fraction_grid, fraction_maxmin_product
 
@@ -63,27 +64,6 @@ def test_views_and_accessors():
     assert m.row_ranks(1) == (CH.rank_of("0.7"), len(CH) - 1)
     assert m.as_row_tuples() == (m.row_ranks(0), m.row_ranks(1))
     assert str(m) == "[[0, 0.5], [0.7, 1]]"
-
-
-def test_direct_sum_blocks():
-    a = FuzzyMatrix.from_labels(CH, [["0.5"]])
-    b = FuzzyMatrix.from_labels(CH, [["0.3", "0.7"], ["1", "0.1"]])
-    s = direct_sum(a, b)
-    assert labels(s) == [
-        ["0.5", "0", "0"],
-        ["0", "0.3", "0.7"],
-        ["0", "1", "0.1"],
-    ]
-
-
-def test_fold_product():
-    a = FuzzyMatrix.from_labels(CH, [["0.5", "0.2"], ["1", "0.3"]])
-    b = FuzzyMatrix.from_labels(CH, [["0.4", "0.7"], ["0.6", "0.1"]])
-    assert fold_maxmin_product([a, b]) == maxmin_product(a, b)
-    assert fold_maxmin_product([a]) == a
-    assert fold_maxmin_product([], chain=CH, dim=2) == FuzzyMatrix.identity(CH, 2)
-    with pytest.raises(ValueError):
-        fold_maxmin_product([])
 
 
 ranks = st.integers(0, len(CH) - 1)

@@ -13,13 +13,13 @@ from fuzzmin import (
     MinimizeInstance,
     NonBooleanValueError,
     build_candidate_space,
-    cost_estimate,
     decide_k,
     decode_candidate,
     minimize,
     nfa_view,
     pad_states,
 )
+from fuzzmin.minimization import cost_estimate
 from fuzzmin.oracles import (
     all_words_up_to,
     crisp_accepts,
@@ -94,13 +94,13 @@ def test_cost_figures():
 
 
 def test_sizes_past_the_digit_limit_are_written_as_powers():
-    size = fz.minimization._size
+    size = fz.errors._size
     assert size(10, 4299) == 10**4299  # 4,300 digits
     assert size(10, 4300) == "10^4300"
     assert size(10, 4300, minus=1) == 10**4300 - 1
     assert size(5, 10**12, minus=1) == "5^1000000000000-1"
     assert size(1, 10**12) == 1
-    exceeds = fz.minimization._exceeds
+    exceeds = fz.errors._exceeds
     assert not exceeds(2, 23, 2**23)
     assert exceeds(2, 24, 2**24 - 1)
     assert exceeds(3, 15, 3**15 - 1)
@@ -113,7 +113,7 @@ def test_decide_k_finds_the_one_state_collapse():
     assert witness is not None
     assert [v.label for v in witness.assignment] == ["0.8", "0.8", "0.6"]
     assert witness.automaton.n == 1
-    assert fz.equivalent(DUP, pad_states(witness.automaton, 2))
+    assert fz.equivalent_fixpoint(DUP, pad_states(witness.automaton, 2)).equivalent
 
 
 def test_decide_k_refuses_oversized_grids():
@@ -214,7 +214,7 @@ def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
 def test_minimize_collapses_duplicates():
     small = minimize(DUP)
     assert small.n == 1
-    assert fz.equivalent(pad_states(small, 2), DUP)
+    assert fz.equivalent_fixpoint(pad_states(small, 2), DUP).equivalent
 
 
 def test_minimize_returns_the_input_when_nothing_smaller_exists():
@@ -287,7 +287,7 @@ def test_decode_validates_its_input():
 def test_pad_states_preserves_the_language():
     padded = pad_states(NONMONO, 5)
     assert padded.n == 5
-    assert fz.equivalent(NONMONO, padded)
+    assert fz.equivalent_fixpoint(NONMONO, padded).equivalent
     assert pad_states(NONMONO, 3) is NONMONO
     with pytest.raises(ValueError):
         pad_states(NONMONO, 2)
