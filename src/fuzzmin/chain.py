@@ -1,9 +1,18 @@
-"""Finite totally ordered value chains and the interval machinery built on them.
+"""Finite totally ordered value chains, and solution sets of rank boxes on them.
 
 A chain is declared as an ascending list of exact decimal labels that must
 include "0" and "1".  Values are compared as rationals, never as floats, and
 only the order is ever used.  The declared spelling of each label is kept as
 the canonical one for rendering.
+
+The interval solver works on rank boxes.  A box is a plain tuple of
+`(lo, hi)` rank pairs, one per variable, and stands for the points whose
+every coordinate has a rank within its pair.  Bounds never cross, so every
+box holds a point.  A `SolutionSet` keeps only the maximal boxes, sorted by
+their bounds.  `cross_intersect` intersects two sets pair by pair and keeps
+the running set maximal as each box is stored, so its budget bounds the
+boxes actually held.  Chain values and printable boxes are built only when
+a set is iterated.
 """
 
 from __future__ import annotations
@@ -12,7 +21,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator, Sequence
+from typing import Iterator
+
+from .errors import BudgetExceededError
 
 _DECIMAL_RE = re.compile(r"\d+(\.\d+)?\Z")
 
@@ -93,17 +104,6 @@ class Chain:
     def value(self, value: str | Fraction) -> "ChainValue":
         return ChainValue(self, self.rank_of(value))
 
-    def __contains__(self, value: object) -> bool:
-        if isinstance(value, ChainValue):
-            return value.chain == self
-        if isinstance(value, (str, Fraction)):
-            try:
-                self.rank_of(value)
-            except ValueError:
-                return False
-            return True
-        return False
-
 
 @total_ordering
 @dataclass(frozen=True)
@@ -143,172 +143,106 @@ def _require_same_chain(a: ChainValue, b: ChainValue) -> None:
         raise ValueError("values live on different chains")
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed, non-empty interval of ranks on one chain.
-
-    Intervals whose bounds would cross do not exist: `intersect` returns None
-    for them, and "no solution" is only ever the empty `SolutionSet`.
-    """
-
-    chain: Chain
-    lo_rank: int
-    hi_rank: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo_rank <= self.hi_rank < len(self.chain):
-            raise ValueError(f"bad interval bounds [{self.lo_rank}, {self.hi_rank}]")
-
-    @classmethod
-    def point(cls, v: ChainValue) -> "Interval":
-        return cls(v.chain, v.rank, v.rank)
-
-    @classmethod
-    def full(cls, chain: Chain) -> "Interval":
-        return cls(chain, 0, len(chain) - 1)
-
-    @classmethod
-    def at_most(cls, v: ChainValue) -> "Interval":
-        return cls(v.chain, 0, v.rank)
-
-    @classmethod
-    def at_least(cls, v: ChainValue) -> "Interval":
-        return cls(v.chain, v.rank, len(v.chain) - 1)
-
-    @property
-    def lo(self) -> ChainValue:
-        return ChainValue(self.chain, self.lo_rank)
-
-    @property
-    def hi(self) -> ChainValue:
-        return ChainValue(self.chain, self.hi_rank)
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.lo_rank, self.hi_rank)
-
-    def contains(self, v: ChainValue) -> bool:
-        _require_same_chain(v, self.lo)
-        return self.lo_rank <= v.rank <= self.hi_rank
-
-    def __str__(self) -> str:
-        return f"[{self.chain.label(self.lo_rank)},{self.chain.label(self.hi_rank)}]"
+Box = tuple[tuple[int, int], ...]
 
 
-def intersect(x: Interval, y: Interval) -> Interval | None:
-    """Intersection of two intervals, or None once the bounds cross."""
-    if x.chain != y.chain:
-        raise ValueError("intervals live on different chains")
-    lo = max(x.lo_rank, y.lo_rank)
-    hi = min(x.hi_rank, y.hi_rank)
-    return Interval(x.chain, lo, hi) if lo <= hi else None
+def _inside(a: Box, b: Box) -> bool:
+    """True when box a lies inside box b."""
+    return all(blo <= alo and ahi <= bhi for (alo, ahi), (blo, bhi) in zip(a, b))
+
+
+def _store(kept: list[Box], box: Box) -> None:
+    """Add box to the antichain kept unless a kept box holds it, and drop the
+    kept boxes it holds.  Whatever the arrival order, what stays is exactly
+    the maximal boxes seen, each once."""
+    if any(_inside(box, k) for k in kept):
+        return
+    kept[:] = [k for k in kept if not _inside(k, box)]
+    kept.append(box)
 
 
 @dataclass(frozen=True)
 class IntervalVector:
-    """Fixed-dimension tuple of intervals, intersected coordinatewise."""
+    """One box of a `SolutionSet`, built for printing: chain values
+    [lo, hi] per variable."""
 
-    coords: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len({c.chain for c in coords}) > 1:
-            raise ValueError("interval vector mixes chains")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+    chain: Chain
+    bounds: Box
 
     @property
     def is_nonempty(self) -> bool:
-        # intervals are never empty, so always true; perfbench/spans.py reads it
+        # boxes are never empty, so always true; perfbench/spans.py reads it
         return True
 
-    @property
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(c.sort_key for c in self.coords)
-
-    def intersect(self, other: "IntervalVector") -> "IntervalVector | None":
-        """Coordinatewise intersection, or None when some coordinate pair is
-        disjoint: then the two boxes share no point."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        coords = []
-        for a, b in zip(self.coords, other.coords):
-            c = intersect(a, b)
-            if c is None:
-                return None
-            coords.append(c)
-        return IntervalVector(tuple(coords))
-
-    def contains_point(self, values: Sequence[ChainValue]) -> bool:
-        if len(values) != self.dim:
-            raise ValueError(f"point dimension {len(values)} != {self.dim}")
-        return all(c.contains(v) for c, v in zip(self.coords, values))
-
-    def contains_vector(self, other: "IntervalVector") -> bool:
-        """True when each coordinate of other lies inside the matching one here."""
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return all(
-            a.lo_rank <= b.lo_rank and b.hi_rank <= a.hi_rank
-            for a, b in zip(self.coords, other.coords)
-        )
-
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        label = self.chain.label
+        pairs = (f"[{label(lo)},{label(hi)}]" for lo, hi in self.bounds)
+        return "(" + ", ".join(pairs) + ")"
 
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """The maximal interval vectors of one dimension, canonically sorted.
+    """The maximal rank boxes of one dimension on one chain, canonically sorted.
 
-    Construction normalizes: every vector contained in another one is dropped
-    and the rest are sorted by bound ranks.  The stored vectors cover the same
-    points as the given ones and none lies inside another; sets built from the
-    same vectors in any order or multiplicity compare equal structurally.
-    Every vector holds a point, so the set is empty exactly when it denotes no
-    point.
+    Construction normalizes: every box inside another one is dropped and the
+    rest are sorted by their rank bounds.  The stored boxes cover the same
+    points as the given ones and none lies inside another; sets built from
+    the same boxes in any order or multiplicity compare equal structurally.
+    Bounds that cross are rejected, so every box holds a point and the set
+    is empty exactly when it denotes no point.
     """
 
+    chain: Chain
     dim: int
-    vectors: tuple[IntervalVector, ...]
+    boxes: tuple[Box, ...]
 
     def __post_init__(self) -> None:
-        for v in self.vectors:
-            if v.dim != self.dim:
-                raise ValueError(f"vector dimension {v.dim} != set dimension {self.dim}")
-        if len({c.chain for v in self.vectors for c in v.coords}) > 1:
-            raise ValueError("solution set mixes chains")
-        # a strict container is wider in total, so it is seen before what it contains
-        maximal: list[IntervalVector] = []
-        for v in sorted(
-            set(self.vectors),
-            key=lambda v: sum(c.hi_rank - c.lo_rank for c in v.coords),
-            reverse=True,
-        ):
-            if not any(u.contains_vector(v) for u in maximal):
-                maximal.append(v)
-        object.__setattr__(
-            self, "vectors", tuple(sorted(maximal, key=lambda v: v.sort_key))
-        )
+        top = len(self.chain) - 1
+        kept: list[Box] = []
+        for box in self.boxes:
+            if len(box) != self.dim:
+                raise ValueError(f"box dimension {len(box)} != set dimension {self.dim}")
+            if not all(0 <= lo <= hi <= top for lo, hi in box):
+                raise ValueError(f"bad box bounds {box}")
+            _store(kept, tuple(box))
+        object.__setattr__(self, "boxes", tuple(sorted(kept)))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.boxes)
 
     def __iter__(self) -> Iterator[IntervalVector]:
-        return iter(self.vectors)
+        return (IntervalVector(self.chain, box) for box in self.boxes)
 
 
-def cross_intersect(s1: SolutionSet, s2: SolutionSet) -> SolutionSet:
-    """Intersect every vector of s1 with every vector of s2.
+def cross_intersect(
+    s1: SolutionSet, s2: SolutionSet, *, max_vectors: int | None = None
+) -> SolutionSet:
+    """Intersect every box of s1 with every box of s2.
 
-    The result covers exactly the points common to both sets.  It never has
-    more vectors than len(s1) * len(s2): disjoint pairs build no vector, and
-    intersections inside another one are not stored.
+    The result covers exactly the points common to both sets.  Disjoint
+    pairs build no box, and the running set stays maximal as each
+    intersection is stored, so it never holds more than len(s1) * len(s2)
+    boxes.  Raises BudgetExceededError as soon as it holds more than
+    max_vectors.
     """
+    if s1.chain != s2.chain:
+        raise ValueError("solution sets live on different chains")
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    pairs = (x.intersect(y) for x in s1.vectors for y in s2.vectors)
-    return SolutionSet(s1.dim, tuple(v for v in pairs if v is not None))
+    kept: list[Box] = []
+    for x in s1.boxes:
+        for y in s2.boxes:
+            meet = []
+            for (alo, ahi), (blo, bhi) in zip(x, y):
+                lo = alo if alo > blo else blo
+                hi = ahi if ahi < bhi else bhi
+                if lo > hi:
+                    break
+                meet.append((lo, hi))
+            else:
+                _store(kept, tuple(meet))
+                if max_vectors is not None and len(kept) > max_vectors:
+                    raise BudgetExceededError(
+                        len(kept), max_vectors, "interval solution set"
+                    )
+    return SolutionSet(s1.chain, s1.dim, tuple(kept))

@@ -5,10 +5,12 @@ the max of monomials, and an equation constrains a polynomial to equal one
 chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
 Two solvers are provided.  `solve_intervals` builds, per equation, the finite
-family of interval vectors that covers the solutions, then intersects the
-families across equations.  Every family is a `SolutionSet` of boxes, none
-inside another; two boxes that share no point build no intersection, so the
-system is solvable iff the final set is non-empty.  `solve_points` exploits
+family of rank boxes that covers the solutions, then intersects the families
+across equations.  A box is a tuple of `(lo, hi)` rank pairs, one per
+variable (see `chain`), and every family is a `SolutionSet` of boxes, none
+inside another.  Two boxes that share no point build no intersection, so the
+system is solvable iff the final set is non-empty.  Chain values enter only
+as right-hand sides and when the boxes are printed.  `solve_points` exploits
 that a solvable system is already solvable using only values that appear on
 some right-hand side, and searches that finite grid directly.
 """
@@ -19,14 +21,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import (
-    Chain,
-    ChainValue,
-    Interval,
-    IntervalVector,
-    SolutionSet,
-    cross_intersect,
-)
+from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect
 from .errors import BudgetExceededError
 
 DEFAULT_SOLUTION_CAP = 1_000_000
@@ -153,68 +148,66 @@ def rhs_values(system: EquationSystem) -> tuple[ChainValue, ...]:
     return tuple(system.chain[r] for r in ranks)
 
 
-def _check_fit(m: Monomial, n_vars: int) -> None:
+def _pin_family(
+    m: Monomial,
+    chain: Chain,
+    n_vars: int,
+    pinned: tuple[int, int],
+    rest: tuple[int, int],
+) -> SolutionSet:
+    """One box per variable of m: that variable ranges over the rank pair
+    pinned, the other variables of m over rest, and variables absent from m
+    over the whole chain."""
     if m.max_index >= n_vars:
         raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
+    full = (0, len(chain) - 1)
+    boxes: list[Box] = []
+    for pin in m.vars:
+        box = [full] * n_vars
+        for i in m.vars:
+            box[i] = rest
+        box[pin] = pinned
+        boxes.append(tuple(box))
+    return SolutionSet(chain, n_vars, tuple(boxes))
 
 
 def monomial_eq_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
-    """Interval vectors covering the solutions of min(vars) = rhs.
+    """Boxes covering the solutions of min(vars) = rhs.
 
-    One vector per variable of the monomial: that variable is pinned to
+    One box per variable of the monomial: that variable is pinned to
     [rhs, rhs], the other monomial variables range over [rhs, 1], and
     variables absent from the monomial are unconstrained.  Deduplication can
     collapse the family (all patterns coincide when rhs is the top value).
     """
-    _check_fit(m, n_vars)
-    chain = rhs.chain
-    full = Interval.full(chain)
-    at_least = Interval.at_least(rhs)
-    pinned = Interval.point(rhs)
-    vectors = []
-    for pin in m.vars:
-        coords = [full] * n_vars
-        for i in m.vars:
-            coords[i] = at_least
-        coords[pin] = pinned
-        vectors.append(IntervalVector(tuple(coords)))
-    return SolutionSet(n_vars, tuple(vectors))
+    r = rhs.rank
+    return _pin_family(m, rhs.chain, n_vars, (r, r), (r, len(rhs.chain) - 1))
 
 
 def monomial_le_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
-    """Interval vectors covering the solutions of min(vars) <= rhs.
+    """Boxes covering the solutions of min(vars) <= rhs.
 
-    One vector per variable of the monomial: that variable is capped to
+    One box per variable of the monomial: that variable is capped to
     [0, rhs], everything else is unconstrained.
     """
-    _check_fit(m, n_vars)
-    chain = rhs.chain
-    full = Interval.full(chain)
-    capped = Interval.at_most(rhs)
-    vectors = []
-    for pin in m.vars:
-        coords = [full] * n_vars
-        coords[pin] = capped
-        vectors.append(IntervalVector(tuple(coords)))
-    return SolutionSet(n_vars, tuple(vectors))
+    return _pin_family(m, rhs.chain, n_vars, (0, rhs.rank), (0, len(rhs.chain) - 1))
 
 
 def polynomial_eq_solutions(p: Polynomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
-    """Interval vectors covering the solutions of max(monomials) = rhs.
+    """Boxes covering the solutions of max(monomials) = rhs.
 
     The max equals rhs exactly when some monomial equals rhs and every other
     stays at or below it, so the family is the union over that case split,
-    each case being the coordinatewise intersection of its per-monomial
-    families.  The result has at most k * n_vars**k vectors for k monomials.
+    each case being the cross-intersection of its per-monomial families.
+    The result has at most k * n_vars**k boxes for k monomials.
     """
-    vectors: list[IntervalVector] = []
+    boxes: list[Box] = []
     for i, m_eq in enumerate(p.monomials):
         case = monomial_eq_solutions(m_eq, rhs, n_vars)
         for j, m_le in enumerate(p.monomials):
             if j != i:
                 case = cross_intersect(case, monomial_le_solutions(m_le, rhs, n_vars))
-        vectors.extend(case.vectors)
-    return SolutionSet(n_vars, tuple(vectors))
+        boxes.extend(case.boxes)
+    return SolutionSet(rhs.chain, n_vars, tuple(boxes))
 
 
 def solve_intervals(
@@ -225,17 +218,17 @@ def solve_intervals(
     solution, and none lies inside another; the system is solvable iff the
     set is non-empty.
 
-    Raises BudgetExceededError once the running set stores more than
-    max_vectors vectors; it can grow like (k * n**k)**m even though skipping
+    Raises BudgetExceededError as soon as the running set holds more than
+    max_vectors boxes; it can grow like (k * n**k)**m even though skipping
     disjoint pairs and dropping contained boxes usually keeps it tiny.
     """
-    result: SolutionSet | None = None
-    for eq in system.equations:
+    first, *rest = system.equations
+    result = polynomial_eq_solutions(first.lhs, first.rhs, system.n_vars)
+    if len(result) > max_vectors:
+        raise BudgetExceededError(len(result), max_vectors, "interval solution set")
+    for eq in rest:
         family = polynomial_eq_solutions(eq.lhs, eq.rhs, system.n_vars)
-        result = family if result is None else cross_intersect(result, family)
-        if len(result) > max_vectors:
-            raise BudgetExceededError(len(result), max_vectors, "interval solution set")
-    assert result is not None
+        result = cross_intersect(result, family, max_vectors=max_vectors)
     return result
 
 

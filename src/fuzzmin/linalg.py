@@ -7,7 +7,6 @@ are immutable; every operation returns a fresh matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .chain import Chain, ChainValue
 
@@ -41,25 +40,10 @@ class FuzzyMatrix:
         data = tuple(top if i == j else 0 for i in range(n) for j in range(n))
         return cls(chain, n, n, data)
 
-    @classmethod
-    def from_labels(cls, chain: Chain, grid: Sequence[Sequence[str]]) -> "FuzzyMatrix":
-        if not grid or not grid[0]:
-            raise ValueError("empty grid")
-        cols = len(grid[0])
-        data = []
-        for row in grid:
-            if len(row) != cols:
-                raise ValueError("ragged grid")
-            data.extend(chain.rank_of(label) for label in row)
-        return cls(chain, len(grid), cols, tuple(data))
-
     def rank_at(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
         return self.data[i * self.cols + j]
-
-    def entry(self, i: int, j: int) -> ChainValue:
-        return ChainValue(self.chain, self.rank_at(i, j))
 
     def scalar(self) -> ChainValue:
         if (self.rows, self.cols) != (1, 1):

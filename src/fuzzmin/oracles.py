@@ -43,7 +43,7 @@ from .equations import (
     Relation,
     satisfies,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _size
 from .minimization import (
     DEFAULT_CANDIDATE_BUDGET,
     CandidateAutomaton,
@@ -240,7 +240,8 @@ def decide_k_via_equations(
     space = build_candidate_space(inst)
     if not 0 <= max_len <= space.word_bound:
         raise ValueError(
-            f"word length bound must lie in [0, {space.word_bound}], got {max_len}"
+            f"word length bound must lie in "
+            f"[0, {_size(len(space.values), space.states, minus=1)}], got {max_len}"
         )
     a = inst.automaton
     k = inst.k

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import fuzzmin as fz
 from fuzzmin.automaton import delta_word
+from fuzzmin.chain import ChainValue
 from fuzzmin.generate import alphabet_of
 from fuzzmin.linalg import maxmin_product
 from fuzzmin.oracles import all_words_up_to
@@ -27,10 +28,23 @@ def automaton(
     return fz.FuzzyAutomaton(
         chain,
         tuple(alphabet),
-        fz.FuzzyMatrix.from_labels(chain, [list(pi)]),
-        fz.FuzzyMatrix.from_labels(chain, [[e] for e in eta]),
-        tuple(fz.FuzzyMatrix.from_labels(chain, rows) for rows in delta),
+        matrix(chain, [list(pi)]),
+        matrix(chain, [[e] for e in eta]),
+        tuple(matrix(chain, rows) for rows in delta),
     )
+
+
+def matrix(chain: fz.Chain, grid: Sequence[Sequence[str]]) -> fz.FuzzyMatrix:
+    """A matrix from a grid of value labels, one list per row."""
+    ranks = tuple(chain.rank_of(label) for row in grid for label in row)
+    return fz.FuzzyMatrix(chain, len(grid), len(grid[0]), ranks)
+
+
+def in_box(box: Sequence[tuple[int, int]], point: Sequence[ChainValue]) -> bool:
+    """True when every value of point has a rank within its (lo, hi) pair."""
+    if len(point) != len(box):
+        raise ValueError(f"point dimension {len(point)} != box dimension {len(box)}")
+    return all(lo <= v.rank <= hi for (lo, hi), v in zip(box, point))
 
 
 def random_pair(
@@ -61,7 +75,8 @@ def fraction_maxmin_product(
 
 def as_fraction_grid(m: fz.FuzzyMatrix) -> list[list[Fraction]]:
     return [
-        [m.entry(i, j).fraction for j in range(m.cols)] for i in range(m.rows)
+        [m.chain.fraction(m.rank_at(i, j)) for j in range(m.cols)]
+        for i in range(m.rows)
     ]
 
 

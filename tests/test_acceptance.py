@@ -26,7 +26,7 @@ from fuzzmin import (
     solve_intervals,
     solve_points,
 )
-from fuzzmin.chain import Interval, IntervalVector, SolutionSet, cross_intersect
+from fuzzmin.chain import SolutionSet, cross_intersect
 from fuzzmin.equations import (
     monomial_eq_solutions,
     monomial_le_solutions,
@@ -46,6 +46,8 @@ from fuzzmin.oracles import (
     grid_search_point,
     min_nfa_states_brute,
 )
+
+from helpers import in_box
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -95,7 +97,7 @@ def test_criterion_1_interval_solver_agrees_with_point_solver():
         solvable += 1
         if not satisfies(system, point):
             bad += 1
-        elif not any(v.contains_point(point.values) for v in sols):
+        elif not any(in_box(box, point.values) for box in sols.boxes):
             bad += 1
         elif any(
             eval_polynomial(eq.lhs, point).rank != eq.rhs.rank
@@ -256,35 +258,31 @@ def test_criterion_7_equation_reduction_matches_direct_search():
 
 def test_criterion_8_single_monomial_families_match_their_closed_forms():
     chain5 = Chain(("0", "0.25", "0.5", "0.75", "1"))
+    top = len(chain5) - 1
     bad = 0
     cases = 0
     for n in range(1, 5):
         m = Monomial(tuple(range(n)))
         for a in chain5:
+            r = a.rank
             cases += 2
+            # pin one variable to [a, a], the rest to [a, 1]
             want_eq = SolutionSet(
+                chain5,
                 n,
                 tuple(
-                    IntervalVector(
-                        tuple(
-                            Interval.point(a) if i == pin else Interval.at_least(a)
-                            for i in range(n)
-                        )
-                    )
+                    tuple((r, r) if i == pin else (r, top) for i in range(n))
                     for pin in range(n)
                 ),
             )
             if monomial_eq_solutions(m, a, n) != want_eq:
                 bad += 1
+            # cap one variable to [0, a], leave the rest free
             want_le = SolutionSet(
+                chain5,
                 n,
                 tuple(
-                    IntervalVector(
-                        tuple(
-                            Interval.at_most(a) if i == pin else Interval.full(chain5)
-                            for i in range(n)
-                        )
-                    )
+                    tuple((0, r) if i == pin else (0, top) for i in range(n))
                     for pin in range(n)
                 ),
             )

@@ -1,4 +1,4 @@
-"""Chains, values, intervals, and solution-set canonicalization."""
+"""Chains, values, rank boxes, and solution-set canonicalization."""
 
 from __future__ import annotations
 
@@ -9,15 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzmin import Chain
-from fuzzmin.chain import (
-    Interval,
-    IntervalVector,
-    SolutionSet,
-    cross_intersect,
-    intersect,
-    is_decimal_label,
-)
+from fuzzmin import BudgetExceededError, Chain
+from fuzzmin.chain import SolutionSet, cross_intersect, is_decimal_label
+
+from helpers import in_box
 
 CH = Chain(("0", "0.25", "0.5", "0.75", "1"))
 
@@ -38,12 +33,11 @@ def test_labels_keep_declared_spelling():
 
 
 def test_membership():
-    assert "0.25" in CH
-    assert Fraction(1, 4) in CH
-    assert "0.3" not in CH
-    assert CH.value("0.5") in CH
-    with pytest.raises(ValueError):
-        CH.rank_of("0.3")
+    assert CH.rank_of("0.25") == CH.rank_of(Fraction(1, 4)) == 1
+    assert CH.value("0.5").chain == CH
+    for stranger in ("0.3", Fraction(1, 3), "2", "x"):
+        with pytest.raises(ValueError):
+            CH.rank_of(stranger)
 
 
 @pytest.mark.parametrize(
@@ -84,151 +78,162 @@ def test_values_from_different_chains_do_not_mix():
         CH.zero < other.one  # noqa: B015
 
 
-# intervals
+# rank boxes and solution sets
+
+TOP = len(CH) - 1
+FULL = (0, TOP)
 
 
-def test_interval_constructors():
-    v = CH.value("0.5")
-    assert str(Interval.point(v)) == "[0.5,0.5]"
-    assert str(Interval.at_most(v)) == "[0,0.5]"
-    assert str(Interval.at_least(v)) == "[0.5,1]"
-    assert str(Interval.full(CH)) == "[0,1]"
+def _one(box):
+    """The solution set of a single box."""
+    return SolutionSet(CH, len(box), (box,))
+
+
+def _strs(solutions):
+    return [str(v) for v in solutions]
 
 
 def test_intervals_are_never_empty():
     # crossed or out-of-range bounds are not representable
     for lo, hi in ((3, 1), (-1, -1), (0, len(CH))):
         with pytest.raises(ValueError):
-            Interval(CH, lo, hi)
-    point = Interval(CH, 2, 2)
-    assert point.lo == point.hi == CH.value("0.5")
-    assert point.contains(CH.value("0.5")) and not point.contains(CH.one)
-    with pytest.raises(ValueError):
-        point.contains(Chain(("0", "1")).zero)
+            _one(((lo, hi),))
+    point = _one(((2, 2),))
+    assert _strs(point) == ["([0.5,0.5])"]
+    assert all(v.is_nonempty for v in point)
 
 
 def test_intersection_crosses_to_empty():
-    lo, hi = CH.value("0.25"), CH.value("0.75")
-    assert intersect(Interval.at_most(lo), Interval.at_least(hi)) is None
-    assert str(intersect(Interval.at_least(lo), Interval.at_most(hi))) == "[0.25,0.75]"
-    assert str(intersect(Interval.at_most(lo), Interval.at_least(lo))) == "[0.25,0.25]"
+    assert len(cross_intersect(_one(((0, 1),)), _one(((3, TOP),)))) == 0
+    assert _strs(cross_intersect(_one(((1, TOP),)), _one(((0, 3),)))) == ["([0.25,0.75])"]
+    assert _strs(cross_intersect(_one(((0, 1),)), _one(((1, TOP),)))) == ["([0.25,0.25])"]
     with pytest.raises(ValueError):
-        intersect(Interval.full(CH), Interval.full(Chain(("0", "1"))))
+        cross_intersect(_one((FULL,)), SolutionSet(Chain(("0", "1")), 1, (((0, 1),),)))
 
 
-intervals = st.tuples(
-    st.integers(0, len(CH) - 1), st.integers(0, len(CH) - 1)
-).map(lambda p: Interval(CH, min(p), max(p)))
+rank_pairs = st.tuples(st.integers(0, TOP), st.integers(0, TOP)).map(
+    lambda p: (min(p), max(p))
+)
 
 
-@given(intervals, intervals)
+@given(rank_pairs, rank_pairs)
 def test_intersection_agrees_with_membership(x, y):
-    z = intersect(x, y)
-    common = [v for v in CH if x.contains(v) and y.contains(v)]
-    # None exactly when no chain value lies in both; otherwise exactly those values
-    assert (z is None) == (not common)
-    if z is not None:
-        assert [v for v in CH if z.contains(v)] == common
-
-
-# interval vectors and solution sets
+    z = cross_intersect(_one((x,)), _one((y,)))
+    common = [r for r in range(len(CH)) if x[0] <= r <= x[1] and y[0] <= r <= y[1]]
+    # empty exactly when no chain value lies in both; otherwise exactly those values
+    assert len(z) == (1 if common else 0)
+    if common:
+        assert z.boxes == (((common[0], common[-1]),),)
 
 
 def test_vector_intersection_is_coordinatewise():
-    v1 = IntervalVector((Interval.at_least(CH.value("0.5")), Interval.full(CH)))
-    v2 = IntervalVector((Interval.at_most(CH.value("0.5")), Interval.point(CH.one)))
-    v3 = IntervalVector((Interval.at_most(CH.value("0.25")), Interval.point(CH.one)))
-    assert str(v1.intersect(v2)) == "([0.5,0.5], [1,1])"
+    v1 = ((2, TOP), FULL)
+    v2 = ((0, 2), (TOP, TOP))
+    v3 = ((0, 1), (TOP, TOP))
+    assert _strs(cross_intersect(_one(v1), _one(v2))) == ["([0.5,0.5], [1,1])"]
     # one disjoint coordinate pair makes the whole intersection empty
-    assert v1.intersect(v3) is None
-    assert v3.intersect(v1) is None
+    assert len(cross_intersect(_one(v1), _one(v3))) == 0
+    assert len(cross_intersect(_one(v3), _one(v1))) == 0
     with pytest.raises(ValueError):
-        v1.intersect(IntervalVector((Interval.full(CH),)))
+        cross_intersect(_one(v1), _one((FULL,)))
 
 
-vectors2 = st.tuples(intervals, intervals).map(IntervalVector)
+boxes2 = st.tuples(rank_pairs, rank_pairs)
 
 
-@given(vectors2, vectors2)
+@given(boxes2, boxes2)
 def test_vector_intersection_is_none_iff_a_coordinate_pair_is_disjoint(v, w):
-    got = v.intersect(w)
-    disjoint = any(intersect(a, b) is None for a, b in zip(v.coords, w.coords))
-    assert (got is None) == disjoint
-    if got is not None:
-        assert got.coords == tuple(map(intersect, v.coords, w.coords))
+    got = cross_intersect(_one(v), _one(w))
+    meet = tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(v, w))
+    disjoint = any(lo > hi for lo, hi in meet)
+    assert len(got) == (0 if disjoint else 1)
+    if not disjoint:
+        assert got.boxes == (meet,)
         for p in itertools.product(CH, repeat=2):
-            both = v.contains_point(p) and w.contains_point(p)
-            assert got.contains_point(p) == both
-
-
-def test_vector_point_membership():
-    v = IntervalVector(
-        (Interval.at_least(CH.value("0.5")), Interval.at_most(CH.value("0.5")))
-    )
-    assert v.contains_point((CH.one, CH.zero))
-    assert not v.contains_point((CH.zero, CH.zero))
-    with pytest.raises(ValueError):
-        v.contains_point((CH.one,))
+            assert in_box(meet, p) == (in_box(v, p) and in_box(w, p))
 
 
 def test_solution_sets_canonicalize():
-    a = IntervalVector((Interval.full(CH), Interval.point(CH.one)))
-    b = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
-    assert SolutionSet(2, (a, b, a)) == SolutionSet(2, (b, a))
-    assert len(SolutionSet(2, (a, b, a))) == 2
-    assert [str(v) for v in SolutionSet(2, (b, a))] == [
+    a = (FULL, (TOP, TOP))
+    b = ((TOP, TOP), FULL)
+    assert SolutionSet(CH, 2, (a, b, a)) == SolutionSet(CH, 2, (b, a))
+    assert len(SolutionSet(CH, 2, (a, b, a))) == 2
+    assert _strs(SolutionSet(CH, 2, (b, a))) == [
         "([0,1], [1,1])",
         "([1,1], [0,1])",
     ]
 
 
 def test_vector_containment_is_coordinatewise():
-    full = IntervalVector((Interval.full(CH), Interval.full(CH)))
-    inner = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
-    beside = IntervalVector((Interval.full(CH), Interval.point(CH.zero)))
-    assert full.contains_vector(inner) and full.contains_vector(full)
-    assert not inner.contains_vector(full)
+    full = (FULL, FULL)
+    inner = ((TOP, TOP), FULL)
+    beside = (FULL, (0, 0))
+    assert SolutionSet(CH, 2, (inner, full)).boxes == (full,)
+    assert SolutionSet(CH, 2, (full, full)).boxes == (full,)
     # overlapping but incomparable boxes: neither holds the other
-    assert not inner.contains_vector(beside) and not beside.contains_vector(inner)
-    with pytest.raises(ValueError):
-        full.contains_vector(IntervalVector((Interval.full(CH),)))
+    assert SolutionSet(CH, 2, (inner, beside)).boxes == (beside, inner)
+    # inside in one coordinate but wider in the other is not inside
+    wide = ((1, 3), (0, TOP))
+    tall = ((0, TOP), (1, 3))
+    assert SolutionSet(CH, 2, (wide, tall)).boxes == (tall, wide)
 
 
 def test_contained_vectors_are_dropped():
-    full = IntervalVector((Interval.full(CH), Interval.full(CH)))
-    inner = IntervalVector((Interval.point(CH.one), Interval.full(CH)))
-    point = IntervalVector((Interval.point(CH.one), Interval.point(CH.one)))
-    beside = IntervalVector((Interval.full(CH), Interval.point(CH.zero)))
-    assert len(SolutionSet(2, ())) == 0
-    assert SolutionSet(2, (point, inner)).vectors == (inner,)
-    assert SolutionSet(2, (inner, point, full)).vectors == (full,)
-    assert SolutionSet(2, (point, beside, inner)).vectors == (beside, inner)
+    full = (FULL, FULL)
+    inner = ((TOP, TOP), FULL)
+    point = ((TOP, TOP), (TOP, TOP))
+    beside = (FULL, (0, 0))
+    assert len(SolutionSet(CH, 2, ())) == 0
+    assert SolutionSet(CH, 2, (point, inner)).boxes == (inner,)
+    assert SolutionSet(CH, 2, (inner, point, full)).boxes == (full,)
+    assert SolutionSet(CH, 2, (point, beside, inner)).boxes == (beside, inner)
     with pytest.raises(ValueError):
-        SolutionSet(2, (IntervalVector((Interval.full(CH),)),))
-    with pytest.raises(ValueError):
-        SolutionSet(1, (IntervalVector((Interval.full(CH),)),
-                        IntervalVector((Interval.full(Chain(("0", "1"))),))))
+        SolutionSet(CH, 2, ((FULL,),))
 
 
-sets2 = st.lists(vectors2, min_size=1, max_size=4).map(
-    lambda vs: SolutionSet(2, tuple(vs))
+sets2 = st.lists(boxes2, min_size=1, max_size=4).map(
+    lambda vs: SolutionSet(CH, 2, tuple(vs))
 )
 
 
-def _points(v):
-    return {p for p in itertools.product(CH, repeat=v.dim) if v.contains_point(p)}
+def _points(box):
+    return {p for p in itertools.product(CH, repeat=len(box)) if in_box(box, p)}
 
 
-@given(sets2, sets2)
-def test_cross_intersect_covers_exactly_the_common_points(s1, s2):
+@given(sets2, sets2, st.integers(1, 4))
+def test_cross_intersect_covers_exactly_the_common_points(s1, s2, cap):
     prod = cross_intersect(s1, s2)
     assert len(prod) <= len(s1) * len(s2)
     for p in itertools.product(CH, repeat=2):
-        in1 = any(v.contains_point(p) for v in s1)
-        in2 = any(v.contains_point(p) for v in s2)
-        assert any(v.contains_point(p) for v in prod) == (in1 and in2)
+        in1 = any(in_box(v, p) for v in s1.boxes)
+        in2 = any(in_box(v, p) for v in s2.boxes)
+        assert any(in_box(v, p) for v in prod.boxes) == (in1 and in2)
     # an antichain of live boxes: each holds a point, none lies inside another
-    boxes = [_points(v) for v in prod]
+    boxes = [_points(v) for v in prod.boxes]
     for i, box in enumerate(boxes):
         assert box
         assert not any(box <= other for j, other in enumerate(boxes) if j != i)
+    # a cap refuses at the first count past it, and changes nothing otherwise
+    try:
+        capped = cross_intersect(s1, s2, max_vectors=cap)
+    except BudgetExceededError as refused:
+        assert (refused.count, refused.limit) == (cap + 1, cap)
+    else:
+        assert capped == prod
+        assert len(prod) <= cap
+
+
+def _pinned(var):
+    """x_var = 0.5 with every other of six variables free."""
+    return tuple((2, 2) if i == var else FULL for i in range(6))
+
+
+def test_cross_intersect_refuses_before_every_pair_is_held():
+    # each of the 3 x 3 intersections pins its own pair of variables, so none
+    # lies inside another and the running set grows by one box per pair
+    s1 = SolutionSet(CH, 6, tuple(_pinned(i) for i in range(3)))
+    s2 = SolutionSet(CH, 6, tuple(_pinned(i) for i in range(3, 6)))
+    assert len(cross_intersect(s1, s2)) == 9
+    with pytest.raises(BudgetExceededError) as refused:
+        cross_intersect(s1, s2, max_vectors=4)
+    assert (refused.value.count, refused.value.limit) == (5, 4)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzmin import (
     Chain,
@@ -122,6 +127,75 @@ def test_solve_unsolvable(tmp_path, capsys):
     assert capsys.readouterr().out == "unsolvable\n"
     assert main(["solve", str(path), "--mode", "points"]) == 0
     assert capsys.readouterr().out == "unsolvable\n"
+
+
+# documents near the system format, well-formed or with a fault or two: every
+# one must end in a verdict (0), an input error (2) or a budget refusal (3)
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+)
+_FAULTS = (
+    "drop key", "unknown key", "wrong type", "equation drops key",
+    "equation gains key", "non-list monomial", "index out of range",
+    "rhs outside chain",
+)
+
+
+@st.composite
+def _system_texts(draw):
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        return json.dumps(draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2))))
+    chain = draw(st.sampled_from([["0", "1"], ["0", "0.2", "0.5", "1"]]))
+    n = draw(st.integers(1, 4))
+    monomials = st.lists(st.lists(st.integers(1, n), min_size=1, max_size=3),
+                         min_size=1, max_size=3)
+    equations = draw(st.lists(
+        st.fixed_dictionaries({"monomials": monomials, "rhs": st.sampled_from(chain)}),
+        min_size=1, max_size=3,
+    ))
+    doc = {"kind": "system", "chain": chain, "n_vars": n, "equations": equations}
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        eq = draw(st.sampled_from(equations))
+        monos = eq.get("monomials", [])
+        if fault == "drop key":
+            doc.pop(draw(st.sampled_from(sorted(doc))), None)
+        elif fault == "unknown key":
+            doc["weights"] = 1
+        elif fault == "wrong type":
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+        elif fault == "equation drops key":
+            eq.pop(draw(st.sampled_from(["monomials", "rhs"])), None)
+        elif fault == "equation gains key":
+            eq["coefficient"] = "1"
+        elif fault == "non-list monomial" and monos:
+            monos[0] = draw(_JUNK)
+        elif fault == "index out of range" and monos and isinstance(monos[-1], list):
+            monos[-1][0] = draw(st.sampled_from([0, n + 1, -1, "1", 1.0, True]))
+        elif fault == "rhs outside chain":
+            eq["rhs"] = draw(st.sampled_from(["0.3", "2", "-1", "x", "", 0.5, 1]))
+    text = json.dumps(doc)
+    return text[: len(text) // 2] if shape == 1 else text
+
+
+@given(_system_texts())
+def test_solve_ends_in_a_verdict_or_an_error_on_any_document(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "sys.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["solve", str(path)], ["solve", str(path), "--mode", "points"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert bool(out.getvalue()) == (code == 0)
+        assert err.getvalue().startswith("error: ") == (code != 0)
 
 
 def test_solve_budgets(system_doc, capsys):

@@ -32,11 +32,13 @@ from fuzzmin.equations import (
 from fuzzmin.generate import random_chain_labels, random_system
 from fuzzmin.oracles import grid_search_point
 
+from helpers import in_box
+
 CH = Chain(("0", "0.2", "0.5", "1"))
 
 
 def _strs(solutions):
-    return [str(v) for v in solutions.vectors]
+    return [str(v) for v in solutions]
 
 
 def test_monomial_normalizes_variables():
@@ -158,6 +160,21 @@ def test_interval_solver_cap():
     assert (refused.value.count, refused.value.limit) == (3, 2)
 
 
+def test_interval_solver_refuses_as_the_running_set_grows():
+    # x1 v x2 v x3 = 0.5 and x4 v x5 v x6 = 0.5 have 3 boxes each; their 9
+    # intersections pin different variable pairs, so none lies inside another
+    def spread(first):
+        p = Polynomial(tuple(Monomial((first + i,)) for i in range(3)))
+        return Equation(p, Relation.EQ, CH.value("0.5"))
+
+    system = EquationSystem(CH, 6, (spread(0), spread(3)))
+    assert len(solve_intervals(system)) == 9
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_intervals(system, max_vectors=4)
+    # refused at the fifth box stored, before the other pairs were tried
+    assert (refused.value.count, refused.value.limit) == (5, 4)
+
+
 def test_point_solver_walks_the_grid_in_order():
     # first hit in lex order over the rhs values, first variable most significant
     point = solve_points(_system())
@@ -204,12 +221,12 @@ def test_solvers_agree_and_answers_check_out(seed):
 
     if point is not None:
         assert satisfies(system, point)
-        assert any(v.contains_point(point.values) for v in sols)
+        assert any(in_box(box, point.values) for box in sols.boxes)
 
     # the boxes hold exactly the solutions on the full chain grid, and none
     # lies inside another
     grid = list(itertools.product(chain, repeat=n_vars))
-    boxes = [{p for p in grid if v.contains_point(p)} for v in sols]
+    boxes = [{p for p in grid if in_box(box, p)} for box in sols.boxes]
     for p in grid:
         assert satisfies(system, PointAssignment(p)) == any(p in box for box in boxes)
     for i, box in enumerate(boxes):

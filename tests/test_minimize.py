@@ -253,6 +253,14 @@ def test_equation_reduction_validates_the_length():
         decide_k_via_equations(inst, -1)
 
 
+def test_equation_reduction_prints_a_bound_too_large_for_digits():
+    # 5**7003 - 1 has more than the 4,300 digits an int may print with
+    inst = MinimizeInstance(fz.gen_automaton(3, 3, 2, 5), 7000)
+    with pytest.raises(ValueError) as refused:
+        decide_k_via_equations(inst, -1)
+    assert str(refused.value) == "word length bound must lie in [0, 5^7003-1], got -1"
+
+
 def test_equation_reduction_budgets_the_word_count():
     with pytest.raises(BudgetExceededError):
         decide_k_via_equations(MinimizeInstance(DUP, 1), 7, max_equations=3)
