@@ -23,8 +23,8 @@ from .automaton import (
     equivalent_fixpoint,
     language_value,
 )
-from .equations import DEFAULT_SOLUTION_CAP, rhs_values, solve_intervals, solve_points
-from .errors import BudgetExceededError, _exceeds, _size
+from .equations import DEFAULT_SOLUTION_CAP, solve_intervals, solve_points
+from .errors import BudgetExceededError
 from .formats import parse_automaton, parse_system, render_automaton
 from .generate import gen_automaton_document, gen_system_document
 from .minimization import (
@@ -98,13 +98,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     system = parse_system(_read(args.file))
     if args.mode == "points":
-        base = len(rhs_values(system))
-        budget = _budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET)
-        if _exceeds(base, system.n_vars, budget):
-            raise BudgetExceededError(
-                _size(base, system.n_vars), budget, "point-search grid"
-            )
-        witness = solve_points(system)
+        witness = solve_points(
+            system,
+            max_candidates=_budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET),
+        )
         print("unsolvable" if witness is None else " ".join(witness.labels()))
         return 0
     cap = _budget(args.budget_phi, DEFAULT_SOLUTION_CAP)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect
-from .errors import BudgetExceededError
+from .errors import DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, _exceeds, _size
 
 DEFAULT_SOLUTION_CAP = 1_000_000
 
@@ -232,14 +232,22 @@ def solve_intervals(
     return result
 
 
-def solve_points(system: EquationSystem) -> PointAssignment | None:
+def solve_points(
+    system: EquationSystem, *, max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+) -> PointAssignment | None:
     """First satisfying assignment over the right-hand-side values, else None.
 
     That grid is enough: a system solvable anywhere is solvable there.
     Enumeration is lexicographic by rank with the first variable most
-    significant, so the returned witness is deterministic.
+    significant, so the returned witness is deterministic.  Refuses up front
+    (budget error carrying the count, or the text "<base>^<n_vars>" past
+    4,300 digits) when the grid has more than max_candidates points.
     """
     ranks = [v.rank for v in rhs_values(system)]
+    if _exceeds(len(ranks), system.n_vars, max_candidates):
+        raise BudgetExceededError(
+            _size(len(ranks), system.n_vars), max_candidates, "point-search grid"
+        )
     chain = system.chain
     polys = [
         (tuple(m.vars for m in eq.lhs.monomials), eq.rhs.rank)

@@ -23,6 +23,10 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"size {count} exceeds budget {limit}{where}")
 
 
+# Default ceiling on a grid searched point by point: the candidate grid of
+# `decide_k` and the point grid of `solve_points`.
+DEFAULT_CANDIDATE_BUDGET = 10_000_000
+
 # Sizes of more than 4,300 decimal digits (Python's default limit on int-to-str
 # conversion) are reported as powers and never built.
 _SIZE_CAP = 10**4300

@@ -11,11 +11,21 @@ lexicographically first equivalent grid assignment.  `minimize` walks k
 upward and returns the first winner, or the input itself when nothing
 smaller works.
 
+A candidate's alpha-cut depends only on which of its weights are >= alpha,
+so at one level and one cut prefix every transition block with the same bit
+pattern passes or fails the same check.  On inputs with several positive
+levels the search therefore tests each cut pattern once per level and
+prefix, and fills a block weight by weight, dropping a weight as soon as
+some level has no passing pattern that extends its bits.  A block survives
+exactly when checking it on its own would pass it, and blocks are still met
+in grid order, so witnesses are unchanged.
+
 Before that search, `decide_k` runs the boolean special case as a filter.
 The alpha-cut of a k-state witness is a k-state NFA for the input's cut
 language, so a cut of the input with no k-state NFA rules k out, on a grid of
 2**var_count points instead of |V|**var_count.  It is skipped on inputs with
-one positive level and only ever answers None, so witnesses are unchanged.
+one positive level, and on cuts with at most k trimmed states, which already
+are k-state NFAs.  It only ever answers None, so witnesses are unchanged.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -38,10 +48,14 @@ from .automaton import (
     _saturate_cut,
 )
 from .chain import Chain, ChainValue
-from .errors import BudgetExceededError, NonBooleanValueError, _exceeds, _size
+from .errors import (
+    DEFAULT_CANDIDATE_BUDGET,
+    BudgetExceededError,
+    NonBooleanValueError,
+    _exceeds,
+    _size,
+)
 from .linalg import FuzzyMatrix
-
-DEFAULT_CANDIDATE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -127,19 +141,87 @@ def _check_grid(space: CandidateSpace, k: int, max_candidates: int) -> None:
         )
 
 
-# One level of a search: the cut mask of every k-tuple of candidate weights,
-# placed on the candidate's states, then the input's cut rows per symbol and
-# its final and initial cut masks.
-_Level = tuple[dict[tuple[int, ...], int], Sequence[tuple[int, ...]], int, int]
+# One level of a search: the level, the input's cut rows per symbol, and its
+# final and initial cut masks.
+_Level = tuple[int, Sequence[tuple[int, ...]], int, int]
 
 
-def _row_masks(
-    value_ranks: Sequence[int], k: int, alpha: int, shift: int
-) -> dict[tuple[int, ...], int]:
-    return {
-        row: _cut_mask(row, alpha) << shift
-        for row in itertools.product(value_ranks, repeat=k)
-    }
+def _trimmed_states(rows: Sequence[tuple[int, ...]], final: int, initial: int) -> int:
+    """How many states of a cut NFA are reachable from an initial state and
+    reach a final one."""
+    forward = frontier = initial
+    while frontier:
+        step = 0
+        for sym_rows in rows:
+            for i, row in enumerate(sym_rows):
+                if frontier >> i & 1:
+                    step |= row
+        frontier = step & ~forward
+        forward |= frontier
+    backward = frontier = final
+    while frontier:
+        step = 0
+        for sym_rows in rows:
+            for i, row in enumerate(sym_rows):
+                if row & frontier:
+                    step |= 1 << i
+        frontier = step & ~backward
+        backward |= frontier
+    return (forward & backward).bit_count()
+
+
+class _CutDomain:
+    """The k x k cut patterns that can follow one cut prefix at one level.
+
+    The prefix is the joint cut rows of the symbols already chosen, with the
+    final mask of both sides and the candidate's initial mask pi2.  A bit
+    prefix of the next symbol's block is coded row-major after a leading 1
+    bit.  `ok` tells whether some completion of it agrees with the input on
+    every word over the symbols so far; `child` is the prefix a full block
+    leads to.  Both are computed once per code, so each full pattern costs
+    at most one kernel call however many fuzzy blocks share it.
+    """
+
+    def __init__(self, level: tuple, rows: list, final: int, pi2: int) -> None:
+        # n, k, the input's cut rows per symbol, its initial mask pi1, the
+        # bits a weight can take at this level, max_vectors
+        self.level = level
+        self.rows = rows
+        self.final = final
+        self.pi2 = pi2
+        self._ok: dict[int, bool] = {}
+        self._child: dict[int, _CutDomain] = {}
+
+    def _joint(self, code: int) -> list:
+        n, k, left, *_ = self.level
+        block = []
+        for i in range(k):
+            row = code >> k * (k - 1 - i)
+            block.append(sum(1 << n + j for j in range(k) if row >> k - 1 - j & 1))
+        return self.rows + [left[len(self.rows)] + tuple(block)]
+
+    def ok(self, code: int) -> bool:
+        hit = self._ok.get(code)
+        if hit is None:
+            _, k, _, pi1, bits, max_vectors = self.level
+            if code >> k * k:
+                _, mismatch, _ = _saturate_cut(
+                    self._joint(code), self.final, pi1, self.pi2, 0, max_vectors,
+                    exhaust=False,
+                )
+                hit = mismatch is None
+            else:
+                hit = any(self.ok(2 * code + bit) for bit in bits)
+            self._ok[code] = hit
+        return hit
+
+    def child(self, code: int) -> _CutDomain:
+        nxt = self._child.get(code)
+        if nxt is None:
+            nxt = self._child[code] = _CutDomain(
+                self.level, self._joint(code), self.final, self.pi2
+            )
+        return nxt
 
 
 def _first_witness(
@@ -153,35 +235,84 @@ def _first_witness(
     """Ranks of the first k-state assignment over value_ranks, in grid order,
     that agrees with the input at every level, or None.
 
-    f_lambda is the input's value on the empty word, on the scale of
-    value_ranks.  `decide_k` documents the search order and its cuts.
+    f_lambda is the input's value on the empty word, and each level's alpha
+    cuts the candidate's weights, on the scale of value_ranks.  `decide_k`
+    documents the search order and its cuts.
     """
+    n = len(levels[0][1][0]) if levels else 0
     row_tuples = list(itertools.product(value_ranks, repeat=k))
 
-    def search(
-        s: int, chosen: tuple[int, ...], cuts: list[tuple[list, int, int, int]]
-    ) -> tuple[int, ...] | None:
-        """First completion of `chosen` by the blocks of symbols s, s+1, ...
+    if len(levels) == 1:
+        # one level: every block has its own cut pattern, so check blocks
+        ((alpha, left, _, _),) = levels
+        masks = {row: _cut_mask(row, alpha) << n for row in row_tuples}
 
-        cuts holds, per level, the joint cut rows of the symbols before s and
-        the final and initial states of both sides."""
-        if s == n_sym:
-            return chosen
-        for block in itertools.product(row_tuples, repeat=k):
-            deeper = []
-            for (masks, left, _, _), (rows, final, pi1, pi2) in zip(levels, cuts):
-                rows = rows + [left[s] + tuple(map(masks.__getitem__, block))]
+        def search(
+            s: int, chosen: tuple[int, ...], rows: list, final: int, pi1: int, pi2: int
+        ) -> tuple[int, ...] | None:
+            """First completion of `chosen` by the blocks of symbols s, s+1, ...
+
+            rows holds the joint cut rows of the symbols before s."""
+            if s == n_sym:
+                return chosen
+            for block in itertools.product(row_tuples, repeat=k):
+                deeper = rows + [left[s] + tuple(map(masks.__getitem__, block))]
                 _, mismatch, _ = _saturate_cut(
-                    rows, final, pi1, pi2, 0, max_vectors, exhaust=False
+                    deeper, final, pi1, pi2, 0, max_vectors, exhaust=False
                 )
-                if mismatch is not None:
-                    break
-                deeper.append((rows, final, pi1, pi2))
-            else:
-                found = search(s + 1, chosen + sum(block, ()), deeper)
-                if found is not None:
-                    return found
-        return None
+                if mismatch is None:
+                    found = search(s + 1, chosen + sum(block, ()), deeper, final, pi1, pi2)
+                    if found is not None:
+                        return found
+            return None
+
+        def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
+            ((final, pi1, pi2),) = heads
+            return search(0, chosen, [], final, pi1, pi2)
+
+    else:
+        # several levels (or none): a block's cut at each level depends only
+        # on which of its ranks reach alpha, so filter weights through each
+        # level's cut domain
+        kk = k * k
+        alphas = [alpha for alpha, _, _, _ in levels]
+        shapes = [
+            (n, k, left, pi1, sorted({int(r >= alpha) for r in value_ranks}), max_vectors)
+            for alpha, left, _, pi1 in levels
+        ]
+        roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
+
+        def fill(
+            s: int, e: int, chosen: tuple[int, ...], nodes: list, codes: list
+        ) -> tuple[int, ...] | None:
+            """First completion of `chosen`, which ends e entries into the
+            block of symbol s; codes holds each level's bit prefix."""
+            if e == kk:
+                if s + 1 == n_sym:
+                    return chosen
+                nodes = [node.child(code) for node, code in zip(nodes, codes)]
+                return fill(s + 1, 0, chosen, nodes, [1] * len(nodes))
+            for r in value_ranks:
+                deeper = []
+                for node, code, alpha in zip(nodes, codes, alphas):
+                    code = 2 * code + (r >= alpha)
+                    if not node.ok(code):
+                        break
+                    deeper.append(code)
+                else:
+                    found = fill(s, e + 1, chosen + (r,), nodes, deeper)
+                    if found is not None:
+                        return found
+            return None
+
+        def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
+            nodes = []
+            for root, shape, (final, _, pi2) in zip(roots, shapes, heads):
+                node = root.get((final, pi2))
+                if node is None:
+                    node = root[final, pi2] = _CutDomain(shape, [], final, pi2)
+                nodes.append(node)
+            return fill(0, 0, chosen, nodes, [1] * len(nodes))
 
     # non-decreasing pi' only, in lexicographic order
     for pi_row in itertools.combinations_with_replacement(value_ranks, k):
@@ -191,11 +322,11 @@ def _first_witness(
             pairs = list(zip(pi_row, eta_col))
             if pairs != sorted(pairs):
                 continue
-            cuts = [
-                ([], eta1 | masks[eta_col], pi1, masks[pi_row])
-                for masks, _, eta1, pi1 in levels
+            heads = [
+                (eta1 | _cut_mask(eta_col, alpha) << n, pi1, _cut_mask(pi_row, alpha) << n)
+                for alpha, _, eta1, pi1 in levels
             ]
-            found = search(0, pi_row + eta_col, cuts)
+            found = start(pi_row + eta_col, heads)
             if found is not None:
                 return found
     return None
@@ -225,14 +356,26 @@ def decide_k(
       `_saturate_cut` on those symbols' cut rows at every level; after the
       last block it is the full verdict.
 
+    With a single positive level each block is checked as it comes.  With
+    several, a block's cut at level alpha is its k x k bit pattern (weight
+    >= alpha), and the check at that level depends only on that pattern and
+    the cut prefix already chosen.  So each (level, prefix) node
+    learns once, per bit prefix, whether some pattern extending it passes,
+    at most 2**(k*k) kernel calls per node, kept for the whole call.  Blocks
+    are filled weight by weight in ascending rank order, and a weight is
+    dropped as soon as some level's bit prefix has no passing completion.
+    The blocks that survive are exactly those the per-block check passes, in
+    the same order, so the witness is the same.
+
     Before that search, an input with more than one positive level is tried
     one cut at a time, levels ascending: the alpha-cut of a k-state witness
     is a k-state NFA for the input's cut language, so if the same search over
     the values 0 and 1, at that one level, finds no k-state NFA for some cut,
     the answer is None.  That grid has 2**var_count assignments, not
     |V|**var_count.  With a single level the cut is the input itself, so the
-    check is skipped.  Only empty answers come from the cut check, so
-    witnesses are unchanged.
+    check is skipped; so is a cut with at most k states that are reachable
+    and reach a final state, since it already is a k-state NFA.  Only empty
+    answers come from the cut check, so witnesses are unchanged.
 
     Refuses up front (budget error carrying the count, or the text
     "<|V|>^<var_count>" past 4,300 digits) when the grid is larger than
@@ -247,34 +390,31 @@ def decide_k(
     _check_grid(space, inst.k, max_candidates)
     a = inst.automaton
     k = inst.k
-    n = a.n
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
-    # the input's cut rows per symbol and final and initial cut masks
-    inputs = {
-        alpha: (
+    levels = [
+        (
+            alpha,
             [_cut_rows(d, alpha) for d in a.delta],
             _cut_mask(a.eta.data, alpha),
             _cut_mask(a.pi.data, alpha),
         )
         for alpha in _levels(a)
-    }
-    if len(inputs) > 1:
-        bits = _row_masks((0, 1), k, 1, n)
-        for alpha, cut in inputs.items():
+    ]
+    if len(levels) > 1:
+        for alpha, rows, final, initial in levels:
+            if _trimmed_states(rows, final, initial) <= k:
+                continue
             try:
                 nfa = _first_witness(
-                    n_sym, k, (0, 1), int(f_lambda >= alpha), [(bits, *cut)],
-                    max_vectors,
+                    n_sym, k, (0, 1), int(f_lambda >= alpha),
+                    [(1, rows, final, initial)], max_vectors,
                 )
             except BudgetExceededError:
                 continue
             if nfa is None:
                 return None
     v_ranks = tuple(v.rank for v in space.values)
-    levels = [
-        (_row_masks(v_ranks, k, alpha, n), *cut) for alpha, cut in inputs.items()
-    ]
     found = _first_witness(n_sym, k, v_ranks, f_lambda, levels, max_vectors)
     if found is None:
         return None

@@ -24,6 +24,7 @@ from helpers import (
     criterion4_instance,
     literal_suffix_cuts,
     permutation_pair,
+    positive_ranks,
     random_pair,
 )
 
@@ -271,6 +272,36 @@ CRITERION4_SMALL = [
     if _grid(inst) <= 20_000
 ]
 
+# 3-state unary draws on chain 3 with several positive levels and a 2-state
+# witness on a 3**8 grid, whose (pi', eta') is not the first the search tries
+MULTI_LEVEL = [
+    fz.MinimizeInstance(fz.gen_automaton(g, 3, 1, 3), 2)
+    for g in (9, 10, 18, 25, 31, 33, 34, 39, 43, 47, 48, 51)
+    + (58, 74, 75, 77, 82, 88, 94, 108, 109, 110, 112, 119)
+]
+
+
+def _first_prefix(inst):
+    """The first (pi', eta') that passes the empty-word and renumbering cuts."""
+    a, k = inst.automaton, inst.k
+    ranks = [v.rank for v in fz.build_candidate_space(inst).values]
+    f_lambda = fz.language_value(a, ()).rank
+    for pi in itertools.combinations_with_replacement(ranks, k):
+        for eta in itertools.product(ranks, repeat=k):
+            pairs = list(zip(pi, eta))
+            if max(map(min, pi, eta)) == f_lambda and pairs == sorted(pairs):
+                return pi + eta
+    return None
+
+
+def test_multi_level_corpus_backtracks_past_the_first_prefix():
+    for inst in MULTI_LEVEL:
+        assert len(positive_ranks(inst.automaton)) > 1
+        assert _grid(inst) <= 20_000
+        witness = fz.decide_k(inst)
+        ranks = tuple(v.rank for v in witness.assignment)
+        assert ranks[: 2 * inst.k] != _first_prefix(inst)
+
 
 @pytest.mark.parametrize(
     "insts",
@@ -279,8 +310,15 @@ CRITERION4_SMALL = [
         [fz.MinimizeInstance(fz.gen_automaton(3, 3, 1, 5), 1)],
         [fz.MinimizeInstance(fz.gen_automaton(8, 3, 1, 5), 2)],
         CRITERION4_SMALL,
+        MULTI_LEVEL,
     ],
-    ids=["boolean-k2", "fuzzy3-k1", "fuzzy8-k2", "criterion4-small-grids"],
+    ids=[
+        "boolean-k2",
+        "fuzzy3-k1",
+        "fuzzy8-k2",
+        "criterion4-small-grids",
+        "multi-level-witnesses",
+    ],
 )
 def test_candidate_verdicts_match_the_joint_referee(insts):
     assert insts

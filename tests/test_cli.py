@@ -129,8 +129,9 @@ def test_solve_unsolvable(tmp_path, capsys):
     assert capsys.readouterr().out == "unsolvable\n"
 
 
-# documents near the system format, well-formed or with a fault or two: every
-# one must end in a verdict (0), an input error (2) or a budget refusal (3)
+# documents near the system and automaton formats, well-formed or with a fault
+# or two: every one must end in a verdict (0), an input error (2) or a budget
+# refusal (3)
 
 _JUNK = st.one_of(
     st.none(),
@@ -196,6 +197,75 @@ def test_solve_ends_in_a_verdict_or_an_error_on_any_document(tmp_path_factory, t
         assert code in (0, 2, 3)
         assert bool(out.getvalue()) == (code == 0)
         assert err.getvalue().startswith("error: ") == (code != 0)
+
+
+_AUTOMATON_FAULTS = (
+    "drop key", "unknown key", "wrong type", "ragged row", "weight outside chain",
+    "empty alphabet", "delta drops symbol", "delta gains symbol",
+)
+
+
+@st.composite
+def _automaton_texts(draw):
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        return json.dumps(draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2))))
+    chain = draw(st.sampled_from([["0", "1"], ["0", "0.5", "1"], ["0", "0.2", "0.5", "1"]]))
+    alphabet = draw(st.sampled_from([["a"], ["a", "b"]]))
+    n = draw(st.integers(1, 3))
+
+    def weights(size):
+        return draw(st.lists(st.sampled_from(chain), min_size=size, max_size=size))
+
+    delta = {sym: weights(n * n) for sym in alphabet}
+    doc = {
+        "kind": "automaton", "chain": chain, "alphabet": alphabet, "n": n,
+        "pi": weights(n), "eta": weights(n), "delta": delta,
+    }
+    rows = [doc["pi"], doc["eta"], *delta.values()]
+    for fault in draw(st.lists(st.sampled_from(_AUTOMATON_FAULTS), max_size=2)):
+        row = draw(st.sampled_from(rows))
+        if fault == "drop key":
+            doc.pop(draw(st.sampled_from(sorted(doc))), None)
+        elif fault == "unknown key":
+            doc["states"] = n
+        elif fault == "wrong type":
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+        elif fault == "ragged row":
+            if draw(st.booleans()):
+                row.append(chain[0])
+            elif row:
+                row.pop()
+        elif fault == "weight outside chain" and row:
+            row[0] = draw(st.sampled_from(["0.3", "2", "-1", "x", "", 0.5, 1, None]))
+        elif fault == "empty alphabet":
+            doc["alphabet"] = []
+        elif fault == "delta drops symbol":
+            delta.pop(alphabet[-1], None)
+        elif fault == "delta gains symbol":
+            delta["z"] = list(delta.get("a", []))
+    text = json.dumps(doc)
+    return text[: len(text) // 2] if shape == 1 else text
+
+
+@given(_automaton_texts(), st.integers(1, 2))
+def test_automaton_commands_end_in_a_verdict_or_an_error_on_any_document(
+    tmp_path_factory, text, k
+):
+    path = tmp_path_factory.mktemp("fuzz") / "a.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (
+        ["equiv", str(path), str(path)],
+        ["decide-min", str(path), str(k)],
+        ["minimize", str(path)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert bool(out.getvalue()) == (code == 0)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert len(errors) == (code != 0)
 
 
 def test_solve_budgets(system_doc, capsys):

@@ -190,6 +190,24 @@ def test_point_solver_on_a_single_rhs_value():
     assert solve_points(system).labels() == ("0",)
 
 
+def test_point_solver_refuses_an_oversized_grid_up_front():
+    # the grid of _system() is 2**3 = 8 points
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_points(_system(), max_candidates=7)
+    assert (refused.value.count, refused.value.limit) == (8, 7)
+    assert solve_points(_system(), max_candidates=8) is not None
+    # 3**10000 has 4,772 digits, past the 4,300 an int may print with
+    x = Polynomial((Monomial((0,)),))
+    wide = EquationSystem(
+        CH, 10_000, tuple(Equation(x, Relation.EQ, CH.value(v)) for v in ("0", "0.5", "1"))
+    )
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_points(wide)
+    assert str(refused.value) == (
+        "size 3^10000 exceeds budget 10000000 (point-search grid)"
+    )
+
+
 def test_unsolvable_system():
     x = Polynomial((Monomial((0,)),))
     clash = EquationSystem(

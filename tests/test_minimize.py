@@ -187,6 +187,49 @@ def test_a_refuting_cut_skips_the_full_search(monkeypatch):
     assert searched and set(searched) == {(0, 1)}
 
 
+@pytest.mark.parametrize("seed, k", [(3, 1), (0, 2)])
+def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatch):
+    # 3-state unary draws on chain 4 (levels 1, 2, 3): the cuts at levels 1
+    # and 2 keep more than k states that are reachable and reach a final
+    # state, the cut at level 3 keeps at most k
+    a = fz.gen_automaton(seed, 3, 1, 4)
+    inst = MinimizeInstance(a, k)
+    assert positive_ranks(a) == [1, 2, 3]
+    assert min_nfa_states_brute(boolean_cut(a, 3)) <= k
+    searched = []
+    search = fz.minimization._first_witness
+
+    def spy(n_sym, k, value_ranks, f_lambda, levels, max_vectors):
+        if value_ranks == (0, 1):
+            searched.append(levels[0][1:])
+        return search(n_sym, k, value_ranks, f_lambda, levels, max_vectors)
+
+    def cut(alpha):
+        rows = [fz.automaton._cut_rows(d, alpha) for d in a.delta]
+        masks = [fz.automaton._cut_mask(m.data, alpha) for m in (a.eta, a.pi)]
+        return (rows, *masks)
+
+    monkeypatch.setattr(fz.minimization, "_first_witness", spy)
+    witness = decide_k(inst)
+    assert searched == [cut(1), cut(2)]
+    # with every cut counted as all of its states, level 3 is searched too
+    searched.clear()
+    monkeypatch.setattr(fz.minimization, "_trimmed_states", lambda *cut: a.n)
+    unskipped = decide_k(inst)
+    assert searched == [cut(1), cut(2), cut(3)]
+    assert witness.assignment == unskipped.assignment
+
+
+def test_a_long_witness_search_ends_at_its_pinned_witness():
+    # 5**12 grid points: refused at the default budget; the witness comes
+    # after thousands of (pi', eta', first block) prefixes that fail
+    inst = MinimizeInstance(fz.gen_automaton(1, 3, 2, 5), 2)
+    with pytest.raises(BudgetExceededError):
+        decide_k(inst)
+    witness = decide_k(inst, max_candidates=10**9)
+    assert [v.rank for v in witness.assignment] == [0, 3, 3, 3, 0, 3, 0, 3, 0, 0, 3, 2]
+
+
 def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
     # on an input with several levels, value ranks (0, 1) mark the boolean
     # cut checks: the input's own values hold more than one positive rank
