@@ -1,9 +1,10 @@
 """Finite totally ordered value chains, and solution sets of rank boxes on them.
 
-A chain is declared as an ascending list of exact decimal labels that must
-include "0" and "1".  Values are compared as rationals, never as floats, and
-only the order is ever used.  The declared spelling of each label is kept as
-the canonical one for rendering.
+A chain is declared as an ascending list of exact decimal labels, in ASCII
+digits, that must include "0" and "1".  A value spelled as declared is looked
+up directly; any other spelling ("0.50" for "0.5") is compared as a rational,
+never as a float.  Only the order is ever used.  The declared spelling of
+each label is kept as the canonical one for rendering.
 
 The interval solver works on rank boxes.  A box is a plain tuple of
 `(lo, hi)` rank pairs, one per variable, and stands for the points whose
@@ -25,7 +26,7 @@ from typing import Iterator
 
 from .errors import BudgetExceededError
 
-_DECIMAL_RE = re.compile(r"\d+(\.\d+)?\Z")
+_DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?\Z")
 
 
 def is_decimal_label(text: object) -> bool:
@@ -64,6 +65,9 @@ class Chain:
         object.__setattr__(
             self, "_rank_by_fraction", {f: i for i, f in enumerate(fractions)}
         )
+        object.__setattr__(
+            self, "_rank_by_label", {label: i for i, label in enumerate(labels)}
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -91,7 +95,12 @@ class Chain:
         return self._fractions[rank]  # type: ignore[attr-defined]
 
     def rank_of(self, value: str | Fraction) -> int:
-        """Rank of a member value, looked up by exact rational equality."""
+        """Rank of a member value.  A label spelled as declared is looked up
+        directly; anything else is compared by exact rational equality."""
+        if type(value) is str:
+            rank = self._rank_by_label.get(value)  # type: ignore[attr-defined]
+            if rank is not None:
+                return rank
         try:
             frac = value if isinstance(value, Fraction) else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -100,6 +109,12 @@ class Chain:
         if rank is None:
             raise ValueError(f"value {value!r} is not a member of the chain")
         return rank
+
+    def label_ranks(self, values: list[object]) -> tuple[int, ...] | None:
+        """Ranks of values that are all labels spelled as declared, else None."""
+        get = self._rank_by_label.get  # type: ignore[attr-defined]
+        ranks = tuple(get(v) if type(v) is str else None for v in values)
+        return None if None in ranks else ranks  # type: ignore[return-value]
 
     def value(self, value: str | Fraction) -> "ChainValue":
         return ChainValue(self, self.rank_of(value))

@@ -104,7 +104,10 @@ def _value_rank(chain: Chain, raw: Any, where: str) -> int:
 def _value_ranks(chain: Chain, raw: Any, count: int, where: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != count:
         raise DocumentError(f"{where} must be a list of {count} values")
-    return tuple(_value_rank(chain, item, where) for item in raw)
+    ranks = chain.label_ranks(raw)
+    if ranks is None:  # another spelling, or an error to report item by item
+        ranks = tuple(_value_rank(chain, item, where) for item in raw)
+    return ranks
 
 
 def parse_automaton(text: str) -> FuzzyAutomaton:

@@ -62,6 +62,9 @@ def test_decimal_label_shapes():
         assert is_decimal_label(good)
     for bad in ("", ".5", "0.", "1e3", "-1", "0.5.1", " 0.5", "0.5 ", None, 0.5):
         assert not is_decimal_label(bad)
+    # Arabic-Indic, full-width and Devanagari digits: only ASCII digits count
+    for bad in ("\u0660.\u0665", "\uff10.\uff15", "\u0661", "0.\u0969", "\uff11"):
+        assert not is_decimal_label(bad)
 
 
 def test_meet_join_are_min_max():

@@ -237,7 +237,9 @@ def _automaton_texts(draw):
             elif row:
                 row.pop()
         elif fault == "weight outside chain" and row:
-            row[0] = draw(st.sampled_from(["0.3", "2", "-1", "x", "", 0.5, 1, None]))
+            row[0] = draw(st.sampled_from([
+                "0.3", "2", "-1", "x", "", 0.5, 1, None, [], {}, "0.50", "1.0", "\u0660.\u0665",
+            ]))
         elif fault == "empty alphabet":
             doc["alphabet"] = []
         elif fault == "delta drops symbol":
@@ -248,13 +250,14 @@ def _automaton_texts(draw):
     return text[: len(text) // 2] if shape == 1 else text
 
 
-@given(_automaton_texts(), st.integers(1, 2))
+@given(_automaton_texts(), st.integers(1, 2), st.sampled_from(["", "a", "a b", "z"]))
 def test_automaton_commands_end_in_a_verdict_or_an_error_on_any_document(
-    tmp_path_factory, text, k
+    tmp_path_factory, text, k, word
 ):
     path = tmp_path_factory.mktemp("fuzz") / "a.json"
     path.write_text(text, encoding="utf-8")
     for argv in (
+        ["eval", str(path), word],
         ["equiv", str(path), str(path)],
         ["decide-min", str(path), str(k)],
         ["minimize", str(path)],

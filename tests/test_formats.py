@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzmin import (
     Chain,
@@ -14,6 +20,8 @@ from fuzzmin import (
     Relation,
     parse_automaton,
     parse_system,
+    random_automaton,
+    random_chain_labels,
     render_automaton,
     render_system,
 )
@@ -157,3 +165,76 @@ def test_system_variable_indices_are_one_based_and_in_range():
         parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", "[3]"))
     with pytest.raises(DocumentError, match="monomials\\[0\\] must be a nonempty list"):
         parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", "[]"))
+
+
+def _with_eta(weights) -> str:
+    doc = json.loads(TINY_DOC)
+    doc["n"] = len(weights)
+    doc["pi"] = ["1"] * len(weights)
+    doc["delta"]["a"] = ["0"] * len(weights) ** 2
+    doc["eta"] = weights
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ("0.65", "eta: value 0.65 is not in the chain"),
+        (0.5, "eta: values must be decimal strings, got 0.5"),
+        (None, "eta: values must be decimal strings, got None"),
+        ([], "eta: values must be decimal strings, got []"),
+        ({}, "eta: values must be decimal strings, got {}"),
+        (" 0.5", "eta: values must be decimal strings, got ' 0.5'"),
+        ("0.5 ", "eta: values must be decimal strings, got '0.5 '"),
+        ("\u0660.\u0665", "eta: values must be decimal strings, got '\u0660.\u0665'"),
+        ("\uff10.\uff15", "eta: values must be decimal strings, got '\uff10.\uff15'"),
+    ],
+)
+def test_a_weight_off_the_chain_is_named_in_the_error(weight, message):
+    # the bad weight follows a good one, spelled as declared or not
+    for good in ("0.5", "0.50"):
+        with pytest.raises(DocumentError) as caught:
+            parse_automaton(_with_eta([good, weight]))
+        assert str(caught.value) == message
+
+
+def test_chain_labels_use_ascii_digits():
+    for label in ("\u0660.\u0665", "\uff10.\uff15"):
+        doc = TINY_DOC.replace('"0.5"', json.dumps(label))
+        with pytest.raises(DocumentError) as caught:
+            parse_automaton(doc)
+        assert str(caught.value) == (
+            f"chain: chain values must be decimal strings, got {label!r}"
+        )
+
+
+def _respell(draw, label: str) -> str:
+    """label, or an equal rational with leading or trailing zeros added."""
+    whole, _, frac = label.partition(".")
+    lead = draw(st.sampled_from(["", "0", "00"]))
+    tail = frac + draw(st.sampled_from(["", "0", "000"]))
+    return lead + whole + ("." + tail if tail else "")
+
+
+@st.composite
+def _respelled_automata(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    chain = Chain(random_chain_labels(rng, draw(st.integers(2, 6))))
+    alphabet = ("a", "b")[: draw(st.integers(1, 2))]
+    a = random_automaton(rng, chain, alphabet, draw(st.integers(1, 3)))
+    doc = json.loads(render_automaton(a))
+    rows = [doc["pi"], doc["eta"], *doc["delta"].values()]
+    for row in rows:
+        row[:] = [_respell(draw, w) for w in row]
+    return a, json.dumps(doc), rows
+
+
+@given(_respelled_automata())
+def test_respelled_weights_parse_to_the_canonical_automaton(case):
+    a, text, rows = case
+    parsed = parse_automaton(text)
+    assert parsed == parse_automaton(render_automaton(a)) == a
+    by_fraction = a.chain._rank_by_fraction
+    matrices = [parsed.pi, parsed.eta, *parsed.delta]
+    for row, m in zip(rows, matrices):
+        assert list(m.data) == [by_fraction[Fraction(w)] for w in row]
