@@ -42,10 +42,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chain import Chain, ChainValue
-from .errors import BudgetExceededError
+from .errors import DEFAULT_VECTOR_BUDGET, BudgetExceededError
 from .linalg import FuzzyMatrix, maxmin_product
-
-DEFAULT_VECTOR_BUDGET = 1_000_000
 
 Word = tuple[int, ...]
 

@@ -176,6 +176,13 @@ def _store(kept: list[Box], box: Box) -> None:
     kept.append(box)
 
 
+def _store_capped(kept: list[Box], box: Box, max_vectors: int | None) -> None:
+    """`_store`, then refuse once kept holds more than max_vectors boxes."""
+    _store(kept, box)
+    if max_vectors is not None and len(kept) > max_vectors:
+        raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
+
+
 @dataclass(frozen=True)
 class IntervalVector:
     """One box of a `SolutionSet`, built for printing: chain values
@@ -255,9 +262,5 @@ def cross_intersect(
                     break
                 meet.append((lo, hi))
             else:
-                _store(kept, tuple(meet))
-                if max_vectors is not None and len(kept) > max_vectors:
-                    raise BudgetExceededError(
-                        len(kept), max_vectors, "interval solution set"
-                    )
+                _store_capped(kept, tuple(meet), max_vectors)
     return SolutionSet(s1.chain, s1.dim, tuple(kept))

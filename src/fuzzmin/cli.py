@@ -17,23 +17,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .automaton import (
-    DEFAULT_VECTOR_BUDGET,
     bounded_counterexample,
     equivalence_length_bound,
     equivalent_fixpoint,
     language_value,
 )
-from .equations import DEFAULT_SOLUTION_CAP, solve_intervals, solve_points
-from .errors import BudgetExceededError
+from .equations import solve_intervals, solve_points
+from .errors import DEFAULT_CANDIDATE_BUDGET, DEFAULT_VECTOR_BUDGET, BudgetExceededError
 from .formats import parse_automaton, parse_system, render_automaton
 from .generate import gen_automaton_document, gen_system_document
-from .minimization import (
-    DEFAULT_CANDIDATE_BUDGET,
-    MinimizeInstance,
-    cost_estimate,
-    decide_k,
-    minimize,
-)
+from .minimization import MinimizeInstance, cost_estimate, decide_k, minimize
 
 
 def _read(path: str) -> str:
@@ -60,11 +53,7 @@ def _budget(flag_value: int | None, default: int) -> int:
 
 
 def _cost_line(inst: MinimizeInstance) -> str:
-    est = cost_estimate(inst)
-    return (
-        f"cost k={inst.k}: candidates={est.candidate_count} "
-        f"word_bound={est.word_bound}"
-    )
+    return f"cost k={inst.k}: candidates={cost_estimate(inst)}"
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -104,7 +93,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         print("unsolvable" if witness is None else " ".join(witness.labels()))
         return 0
-    cap = _budget(args.budget_phi, DEFAULT_SOLUTION_CAP)
+    cap = _budget(args.budget_phi, DEFAULT_VECTOR_BUDGET)
     solutions = solve_intervals(system, max_vectors=cap)
     if not solutions:
         print("unsolvable")

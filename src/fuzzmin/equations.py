@@ -21,10 +21,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect
-from .errors import DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, _exceeds, _size
-
-DEFAULT_SOLUTION_CAP = 1_000_000
+from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect, _store_capped
+from .errors import DEFAULT_CANDIDATE_BUDGET, DEFAULT_VECTOR_BUDGET, _check_grid
 
 
 class Relation(Enum):
@@ -192,42 +190,49 @@ def monomial_le_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> Solution
     return _pin_family(m, rhs.chain, n_vars, (0, rhs.rank), (0, len(rhs.chain) - 1))
 
 
-def polynomial_eq_solutions(p: Polynomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
+def polynomial_eq_solutions(
+    p: Polynomial, rhs: ChainValue, n_vars: int, *, max_vectors: int | None = None
+) -> SolutionSet:
     """Boxes covering the solutions of max(monomials) = rhs.
 
     The max equals rhs exactly when some monomial equals rhs and every other
     stays at or below it, so the family is the union over that case split,
     each case being the cross-intersection of its per-monomial families.
-    The result has at most k * n_vars**k boxes for k monomials.
+    The result has at most k * n_vars**k boxes for k monomials.  Raises
+    BudgetExceededError as soon as a case or the union holds more than
+    max_vectors boxes.
     """
     boxes: list[Box] = []
     for i, m_eq in enumerate(p.monomials):
         case = monomial_eq_solutions(m_eq, rhs, n_vars)
         for j, m_le in enumerate(p.monomials):
             if j != i:
-                case = cross_intersect(case, monomial_le_solutions(m_le, rhs, n_vars))
-        boxes.extend(case.boxes)
+                le = monomial_le_solutions(m_le, rhs, n_vars)
+                case = cross_intersect(case, le, max_vectors=max_vectors)
+        for box in case.boxes:
+            _store_capped(boxes, box, max_vectors)
     return SolutionSet(rhs.chain, n_vars, tuple(boxes))
 
 
 def solve_intervals(
-    system: EquationSystem, *, max_vectors: int = DEFAULT_SOLUTION_CAP
+    system: EquationSystem, *, max_vectors: int = DEFAULT_VECTOR_BUDGET
 ) -> SolutionSet:
     """Interval cover of the whole system: the cross-intersection of the
     per-equation families.  The boxes hold only solutions, cover every
     solution, and none lies inside another; the system is solvable iff the
     set is non-empty.
 
-    Raises BudgetExceededError as soon as the running set holds more than
-    max_vectors boxes; it can grow like (k * n**k)**m even though skipping
+    Raises BudgetExceededError as soon as any set it builds, inside one
+    equation's family or across equations, holds more than max_vectors
+    boxes; the running set can grow like (k * n**k)**m even though skipping
     disjoint pairs and dropping contained boxes usually keeps it tiny.
     """
-    first, *rest = system.equations
-    result = polynomial_eq_solutions(first.lhs, first.rhs, system.n_vars)
-    if len(result) > max_vectors:
-        raise BudgetExceededError(len(result), max_vectors, "interval solution set")
-    for eq in rest:
-        family = polynomial_eq_solutions(eq.lhs, eq.rhs, system.n_vars)
+    families = (
+        polynomial_eq_solutions(eq.lhs, eq.rhs, system.n_vars, max_vectors=max_vectors)
+        for eq in system.equations
+    )
+    result = next(families)
+    for family in families:
         result = cross_intersect(result, family, max_vectors=max_vectors)
     return result
 
@@ -244,10 +249,7 @@ def solve_points(
     4,300 digits) when the grid has more than max_candidates points.
     """
     ranks = [v.rank for v in rhs_values(system)]
-    if _exceeds(len(ranks), system.n_vars, max_candidates):
-        raise BudgetExceededError(
-            _size(len(ranks), system.n_vars), max_candidates, "point-search grid"
-        )
+    _check_grid(len(ranks), system.n_vars, max_candidates, "point-search grid")
     chain = system.chain
     polys = [
         (tuple(m.vars for m in eq.lhs.monomials), eq.rhs.rank)

@@ -1,8 +1,12 @@
-"""Shared exception types, and the size arithmetic of budget refusals.
+"""Shared exception types, the default budgets, and the one grid refusal.
 
 Precondition violations (mismatched chains, bad shapes, unknown symbols) use
 plain ValueError.  The classes here cover the failure modes a caller is
 expected to catch and act on: resource ceilings and document problems.
+
+Every budget default lives here, and so does `_check_grid`, which refuses a
+grid searched point by point before any point is tried; its count is the
+grid size, written as a power once it passes 4,300 digits.
 """
 
 from __future__ import annotations
@@ -23,33 +27,34 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"size {count} exceeds budget {limit}{where}")
 
 
-# Default ceiling on a grid searched point by point: the candidate grid of
-# `decide_k` and the point grid of `solve_points`.
+# Default ceilings: on a grid searched point by point (the candidate grid of
+# `decide_k` and the point grid of `solve_points`), and on the vectors, cut
+# subsets, matrix pairs or boxes a decider stores at once.
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
+DEFAULT_VECTOR_BUDGET = 1_000_000
 
 # Sizes of more than 4,300 decimal digits (Python's default limit on int-to-str
 # conversion) are reported as powers and never built.
 _SIZE_CAP = 10**4300
 
 
-def _exceeds(base: int, exp: int, limit: int) -> bool:
-    """base**exp > limit, without building a power past the limit's size:
-    for base >= 2 the power is at least 2**exp, which passes the limit once
-    exp reaches its bit length."""
-    if base >= 2 and exp >= limit.bit_length():
-        return True
-    return base**exp > limit
-
-
-def _size(base: int, exp: int, minus: int = 0) -> int | str:
-    """base**exp - minus as an int, or as the text "<base>^<exp>[-<minus>]"
-    once it has more than 4,300 decimal digits.  A power that long is never
-    built: its bit length is bounded from below first."""
+def _size(base: int, exp: int) -> int | str:
+    """base**exp as an int, or as the text "<base>^<exp>" once it has more
+    than 4,300 decimal digits.  A power that long is never built: its bit
+    length is bounded from below first."""
     if base < 2 or exp * (base.bit_length() - 1) < _SIZE_CAP.bit_length():
-        value = base**exp - minus
+        value = base**exp
         if value < _SIZE_CAP:
             return value
-    return f"{base}^{exp}" + (f"-{minus}" if minus else "")
+    return f"{base}^{exp}"
+
+
+def _check_grid(base: int, exp: int, limit: int, context: str) -> None:
+    """Refuse a grid of base**exp points when it has more than limit.  For
+    base >= 2 the power is at least 2**exp, which passes the limit once exp
+    reaches its bit length, so no power past the limit's size is built."""
+    if (base >= 2 and exp >= limit.bit_length()) or base**exp > limit:
+        raise BudgetExceededError(_size(base, exp), limit, context)
 
 
 class NonBooleanValueError(ValueError):

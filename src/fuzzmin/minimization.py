@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .automaton import (
-    DEFAULT_VECTOR_BUDGET,
     FuzzyAutomaton,
+    equivalent_fixpoint,
     language_value,
     _cut_mask,
     _cut_rows,
@@ -50,9 +50,10 @@ from .automaton import (
 from .chain import Chain, ChainValue
 from .errors import (
     DEFAULT_CANDIDATE_BUDGET,
+    DEFAULT_VECTOR_BUDGET,
     BudgetExceededError,
     NonBooleanValueError,
-    _exceeds,
+    _check_grid,
     _size,
 )
 from .linalg import FuzzyMatrix
@@ -74,17 +75,10 @@ class CandidateSpace:
 
     values: the distinct weights of the input automaton, ascending.
     var_count: 2k + |alphabet| * k**2 unknowns (pi', eta', then each delta').
-    states: n + k, the states of the input and a candidate together.
-    word_bound: |V|**states - 1, the conclusive agreement length.
     """
 
     values: tuple[ChainValue, ...]
     var_count: int
-    states: int
-
-    @property
-    def word_bound(self) -> int:
-        return len(self.values) ** self.states - 1
 
 
 def build_candidate_space(inst: MinimizeInstance) -> CandidateSpace:
@@ -96,7 +90,7 @@ def build_candidate_space(inst: MinimizeInstance) -> CandidateSpace:
     values = tuple(a.chain[r] for r in sorted(ranks))
     n_sym = len(a.alphabet)
     var_count = 2 * k + n_sym * k * k
-    return CandidateSpace(values, var_count, a.n + k)
+    return CandidateSpace(values, var_count)
 
 
 @dataclass(frozen=True)
@@ -128,17 +122,6 @@ def decode_candidate(
         for s in range(len(alphabet))
     )
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
-
-
-def _check_grid(space: CandidateSpace, k: int, max_candidates: int) -> None:
-    """Refuse a grid of more than max_candidates assignments up front."""
-    base = len(space.values)
-    if _exceeds(base, space.var_count, max_candidates):
-        raise BudgetExceededError(
-            _size(base, space.var_count),
-            max_candidates,
-            f"candidate assignments for k={k}",
-        )
 
 
 # One level of a search: the level, the input's cut rows per symbol, and its
@@ -239,7 +222,7 @@ def _first_witness(
     cuts the candidate's weights, on the scale of value_ranks.  `decide_k`
     documents the search order and its cuts.
     """
-    n = len(levels[0][1][0]) if levels else 0
+    n = len(levels[0][1][0])
     row_tuples = list(itertools.product(value_ranks, repeat=k))
 
     if len(levels) == 1:
@@ -271,9 +254,9 @@ def _first_witness(
             return search(0, chosen, [], final, pi1, pi2)
 
     else:
-        # several levels (or none): a block's cut at each level depends only
-        # on which of its ranks reach alpha, so filter weights through each
-        # level's cut domain
+        # several levels: a block's cut at each level depends only on which
+        # of its ranks reach alpha, so filter weights through each level's
+        # cut domain
         kk = k * k
         alphas = [alpha for alpha, _, _, _ in levels]
         shapes = [
@@ -377,6 +360,9 @@ def decide_k(
     and reach a final state, since it already is a k-state NFA.  Only empty
     answers come from the cut check, so witnesses are unchanged.
 
+    A grid of one point (|V| = 1) is not searched: its only assignment is
+    judged with `equivalent_fixpoint`.
+
     Refuses up front (budget error carrying the count, or the text
     "<|V|>^<var_count>" past 4,300 digits) when the grid is larger than
     max_candidates.  max_vectors bounds the cut subsets held at once, which
@@ -387,9 +373,16 @@ def decide_k(
     exceeded it.
     """
     space = build_candidate_space(inst)
-    _check_grid(space, inst.k, max_candidates)
     a = inst.automaton
     k = inst.k
+    base = len(space.values)
+    _check_grid(base, space.var_count, max_candidates, f"candidate assignments for k={k}")
+    if base == 1:
+        values = space.values * space.var_count
+        cand = decode_candidate(a.chain, a.alphabet, k, values)
+        if not equivalent_fixpoint(a, cand, max_vectors=max_vectors).equivalent:
+            return None
+        return CandidateAutomaton(values, cand)
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
     levels = [
@@ -495,22 +488,8 @@ def nfa_view(a: FuzzyAutomaton) -> NfaView:
     return NfaView(a)
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """Work figures for `decide_k`; informational only.
-
-    candidate_count is the grid size and word_bound the conclusive agreement
-    length.  Each is an int, or the text "<|V|>^<var_count>" (or
-    "<|V|>^<states>-1") once it has more than 4,300 digits.
-    """
-
-    candidate_count: int | str
-    word_bound: int | str
-
-
-def cost_estimate(inst: MinimizeInstance) -> CostEstimate:
+def cost_estimate(inst: MinimizeInstance) -> int | str:
+    """The size of `decide_k`'s candidate grid, |V|**var_count, or the text
+    "<|V|>^<var_count>" once it has more than 4,300 digits."""
     space = build_candidate_space(inst)
-    base = len(space.values)
-    return CostEstimate(
-        _size(base, space.var_count), _size(base, space.states, minus=1)
-    )
+    return _size(len(space.values), space.var_count)

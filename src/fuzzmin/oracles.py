@@ -13,9 +13,9 @@ fixpoint.
 materializes, for every word up to a length bound, the polynomial equation
 saying "the candidate's value on this word equals the input's", and greps the
 same grid as `decide_k` for a satisfying point.  Agreement on every word up
-to `CandidateSpace.word_bound` is conclusive, because the candidate's values
-lie in V too and the bounded-equivalence length bound for the pair is then at
-most |V|**(n+k) - 1.
+to `word_bound(inst)` = |V|**(n+k) - 1 is conclusive, because the candidate's
+values lie in V too, so that is an upper bound on the bounded-equivalence
+length bound of the pair.  The reduction is the only user of that figure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import itertools
 from typing import Iterator, Sequence
 
 from .automaton import (
-    DEFAULT_VECTOR_BUDGET,
     FuzzyAutomaton,
     Word,
     equivalence_length_bound,
@@ -43,15 +42,19 @@ from .equations import (
     Relation,
     satisfies,
 )
-from .errors import BudgetExceededError, _size
-from .minimization import (
+from .errors import (
     DEFAULT_CANDIDATE_BUDGET,
+    DEFAULT_VECTOR_BUDGET,
+    BudgetExceededError,
+    _check_grid,
+    _size,
+)
+from .minimization import (
     CandidateAutomaton,
     MinimizeInstance,
     build_candidate_space,
     decode_candidate,
     nfa_view,
-    _check_grid,
 )
 
 DEFAULT_EQUATION_BUDGET = 100_000
@@ -220,6 +223,13 @@ def all_words_up_to(n_sym: int, max_len: int) -> Iterator[Word]:
         yield from itertools.product(range(n_sym), repeat=length)
 
 
+def word_bound(inst: MinimizeInstance) -> int:
+    """|V|**(n+k) - 1: agreement on every word up to this length decides
+    whether a candidate on the grid of `decide_k` is equivalent."""
+    space = build_candidate_space(inst)
+    return len(space.values) ** (inst.automaton.n + inst.k) - 1
+
+
 def decide_k_via_equations(
     inst: MinimizeInstance,
     max_len: int,
@@ -233,18 +243,18 @@ def decide_k_via_equations(
     For a word x, the candidate's value is the max over state paths of the min
     of the weights along the path, a polynomial with one monomial per path;
     the equation pins it to the input automaton's value on x.  With
-    max_len = word_bound the verdict matches `decide_k`; smaller bounds give a
-    necessary but not sufficient check.  The word count is exponential in
-    max_len.
+    max_len = word_bound(inst) the verdict matches `decide_k`; smaller bounds
+    give a necessary but not sufficient check.  The word count is exponential
+    in max_len.
     """
     space = build_candidate_space(inst)
-    if not 0 <= max_len <= space.word_bound:
-        raise ValueError(
-            f"word length bound must lie in "
-            f"[0, {_size(len(space.values), space.states, minus=1)}], got {max_len}"
-        )
     a = inst.automaton
     k = inst.k
+    base = len(space.values)
+    if not 0 <= max_len <= word_bound(inst):
+        top = _size(base, a.n + k)
+        shown = top - 1 if isinstance(top, int) else f"{top}-1"
+        raise ValueError(f"word length bound must lie in [0, {shown}], got {max_len}")
     n_sym = len(a.alphabet)
     total_words = 0
     for length in range(max_len + 1):
@@ -253,7 +263,7 @@ def decide_k_via_equations(
             raise BudgetExceededError(
                 total_words, max_equations, "materialized word equations"
             )
-    _check_grid(space, inst.k, max_candidates)
+    _check_grid(base, space.var_count, max_candidates, f"candidate assignments for k={k}")
 
     kk = k * k
 

@@ -45,6 +45,7 @@ from fuzzmin.oracles import (
     grid_search_k_candidate,
     grid_search_point,
     min_nfa_states_brute,
+    word_bound,
 )
 
 from helpers import in_box
@@ -236,14 +237,14 @@ def test_criterion_7_equation_reduction_matches_direct_search():
     bad = 0
     qualifying = 0
     for inst in _small_instances():
-        space = build_candidate_space(inst)
+        bound = word_bound(inst)
         n_sym = len(inst.automaton.alphabet)
-        n_words = sum(n_sym**length for length in range(space.word_bound + 1))
+        n_words = sum(n_sym**length for length in range(bound + 1))
         if n_words > 80:
             continue
         qualifying += 1
         direct = decide_k(inst)
-        via = decide_k_via_equations(inst, space.word_bound)
+        via = decide_k_via_equations(inst, bound)
         if (direct is None) != (via is None):
             bad += 1
         elif direct is not None and direct.assignment != via.assignment:

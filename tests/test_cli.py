@@ -250,7 +250,12 @@ def _automaton_texts(draw):
     return text[: len(text) // 2] if shape == 1 else text
 
 
-@given(_automaton_texts(), st.integers(1, 2), st.sampled_from(["", "a", "a b", "z"]))
+# large k is refused at once unless the input has a single value
+@given(
+    _automaton_texts(),
+    st.one_of(st.integers(1, 2), st.integers(3, 64)),
+    st.sampled_from(["", "a", "a b", "z"]),
+)
 def test_automaton_commands_end_in_a_verdict_or_an_error_on_any_document(
     tmp_path_factory, text, k, word
 ):
@@ -298,7 +303,7 @@ def test_solve_points_refuses_a_grid_too_large_to_print(tmp_path, capsys):
 def test_decide_min_witness(dup_doc, capsys):
     assert main(["decide-min", dup_doc, "1"]) == 0
     out, err = capsys.readouterr()
-    assert err == "cost k=1: candidates=8 word_bound=7\n"
+    assert err == "cost k=1: candidates=8\n"
     witness = parse_automaton(out)
     assert witness.n == 1
     dup = parse_automaton(Path(dup_doc).read_text())
@@ -340,7 +345,7 @@ def test_decide_min_refuses_a_grid_too_large_to_print(wide_doc, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"cost k=60: candidates=5^7320 word_bound={5**63 - 1}\n"
+        "cost k=60: candidates=5^7320\n"
         "error: size 5^7320 exceeds budget 10000000 "
         "(candidate assignments for k=60)\n"
     )
@@ -351,7 +356,7 @@ def test_decide_min_refuses_a_huge_k_without_building_its_grid(wide_doc, capsys)
     assert main(["decide-min", wide_doc, str(k)]) == 3
     v = 2 * k + 2 * k * k
     assert capsys.readouterr().err == (
-        f"cost k={k}: candidates=5^{v} word_bound=5^{k + 3}-1\n"
+        f"cost k={k}: candidates=5^{v}\n"
         f"error: size 5^{v} exceeds budget 10000000 "
         f"(candidate assignments for k={k})\n"
     )
@@ -360,6 +365,42 @@ def test_decide_min_refuses_a_huge_k_without_building_its_grid(wide_doc, capsys)
 def test_decide_min_rejects_k_zero(dup_doc, capsys):
     assert main(["decide-min", dup_doc, "0"]) == 2
     assert "state count" in capsys.readouterr().err
+
+
+def _one_value_doc(tmp_path, n_sym, weight):
+    # a 2-state automaton on the chain (0, 1) whose weights all equal weight
+    alphabet = [f"s{i}" for i in range(n_sym)]
+    doc = {
+        "kind": "automaton", "chain": ["0", "1"], "alphabet": alphabet, "n": 2,
+        "pi": [weight] * 2, "eta": [weight] * 2,
+        "delta": {sym: [weight] * 4 for sym in alphabet},
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _ranks(a):
+    return {*a.pi.data, *a.eta.data, *(r for d in a.delta for r in d.data)}
+
+
+def test_decide_min_judges_a_one_point_grid_without_a_search(tmp_path, capsys):
+    # every weight is 0, so the grid has one point; a search filling it
+    # weight by weight would recurse 1,600 deep at k=40
+    assert main(["decide-min", _one_value_doc(tmp_path, 1, "0"), "40"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "cost k=40: candidates=1\n"
+    witness = parse_automaton(out)
+    assert (witness.n, _ranks(witness)) == (40, {0})
+
+
+def test_minimize_one_value_over_many_symbols(tmp_path, capsys):
+    # a search checking block by block would recurse once per symbol
+    assert main(["minimize", _one_value_doc(tmp_path, 1500, "1")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "cost k=1: candidates=1\n"
+    small = parse_automaton(out)
+    assert (small.n, len(small.alphabet), _ranks(small)) == (1, 1500, {1})
 
 
 def test_minimize(dup_doc, capsys):
@@ -389,8 +430,8 @@ def test_minimize_prints_one_cost_line_per_k(nonmono_doc, capsys):
     assert main(["minimize", nonmono_doc]) == 0
     out, err = capsys.readouterr()
     assert err == (
-        "cost k=1: candidates=64 word_bound=255\n"
-        "cost k=2: candidates=65536 word_bound=1023\n"
+        "cost k=1: candidates=64\n"
+        "cost k=2: candidates=65536\n"
     )
     assert out == Path(nonmono_doc).read_text(encoding="utf-8")
 
@@ -400,8 +441,8 @@ def test_minimize_budget_stops_after_the_stuck_k(nonmono_doc, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "cost k=1: candidates=64 word_bound=255\n"
-        "cost k=2: candidates=65536 word_bound=1023\n"
+        "cost k=1: candidates=64\n"
+        "cost k=2: candidates=65536\n"
         "error: size 65536 exceeds budget 100 (candidate assignments for k=2)\n"
     )
 

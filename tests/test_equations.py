@@ -175,6 +175,18 @@ def test_interval_solver_refuses_as_the_running_set_grows():
     assert (refused.value.count, refused.value.limit) == (5, 4)
 
 
+def test_interval_solver_cap_binds_inside_one_family():
+    # x1 x2 v x3 x4 = 0.5: each case of the family intersects two 2-box
+    # families into 4 boxes, so a cap of 3 refuses at the first case's fourth
+    # box, before the family's 8 boxes are built
+    p = Polynomial((Monomial((0, 1)), Monomial((2, 3))))
+    system = EquationSystem(CH, 4, (Equation(p, Relation.EQ, CH.value("0.5")),))
+    assert len(solve_intervals(system)) == 8
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_intervals(system, max_vectors=3)
+    assert (refused.value.count, refused.value.limit) == (4, 3)
+
+
 def test_point_solver_walks_the_grid_in_order():
     # first hit in lex order over the rhs values, first variable most significant
     point = solve_points(_system())

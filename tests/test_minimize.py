@@ -25,6 +25,7 @@ from fuzzmin.oracles import (
     crisp_accepts,
     decide_k_via_equations,
     min_nfa_states_brute,
+    word_bound,
 )
 
 from helpers import (
@@ -63,7 +64,7 @@ def test_candidate_space_figures():
     space = build_candidate_space(MinimizeInstance(DUP, 1))
     assert [v.label for v in space.values] == ["0.6", "0.8"]
     assert space.var_count == 3
-    assert space.word_bound == 7
+    assert word_bound(MinimizeInstance(DUP, 1)) == 7
 
 
 def test_candidate_space_counts_initial_weights():
@@ -76,8 +77,7 @@ def test_candidate_space_counts_initial_weights():
 
 
 def test_cost_figures():
-    est = cost_estimate(MinimizeInstance(DUP, 1))
-    assert (est.candidate_count, est.word_bound) == (8, 7)
+    assert cost_estimate(MinimizeInstance(DUP, 1)) == 8
     ch5 = Chain(("0", "0.25", "0.5", "0.75", "1"))
     wide = automaton(
         ch5,
@@ -89,23 +89,28 @@ def test_cost_figures():
             [["0"] * 4] * 4,
         ],
     )
-    est = cost_estimate(MinimizeInstance(wide, 2))
-    assert (est.candidate_count, est.word_bound) == (5**12, 5**6 - 1)
+    assert cost_estimate(MinimizeInstance(wide, 2)) == 5**12
 
 
 def test_sizes_past_the_digit_limit_are_written_as_powers():
     size = fz.errors._size
     assert size(10, 4299) == 10**4299  # 4,300 digits
     assert size(10, 4300) == "10^4300"
-    assert size(10, 4300, minus=1) == 10**4300 - 1
-    assert size(5, 10**12, minus=1) == "5^1000000000000-1"
+    assert size(5, 10**12) == "5^1000000000000"
     assert size(1, 10**12) == 1
-    exceeds = fz.errors._exceeds
-    assert not exceeds(2, 23, 2**23)
-    assert exceeds(2, 24, 2**24 - 1)
-    assert exceeds(3, 15, 3**15 - 1)
-    assert not exceeds(3, 15, 3**15)
-    assert exceeds(5, 10**12, 10**7)
+    check = fz.errors._check_grid
+    check(2, 23, 2**23, "grid")
+    check(3, 15, 3**15, "grid")
+    check(1, 10**12, 1, "grid")
+    for base, exp, limit, count in [
+        (2, 24, 2**24 - 1, 2**24),
+        (3, 15, 3**15 - 1, 3**15),
+        (5, 10**12, 10**7, "5^1000000000000"),
+    ]:
+        with pytest.raises(BudgetExceededError) as refused:
+            check(base, exp, limit, "grid")
+        assert (refused.value.count, refused.value.limit) == (count, limit)
+        assert str(refused.value) == f"size {count} exceeds budget {limit} (grid)"
 
 
 def test_decide_k_finds_the_one_state_collapse():
@@ -279,9 +284,8 @@ def test_minimize_budget_reports_the_stuck_k():
 
 def test_equation_reduction_matches_decide_k():
     inst = MinimizeInstance(DUP, 1)
-    space = build_candidate_space(inst)
     direct = decide_k(inst)
-    via = decide_k_via_equations(inst, space.word_bound)
+    via = decide_k_via_equations(inst, word_bound(inst))
     assert via is not None
     assert via.assignment == direct.assignment
 
