@@ -3,7 +3,8 @@
 An automaton is (chain, alphabet, pi, eta, delta): a 1 x n initial row, an
 n x 1 final column, and one n x n transition matrix per symbol.  The value of
 a word is pi composed with the word's transition product composed with eta,
-all under max-min.
+all under max-min.  That composition is associative, so `language_value`
+folds pi through the word one symbol at a time, a row vector throughout.
 
 Two deciders for language equality live here and are deliberately independent
 implementations:
@@ -25,10 +26,10 @@ implementations:
   symbols whose transitions the prefix already fixes.
 
 * `k_equivalent` / `bounded_counterexample` walk words in length-lex order,
-  extending on the right, and memoize on the pair of transition matrices
-  reached.  A repeated pair determines identical values for every extension,
-  so the pruning is exact; the verdict and counterexample match literal word
-  enumeration, which is infeasible once the bound grows.
+  extending on the right, and memoize on the pair of forward vectors
+  pi . delta(w) reached.  A repeated pair determines identical values for
+  every extension, so the pruning is exact; the verdict and counterexample
+  match literal word enumeration, which is infeasible once the bound grows.
 
 `equivalence_length_bound` gives the word length that makes the bounded check
 complete: two automata agree everywhere iff they agree on all words no longer
@@ -43,7 +44,7 @@ from typing import Sequence
 
 from .chain import Chain, ChainValue
 from .errors import DEFAULT_VECTOR_BUDGET, BudgetExceededError
-from .linalg import FuzzyMatrix, maxmin_product
+from .linalg import FuzzyMatrix
 
 Word = tuple[int, ...]
 
@@ -105,18 +106,13 @@ def _check_word(a: FuzzyAutomaton, word: Sequence[int]) -> None:
             raise ValueError(f"symbol index {s} outside alphabet of {len(a.alphabet)}")
 
 
-def delta_word(a: FuzzyAutomaton, word: Sequence[int]) -> FuzzyMatrix:
-    """Transition matrix of a word; the empty word maps to the identity."""
-    _check_word(a, word)
-    m = FuzzyMatrix.identity(a.chain, a.n)
-    for s in word:
-        m = maxmin_product(m, a.delta[s])
-    return m
-
-
 def language_value(a: FuzzyAutomaton, word: Sequence[int]) -> ChainValue:
     """Degree to which the automaton accepts the word."""
-    return maxmin_product(maxmin_product(a.pi, delta_word(a, word)), a.eta).scalar()
+    _check_word(a, word)
+    v = a.pi.data
+    for s in word:
+        v = _step(v, _columns(a.delta[s]))
+    return ChainValue(a.chain, _dot(v, a.eta.data))
 
 
 def _require_compatible(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> None:
@@ -140,15 +136,20 @@ def equivalence_length_bound(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> int:
     return len(ranks) ** (a1.n + a2.n) - 1
 
 
-# Rank-level helpers of the bounded check.  Vectors are plain tuples of ranks;
-# matrices are tuples of row tuples.
+# Rank-level helpers of `language_value` and the bounded check.  Vectors are
+# plain tuples of ranks; a matrix enters a step as the tuple of its columns.
 
-def _mv(rows: Sequence[tuple[int, ...]], vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(map(min, row, vec)) for row in rows)
+def _columns(m: FuzzyMatrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(m.data[j :: m.cols] for j in range(m.cols))
 
 
 def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return max(map(min, u, v))
+
+
+def _step(v: tuple[int, ...], cols: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The row vector v composed with the matrix whose columns are cols."""
+    return tuple(_dot(v, col) for col in cols)
 
 
 def _pair_bfs(
@@ -160,49 +161,42 @@ def _pair_bfs(
     """First word (length-lex order, length <= k) whose values differ, else None.
 
     Walks words by appending symbols on the right and keys the search on the
-    pair of transition matrices reached.  Extensions of a repeated pair were
-    covered when the pair first appeared, so skipping them loses nothing; the
-    first mismatch found is exactly the least one literal enumeration reports.
+    pair of forward vectors pi . delta(w) reached; the value of w x is the
+    forward vector of w folded through x and closed with eta, so a repeated
+    pair fixes the values of every extension.  Those extensions were covered,
+    each by a length-lex smaller word, when the pair first appeared, so
+    skipping them loses nothing; the first mismatch found is exactly the
+    least one literal enumeration reports.  max_pairs bounds the stored pairs.
     """
     _require_compatible(a1, a2)
     if k < 0:
         raise ValueError("word length bound must be >= 0")
-
-    def side(a: FuzzyAutomaton):
-        """pi, eta, each symbol's matrix as a tuple of columns, and the identity."""
-        cols = [tuple(zip(*d.as_row_tuples())) for d in a.delta]
-        identity = FuzzyMatrix.identity(a.chain, a.n).as_row_tuples()
-        return a.pi.data, a.eta.data, cols, identity
-
-    def value(rows: tuple[tuple[int, ...], ...], pi, eta) -> int:
-        return _dot(pi, _mv(rows, eta))
-
-    (pi1, eta1, cols1, m1), (pi2, eta2, cols2, m2) = side(a1), side(a2)
-    if value(m1, pi1, eta1) != value(m2, pi2, eta2):
+    cols1 = [_columns(d) for d in a1.delta]
+    cols2 = [_columns(d) for d in a2.delta]
+    eta1, eta2 = a1.eta.data, a2.eta.data
+    v1, v2 = a1.pi.data, a2.pi.data
+    if _dot(v1, eta1) != _dot(v2, eta2):
         return ()
-    seen = {(m1, m2)}
-    frontier: list[tuple[tuple, tuple, Word]] = [(m1, m2, ())]
+    seen = {(v1, v2)}
+    frontier: list[tuple[tuple, tuple, Word]] = [(v1, v2, ())]
     level = 0
-    n_sym = len(a1.alphabet)
     while frontier and level < k:
         level += 1
         new: list[tuple[tuple, tuple, Word]] = []
-        for r1, r2, w in frontier:
-            for s in range(n_sym):
-                nm1 = tuple(tuple(_dot(row, col) for col in cols1[s]) for row in r1)
-                nm2 = tuple(tuple(_dot(row, col) for col in cols2[s]) for row in r2)
-                key = (nm1, nm2)
+        for v1, v2, w in frontier:
+            for s, (c1, c2) in enumerate(zip(cols1, cols2)):
+                key = (_step(v1, c1), _step(v2, c2))
                 if key in seen:
                     continue
                 word = w + (s,)
-                if value(nm1, pi1, eta1) != value(nm2, pi2, eta2):
+                if _dot(key[0], eta1) != _dot(key[1], eta2):
                     return word
                 seen.add(key)
                 if len(seen) > max_pairs:
                     raise BudgetExceededError(
-                        len(seen), max_pairs, "word-matrix pairs in bounded check"
+                        len(seen), max_pairs, "forward vector pairs in bounded check"
                     )
-                new.append((nm1, nm2, word))
+                new.append((*key, word))
         frontier = new
     return None
 

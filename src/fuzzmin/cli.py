@@ -155,7 +155,7 @@ def _budget_flags(p: argparse.ArgumentParser, *, candidates: bool = False) -> No
         "--budget-phi",
         type=int,
         metavar="N",
-        help="max stored vectors (cut subsets, matrix pairs, interval solutions)",
+        help="max stored vectors (cut subsets, forward vector pairs, interval solutions)",
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect, _store_capped
 from .errors import DEFAULT_CANDIDATE_BUDGET, DEFAULT_VECTOR_BUDGET, _check_grid
@@ -214,6 +215,20 @@ def polynomial_eq_solutions(
     return SolutionSet(rhs.chain, n_vars, tuple(boxes))
 
 
+def _cover(
+    equations: Sequence[tuple[Polynomial, ChainValue]], n_vars: int, max_vectors: int
+) -> SolutionSet:
+    """Cross-intersection of the families of the (lhs, rhs) equations."""
+    families = (
+        polynomial_eq_solutions(lhs, rhs, n_vars, max_vectors=max_vectors)
+        for lhs, rhs in equations
+    )
+    result = next(families)
+    for family in families:
+        result = cross_intersect(result, family, max_vectors=max_vectors)
+    return result
+
+
 def solve_intervals(
     system: EquationSystem, *, max_vectors: int = DEFAULT_VECTOR_BUDGET
 ) -> SolutionSet:
@@ -226,15 +241,29 @@ def solve_intervals(
     equation's family or across equations, holds more than max_vectors
     boxes; the running set can grow like (k * n**k)**m even though skipping
     disjoint pairs and dropping contained boxes usually keeps it tiny.
+
+    The families are built only over the variables some monomial mentions.
+    Every box ranges over the whole chain on the others, so those are added
+    once per result box, all sharing one (0, top) pair; the boxes and any
+    refusal are those of the families built at full width.
     """
-    families = (
-        polynomial_eq_solutions(eq.lhs, eq.rhs, system.n_vars, max_vectors=max_vectors)
-        for eq in system.equations
-    )
-    result = next(families)
-    for family in families:
-        result = cross_intersect(result, family, max_vectors=max_vectors)
-    return result
+    equations = [(eq.lhs, eq.rhs) for eq in system.equations]
+    used = sorted({i for lhs, _ in equations for m in lhs.monomials for i in m.vars})
+    if len(used) == system.n_vars:
+        return _cover(equations, system.n_vars, max_vectors)
+    place = {v: i for i, v in enumerate(used)}
+    compact = [
+        (Polynomial(tuple(Monomial(tuple(map(place.get, m.vars))) for m in p.monomials)), r)
+        for p, r in equations
+    ]
+    full = (0, len(system.chain) - 1)
+    boxes = []
+    for box in _cover(compact, len(used), max_vectors).boxes:
+        padded = [full] * system.n_vars
+        for v, pair in zip(used, box):
+            padded[v] = pair
+        boxes.append(tuple(padded))
+    return SolutionSet(system.chain, system.n_vars, tuple(boxes))
 
 
 def solve_points(

@@ -29,7 +29,7 @@ class BudgetExceededError(RuntimeError):
 
 # Default ceilings: on a grid searched point by point (the candidate grid of
 # `decide_k` and the point grid of `solve_points`), and on the vectors, cut
-# subsets, matrix pairs or boxes a decider stores at once.
+# subsets, forward vector pairs or boxes a decider stores at once.
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 DEFAULT_VECTOR_BUDGET = 1_000_000
 

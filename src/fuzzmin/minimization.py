@@ -35,6 +35,7 @@ such automata is exactly NFA state minimization.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -269,12 +270,13 @@ def _first_witness(
             s: int, e: int, chosen: tuple[int, ...], nodes: list, codes: list
         ) -> tuple[int, ...] | None:
             """First completion of `chosen`, which ends e entries into the
-            block of symbol s; codes holds each level's bit prefix."""
+            block of symbol s; codes holds each level's bit prefix.  Calls
+            nest once per weight, not once more per block."""
             if e == kk:
                 if s + 1 == n_sym:
                     return chosen
                 nodes = [node.child(code) for node, code in zip(nodes, codes)]
-                return fill(s + 1, 0, chosen, nodes, [1] * len(nodes))
+                s, e, codes = s + 1, 0, [1] * len(nodes)
             for r in value_ranks:
                 deeper = []
                 for node, code, alpha in zip(nodes, codes, alphas):
@@ -363,6 +365,13 @@ def decide_k(
     A grid of one point (|V| = 1) is not searched: its only assignment is
     judged with `equivalent_fixpoint`.
 
+    The search recurses once per symbol with one positive level and once per
+    delta' weight with several.  It refuses up front (budget error with
+    context "search depth") when that depth is more than half the
+    interpreter's recursion limit, leaving the rest to the caller and the
+    kernel; at the default limit of 1,000 only grids of more than |V|**500
+    points go that deep.
+
     Refuses up front (budget error carrying the count, or the text
     "<|V|>^<var_count>" past 4,300 digits) when the grid is larger than
     max_candidates.  max_vectors bounds the cut subsets held at once, which
@@ -394,6 +403,10 @@ def decide_k(
         )
         for alpha in _levels(a)
     ]
+    depth = n_sym if len(levels) == 1 else n_sym * k * k
+    depth_limit = sys.getrecursionlimit() // 2
+    if depth > depth_limit:
+        raise BudgetExceededError(depth, depth_limit, "search depth")
     if len(levels) > 1:
         for alpha, rows, final, initial in levels:
             if _trimmed_states(rows, final, initial) <= k:

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Sequence
 
 import fuzzmin as fz
-from fuzzmin.automaton import delta_word
 from fuzzmin.chain import ChainValue
 from fuzzmin.generate import alphabet_of
 from fuzzmin.linalg import maxmin_product
@@ -78,6 +77,15 @@ def as_fraction_grid(m: fz.FuzzyMatrix) -> list[list[Fraction]]:
         [m.chain.fraction(m.rank_at(i, j)) for j in range(m.cols)]
         for i in range(m.rows)
     ]
+
+
+def delta_word(a: fz.FuzzyAutomaton, word: Sequence[int]) -> fz.FuzzyMatrix:
+    """Transition matrix of a word, as a product of whole matrices; the empty
+    word maps to the identity."""
+    m = fz.FuzzyMatrix.identity(a.chain, a.n)
+    for s in word:
+        m = maxmin_product(m, a.delta[s])
+    return m
 
 
 def literal_suffix_vectors(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.automaton import delta_word
 from fuzzmin.linalg import maxmin_product
 from fuzzmin.oracles import (
     all_words_up_to,
@@ -22,6 +21,7 @@ from fuzzmin.oracles import (
 from helpers import (
     automaton,
     criterion4_instance,
+    delta_word,
     literal_suffix_cuts,
     permutation_pair,
     positive_ranks,
@@ -146,6 +146,27 @@ def test_bounded_check_at_lambda():
 def test_bounded_check_budget():
     with pytest.raises(BudgetExceededError):
         fz.k_equivalent(ALL_ONE, SPLIT, 2, max_pairs=1)
+
+
+def test_bounded_check_stores_forward_vector_pairs():
+    # pi . delta(w) is a unit vector on both sides, so the n = 6 pair reaches
+    # 6 forward vector pairs against 6! pairs of word matrices
+    a1, a2 = permutation_pair(6, 0, broken=False)
+    assert fz.k_equivalent(a1, a2, fz.equivalence_length_bound(a1, a2), max_pairs=50)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 4))
+def test_bounded_counterexample_is_the_first_differing_word(seed, k):
+    a1, a2 = random_pair(random.Random(seed), max_states=3)
+    first = next(
+        (
+            word
+            for word in all_words_up_to(len(a1.alphabet), k)
+            if brute_language_value(a1, word) != brute_language_value(a2, word)
+        ),
+        None,
+    )
+    assert fz.bounded_counterexample(a1, a2, k) == first
 
 
 # fixpoint decider

@@ -253,17 +253,21 @@ def _automaton_texts(draw):
 # large k is refused at once unless the input has a single value
 @given(
     _automaton_texts(),
+    _automaton_texts(),
     st.one_of(st.integers(1, 2), st.integers(3, 64)),
     st.sampled_from(["", "a", "a b", "z"]),
 )
 def test_automaton_commands_end_in_a_verdict_or_an_error_on_any_document(
-    tmp_path_factory, text, k, word
+    tmp_path_factory, text, other_text, k, word
 ):
     path = tmp_path_factory.mktemp("fuzz") / "a.json"
     path.write_text(text, encoding="utf-8")
+    other = path.with_name("b.json")
+    other.write_text(other_text, encoding="utf-8")
     for argv in (
         ["eval", str(path), word],
         ["equiv", str(path), str(path)],
+        ["equiv", str(path), str(other), "--oracle-bound"],
         ["decide-min", str(path), str(k)],
         ["minimize", str(path)],
     ):
@@ -401,6 +405,45 @@ def test_minimize_one_value_over_many_symbols(tmp_path, capsys):
     assert err == "cost k=1: candidates=1\n"
     small = parse_automaton(out)
     assert (small.n, len(small.alphabet), _ranks(small)) == (1, 1500, {1})
+
+
+def _deep_doc(tmp_path, chain, n_sym, pi, eta, block):
+    # a 2-state automaton whose symbols all share one transition block
+    alphabet = [f"s{i}" for i in range(n_sym)]
+    doc = {
+        "kind": "automaton", "chain": chain, "alphabet": alphabet, "n": 2,
+        "pi": pi, "eta": eta, "delta": {sym: block for sym in alphabet},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_decide_min_refuses_a_search_deeper_than_the_stack(tmp_path, capsys):
+    # one positive level: the search nests once per symbol, and a grid of
+    # 2**1202 points passes a candidate budget of 10**400
+    path = _deep_doc(
+        tmp_path, ["0", "1"], 1200, ["1", "0"], ["1", "0"], ["1", "0", "0", "1"]
+    )
+    assert main(["decide-min", path, "1", "--budget-candidates", str(10**400)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: size 1200 exceeds budget 500 (search depth)\n")
+
+
+@pytest.mark.parametrize("n_sym, k", [(600, 1), (200, 2)])
+def test_decide_min_refuses_a_weight_by_weight_search_deeper_than_the_stack(
+    tmp_path, capsys, n_sym, k
+):
+    # two positive levels: the search nests once per delta' weight, k*k per symbol
+    path = _deep_doc(
+        tmp_path, ["0", "0.5", "1"], n_sym, ["1", "1"], ["0.5", "0.5"], ["1"] * 4
+    )
+    assert main(["decide-min", path, str(k), "--budget-candidates", str(10**400)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    depth = n_sym * k * k
+    assert err.endswith(f"error: size {depth} exceeds budget 500 (search depth)\n")
 
 
 def test_minimize(dup_doc, capsys):

@@ -187,6 +187,48 @@ def test_interval_solver_cap_binds_inside_one_family():
     assert (refused.value.count, refused.value.limit) == (4, 3)
 
 
+def _renamed(system, n_vars, place):
+    """system on n_vars variables, its variable i renamed to place[i]."""
+    equations = tuple(
+        Equation(
+            Polynomial(tuple(
+                Monomial(tuple(place[i] for i in m.vars)) for m in eq.lhs.monomials
+            )),
+            eq.relation,
+            eq.rhs,
+        )
+        for eq in system.equations
+    )
+    return EquationSystem(system.chain, n_vars, equations)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 12))
+def test_unused_variables_pad_the_boxes_of_the_compact_twin(seed, extra, cap):
+    rng = random.Random(seed)
+    chain = Chain(random_chain_labels(rng, rng.randint(2, 4)))
+    drawn = random_system(rng, chain, rng.randint(1, 5), rng.randint(1, 3), 3)
+    used = sorted({i for eq in drawn.equations for m in eq.lhs.monomials for i in m.vars})
+    # the twin mentions every variable, so it is solved at full width
+    compact = _renamed(drawn, len(used), {v: i for i, v in enumerate(used)})
+    where = sorted(rng.sample(range(len(used) + extra), len(used)))
+    wide = _renamed(compact, len(used) + extra, where)
+
+    def outcome(system, pad):
+        try:
+            boxes = solve_intervals(system, max_vectors=cap).boxes
+        except BudgetExceededError as refused:
+            return refused.count
+        return [pad(box) for box in boxes]
+
+    def padded(box):
+        out = [(0, len(chain) - 1)] * wide.n_vars
+        for v, pair in zip(where, box):
+            out[v] = pair
+        return tuple(out)
+
+    assert outcome(wide, tuple) == outcome(compact, padded)
+
+
 def test_point_solver_walks_the_grid_in_order():
     # first hit in lex order over the rhs values, first variable most significant
     point = solve_points(_system())
