@@ -229,6 +229,18 @@ class SolutionSet:
             _store(kept, tuple(box))
         object.__setattr__(self, "boxes", tuple(sorted(kept)))
 
+    @classmethod
+    def _canonical(
+        cls, chain: Chain, dim: int, boxes: tuple[Box, ...]
+    ) -> "SolutionSet":
+        """The set of boxes that are already valid, maximal and sorted, taken
+        as they are instead of normalized again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "boxes", boxes)
+        return self
+
     def __len__(self) -> int:
         return len(self.boxes)
 

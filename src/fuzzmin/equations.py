@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect, _store_capped
 from .errors import DEFAULT_CANDIDATE_BUDGET, DEFAULT_VECTOR_BUDGET, _check_grid
@@ -215,20 +214,6 @@ def polynomial_eq_solutions(
     return SolutionSet(rhs.chain, n_vars, tuple(boxes))
 
 
-def _cover(
-    equations: Sequence[tuple[Polynomial, ChainValue]], n_vars: int, max_vectors: int
-) -> SolutionSet:
-    """Cross-intersection of the families of the (lhs, rhs) equations."""
-    families = (
-        polynomial_eq_solutions(lhs, rhs, n_vars, max_vectors=max_vectors)
-        for lhs, rhs in equations
-    )
-    result = next(families)
-    for family in families:
-        result = cross_intersect(result, family, max_vectors=max_vectors)
-    return result
-
-
 def solve_intervals(
     system: EquationSystem, *, max_vectors: int = DEFAULT_VECTOR_BUDGET
 ) -> SolutionSet:
@@ -245,25 +230,33 @@ def solve_intervals(
     The families are built only over the variables some monomial mentions.
     Every box ranges over the whole chain on the others, so those are added
     once per result box, all sharing one (0, top) pair; the boxes and any
-    refusal are those of the families built at full width.
+    refusal are those of the families built at full width.  The same pair at
+    the same places keeps the boxes maximal and in order, so the padded set
+    is not normalized again.
     """
-    equations = [(eq.lhs, eq.rhs) for eq in system.equations]
-    used = sorted({i for lhs, _ in equations for m in lhs.monomials for i in m.vars})
-    if len(used) == system.n_vars:
-        return _cover(equations, system.n_vars, max_vectors)
+    lhss = [eq.lhs.monomials for eq in system.equations]
+    used = sorted({i for lhs in lhss for m in lhs for i in m.vars})
     place = {v: i for i, v in enumerate(used)}
-    compact = [
-        (Polynomial(tuple(Monomial(tuple(map(place.get, m.vars))) for m in p.monomials)), r)
-        for p, r in equations
-    ]
+    families = (
+        polynomial_eq_solutions(
+            Polynomial(tuple(Monomial(tuple(map(place.get, m.vars))) for m in lhs)),
+            eq.rhs,
+            len(used),
+            max_vectors=max_vectors,
+        )
+        for lhs, eq in zip(lhss, system.equations)
+    )
+    result = next(families)
+    for family in families:
+        result = cross_intersect(result, family, max_vectors=max_vectors)
     full = (0, len(system.chain) - 1)
     boxes = []
-    for box in _cover(compact, len(used), max_vectors).boxes:
+    for box in result.boxes:
         padded = [full] * system.n_vars
         for v, pair in zip(used, box):
             padded[v] = pair
         boxes.append(tuple(padded))
-    return SolutionSet(system.chain, system.n_vars, tuple(boxes))
+    return SolutionSet._canonical(system.chain, system.n_vars, tuple(boxes))
 
 
 def solve_points(

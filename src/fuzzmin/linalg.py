@@ -1,14 +1,15 @@
-"""Matrices over a chain with max-min composition.
+"""Matrices over a chain, the weights of an automaton.
 
-Entries are stored as int ranks into the owning chain, row-major.  All types
-are immutable; every operation returns a fresh matrix.
+Entries are stored as int ranks into the owning chain, row-major, and the
+type is immutable.  Max-min composition is done on the ranks by the kernels
+that need it (`automaton`, `oracles`), not on whole matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import Chain, ChainValue
+from .chain import Chain
 
 
 @dataclass(frozen=True)
@@ -33,22 +34,10 @@ class FuzzyMatrix:
             if not 0 <= r <= top:
                 raise ValueError(f"entry rank {r} outside chain")
 
-    @classmethod
-    def identity(cls, chain: Chain, n: int) -> "FuzzyMatrix":
-        """1 on the diagonal, 0 elsewhere: the unit of max-min composition."""
-        top = len(chain) - 1
-        data = tuple(top if i == j else 0 for i in range(n) for j in range(n))
-        return cls(chain, n, n, data)
-
     def rank_at(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
         return self.data[i * self.cols + j]
-
-    def scalar(self) -> ChainValue:
-        if (self.rows, self.cols) != (1, 1):
-            raise ValueError("scalar() needs a 1x1 matrix")
-        return ChainValue(self.chain, self.data[0])
 
     def row_ranks(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
@@ -66,27 +55,4 @@ class FuzzyMatrix:
             "[" + ", ".join(label(r) for r in self.row_ranks(i)) + "]"
             for i in range(self.rows)
         ) + "]"
-
-
-def _require_conformable(a: FuzzyMatrix, b: FuzzyMatrix) -> None:
-    if a.chain != b.chain:
-        raise ValueError("matrices live on different chains")
-    if a.cols != b.rows:
-        raise ValueError(
-            f"inner dimensions differ: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
-        )
-
-
-def maxmin_product(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
-    """Composition where + is max and * is min: out[i][j] = max_k min(a[i][k], b[k][j])."""
-    _require_conformable(a, b)
-    b_cols = tuple(
-        tuple(b.data[k * b.cols + j] for k in range(b.rows)) for j in range(b.cols)
-    )
-    data = []
-    for i in range(a.rows):
-        row = a.data[i * a.cols : (i + 1) * a.cols]
-        for col in b_cols:
-            data.append(max(map(min, row, col)))
-    return FuzzyMatrix(a.chain, a.rows, b.cols, tuple(data))
 

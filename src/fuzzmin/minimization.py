@@ -35,7 +35,6 @@ such automata is exactly NFA state minimization.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -231,28 +230,31 @@ def _first_witness(
         ((alpha, left, _, _),) = levels
         masks = {row: _cut_mask(row, alpha) << n for row in row_tuples}
 
-        def search(
-            s: int, chosen: tuple[int, ...], rows: list, final: int, pi1: int, pi2: int
-        ) -> tuple[int, ...] | None:
-            """First completion of `chosen` by the blocks of symbols s, s+1, ...
-
-            rows holds the joint cut rows of the symbols before s."""
-            if s == n_sym:
-                return chosen
-            for block in itertools.product(row_tuples, repeat=k):
-                deeper = rows + [left[s] + tuple(map(masks.__getitem__, block))]
-                _, mismatch, _ = _saturate_cut(
-                    deeper, final, pi1, pi2, 0, max_vectors, exhaust=False
-                )
-                if mismatch is None:
-                    found = search(s + 1, chosen + sum(block, ()), deeper, final, pi1, pi2)
-                    if found is not None:
-                        return found
-            return None
-
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
+            """First completion of `chosen` by one block per symbol, depth
+            first; frame s holds the blocks of symbol s still to try and the
+            joint cut rows of the symbols before s."""
             ((final, pi1, pi2),) = heads
-            return search(0, chosen, [], final, pi1, pi2)
+            frames = [(itertools.product(row_tuples, repeat=k), chosen, [])]
+            while frames:
+                blocks, chosen, rows = frames[-1]
+                s = len(frames) - 1
+                for block in blocks:
+                    deeper = rows + [left[s] + tuple(map(masks.__getitem__, block))]
+                    _, mismatch, _ = _saturate_cut(
+                        deeper, final, pi1, pi2, 0, max_vectors, exhaust=False
+                    )
+                    if mismatch is None:
+                        chosen += sum(block, ())
+                        if s + 1 == n_sym:
+                            return chosen
+                        frames.append(
+                            (itertools.product(row_tuples, repeat=k), chosen, deeper)
+                        )
+                        break
+                else:
+                    frames.pop()
+            return None
 
     else:
         # several levels: a block's cut at each level depends only on which
@@ -266,38 +268,40 @@ def _first_witness(
         ]
         roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
 
-        def fill(
-            s: int, e: int, chosen: tuple[int, ...], nodes: list, codes: list
-        ) -> tuple[int, ...] | None:
-            """First completion of `chosen`, which ends e entries into the
-            block of symbol s; codes holds each level's bit prefix.  Calls
-            nest once per weight, not once more per block."""
-            if e == kk:
-                if s + 1 == n_sym:
-                    return chosen
-                nodes = [node.child(code) for node, code in zip(nodes, codes)]
-                s, e, codes = s + 1, 0, [1] * len(nodes)
-            for r in value_ranks:
-                deeper = []
-                for node, code, alpha in zip(nodes, codes, alphas):
-                    code = 2 * code + (r >= alpha)
-                    if not node.ok(code):
-                        break
-                    deeper.append(code)
-                else:
-                    found = fill(s, e + 1, chosen + (r,), nodes, deeper)
-                    if found is not None:
-                        return found
-            return None
-
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
+            """First completion of `chosen` by the delta' weights, depth first;
+            frame i holds the ranks still to try for weight i, which is entry
+            i % kk of the block of symbol i // kk, with each level's node and
+            bit prefix."""
             nodes = []
             for root, shape, (final, _, pi2) in zip(roots, shapes, heads):
                 node = root.get((final, pi2))
                 if node is None:
                     node = root[final, pi2] = _CutDomain(shape, [], final, pi2)
                 nodes.append(node)
-            return fill(0, 0, chosen, nodes, [1] * len(nodes))
+            frames = [(iter(value_ranks), chosen, nodes, [1] * len(nodes))]
+            while frames:
+                ranks, chosen, nodes, codes = frames[-1]
+                for r in ranks:
+                    deeper = []
+                    for node, code, alpha in zip(nodes, codes, alphas):
+                        code = 2 * code + (r >= alpha)
+                        if not node.ok(code):
+                            break
+                        deeper.append(code)
+                    else:
+                        chosen += (r,)
+                        if len(frames) % kk == 0:
+                            # the block is complete: step to the next symbol
+                            if len(frames) == n_sym * kk:
+                                return chosen
+                            nodes = [node.child(c) for node, c in zip(nodes, deeper)]
+                            deeper = [1] * len(nodes)
+                        frames.append((iter(value_ranks), chosen, nodes, deeper))
+                        break
+                else:
+                    frames.pop()
+            return None
 
     # non-decreasing pi' only, in lexicographic order
     for pi_row in itertools.combinations_with_replacement(value_ranks, k):
@@ -365,13 +369,6 @@ def decide_k(
     A grid of one point (|V| = 1) is not searched: its only assignment is
     judged with `equivalent_fixpoint`.
 
-    The search recurses once per symbol with one positive level and once per
-    delta' weight with several.  It refuses up front (budget error with
-    context "search depth") when that depth is more than half the
-    interpreter's recursion limit, leaving the rest to the caller and the
-    kernel; at the default limit of 1,000 only grids of more than |V|**500
-    points go that deep.
-
     Refuses up front (budget error carrying the count, or the text
     "<|V|>^<var_count>" past 4,300 digits) when the grid is larger than
     max_candidates.  max_vectors bounds the cut subsets held at once, which
@@ -403,10 +400,6 @@ def decide_k(
         )
         for alpha in _levels(a)
     ]
-    depth = n_sym if len(levels) == 1 else n_sym * k * k
-    depth_limit = sys.getrecursionlimit() // 2
-    if depth > depth_limit:
-        raise BudgetExceededError(depth, depth_limit, "search depth")
     if len(levels) > 1:
         for alpha, rows, final, initial in levels:
             if _trimmed_states(rows, final, initial) <= k:

@@ -12,7 +12,6 @@ from typing import Sequence
 import fuzzmin as fz
 from fuzzmin.chain import ChainValue
 from fuzzmin.generate import alphabet_of
-from fuzzmin.linalg import maxmin_product
 from fuzzmin.oracles import all_words_up_to
 
 
@@ -61,6 +60,34 @@ def random_pair(
     return a1, a2
 
 
+def identity(chain: fz.Chain, n: int) -> fz.FuzzyMatrix:
+    """1 on the diagonal, 0 elsewhere: the unit of max-min composition."""
+    top = len(chain) - 1
+    data = tuple(top if i == j else 0 for i in range(n) for j in range(n))
+    return fz.FuzzyMatrix(chain, n, n, data)
+
+
+def scalar(m: fz.FuzzyMatrix) -> ChainValue:
+    """The value of a 1x1 matrix."""
+    if (m.rows, m.cols) != (1, 1):
+        raise ValueError("scalar() needs a 1x1 matrix")
+    return ChainValue(m.chain, m.data[0])
+
+
+def maxmin_product(a: fz.FuzzyMatrix, b: fz.FuzzyMatrix) -> fz.FuzzyMatrix:
+    """Whole-matrix composition where + is max and * is min:
+    out[i][j] = max_k min(a[i][k], b[k][j])."""
+    if a.chain != b.chain:
+        raise ValueError("matrices live on different chains")
+    if a.cols != b.rows:
+        raise ValueError(
+            f"inner dimensions differ: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
+        )
+    b_cols = tuple(b.data[j :: b.cols] for j in range(b.cols))
+    data = tuple(max(map(min, row, col)) for row in a.as_row_tuples() for col in b_cols)
+    return fz.FuzzyMatrix(a.chain, a.rows, b.cols, data)
+
+
 def fraction_maxmin_product(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> list[list[Fraction]]:
@@ -82,7 +109,7 @@ def as_fraction_grid(m: fz.FuzzyMatrix) -> list[list[Fraction]]:
 def delta_word(a: fz.FuzzyAutomaton, word: Sequence[int]) -> fz.FuzzyMatrix:
     """Transition matrix of a word, as a product of whole matrices; the empty
     word maps to the identity."""
-    m = fz.FuzzyMatrix.identity(a.chain, a.n)
+    m = identity(a.chain, a.n)
     for s in word:
         m = maxmin_product(m, a.delta[s])
     return m

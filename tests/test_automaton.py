@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.linalg import maxmin_product
 from fuzzmin.oracles import (
     all_words_up_to,
     brute_language_value,
@@ -22,7 +21,9 @@ from helpers import (
     automaton,
     criterion4_instance,
     delta_word,
+    identity,
     literal_suffix_cuts,
+    maxmin_product,
     permutation_pair,
     positive_ranks,
     random_pair,
@@ -65,7 +66,7 @@ def test_construction_checks():
         )
     with pytest.raises(ValueError):
         fz.FuzzyAutomaton(
-            CH2, ("a",), ALL_ONE.pi, ALL_ONE.eta, (fz.FuzzyMatrix.identity(CH2, 2),)
+            CH2, ("a",), ALL_ONE.pi, ALL_ONE.eta, (identity(CH2, 2),)
         )
 
 
@@ -80,7 +81,7 @@ def test_words_and_symbols():
 
 
 def test_language_values_by_hand():
-    assert delta_word(NONMONO, ()) == fz.FuzzyMatrix.identity(NONMONO.chain, 3)
+    assert delta_word(NONMONO, ()) == identity(NONMONO.chain, 3)
     got = [fz.language_value(NONMONO, (0,) * k).label for k in range(5)]
     assert got == ["1", "0.5", "0.8", "0", "0"]
 

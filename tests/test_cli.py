@@ -419,31 +419,38 @@ def _deep_doc(tmp_path, chain, n_sym, pi, eta, block):
     return str(path)
 
 
-def test_decide_min_refuses_a_search_deeper_than_the_stack(tmp_path, capsys):
-    # one positive level: the search nests once per symbol, and a grid of
-    # 2**1202 points passes a candidate budget of 10**400
+def _answers_deep(path, k, capsys):
+    # the witness decide-min prints, checked against the input
+    assert main(["decide-min", path, str(k), "--budget-candidates", str(10**400)]) == 0
+    out, _ = capsys.readouterr()
+    witness = parse_automaton(out)
+    source = parse_automaton(Path(path).read_text(encoding="utf-8"))
+    assert equivalent_fixpoint(source, witness).equivalent
+    return witness
+
+
+def test_decide_min_answers_a_search_deeper_than_the_stack(tmp_path, capsys):
+    # one positive level: the search goes one block deeper per symbol, 1,200
+    # deep, on a grid of 2**1202 points that a candidate budget of 10**400
+    # admits; the language is constant 1
     path = _deep_doc(
         tmp_path, ["0", "1"], 1200, ["1", "0"], ["1", "0"], ["1", "0", "0", "1"]
     )
-    assert main(["decide-min", path, "1", "--budget-candidates", str(10**400)]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.endswith("error: size 1200 exceeds budget 500 (search depth)\n")
+    witness = _answers_deep(path, 1, capsys)
+    assert (witness.n, _ranks(witness)) == (1, {1})
 
 
 @pytest.mark.parametrize("n_sym, k", [(600, 1), (200, 2)])
-def test_decide_min_refuses_a_weight_by_weight_search_deeper_than_the_stack(
+def test_decide_min_answers_a_weight_by_weight_search_deeper_than_the_stack(
     tmp_path, capsys, n_sym, k
 ):
-    # two positive levels: the search nests once per delta' weight, k*k per symbol
+    # two positive levels: the search goes one delta' weight deeper at a
+    # time, k*k per symbol; the language is constant 0.5
     path = _deep_doc(
         tmp_path, ["0", "0.5", "1"], n_sym, ["1", "1"], ["0.5", "0.5"], ["1"] * 4
     )
-    assert main(["decide-min", path, str(k), "--budget-candidates", str(10**400)]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    depth = n_sym * k * k
-    assert err.endswith(f"error: size {depth} exceeds budget 500 (search depth)\n")
+    witness = _answers_deep(path, k, capsys)
+    assert (witness.n, _ranks(witness)) == (k, {1})
 
 
 def test_minimize(dup_doc, capsys):

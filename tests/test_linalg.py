@@ -1,4 +1,5 @@
-"""Max-min matrix algebra."""
+"""Fuzzy matrices, and the whole-matrix max-min reference product of the
+test helpers."""
 
 from __future__ import annotations
 
@@ -7,9 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmin import Chain, FuzzyMatrix
-from fuzzmin.linalg import maxmin_product
-
-from helpers import as_fraction_grid, fraction_maxmin_product, matrix
+from helpers import (
+    as_fraction_grid,
+    fraction_maxmin_product,
+    identity,
+    matrix,
+    maxmin_product,
+    scalar,
+)
 
 CH = Chain(("0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "1"))
 
@@ -28,7 +34,7 @@ def test_product_by_hand():
 
 def test_identity_is_neutral():
     a = matrix(CH, [["0.3", "0.7"], ["1", "0"]])
-    e = FuzzyMatrix.identity(CH, 2)
+    e = identity(CH, 2)
     assert maxmin_product(a, e) == a
     assert maxmin_product(e, a) == a
     assert labels(e) == [["1", "0"], ["0", "1"]]
@@ -37,9 +43,9 @@ def test_identity_is_neutral():
 def test_row_times_column_is_a_scalar():
     row = matrix(CH, [["0.3", "0.7"]])
     col = matrix(CH, [["0.3"], ["0.7"]])
-    assert maxmin_product(row, col).scalar().label == "0.7"
+    assert scalar(maxmin_product(row, col)).label == "0.7"
     with pytest.raises(ValueError):
-        row.scalar()
+        scalar(row)
 
 
 def test_shape_and_chain_checks():
@@ -47,7 +53,7 @@ def test_shape_and_chain_checks():
     with pytest.raises(ValueError):
         maxmin_product(row, row)
     with pytest.raises(ValueError):
-        maxmin_product(row, FuzzyMatrix.identity(Chain(("0", "1")), 2))
+        maxmin_product(row, identity(Chain(("0", "1")), 2))
     with pytest.raises(ValueError):
         FuzzyMatrix(CH, 1, 2, (0,))
     with pytest.raises(ValueError):
