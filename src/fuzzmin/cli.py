@@ -11,12 +11,15 @@ default ceiling; per-run --budget-* flags take precedence over it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .automaton import (
+    FuzzyAutomaton,
+    Word,
     bounded_counterexample,
     equivalence_length_bound,
     equivalent_fixpoint,
@@ -54,6 +57,11 @@ def _budget(flag_value: int | None, default: int) -> int:
 
 def _cost_line(inst: MinimizeInstance) -> str:
     return f"cost k={inst.k}: candidates={cost_estimate(inst)}"
+
+
+def _print_bound(a: FuzzyAutomaton, alpha: int, pairs: list[tuple[Word, Word]]) -> None:
+    shown = " ".join(f"({a.format_word(x)}, {a.format_word(y)})" for x, y in pairs)
+    print(f"lower bound {len(pairs)} at level {a.chain.label(alpha)}: {shown}", file=sys.stderr)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -110,6 +118,7 @@ def _cmd_decide_min(args: argparse.Namespace) -> int:
         inst,
         max_candidates=_budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET),
         max_vectors=_budget(args.budget_phi, DEFAULT_VECTOR_BUDGET),
+        _on_bound=functools.partial(_print_bound, a),
     )
     if witness is None:
         print("empty")
@@ -125,6 +134,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         max_candidates=_budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET),
         max_vectors=_budget(args.budget_phi, DEFAULT_VECTOR_BUDGET),
         on_k=lambda inst: print(_cost_line(inst), file=sys.stderr),
+        _on_bound=functools.partial(_print_bound, a),
     )
     sys.stdout.write(render_automaton(small))
     return 0

@@ -8,8 +8,8 @@ searches that grid depth first in its lexicographic order, testing prefixes
 on the alpha-cuts with the kernel `equivalent_fixpoint` uses, and cuts only
 assignments that cannot be the first witness, so the witness is still the
 lexicographically first equivalent grid assignment.  `minimize` walks k
-upward and returns the first winner, or the input itself when nothing
-smaller works.
+upward from a lower bound and returns the first winner, or the input itself
+when nothing smaller works.
 
 A candidate's alpha-cut depends only on which of its weights are >= alpha,
 so at one level and one cut prefix every transition block with the same bit
@@ -20,12 +20,16 @@ some level has no passing pattern that extends its bits.  A block survives
 exactly when checking it on its own would pass it, and blocks are still met
 in grid order, so witnesses are unchanged.
 
-Before that search, `decide_k` runs the boolean special case as a filter.
-The alpha-cut of a k-state witness is a k-state NFA for the input's cut
-language, so a cut of the input with no k-state NFA rules k out, on a grid of
-2**var_count points instead of |V|**var_count.  It is skipped on inputs with
-one positive level, and on cuts with at most k trimmed states, which already
-are k-state NFAs.  It only ever answers None, so witnesses are unchanged.
+Two filters run before that search.  The alpha-cut of a k-state witness is
+a k-state NFA for the input's cut language, so a cut of the input with no
+k-state NFA rules k out.  The first filter looks for an extended fooling set
+of k+1 word pairs on some cut (Birget 1992; Glaister and Shallit 1996), a
+certificate found without searching automata; `minimize` looks once for the
+largest such set over all cuts and starts k at its size.  The second runs
+the boolean special case on each cut, on a grid of 2**var_count points
+instead of |V|**var_count, and is skipped on inputs with one positive level.
+Both skip cuts with at most k trimmed states, which already are k-state
+NFAs, and both only ever answer None, so witnesses are unchanged.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -40,6 +44,7 @@ from typing import Callable, Sequence
 
 from .automaton import (
     FuzzyAutomaton,
+    Word,
     equivalent_fixpoint,
     language_value,
     _cut_mask,
@@ -151,6 +156,127 @@ def _trimmed_states(rows: Sequence[tuple[int, ...]], final: int, initial: int) -
         frontier = step & ~backward
         backward |= frontier
     return (forward & backward).bit_count()
+
+
+def _cut_levels(a: FuzzyAutomaton) -> list[_Level]:
+    return [
+        (
+            alpha,
+            [_cut_rows(d, alpha) for d in a.delta],
+            _cut_mask(a.eta.data, alpha),
+            _cut_mask(a.pi.data, alpha),
+        )
+        for alpha in _levels(a)
+    ]
+
+
+def _fooling_set(
+    level: _Level, floor: int, limit: int, max_vectors: int
+) -> list[tuple[Word, Word]]:
+    """An extended fooling set of one cut NFA with more than floor pairs and
+    at most limit, or the empty list when none is found.
+
+    The pairs (x_i, y_i) are words with x_i y_i accepted and, for i != j,
+    x_i y_j or x_j y_i rejected, so every NFA for the cut language has at
+    least one state per pair (Birget 1992; Glaister and Shallit 1996).  A
+    pair joins the forward subset F of x (the states x reaches) and the
+    suffix subset B of y (the states from which y is accepted), which meet;
+    two pairs are compatible when F_1 misses B_2 or F_2 misses B_1.  Shrinking
+    F or B keeps a set compatible, so only pairs whose subsets are minimal
+    among those holding a state they share are tried.  The search for
+    compatible pairs is depth first and keeps the largest set found.  Every
+    stored subset, containment test, candidate pair and compatibility test is
+    charged against max_vectors; past it the search stops with the best set
+    so far, which is still a fooling set.
+    """
+    _, rows, final, initial = level
+    n = len(rows[0])
+    # the pairs of a fooling set have distinct nonempty suffix subsets, and
+    # distinct nonempty forward subsets
+    try:
+        suffix, _, _ = _saturate_cut(rows, final, 0, 0, 0, max_vectors, exhaust=True)
+        limit = min(limit, len(suffix) - (0 in suffix))
+        if limit <= floor:
+            return []
+        # the forward subsets are the suffix subsets of the reversed NFA,
+        # and their words come back reversed
+        transposed = [
+            tuple(sum(1 << i for i, row in enumerate(sym_rows) if row >> j & 1) for j in range(n))
+            for sym_rows in rows
+        ]
+        forward, _, _ = _saturate_cut(
+            transposed, initial, 0, 0, len(suffix), max_vectors, exhaust=True
+        )
+        limit = min(limit, len(forward) - (0 in forward))
+        if limit <= floor:
+            return []
+    except BudgetExceededError:
+        return []
+    spent = len(suffix) + len(forward)
+    # per state, the subsets holding it that hold no smaller such one
+    minimal = []
+    for subsets in (forward, suffix):
+        per_state: list[list[int]] = [[] for _ in range(n)]
+        for u in sorted(subsets, key=int.bit_count):
+            for q in range(n):
+                if u >> q & 1:
+                    spent += len(per_state[q]) + 1
+                    if all(v & ~u for v in per_state[q]):
+                        per_state[q].append(u)
+            if spent > max_vectors:
+                return []
+        minimal.append(per_state)
+    candidates: dict[tuple[int, int], None] = {}
+    for fs, bs in zip(*minimal):
+        spent += len(fs) * len(bs)
+        if spent > max_vectors:
+            return []
+        candidates.update(((f, b), None) for f in fs for b in bs)
+    pairs = sorted(candidates, key=lambda p: p[0].bit_count() + p[1].bit_count())
+    best: list[tuple[int, int]] = []
+    # a frame holds the pairs chosen, the pairs compatible with all of them,
+    # and how many of those have been tried as the next pair; floor rises
+    # with each better set found
+    frames: list[tuple[list, list, int]] = [([], pairs, 0)]
+    while frames:
+        chosen, open_, tried = frames[-1]
+        if tried == len(open_) or len(chosen) + len(open_) - tried <= floor:
+            frames.pop()
+            continue
+        frames[-1] = (chosen, open_, tried + 1)
+        f, b = open_[tried]
+        rest = open_[tried + 1 :]
+        spent += len(rest) + 1
+        if spent > max_vectors:
+            break
+        chosen = chosen + [(f, b)]
+        if len(chosen) > floor:
+            best, floor = chosen, len(chosen)
+            if floor >= limit:
+                break
+        frames.append((chosen, [(g, c) for g, c in rest if not f & c or not g & b], 0))
+    return [(forward[f][::-1], suffix[b]) for f, b in best]
+
+
+def _fooling_bound(
+    levels: Sequence[_Level], floor: int, limit: int, max_vectors: int
+) -> tuple[int, list[tuple[Word, Word]]] | None:
+    """The largest extended fooling set of any level's cut with more than
+    floor pairs, with its level, stopping at limit pairs; None when no level
+    has one.  Levels are tried descending.  A cut whose trimmed NFA has at
+    most floor states is skipped, as it has no larger fooling set."""
+    found = None
+    for level in reversed(levels):
+        trimmed = _trimmed_states(*level[1:])
+        if trimmed <= floor:
+            continue
+        pairs = _fooling_set(level, floor, min(limit, trimmed), max_vectors)
+        if pairs:
+            found = level[0], pairs
+            floor = len(pairs)
+            if floor >= limit:
+                break
+    return found
 
 
 class _CutDomain:
@@ -321,11 +447,20 @@ def _first_witness(
     return None
 
 
+# Receives the level and the word pairs of a fooling set that refutes k.
+_OnBound = Callable[[int, list[tuple[Word, Word]]], None]
+
+
+def _quiet(alpha: int, pairs: list[tuple[Word, Word]]) -> None:
+    """The default `_on_bound`: a refutation goes unreported."""
+
+
 def decide_k(
     inst: MinimizeInstance,
     *,
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
+    _on_bound: _OnBound | None = _quiet,
 ) -> CandidateAutomaton | None:
     """First k-state equivalent over the candidate grid, or None.
 
@@ -356,15 +491,21 @@ def decide_k(
     The blocks that survive are exactly those the per-block check passes, in
     the same order, so the witness is the same.
 
-    Before that search, an input with more than one positive level is tried
-    one cut at a time, levels ascending: the alpha-cut of a k-state witness
-    is a k-state NFA for the input's cut language, so if the same search over
-    the values 0 and 1, at that one level, finds no k-state NFA for some cut,
-    the answer is None.  That grid has 2**var_count assignments, not
-    |V|**var_count.  With a single level the cut is the input itself, so the
-    check is skipped; so is a cut with at most k states that are reachable
-    and reach a final state, since it already is a k-state NFA.  Only empty
-    answers come from the cut check, so witnesses are unchanged.
+    Before that search, the alpha-cut of a k-state witness is a k-state NFA
+    for the input's cut language, so two filters look for a cut with no
+    k-state NFA and answer None when one has none.  First, each level's cut,
+    levels descending, is searched for an extended fooling set of k+1 word
+    pairs (see `_fooling_set`), which proves that every NFA for its
+    language has more than k states; the search is charged against
+    max_vectors per level and gives up silently past it.
+    Then an input with more than one positive level is tried one cut at a
+    time, levels ascending: if the same search over the values 0 and 1, at
+    that one level, finds no k-state NFA for some cut, the answer is None.
+    That grid has 2**var_count assignments, not |V|**var_count.  With a
+    single level the cut is the input itself, so this check is skipped.
+    Both filters skip a cut with at most k states that are reachable and
+    reach a final state, since it already is a k-state NFA.  Only empty
+    answers come from the filters, so witnesses are unchanged.
 
     A grid of one point (|V| = 1) is not searched: its only assignment is
     judged with `equivalent_fixpoint`.
@@ -377,6 +518,10 @@ def decide_k(
     check that exceeds it decides nothing and the search goes on; one that
     refutes k within it answers None even where the full search would have
     exceeded it.
+
+    _on_bound serves the command line and `minimize`: it is called with the
+    level and the pairs of a fooling set that refutes k, and None skips the
+    fooling-set filter, for a caller that has applied it already.
     """
     space = build_candidate_space(inst)
     a = inst.automaton
@@ -391,15 +536,12 @@ def decide_k(
         return CandidateAutomaton(values, cand)
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
-    levels = [
-        (
-            alpha,
-            [_cut_rows(d, alpha) for d in a.delta],
-            _cut_mask(a.eta.data, alpha),
-            _cut_mask(a.pi.data, alpha),
-        )
-        for alpha in _levels(a)
-    ]
+    levels = _cut_levels(a)
+    if _on_bound is not None:
+        bound = _fooling_bound(levels, k, k + 1, max_vectors)
+        if bound is not None:
+            _on_bound(*bound)
+            return None
     if len(levels) > 1:
         for alpha, rows, final, initial in levels:
             if _trimmed_states(rows, final, initial) <= k:
@@ -429,20 +571,31 @@ def minimize(
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
     on_k: Callable[[MinimizeInstance], None] | None = None,
+    _on_bound: _OnBound | None = _quiet,
 ) -> FuzzyAutomaton:
-    """Smallest equivalent automaton found by trying k = 1, 2, ...
+    """Smallest equivalent automaton found by trying k = b, b + 1, ...
 
-    Returns the input itself when no strictly smaller realization exists (the
-    input always realizes itself, so k = n needs no search).  A budget error
-    raised at some k reports the smallest k left undecided.  on_k, when given,
-    is called with each k's instance before that k is searched.
+    b is the size of the largest extended fooling set found on any alpha-cut
+    (see `decide_k`), or 1; it is looked for once, and the searches for each
+    k do not look again.  Returns the input itself when no strictly smaller
+    realization exists (the input always realizes itself, so k = n needs no
+    search, and b = n needs none at all).  A budget error raised at some k
+    reports the smallest k left undecided.  on_k, when given, is called with
+    each k's instance before that k is searched; `_on_bound` is as in
+    `decide_k`, called with the set that gives b when b > 1.
     """
-    for k in range(1, a.n):
+    start = 1
+    if _on_bound is not None:
+        bound = _fooling_bound(_cut_levels(a), 1, a.n, max_vectors)
+        if bound is not None:
+            _on_bound(*bound)
+            start = len(bound[1])
+    for k in range(start, a.n):
         inst = MinimizeInstance(a, k)
         if on_k is not None:
             on_k(inst)
         witness = decide_k(
-            inst, max_candidates=max_candidates, max_vectors=max_vectors
+            inst, max_candidates=max_candidates, max_vectors=max_vectors, _on_bound=None
         )
         if witness is not None:
             return witness.automaton

@@ -7,7 +7,9 @@ instead of interval algebra, NFA acceptance from the classical subset
 construction, equivalence verdicts from saturating whole joint vectors
 (`joint_vector_equivalent`) instead of alpha-cuts, and k-state search from
 full-chain candidate grids judged by the bounded word check rather than the
-fixpoint.
+fixpoint.  `is_fooling_set` checks the fooling sets behind `decide_k`'s and
+`minimize`'s lower bounds on word values, never on the cut subsets they were
+found with.
 
 `decide_k_via_equations` keeps the paper's literal reduction alive: it
 materializes, for every word up to a length bound, the polynomial equation
@@ -217,6 +219,23 @@ def grid_search_k_candidate(
     return None
 
 
+def is_fooling_set(
+    a: FuzzyAutomaton, alpha: int, pairs: Sequence[tuple[Word, Word]]
+) -> bool:
+    """True when the word pairs (x_i, y_i) form an extended fooling set of
+    the cut of a at rank alpha: every x_i y_i has a value >= alpha, and for
+    i != j, x_i y_j or x_j y_i has a value below it.  Judged by word values
+    alone, so no NFA for that cut has fewer states than pairs."""
+
+    def reaches(x: Word, y: Word) -> bool:
+        return language_value(a, x + y).rank >= alpha
+
+    return all(reaches(x, y) for x, y in pairs) and all(
+        not reaches(x1, y2) or not reaches(x2, y1)
+        for (x1, y1), (x2, y2) in itertools.combinations(pairs, 2)
+    )
+
+
 def all_words_up_to(n_sym: int, max_len: int) -> Iterator[Word]:
     """Every word over n_sym symbols of length <= max_len, length-lex order."""
     for length in range(max_len + 1):
@@ -245,7 +264,8 @@ def decide_k_via_equations(
     the equation pins it to the input automaton's value on x.  With
     max_len = word_bound(inst) the verdict matches `decide_k`; smaller bounds
     give a necessary but not sufficient check.  The word count is exponential
-    in max_len.
+    in max_len, and so is the path count of each word; max_equations bounds
+    the words and, separately, the monomials of all of them together.
     """
     space = build_candidate_space(inst)
     a = inst.automaton
@@ -256,12 +276,18 @@ def decide_k_via_equations(
         shown = top - 1 if isinstance(top, int) else f"{top}-1"
         raise ValueError(f"word length bound must lie in [0, {shown}], got {max_len}")
     n_sym = len(a.alphabet)
-    total_words = 0
+    total_words = total_monomials = 0
     for length in range(max_len + 1):
         total_words += n_sym**length
         if total_words > max_equations:
             raise BudgetExceededError(
                 total_words, max_equations, "materialized word equations"
+            )
+        # one monomial per state path: k**(length + 1) for each word
+        total_monomials += n_sym**length * k ** (length + 1)
+        if total_monomials > max_equations:
+            raise BudgetExceededError(
+                total_monomials, max_equations, "materialized monomials"
             )
     _check_grid(base, space.var_count, max_candidates, f"candidate assignments for k={k}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import random
 import sys
@@ -12,7 +13,11 @@ from typing import Sequence
 import fuzzmin as fz
 from fuzzmin.chain import ChainValue
 from fuzzmin.generate import alphabet_of
-from fuzzmin.oracles import all_words_up_to
+from fuzzmin.oracles import (
+    all_words_up_to,
+    enumerate_boolean_automata,
+    min_nfa_states_brute,
+)
 
 
 def automaton(
@@ -36,6 +41,20 @@ def matrix(chain: fz.Chain, grid: Sequence[Sequence[str]]) -> fz.FuzzyMatrix:
     """A matrix from a grid of value labels, one list per row."""
     ranks = tuple(chain.rank_of(label) for row in grid for label in row)
     return fz.FuzzyMatrix(chain, len(grid), len(grid[0]), ranks)
+
+
+# Each alpha-cut has a 2-state NFA, so no cut has a fooling set of 3 pairs,
+# yet no 2-state automaton is equivalent: the minimum is 3.
+BEYOND_CUTS = automaton(
+    fz.Chain(("0", "0.5", "1")),
+    "ab",
+    ["0", "1", "0"],
+    ["0", "0.5", "1"],
+    [
+        [["0", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]],
+        [["0", "0.5", "0"], ["0.5", "0", "0"], ["0", "0", "1"]],
+    ],
+)
 
 
 def in_box(box: Sequence[tuple[int, int]], point: Sequence[ChainValue]) -> bool:
@@ -190,6 +209,25 @@ def criterion4_instance(seed: int) -> fz.MinimizeInstance:
     alphabet = alphabet_of(rng.randint(1, 2))
     a = fz.random_automaton(rng, chain, alphabet, rng.randint(1, 3))
     return fz.MinimizeInstance(a, rng.randint(1, 2))
+
+
+@functools.lru_cache(maxsize=1)
+def criterion6_corpus() -> tuple[tuple[fz.FuzzyAutomaton, int], ...]:
+    """The 4,212 boolean automata of acceptance criterion 6 (every one of 1
+    or 2 states over two symbols, and 100 seeded 3-state draws), each with
+    its NFA state minimum from `min_nfa_states_brute`; built once per run."""
+    chain2 = fz.Chain(("0", "1"))
+    alphabet = ("a", "b")
+    corpus = []
+    for n in (1, 2):
+        corpus.extend(enumerate_boolean_automata(chain2, alphabet, n))
+    rng = random.Random(63)
+    for code in rng.sample(range(2**24), 100):
+        bits = tuple(
+            chain2.one if (code >> p) & 1 else chain2.zero for p in range(24)
+        )
+        corpus.append(fz.decode_candidate(chain2, alphabet, 3, bits))
+    return tuple((a, min_nfa_states_brute(a)) for a in corpus)
 
 
 def minimize_benchmark_automata() -> list[fz.FuzzyAutomaton]:

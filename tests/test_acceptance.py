@@ -16,7 +16,6 @@ from fuzzmin import (
     build_candidate_space,
     bounded_counterexample,
     decide_k,
-    decode_candidate,
     equivalence_length_bound,
     equivalent_fixpoint,
     eval_polynomial,
@@ -41,14 +40,12 @@ from fuzzmin.generate import (
 )
 from fuzzmin.oracles import (
     decide_k_via_equations,
-    enumerate_boolean_automata,
     grid_search_k_candidate,
     grid_search_point,
-    min_nfa_states_brute,
     word_bound,
 )
 
-from helpers import in_box
+from helpers import criterion6_corpus, in_box
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -212,18 +209,8 @@ def test_criterion_5_grid_restriction_loses_no_witness():
 
 def test_criterion_6_boolean_minimization_is_nfa_minimization():
     start = time.perf_counter()
-    chain2 = Chain(("0", "1"))
-    alphabet = ("a", "b")
-    corpus = []
-    for n in (1, 2):
-        corpus.extend(enumerate_boolean_automata(chain2, alphabet, n))
-    rng = random.Random(63)
-    for code in rng.sample(range(2**24), 100):
-        bits = tuple(
-            chain2.one if (code >> p) & 1 else chain2.zero for p in range(24)
-        )
-        corpus.append(decode_candidate(chain2, alphabet, 3, bits))
-    bad = sum(1 for a in corpus if minimize(a).n != min_nfa_states_brute(a))
+    corpus = criterion6_corpus()
+    bad = sum(1 for a, least in corpus if minimize(a).n != least)
     elapsed = time.perf_counter() - start
     _report(
         6,

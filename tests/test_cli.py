@@ -27,7 +27,7 @@ from fuzzmin import (
 from fuzzmin.cli import main
 from fuzzmin.generate import gen_automaton_document
 
-from helpers import automaton
+from helpers import BEYOND_CUTS, automaton
 
 CH = Chain(("0", "0.2", "0.5", "1"))
 
@@ -326,7 +326,13 @@ def test_decide_min_empty(tmp_path, capsys):
     path = tmp_path / "nonmono.json"
     path.write_text(render_automaton(nonmono), encoding="utf-8")
     assert main(["decide-min", str(path), "1"]) == 0
-    assert capsys.readouterr().out == "empty\n"
+    out, err = capsys.readouterr()
+    assert out == "empty\n"
+    # the refutation: a a and a a a are rejected at 0.8, λ and a a accepted
+    assert err == (
+        "cost k=1: candidates=64\n"
+        "lower bound 2 at level 0.8: (λ, a a) (a, a)\n"
+    )
 
 
 def test_decide_min_budget(dup_doc, capsys):
@@ -462,7 +468,8 @@ def test_minimize(dup_doc, capsys):
 
 @pytest.fixture
 def nonmono_doc(tmp_path):
-    # f(a^k) = 1, 0.5, 0.8, 0, 0, ...: minimize tries k = 1 and k = 2, both empty
+    # f(a^k) = 1, 0.5, 0.8, 0, 0, ...: its cut at 0.8, {λ, a a}, has a
+    # fooling set of 3 pairs, so minimize searches no k
     ch = Chain(("0", "0.5", "0.8", "1"))
     nonmono = automaton(
         ch,
@@ -476,24 +483,38 @@ def nonmono_doc(tmp_path):
     return str(path)
 
 
-def test_minimize_prints_one_cost_line_per_k(nonmono_doc, capsys):
+@pytest.fixture
+def beyond_cuts_doc(tmp_path):
+    # fooling sets of 2 pairs at most, and a minimum of 3 states: minimize
+    # skips k = 1 and searches k = 2
+    path = tmp_path / "beyond.json"
+    path.write_text(render_automaton(BEYOND_CUTS), encoding="utf-8")
+    return str(path)
+
+
+def test_minimize_prints_one_cost_line_per_k(nonmono_doc, beyond_cuts_doc, capsys):
     assert main(["minimize", nonmono_doc]) == 0
     out, err = capsys.readouterr()
-    assert err == (
-        "cost k=1: candidates=64\n"
-        "cost k=2: candidates=65536\n"
-    )
+    assert err == "lower bound 3 at level 0.8: (λ, a a) (a, a) (a a, λ)\n"
     assert out == Path(nonmono_doc).read_text(encoding="utf-8")
 
+    assert main(["minimize", beyond_cuts_doc]) == 0
+    out, err = capsys.readouterr()
+    assert err == (
+        "lower bound 2 at level 1: (a b, λ) (λ, a)\n"
+        "cost k=2: candidates=531441\n"
+    )
+    assert out == Path(beyond_cuts_doc).read_text(encoding="utf-8")
 
-def test_minimize_budget_stops_after_the_stuck_k(nonmono_doc, capsys):
-    assert main(["minimize", nonmono_doc, "--budget-candidates", "100"]) == 3
+
+def test_minimize_budget_stops_after_the_stuck_k(beyond_cuts_doc, capsys):
+    assert main(["minimize", beyond_cuts_doc, "--budget-candidates", "100"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "cost k=1: candidates=64\n"
-        "cost k=2: candidates=65536\n"
-        "error: size 65536 exceeds budget 100 (candidate assignments for k=2)\n"
+        "lower bound 2 at level 1: (a b, λ) (λ, a)\n"
+        "cost k=2: candidates=531441\n"
+        "error: size 531441 exceeds budget 100 (candidate assignments for k=2)\n"
     )
 
 

@@ -19,20 +19,24 @@ from fuzzmin import (
     nfa_view,
     pad_states,
 )
-from fuzzmin.minimization import cost_estimate
+from fuzzmin.minimization import _cut_levels, _fooling_bound, cost_estimate
 from fuzzmin.oracles import (
     all_words_up_to,
     crisp_accepts,
     decide_k_via_equations,
+    is_fooling_set,
     min_nfa_states_brute,
     word_bound,
 )
 
 from helpers import (
+    BEYOND_CUTS,
     automaton,
     boolean_cut,
     criterion4_instance,
+    criterion6_corpus,
     minimize_benchmark_automata,
+    permutation_pair,
     positive_ranks,
 )
 
@@ -142,9 +146,11 @@ def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
     symbols_seen = []
     kernel = fz.minimization._saturate_cut
 
-    def spy(rows, *args, **kwargs):
-        symbols_seen.append(len(rows))
-        return kernel(rows, *args, **kwargs)
+    def spy(rows, *args, exhaust):
+        # the fooling-set bound saturates whole cuts first, and gives up
+        if not exhaust:
+            symbols_seen.append(len(rows))
+        return kernel(rows, *args, exhaust=exhaust)
 
     monkeypatch.setattr(fz.minimization, "_saturate_cut", spy)
     with pytest.raises(BudgetExceededError) as info:
@@ -179,7 +185,7 @@ def test_every_empty_answer_on_several_levels_has_a_cut_needing_more_states():
 
 def test_a_refuting_cut_skips_the_full_search(monkeypatch):
     # NONMONO's lowest cut, at 0.5, accepts exactly {λ, a, aa}, which no
-    # 2-state NFA does
+    # 2-state NFA does; the fooling-set bound, off here, would say so first
     searched = []
     search = fz.minimization._first_witness
 
@@ -188,7 +194,7 @@ def test_a_refuting_cut_skips_the_full_search(monkeypatch):
         return search(n_sym, k, value_ranks, *args)
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
-    assert decide_k(MinimizeInstance(NONMONO, 2)) is None
+    assert decide_k(MinimizeInstance(NONMONO, 2), _on_bound=None) is None
     assert searched and set(searched) == {(0, 1)}
 
 
@@ -259,6 +265,108 @@ def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
     assert info.value.context == "cut subsets"
 
 
+# the fooling-set bound: an extended fooling set of k+1 word pairs on one
+# alpha-cut rules k out
+
+
+def _bound(a, floor=0, max_vectors=fz.errors.DEFAULT_VECTOR_BUDGET):
+    return _fooling_bound(_cut_levels(a), floor, a.n, max_vectors)
+
+
+def test_the_referee_rejects_a_set_that_does_not_fool():
+    at_08 = NONMONO.chain.rank_of("0.8")
+    assert is_fooling_set(NONMONO, at_08, [((), (0, 0)), ((0,), (0,)), ((0, 0), ())])
+    # f(a) = 0.5 is below the level
+    assert not is_fooling_set(NONMONO, at_08, [((0,), ())])
+    # λ λ and a a a a are both accepted at 0.8, so the pairs are incompatible
+    assert not is_fooling_set(NONMONO, at_08, [((), ()), ((0, 0), (0, 0))])
+
+
+def test_the_fooling_bound_is_the_nfa_minimum_on_criterion_6():
+    # a sound bound never exceeds the brute-force NFA minimum; measured, it
+    # equals it on every automaton of the corpus (an empty language has no
+    # pairs, and a minimum of 1)
+    for a, least in criterion6_corpus():
+        found = _bound(a)
+        size = 0
+        if found is not None:
+            alpha, pairs = found
+            assert is_fooling_set(a, alpha, pairs), a
+            size = len(pairs)
+        assert max(size, 1) == least, a
+
+
+def test_the_fooling_bound_changes_no_answer(monkeypatch):
+    insts = [
+        MinimizeInstance(a, k)
+        for a in minimize_benchmark_automata()
+        for k in range(1, a.n)
+    ]
+    insts += [criterion4_instance(seed) for seed in range(3000, 3200)]
+    refuted = []
+
+    def check(inst):
+        def report(alpha, pairs):
+            assert len(pairs) == inst.k + 1
+            assert is_fooling_set(inst.automaton, alpha, pairs)
+            refuted.append(inst)
+
+        return report
+
+    bounded = [decide_k(inst, _on_bound=check(inst)) for inst in insts]
+    # every empty answer on these corpora is a fooling-set refutation
+    empty = [inst for inst, got in zip(insts, bounded) if got is None]
+    assert refuted == empty and len(empty) >= 50
+    monkeypatch.setattr(fz.minimization, "_fooling_bound", lambda *args: None)
+    unbounded = [decide_k(inst) for inst in insts]
+    assert [w and w.assignment for w in bounded] == [w and w.assignment for w in unbounded]
+
+
+def test_the_fooling_bound_gives_up_silently_past_its_budget(monkeypatch):
+    a = permutation_pair(6, 0, broken=False)[0]
+    sizes = []
+    for max_vectors in range(0, 120, 2):
+        found = _bound(a, max_vectors=max_vectors)
+        if found is not None:
+            assert is_fooling_set(a, *found)
+        sizes.append(0 if found is None else len(found[1]))
+    # a search cut short keeps the partial set it has
+    assert sizes[0] == 0 and any(0 < size < a.n for size in sizes)
+    assert sizes[-1] == a.n
+    # with almost no room the bound refutes nothing, and the answers stay
+    bound = fz.minimization._fooling_bound
+    insts = [MinimizeInstance(NONMONO, 1), MinimizeInstance(NONMONO, 2)]
+    insts += [criterion4_instance(seed) for seed in range(3000, 3050)]
+    answers = [decide_k(inst) for inst in insts]
+    monkeypatch.setattr(
+        fz.minimization,
+        "_fooling_bound",
+        lambda levels, floor, limit, max_vectors: bound(levels, floor, limit, 2),
+    )
+    assert [decide_k(inst) for inst in insts] == answers
+    assert minimize(NONMONO) is NONMONO
+
+
+def test_minimize_starts_at_the_bound(monkeypatch):
+    tried = []
+    minimize(BEYOND_CUTS, on_k=lambda inst: tried.append(inst.k))
+    assert tried == [2]
+    tried.clear()
+    assert minimize(NONMONO, on_k=lambda inst: tried.append(inst.k)) is NONMONO
+    assert tried == []
+    # the searches after the bound do not look for fooling sets again
+    levels = []
+    bound = fz.minimization._fooling_bound
+
+    def spy(*args):
+        levels.append(args[1:3])
+        return bound(*args)
+
+    monkeypatch.setattr(fz.minimization, "_fooling_bound", spy)
+    assert minimize(BEYOND_CUTS) is BEYOND_CUTS
+    assert levels == [(1, 3)]
+
+
 def test_minimize_collapses_duplicates():
     small = minimize(DUP)
     assert small.n == 1
@@ -272,11 +380,13 @@ def test_minimize_returns_the_input_when_nothing_smaller_exists():
 
 
 def test_minimize_budget_reports_the_stuck_k():
-    # k=1 already needs 4**3 = 64 candidates
+    # the bound skips k=1, and k=2 needs 3**12 candidates; NONMONO is proven
+    # minimal by its bound alone and never reaches a grid
     with pytest.raises(BudgetExceededError) as info:
-        minimize(NONMONO, max_candidates=10)
-    assert info.value.count == 64
-    assert "k=1" in str(info.value)
+        minimize(BEYOND_CUTS, max_candidates=10)
+    assert info.value.count == 3**12
+    assert "k=2" in str(info.value)
+    assert minimize(NONMONO, max_candidates=10) is NONMONO
 
 
 # the equation reduction agrees with the direct search
@@ -311,6 +421,17 @@ def test_equation_reduction_prints_a_bound_too_large_for_digits():
 def test_equation_reduction_budgets_the_word_count():
     with pytest.raises(BudgetExceededError):
         decide_k_via_equations(MinimizeInstance(DUP, 1), 7, max_equations=3)
+
+
+def test_equation_reduction_budgets_the_monomials():
+    # 65,535 words fit the default budget, but the words of length l have
+    # 2**(l+1) state paths each: 2**31 monomials at l = 15 alone
+    inst = MinimizeInstance(fz.gen_automaton(3, 3, 2, 3), 2)
+    with pytest.raises(BudgetExceededError) as info:
+        decide_k_via_equations(inst, 15)
+    assert info.value.context == "materialized monomials"
+    assert info.value.limit == 100_000
+    assert info.value.count == sum(2**l * 2 ** (l + 1) for l in range(9))
 
 
 # layout round trip
