@@ -6,14 +6,17 @@ up directly; any other spelling ("0.50" for "0.5") is compared as a rational,
 never as a float.  Only the order is ever used.  The declared spelling of
 each label is kept as the canonical one for rendering.
 
-The interval solver works on rank boxes.  A box is a plain tuple of
-`(lo, hi)` rank pairs, one per variable, and stands for the points whose
-every coordinate has a rank within its pair.  Bounds never cross, so every
-box holds a point.  A `SolutionSet` keeps only the maximal boxes, sorted by
-their bounds.  `cross_intersect` intersects two sets pair by pair and keeps
-the running set maximal as each box is stored, so its budget bounds the
-boxes actually held.  Chain values and printable boxes are built only when
-a set is iterated.
+The interval solver works on rank boxes.  A box stands for the points whose
+every coordinate has a rank within that coordinate's `(lo, hi)` pair.  Bounds
+never cross, so every box holds a point.  The solver holds each box packed
+into one int, one bit field per coordinate (see `_layout`), so containment,
+meet and the test that a meet holds a point are a few integer operations,
+whatever the dimension.  A `SolutionSet` keeps only the maximal boxes,
+sorted by their `(lo, hi)` pairs, and spells a box out as a tuple of those
+pairs only when asked.  `cross_intersect` intersects two sets pair by pair,
+in that order, and keeps the running set maximal as each box is stored, so
+its budget bounds the boxes actually held.  Chain values and printable
+boxes are built only when a set is iterated.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterator
+from functools import lru_cache, total_ordering
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
 
@@ -161,22 +164,69 @@ def _require_same_chain(a: ChainValue, b: ChainValue) -> None:
 Box = tuple[tuple[int, int], ...]
 
 
-def _inside(a: Box, b: Box) -> bool:
-    """True when box a lies inside box b."""
-    return all(blo <= alo and ahi <= bhi for (alo, ahi), (blo, bhi) in zip(a, b))
+@lru_cache(maxsize=256)
+def _layout(top: int, dim: int) -> tuple[int, int, int]:
+    """Field width, data mask and guard mask of packed boxes of dimension
+    dim on a chain with top rank top.
+
+    A packed box holds one field of top + 2 bits per coordinate, coordinate 0
+    the most significant.  Rank r is bit top - r of its field, so the pair
+    (lo, hi) sets bits top - hi .. top - lo, and the field's highest bit, the
+    guard, stays 0.  So box a lies inside box b iff a | b == b, and the meet
+    of two boxes is a & b.  A meet holds a point iff none of its fields is 0,
+    that is iff adding the data mask (bits 0..top of every field) carries
+    into every guard; no carry crosses a guard.
+    """
+    guard = int(("1" + "0" * (top + 1)) * dim, 2)
+    return top + 2, guard - (guard >> top + 1), guard
 
 
-def _store(kept: list[Box], box: Box) -> None:
-    """Add box to the antichain kept unless a kept box holds it, and drop the
-    kept boxes it holds.  Whatever the arrival order, what stays is exactly
-    the maximal boxes seen, each once."""
-    if any(_inside(box, k) for k in kept):
-        return
-    kept[:] = [k for k in kept if not _inside(k, box)]
+def _field(lo: int, hi: int, top: int) -> int:
+    """The field of the rank pair (lo, hi)."""
+    return (1 << top + 1 - lo) - (1 << top - hi)
+
+
+def _pack(box: Box, top: int) -> int:
+    packed = 0
+    for lo, hi in box:
+        packed = packed << top + 2 | _field(lo, hi, top)
+    return packed
+
+
+def _unpack(packed: int, top: int, dim: int) -> Box:
+    width = top + 2
+    mask = (1 << width) - 1
+    pairs = []
+    for shift in range((dim - 1) * width, -1, -width):
+        bits = packed >> shift & mask
+        pairs.append((top + 1 - bits.bit_length(), top + 1 - (bits & -bits).bit_length()))
+    return tuple(pairs)
+
+
+def _in_order(kept: list[int], top: int, dim: int) -> tuple[int, ...]:
+    """The packed boxes kept, sorted in canonical order: that of their
+    (lo, hi) pairs, coordinate 0 first.  In each field, the guard minus the
+    lowest set bit (rank hi) sets the bits of ranks 0..hi, and clearing the
+    highest set bit (rank lo) leaves a number that grows with lo and, for
+    equal lo, with hi.  The guards stay 0, so these keys compare field by
+    field as the pairs do."""
+    guard = _layout(top, dim)[2]
+    kept.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
+    return tuple(kept)
+
+
+def _store(kept: list[int], box: int) -> None:
+    """Add the packed box to the antichain kept unless a kept box holds it,
+    and drop the kept boxes it holds.  Whatever the arrival order, what
+    stays is exactly the maximal boxes seen, each once."""
+    for k in kept:
+        if box | k == k:
+            return
+    kept[:] = [k for k in kept if k | box != box]
     kept.append(box)
 
 
-def _store_capped(kept: list[Box], box: Box, max_vectors: int | None) -> None:
+def _store_capped(kept: list[int], box: int, max_vectors: int | None) -> None:
     """`_store`, then refuse once kept holds more than max_vectors boxes."""
     _store(kept, box)
     if max_vectors is not None and len(kept) > max_vectors:
@@ -202,32 +252,44 @@ class IntervalVector:
         return "(" + ", ".join(pairs) + ")"
 
 
-@dataclass(frozen=True)
 class SolutionSet:
     """The maximal rank boxes of one dimension on one chain, canonically sorted.
 
     Construction normalizes: every box inside another one is dropped and the
     rest are sorted by their rank bounds.  The stored boxes cover the same
     points as the given ones and none lies inside another; sets built from
-    the same boxes in any order or multiplicity compare equal structurally.
-    Bounds that cross are rejected, so every box holds a point and the set
-    is empty exactly when it denotes no point.
+    the same boxes in any order or multiplicity compare equal.  Bounds that
+    cross are rejected, so every box holds a point and the set is empty
+    exactly when it denotes no point.
+
+    A set holds its boxes packed (see `_layout`) and decodes `boxes` on
+    first use; the padded sets `solve_intervals` returns hold only `boxes`,
+    and are packed only if they are intersected.
     """
 
-    chain: Chain
-    dim: int
-    boxes: tuple[Box, ...]
+    __slots__ = ("chain", "dim", "_packed", "_boxes")
 
-    def __post_init__(self) -> None:
-        top = len(self.chain) - 1
-        kept: list[Box] = []
-        for box in self.boxes:
-            if len(box) != self.dim:
-                raise ValueError(f"box dimension {len(box)} != set dimension {self.dim}")
+    def __init__(self, chain: Chain, dim: int, boxes: Iterable[Box]) -> None:
+        top = len(chain) - 1
+        kept: list[int] = []
+        for box in boxes:
+            if len(box) != dim:
+                raise ValueError(f"box dimension {len(box)} != set dimension {dim}")
             if not all(0 <= lo <= hi <= top for lo, hi in box):
                 raise ValueError(f"bad box bounds {box}")
-            _store(kept, tuple(box))
-        object.__setattr__(self, "boxes", tuple(sorted(kept)))
+            _store(kept, _pack(box, top))
+        self.chain, self.dim = chain, dim
+        self._packed: tuple[int, ...] | None = _in_order(kept, top, dim)
+        self._boxes: tuple[Box, ...] | None = None
+
+    @classmethod
+    def _of(cls, chain: Chain, dim: int, kept: list[int]) -> "SolutionSet":
+        """The set of an antichain of packed boxes, sorted but not
+        normalized again."""
+        self = object.__new__(cls)
+        self.chain, self.dim = chain, dim
+        self._packed, self._boxes = _in_order(kept, len(chain) - 1, dim), None
+        return self
 
     @classmethod
     def _canonical(
@@ -236,16 +298,40 @@ class SolutionSet:
         """The set of boxes that are already valid, maximal and sorted, taken
         as they are instead of normalized again."""
         self = object.__new__(cls)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "boxes", boxes)
+        self.chain, self.dim = chain, dim
+        self._packed, self._boxes = None, boxes
         return self
 
+    @property
+    def boxes(self) -> tuple[Box, ...]:
+        """The boxes as tuples of (lo, hi) rank pairs, in canonical order."""
+        if self._boxes is None:
+            top = len(self.chain) - 1
+            self._boxes = tuple(_unpack(box, top, self.dim) for box in self._packed)
+        return self._boxes
+
+    def _packed_boxes(self) -> tuple[int, ...]:
+        if self._packed is None:
+            top = len(self.chain) - 1
+            self._packed = tuple(_pack(box, top) for box in self._boxes)
+        return self._packed
+
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self._boxes if self._packed is None else self._packed)
 
     def __iter__(self) -> Iterator[IntervalVector]:
         return (IntervalVector(self.chain, box) for box in self.boxes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SolutionSet):
+            return NotImplemented
+        return (self.chain, self.dim, self.boxes) == (other.chain, other.dim, other.boxes)
+
+    def __hash__(self) -> int:
+        return hash((self.chain, self.dim, self.boxes))
+
+    def __repr__(self) -> str:
+        return f"SolutionSet({self.chain!r}, {self.dim!r}, {self.boxes!r})"
 
 
 def cross_intersect(
@@ -257,22 +343,18 @@ def cross_intersect(
     pairs build no box, and the running set stays maximal as each
     intersection is stored, so it never holds more than len(s1) * len(s2)
     boxes.  Raises BudgetExceededError as soon as it holds more than
-    max_vectors.
+    max_vectors.  The pairs are met packed, in the order of the sets.
     """
     if s1.chain != s2.chain:
         raise ValueError("solution sets live on different chains")
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    kept: list[Box] = []
-    for x in s1.boxes:
-        for y in s2.boxes:
-            meet = []
-            for (alo, ahi), (blo, bhi) in zip(x, y):
-                lo = alo if alo > blo else blo
-                hi = ahi if ahi < bhi else bhi
-                if lo > hi:
-                    break
-                meet.append((lo, hi))
-            else:
-                _store_capped(kept, tuple(meet), max_vectors)
-    return SolutionSet(s1.chain, s1.dim, tuple(kept))
+    _, data, guard = _layout(len(s1.chain) - 1, s1.dim)
+    kept: list[int] = []
+    ys = s2._packed_boxes()
+    for x in s1._packed_boxes():
+        for y in ys:
+            meet = x & y
+            if (meet + data) & guard == guard:
+                _store_capped(kept, meet, max_vectors)
+    return SolutionSet._of(s1.chain, s1.dim, kept)

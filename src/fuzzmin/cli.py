@@ -26,7 +26,12 @@ from .automaton import (
     language_value,
 )
 from .equations import solve_intervals, solve_points
-from .errors import DEFAULT_CANDIDATE_BUDGET, DEFAULT_VECTOR_BUDGET, BudgetExceededError
+from .errors import (
+    DEFAULT_CANDIDATE_BUDGET,
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_VECTOR_BUDGET,
+    BudgetExceededError,
+)
 from .formats import parse_automaton, parse_system, render_automaton
 from .generate import gen_automaton_document, gen_system_document
 from .minimization import MinimizeInstance, cost_estimate, decide_k, minimize
@@ -101,8 +106,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         print("unsolvable" if witness is None else " ".join(witness.labels()))
         return 0
-    cap = _budget(args.budget_phi, DEFAULT_VECTOR_BUDGET)
-    solutions = solve_intervals(system, max_vectors=cap)
+    solutions = solve_intervals(
+        system,
+        max_vectors=_budget(args.budget_phi, DEFAULT_VECTOR_BUDGET),
+        _max_cells=_budget(None, DEFAULT_CELL_BUDGET),
+    )
     if not solutions:
         print("unsolvable")
     for vec in solutions:

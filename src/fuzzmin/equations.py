@@ -6,13 +6,14 @@ chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
 Two solvers are provided.  `solve_intervals` builds, per equation, the finite
 family of rank boxes that covers the solutions, then intersects the families
-across equations.  A box is a tuple of `(lo, hi)` rank pairs, one per
-variable (see `chain`), and every family is a `SolutionSet` of boxes, none
-inside another.  Two boxes that share no point build no intersection, so the
-system is solvable iff the final set is non-empty.  Chain values enter only
-as right-hand sides and when the boxes are printed.  `solve_points` exploits
-that a solvable system is already solvable using only values that appear on
-some right-hand side, and searches that finite grid directly.
+across equations.  Every family is a `SolutionSet` of boxes, none inside
+another, and the families are built and intersected on boxes packed into one
+int each (see `chain`).  Two boxes that share no point build no
+intersection, so the system is solvable iff the final set is non-empty.
+Chain values enter only as right-hand sides and when the boxes are printed.
+`solve_points` exploits that a solvable system is already solvable using
+only values that appear on some right-hand side, and searches that finite
+grid directly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,23 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import Box, Chain, ChainValue, SolutionSet, cross_intersect, _store_capped
-from .errors import DEFAULT_CANDIDATE_BUDGET, DEFAULT_VECTOR_BUDGET, _check_grid
+from .chain import (
+    Chain,
+    ChainValue,
+    SolutionSet,
+    cross_intersect,
+    _field,
+    _layout,
+    _store,
+    _store_capped,
+)
+from .errors import (
+    DEFAULT_CANDIDATE_BUDGET,
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_VECTOR_BUDGET,
+    BudgetExceededError,
+    _check_grid,
+)
 
 
 class Relation(Enum):
@@ -158,15 +174,16 @@ def _pin_family(
     over the whole chain."""
     if m.max_index >= n_vars:
         raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
-    full = (0, len(chain) - 1)
-    boxes: list[Box] = []
-    for pin in m.vars:
-        box = [full] * n_vars
-        for i in m.vars:
-            box[i] = rest
-        box[pin] = pinned
-        boxes.append(tuple(box))
-    return SolutionSet(chain, n_vars, tuple(boxes))
+    top = len(chain) - 1
+    width, base, _ = _layout(top, n_vars)
+    mask = (1 << width) - 1
+    shifts = [(n_vars - 1 - i) * width for i in m.vars]
+    for shift in shifts:
+        base = base & ~(mask << shift) | _field(*rest, top) << shift
+    kept: list[int] = []
+    for shift in shifts:
+        _store(kept, base & ~(mask << shift) | _field(*pinned, top) << shift)
+    return SolutionSet._of(chain, n_vars, kept)
 
 
 def monomial_eq_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
@@ -202,20 +219,23 @@ def polynomial_eq_solutions(
     BudgetExceededError as soon as a case or the union holds more than
     max_vectors boxes.
     """
-    boxes: list[Box] = []
+    kept: list[int] = []
     for i, m_eq in enumerate(p.monomials):
         case = monomial_eq_solutions(m_eq, rhs, n_vars)
         for j, m_le in enumerate(p.monomials):
             if j != i:
                 le = monomial_le_solutions(m_le, rhs, n_vars)
                 case = cross_intersect(case, le, max_vectors=max_vectors)
-        for box in case.boxes:
-            _store_capped(boxes, box, max_vectors)
-    return SolutionSet(rhs.chain, n_vars, tuple(boxes))
+        for box in case._packed_boxes():
+            _store_capped(kept, box, max_vectors)
+    return SolutionSet._of(rhs.chain, n_vars, kept)
 
 
 def solve_intervals(
-    system: EquationSystem, *, max_vectors: int = DEFAULT_VECTOR_BUDGET
+    system: EquationSystem,
+    *,
+    max_vectors: int = DEFAULT_VECTOR_BUDGET,
+    _max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> SolutionSet:
     """Interval cover of the whole system: the cross-intersection of the
     per-equation families.  The boxes hold only solutions, cover every
@@ -232,7 +252,9 @@ def solve_intervals(
     once per result box, all sharing one (0, top) pair; the boxes and any
     refusal are those of the families built at full width.  The same pair at
     the same places keeps the boxes maximal and in order, so the padded set
-    is not normalized again.
+    is not normalized again.  Before padding, it refuses when the padded
+    boxes would hold more than _max_cells (boxes times n_vars) pairs; the
+    command line passes its own ceiling there.
     """
     lhss = [eq.lhs.monomials for eq in system.equations]
     used = sorted({i for lhs in lhss for m in lhs for i in m.vars})
@@ -249,6 +271,9 @@ def solve_intervals(
     result = next(families)
     for family in families:
         result = cross_intersect(result, family, max_vectors=max_vectors)
+    cells = len(result) * system.n_vars
+    if cells > _max_cells:
+        raise BudgetExceededError(cells, _max_cells, "interval solution cells")
     full = (0, len(system.chain) - 1)
     boxes = []
     for box in result.boxes:

@@ -28,10 +28,13 @@ class BudgetExceededError(RuntimeError):
 
 
 # Default ceilings: on a grid searched point by point (the candidate grid of
-# `decide_k` and the point grid of `solve_points`), and on the vectors, cut
-# subsets, forward vector pairs or boxes a decider stores at once.
+# `decide_k` and the point grid of `solve_points`), on the vectors, cut
+# subsets, forward vector pairs or boxes a decider stores at once, and on the
+# (lo, hi) pairs of the boxes `solve_intervals` returns, boxes times
+# variables.
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 DEFAULT_VECTOR_BUDGET = 1_000_000
+DEFAULT_CELL_BUDGET = 10_000_000
 
 # Sizes of more than 4,300 decimal digits (Python's default limit on int-to-str
 # conversion) are reported as powers and never built.

@@ -461,6 +461,7 @@ def decide_k(
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
     _on_bound: _OnBound | None = _quiet,
+    _levels: list[_Level] | None = None,
 ) -> CandidateAutomaton | None:
     """First k-state equivalent over the candidate grid, or None.
 
@@ -521,7 +522,8 @@ def decide_k(
 
     _on_bound serves the command line and `minimize`: it is called with the
     level and the pairs of a fooling set that refutes k, and None skips the
-    fooling-set filter, for a caller that has applied it already.
+    fooling-set filter, for a caller that has applied it already.  _levels
+    is the input's `_cut_levels`, for a caller that has built them already.
     """
     space = build_candidate_space(inst)
     a = inst.automaton
@@ -536,7 +538,7 @@ def decide_k(
         return CandidateAutomaton(values, cand)
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
-    levels = _cut_levels(a)
+    levels = _cut_levels(a) if _levels is None else _levels
     if _on_bound is not None:
         bound = _fooling_bound(levels, k, k + 1, max_vectors)
         if bound is not None:
@@ -577,7 +579,8 @@ def minimize(
 
     b is the size of the largest extended fooling set found on any alpha-cut
     (see `decide_k`), or 1; it is looked for once, and the searches for each
-    k do not look again.  Returns the input itself when no strictly smaller
+    k do not look again.  The cut levels are built once and shared with
+    those searches.  Returns the input itself when no strictly smaller
     realization exists (the input always realizes itself, so k = n needs no
     search, and b = n needs none at all).  A budget error raised at some k
     reports the smallest k left undecided.  on_k, when given, is called with
@@ -585,8 +588,9 @@ def minimize(
     `decide_k`, called with the set that gives b when b > 1.
     """
     start = 1
+    levels = _cut_levels(a)
     if _on_bound is not None:
-        bound = _fooling_bound(_cut_levels(a), 1, a.n, max_vectors)
+        bound = _fooling_bound(levels, 1, a.n, max_vectors)
         if bound is not None:
             _on_bound(*bound)
             start = len(bound[1])
@@ -595,7 +599,11 @@ def minimize(
         if on_k is not None:
             on_k(inst)
         witness = decide_k(
-            inst, max_candidates=max_candidates, max_vectors=max_vectors, _on_bound=None
+            inst,
+            max_candidates=max_candidates,
+            max_vectors=max_vectors,
+            _on_bound=None,
+            _levels=levels,
         )
         if witness is not None:
             return witness.automaton

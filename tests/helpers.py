@@ -64,6 +64,72 @@ def in_box(box: Sequence[tuple[int, int]], point: Sequence[ChainValue]) -> bool:
     return all(lo <= v.rank <= hi for (lo, hi), v in zip(box, point))
 
 
+def _inside(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:
+    return all(blo <= alo and ahi <= bhi for (alo, ahi), (blo, bhi) in zip(a, b))
+
+
+class TupleBoxSolver:
+    """Reference interval solver on boxes held as tuples of (lo, hi) rank
+    pairs, at the system's full width: the same families, stored in the same
+    order into the same capped antichains as `solve_intervals`.  peak is the
+    most boxes any capped set held, so every cap below it refuses and every
+    cap from it up answers."""
+
+    def __init__(self, max_vectors: int | None = None) -> None:
+        self.max_vectors = max_vectors
+        self.peak = 0
+
+    def _store(self, kept: list, box: tuple, capped: bool = True) -> None:
+        if any(_inside(box, k) for k in kept):
+            return
+        kept[:] = [k for k in kept if not _inside(k, box)]
+        kept.append(box)
+        if capped:
+            self.peak = max(self.peak, len(kept))
+            if self.max_vectors is not None and len(kept) > self.max_vectors:
+                raise fz.BudgetExceededError(
+                    len(kept), self.max_vectors, "interval solution set"
+                )
+
+    def _cross(self, xs: list, ys: list) -> list:
+        kept: list = []
+        for x in xs:
+            for y in ys:
+                meet = tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(x, y))
+                if all(lo <= hi for lo, hi in meet):
+                    self._store(kept, meet)
+        return sorted(kept)
+
+    def _pins(self, vars_: Sequence[int], n: int, top: int, pinned, rest) -> list:
+        kept: list = []
+        for pin in vars_:
+            box = [(0, top)] * n
+            for i in vars_:
+                box[i] = rest
+            box[pin] = pinned
+            self._store(kept, tuple(box), capped=False)
+        return sorted(kept)
+
+    def solve(self, system: fz.EquationSystem) -> tuple:
+        """The boxes of the system, sorted, or BudgetExceededError."""
+        n, top = system.n_vars, len(system.chain) - 1
+        result = None
+        for eq in system.equations:
+            r = eq.rhs.rank
+            monomials = eq.lhs.monomials
+            family: list = []
+            for i, m_eq in enumerate(monomials):
+                case = self._pins(m_eq.vars, n, top, (r, r), (r, top))
+                for j, m_le in enumerate(monomials):
+                    if j != i:
+                        case = self._cross(case, self._pins(m_le.vars, n, top, (0, r), (0, top)))
+                for box in case:
+                    self._store(family, box)
+            family.sort()
+            result = family if result is None else self._cross(result, family)
+        return tuple(result)
+
+
 def random_pair(
     rng: random.Random,
     *,

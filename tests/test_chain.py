@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.chain import SolutionSet, cross_intersect, is_decimal_label
+from fuzzmin.generate import random_chain_labels
 
 from helpers import in_box
 
@@ -192,6 +194,23 @@ def test_contained_vectors_are_dropped():
     assert SolutionSet(CH, 2, (point, beside, inner)).boxes == (beside, inner)
     with pytest.raises(ValueError):
         SolutionSet(CH, 2, ((FULL,),))
+
+
+@given(st.data())
+def test_sets_keep_the_maximal_boxes_sorted_on_chains_up_to_21_values(data):
+    size = data.draw(st.integers(2, 21))
+    dim = data.draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).map(
+        lambda p: (min(p), max(p))
+    )
+    boxes = data.draw(st.lists(st.tuples(*[pair] * dim), max_size=8))
+    chain = Chain(random_chain_labels(random.Random(size), size))
+
+    def inside(a, b):
+        return all(c <= x and y <= d for (x, y), (c, d) in zip(a, b))
+
+    maximal = {b for b in boxes if not any(b != c and inside(b, c) for c in boxes)}
+    assert SolutionSet(chain, dim, boxes).boxes == tuple(sorted(maximal))
 
 
 sets2 = st.lists(boxes2, min_size=1, max_size=4).map(

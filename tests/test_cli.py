@@ -289,6 +289,34 @@ def test_solve_budgets(system_doc, capsys):
     assert err == "error: size 4 exceeds budget 3 (interval solution set)\n"
 
 
+# 111 bytes: x1 x2 x3 = 0.5 has 3 boxes, which would pad to 3 * 10**9 pairs
+WIDE_SYSTEM = (
+    '{"kind":"system","chain":["0","0.5","1"],"n_vars":1000000000,'
+    '"equations":[{"monomials":[[1,2,3]],"rhs":"0.5"}]}'
+)
+
+
+def test_solve_refuses_boxes_too_wide_to_pad(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(WIDE_SYSTEM, encoding="utf-8")
+    assert main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: size 3000000000 exceeds budget 10000000 (interval solution cells)\n"
+
+
+def test_budget_env_var_replaces_the_cell_ceiling(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "wide.json"
+    path.write_text(WIDE_SYSTEM.replace("1000000000", "1000"), encoding="utf-8")
+    monkeypatch.setenv("FUZZMIN_BUDGET", "2999")
+    assert main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: size 3000 exceeds budget 2999 (interval solution cells)\n"
+    monkeypatch.setenv("FUZZMIN_BUDGET", "3000")
+    assert main(["solve", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_solve_points_refuses_a_grid_too_large_to_print(tmp_path, capsys):
     # 3**10000 has 4,772 digits, past the 4,300 an int may print with
     x = Polynomial((Monomial((0,)),))

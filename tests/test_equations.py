@@ -19,6 +19,7 @@ from fuzzmin import (
     Polynomial,
     Relation,
     eval_polynomial,
+    gen_system,
     satisfies,
     solve_intervals,
     solve_points,
@@ -32,7 +33,7 @@ from fuzzmin.equations import (
 from fuzzmin.generate import random_chain_labels, random_system
 from fuzzmin.oracles import grid_search_point
 
-from helpers import in_box
+from helpers import TupleBoxSolver, in_box
 
 CH = Chain(("0", "0.2", "0.5", "1"))
 
@@ -227,6 +228,35 @@ def test_unused_variables_pad_the_boxes_of_the_compact_twin(seed, extra, cap):
         return tuple(out)
 
     assert outcome(wide, tuple) == outcome(compact, padded)
+
+
+# (n_vars, equations, max monomials, chain size); the last packs 22-bit
+# fields, so a box of three or more used variables is wider than 64 bits
+_DIFFERENTIAL_SHAPES = ((3, 2, 2, 3), (5, 5, 3, 5), (4, 3, 3, 4), (8, 3, 2, 21))
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except BudgetExceededError as refused:
+        return str(refused)
+
+
+def test_packed_solver_matches_the_tuple_box_reference_at_every_cap():
+    widest = 0
+    for n_vars, n_equations, max_monomials, chain_size in _DIFFERENTIAL_SHAPES:
+        for seed in range(30):
+            system = gen_system(7000 + seed, n_vars, n_equations, max_monomials, chain_size)
+            reference = TupleBoxSolver()
+            assert solve_intervals(system).boxes == reference.solve(system)
+            used = {i for eq in system.equations for m in eq.lhs.monomials for i in m.vars}
+            widest = max(widest, len(used) * (chain_size + 1))
+            # same boxes in the same order, or the same refusal, at every cap
+            for cap in range(1, reference.peak + 2):
+                assert _outcome(lambda: solve_intervals(system, max_vectors=cap).boxes) == (
+                    _outcome(lambda: TupleBoxSolver(cap).solve(system))
+                )
+    assert widest > 64
 
 
 def test_point_solver_walks_the_grid_in_order():

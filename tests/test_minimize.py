@@ -367,6 +367,24 @@ def test_minimize_starts_at_the_bound(monkeypatch):
     assert levels == [(1, 3)]
 
 
+def test_minimize_builds_the_cut_levels_once(monkeypatch):
+    built = []
+    cut_levels = fz.minimization._cut_levels
+
+    def spy(a):
+        built.append(a)
+        return cut_levels(a)
+
+    monkeypatch.setattr(fz.minimization, "_cut_levels", spy)
+    # BEYOND_CUTS searches k=2 after its bound, DUP searches k=1 and NONMONO
+    # needs no search; without the bound, BEYOND_CUTS searches k=1 and k=2
+    runs = ((BEYOND_CUTS, {}), (DUP, {}), (NONMONO, {}), (BEYOND_CUTS, {"_on_bound": None}))
+    for a, kwargs in runs:
+        built.clear()
+        minimize(a, **kwargs)
+        assert built == [a]
+
+
 def test_minimize_collapses_duplicates():
     small = minimize(DUP)
     assert small.n == 1
