@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -150,14 +151,22 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.shape == "automaton":
-        text = gen_automaton_document(
-            args.seed, args.states, args.symbols, args.chain_size
-        )
+        n, s = args.states, args.symbols
+        sizes, cells = (n, s), n * (2 + s * n)
+        draw = functools.partial(gen_automaton_document, args.seed, n, s, args.chain_size)
     else:
-        text = gen_system_document(
-            args.seed, args.vars, args.equations, args.max_monomials, args.chain_size
+        sizes = (args.equations, args.max_monomials, args.vars)
+        cells = math.prod(sizes)
+        draw = functools.partial(
+            gen_system_document,
+            args.seed, args.vars, args.equations, args.max_monomials, args.chain_size,
         )
-    sys.stdout.write(text)
+    # the most weights or variable indices the document can hold, refused
+    # before anything is drawn; sizes below 1 are left to the generator
+    limit = _budget(None, DEFAULT_CELL_BUDGET)
+    if min(sizes) > 0 and cells > limit:
+        raise BudgetExceededError(cells, limit, "generated document cells")
+    sys.stdout.write(draw())
     return 0
 
 

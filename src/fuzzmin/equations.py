@@ -220,11 +220,14 @@ def polynomial_eq_solutions(
     max_vectors boxes.
     """
     kept: list[int] = []
+    # each monomial's <= family, read by every case but its own
+    les = []
+    if len(p.monomials) > 1:
+        les = [monomial_le_solutions(m, rhs, n_vars) for m in p.monomials]
     for i, m_eq in enumerate(p.monomials):
         case = monomial_eq_solutions(m_eq, rhs, n_vars)
-        for j, m_le in enumerate(p.monomials):
+        for j, le in enumerate(les):
             if j != i:
-                le = monomial_le_solutions(m_le, rhs, n_vars)
                 case = cross_intersect(case, le, max_vectors=max_vectors)
         for box in case._packed_boxes():
             _store_capped(kept, box, max_vectors)

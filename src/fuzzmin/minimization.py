@@ -29,7 +29,9 @@ largest such set over all cuts and starts k at its size.  The second runs
 the boolean special case on each cut, on a grid of 2**var_count points
 instead of |V|**var_count, and is skipped on inputs with one positive level.
 Both skip cuts with at most k trimmed states, which already are k-state
-NFAs, and both only ever answer None, so witnesses are unchanged.
+NFAs, and both only ever answer None, so witnesses are unchanged.  Each cut
+is built once per input, as a `_Cut` record of its rows, their reverse, its
+masks and its trimmed state count, which both filters and the search read.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .automaton import (
     FuzzyAutomaton,
@@ -129,49 +131,47 @@ def decode_candidate(
     return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
 
 
-# One level of a search: the level, the input's cut rows per symbol, and its
-# final and initial cut masks.
-_Level = tuple[int, Sequence[tuple[int, ...]], int, int]
+class _Cut(NamedTuple):
+    """The alpha-cut NFA of the input at one positive level, built once."""
+
+    alpha: int
+    rows: list[tuple[int, ...]]  # rows[s][i]: the states i steps to on s
+    back: list[tuple[int, ...]]  # back[s][j]: the states that step to j on s
+    final: int
+    initial: int
+    trimmed: int  # states reachable from an initial state that reach a final one
 
 
-def _trimmed_states(rows: Sequence[tuple[int, ...]], final: int, initial: int) -> int:
-    """How many states of a cut NFA are reachable from an initial state and
-    reach a final one."""
-    forward = frontier = initial
+def _reach(rows: Sequence[tuple[int, ...]], start: int) -> int:
+    """The states reachable from the set start along rows."""
+    reached = frontier = start
     while frontier:
         step = 0
         for sym_rows in rows:
             for i, row in enumerate(sym_rows):
                 if frontier >> i & 1:
                     step |= row
-        frontier = step & ~forward
-        forward |= frontier
-    backward = frontier = final
-    while frontier:
-        step = 0
-        for sym_rows in rows:
-            for i, row in enumerate(sym_rows):
-                if row & frontier:
-                    step |= 1 << i
-        frontier = step & ~backward
-        backward |= frontier
-    return (forward & backward).bit_count()
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
 
 
-def _cut_levels(a: FuzzyAutomaton) -> list[_Level]:
-    return [
-        (
-            alpha,
-            [_cut_rows(d, alpha) for d in a.delta],
-            _cut_mask(a.eta.data, alpha),
-            _cut_mask(a.pi.data, alpha),
-        )
-        for alpha in _levels(a)
-    ]
+def _cut_levels(a: FuzzyAutomaton) -> list[_Cut]:
+    cuts = []
+    for alpha in _levels(a):
+        rows = [_cut_rows(d, alpha) for d in a.delta]
+        back = [
+            tuple(_cut_mask(d.data[j :: d.cols], alpha) for j in range(d.cols))
+            for d in a.delta
+        ]
+        final, initial = _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha)
+        trimmed = (_reach(rows, initial) & _reach(back, final)).bit_count()
+        cuts.append(_Cut(alpha, rows, back, final, initial, trimmed))
+    return cuts
 
 
 def _fooling_set(
-    level: _Level, floor: int, limit: int, max_vectors: int
+    cut: _Cut, floor: int, limit: int, max_vectors: int
 ) -> list[tuple[Word, Word]]:
     """An extended fooling set of one cut NFA with more than floor pairs and
     at most limit, or the empty list when none is found.
@@ -189,23 +189,18 @@ def _fooling_set(
     charged against max_vectors; past it the search stops with the best set
     so far, which is still a fooling set.
     """
-    _, rows, final, initial = level
-    n = len(rows[0])
+    n = len(cut.rows[0])
     # the pairs of a fooling set have distinct nonempty suffix subsets, and
     # distinct nonempty forward subsets
     try:
-        suffix, _, _ = _saturate_cut(rows, final, 0, 0, 0, max_vectors, exhaust=True)
+        suffix, _, _ = _saturate_cut(cut.rows, cut.final, 0, 0, 0, max_vectors, exhaust=True)
         limit = min(limit, len(suffix) - (0 in suffix))
         if limit <= floor:
             return []
         # the forward subsets are the suffix subsets of the reversed NFA,
         # and their words come back reversed
-        transposed = [
-            tuple(sum(1 << i for i, row in enumerate(sym_rows) if row >> j & 1) for j in range(n))
-            for sym_rows in rows
-        ]
         forward, _, _ = _saturate_cut(
-            transposed, initial, 0, 0, len(suffix), max_vectors, exhaust=True
+            cut.back, cut.initial, 0, 0, len(suffix), max_vectors, exhaust=True
         )
         limit = min(limit, len(forward) - (0 in forward))
         if limit <= floor:
@@ -259,20 +254,19 @@ def _fooling_set(
 
 
 def _fooling_bound(
-    levels: Sequence[_Level], floor: int, limit: int, max_vectors: int
+    levels: Sequence[_Cut], floor: int, limit: int, max_vectors: int
 ) -> tuple[int, list[tuple[Word, Word]]] | None:
     """The largest extended fooling set of any level's cut with more than
     floor pairs, with its level, stopping at limit pairs; None when no level
     has one.  Levels are tried descending.  A cut whose trimmed NFA has at
     most floor states is skipped, as it has no larger fooling set."""
     found = None
-    for level in reversed(levels):
-        trimmed = _trimmed_states(*level[1:])
-        if trimmed <= floor:
+    for cut in reversed(levels):
+        if cut.trimmed <= floor:
             continue
-        pairs = _fooling_set(level, floor, min(limit, trimmed), max_vectors)
+        pairs = _fooling_set(cut, floor, min(limit, cut.trimmed), max_vectors)
         if pairs:
-            found = level[0], pairs
+            found = cut.alpha, pairs
             floor = len(pairs)
             if floor >= limit:
                 break
@@ -338,7 +332,7 @@ def _first_witness(
     k: int,
     value_ranks: Sequence[int],
     f_lambda: int,
-    levels: Sequence[_Level],
+    levels: Sequence[_Cut],
     max_vectors: int,
 ) -> tuple[int, ...] | None:
     """Ranks of the first k-state assignment over value_ranks, in grid order,
@@ -348,13 +342,13 @@ def _first_witness(
     cuts the candidate's weights, on the scale of value_ranks.  `decide_k`
     documents the search order and its cuts.
     """
-    n = len(levels[0][1][0])
+    n = len(levels[0].rows[0])
     row_tuples = list(itertools.product(value_ranks, repeat=k))
 
     if len(levels) == 1:
         # one level: every block has its own cut pattern, so check blocks
-        ((alpha, left, _, _),) = levels
-        masks = {row: _cut_mask(row, alpha) << n for row in row_tuples}
+        (cut,) = levels
+        masks = {row: _cut_mask(row, cut.alpha) << n for row in row_tuples}
 
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
             """First completion of `chosen` by one block per symbol, depth
@@ -366,7 +360,7 @@ def _first_witness(
                 blocks, chosen, rows = frames[-1]
                 s = len(frames) - 1
                 for block in blocks:
-                    deeper = rows + [left[s] + tuple(map(masks.__getitem__, block))]
+                    deeper = rows + [cut.rows[s] + tuple(map(masks.__getitem__, block))]
                     _, mismatch, _ = _saturate_cut(
                         deeper, final, pi1, pi2, 0, max_vectors, exhaust=False
                     )
@@ -387,11 +381,11 @@ def _first_witness(
         # of its ranks reach alpha, so filter weights through each level's
         # cut domain
         kk = k * k
-        alphas = [alpha for alpha, _, _, _ in levels]
-        shapes = [
-            (n, k, left, pi1, sorted({int(r >= alpha) for r in value_ranks}), max_vectors)
-            for alpha, left, _, pi1 in levels
-        ]
+        alphas = [cut.alpha for cut in levels]
+        shapes = []
+        for cut in levels:
+            bits = sorted({int(r >= cut.alpha) for r in value_ranks})
+            shapes.append((n, k, cut.rows, cut.initial, bits, max_vectors))
         roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
 
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
@@ -438,8 +432,9 @@ def _first_witness(
             if pairs != sorted(pairs):
                 continue
             heads = [
-                (eta1 | _cut_mask(eta_col, alpha) << n, pi1, _cut_mask(pi_row, alpha) << n)
-                for alpha, _, eta1, pi1 in levels
+                (cut.final | _cut_mask(eta_col, cut.alpha) << n, cut.initial,
+                 _cut_mask(pi_row, cut.alpha) << n)
+                for cut in levels
             ]
             found = start(pi_row + eta_col, heads)
             if found is not None:
@@ -461,7 +456,7 @@ def decide_k(
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
     _on_bound: _OnBound | None = _quiet,
-    _levels: list[_Level] | None = None,
+    _levels: list[_Cut] | None = None,
 ) -> CandidateAutomaton | None:
     """First k-state equivalent over the candidate grid, or None.
 
@@ -523,7 +518,7 @@ def decide_k(
     _on_bound serves the command line and `minimize`: it is called with the
     level and the pairs of a fooling set that refutes k, and None skips the
     fooling-set filter, for a caller that has applied it already.  _levels
-    is the input's `_cut_levels`, for a caller that has built them already.
+    is the input's `_cut_levels` records, for a caller that has built them.
     """
     space = build_candidate_space(inst)
     a = inst.automaton
@@ -545,13 +540,13 @@ def decide_k(
             _on_bound(*bound)
             return None
     if len(levels) > 1:
-        for alpha, rows, final, initial in levels:
-            if _trimmed_states(rows, final, initial) <= k:
+        for cut in levels:
+            if cut.trimmed <= k:
                 continue
             try:
                 nfa = _first_witness(
-                    n_sym, k, (0, 1), int(f_lambda >= alpha),
-                    [(1, rows, final, initial)], max_vectors,
+                    n_sym, k, (0, 1), int(f_lambda >= cut.alpha),
+                    [cut._replace(alpha=1)], max_vectors,
                 )
             except BudgetExceededError:
                 continue

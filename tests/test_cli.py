@@ -24,6 +24,7 @@ from fuzzmin import (
     render_automaton,
     render_system,
 )
+import fuzzmin.cli
 from fuzzmin.cli import main
 from fuzzmin.generate import gen_automaton_document
 
@@ -571,6 +572,63 @@ def test_gen_is_deterministic(capsys):
     assert main(["gen", "system", "--seed", "9", "--vars", "2"]) == 0
     sys_doc = capsys.readouterr().out
     assert '"kind": "system"' in sys_doc
+
+
+@pytest.fixture
+def no_drawing(monkeypatch):
+    # a refused size must fail before any document is drawn
+    def refuse(*args):
+        raise AssertionError(f"drew a document of size {args[1:]}")
+
+    for name in ("gen_automaton_document", "gen_system_document"):
+        monkeypatch.setattr(fuzzmin.cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # n * (2 + |alphabet| * n) weights
+        (["automaton", "--states", "30000", "--symbols", "1"], 900_060_000),
+        (["automaton", "--states", "100000000", "--symbols", "1"], 10**16 + 2 * 10**8),
+        # equations * max-monomials * variables indices
+        (["system", "--vars", "200000000"], 800_000_000),
+    ],
+)
+def test_gen_refuses_a_document_past_the_cell_ceiling(argv, count, no_drawing, capsys):
+    assert main(["gen", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: size {count} exceeds budget 10000000 (generated document cells)\n"
+
+
+def test_gen_leaves_sizes_below_one_to_the_generator(capsys):
+    # -10000 states would count 99,980,000 weights, and -10000 equations of
+    # -10000 monomials 300,000,000 indices: both are input errors instead
+    assert main(["gen", "automaton", "--states", "-10000", "--symbols", "1"]) == 2
+    assert capsys.readouterr().err == "error: need at least one state\n"
+    assert main(["gen", "system", "--equations", "-10000", "--max-monomials", "-10000"]) == 2
+    assert capsys.readouterr().err == "error: need at least one equation\n"
+
+
+def test_budget_env_var_replaces_the_gen_ceiling(capsys, monkeypatch):
+    # 7 states over 2 symbols: 7 * (2 + 2 * 7) = 112 weights; 2 equations of
+    # at most 3 monomials over 5 variables: 30 indices
+    automaton_argv = ["gen", "automaton", "--states", "7", "--symbols", "2"]
+    system_argv = ["gen", "system", "--vars", "5", "--equations", "2", "--max-monomials", "3"]
+    monkeypatch.setenv("FUZZMIN_BUDGET", "111")
+    assert main(automaton_argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: size 112 exceeds budget 111 (generated document cells)\n"
+    monkeypatch.setenv("FUZZMIN_BUDGET", "29")
+    assert main(system_argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: size 30 exceeds budget 29 (generated document cells)\n"
+    monkeypatch.setenv("FUZZMIN_BUDGET", "112")
+    assert main(automaton_argv) == 0
+    assert parse_automaton(capsys.readouterr().out).n == 7
+    monkeypatch.setenv("FUZZMIN_BUDGET", "30")
+    assert main(system_argv) == 0
+    assert '"kind": "system"' in capsys.readouterr().out
 
 
 def test_missing_file(capsys):

@@ -24,6 +24,7 @@ from fuzzmin import (
     solve_intervals,
     solve_points,
 )
+from fuzzmin import equations
 from fuzzmin.equations import (
     monomial_eq_solutions,
     monomial_le_solutions,
@@ -131,6 +132,25 @@ def test_polynomial_family_splits_on_the_attaining_monomial():
         "([0.5,0.5], [0.5,1], [0,0.5])",
         "([0.5,1], [0.5,0.5], [0,0.5])",
     ]
+
+
+def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
+    # k monomials need k = families and k <= families, and a lone monomial
+    # needs no <= family
+    pin_family = equations._pin_family
+    built = []
+
+    def spy(m, *args):
+        built.append(m)
+        return pin_family(m, *args)
+
+    monkeypatch.setattr(equations, "_pin_family", spy)
+    for k in range(1, 6):
+        p = Polynomial(tuple(Monomial((i, (i + 1) % 5)) for i in range(k)))
+        built.clear()
+        polynomial_eq_solutions(p, CH.value("0.5"), 5)
+        assert len(built) == (1 if k == 1 else 2 * k)
+        assert set(built) == set(p.monomials)
 
 
 # whole systems

@@ -212,7 +212,9 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatc
 
     def spy(n_sym, k, value_ranks, f_lambda, levels, max_vectors):
         if value_ranks == (0, 1):
-            searched.append(levels[0][1:])
+            (cut,) = levels
+            assert cut.alpha == 1
+            searched.append((cut.rows, cut.final, cut.initial))
         return search(n_sym, k, value_ranks, f_lambda, levels, max_vectors)
 
     def cut(alpha):
@@ -225,10 +227,46 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatc
     assert searched == [cut(1), cut(2)]
     # with every cut counted as all of its states, level 3 is searched too
     searched.clear()
-    monkeypatch.setattr(fz.minimization, "_trimmed_states", lambda *cut: a.n)
+    cut_levels = fz.minimization._cut_levels
+    monkeypatch.setattr(
+        fz.minimization,
+        "_cut_levels",
+        lambda a: [c._replace(trimmed=a.n) for c in cut_levels(a)],
+    )
     unskipped = decide_k(inst)
     assert searched == [cut(1), cut(2), cut(3)]
     assert witness.assignment == unskipped.assignment
+
+
+def test_each_cut_record_matches_its_edges():
+    # rows and back read the same edges in both directions, and trimmed is
+    # the count of states on a path from an initial state to a final one,
+    # walked here over rank_at edges as sets of states
+    for g in range(60):
+        a = fz.gen_automaton(g, 2 + g % 4, 1 + g % 3, 2 + g % 4)
+        cuts = _cut_levels(a)
+        assert [c.alpha for c in cuts] == positive_ranks(a)
+        for c in cuts:
+            edges = {
+                (i, s, j)
+                for s, d in enumerate(a.delta)
+                for i in range(a.n)
+                for j in range(a.n)
+                if d.rank_at(i, j) >= c.alpha
+            }
+            for s in range(len(a.delta)):
+                for i in range(a.n):
+                    assert c.rows[s][i] == sum(1 << j for j in range(a.n) if (i, s, j) in edges)
+                    assert c.back[s][i] == sum(1 << j for j in range(a.n) if (j, s, i) in edges)
+            initial = {q for q in range(a.n) if a.pi.rank_at(0, q) >= c.alpha}
+            final = {q for q in range(a.n) if a.eta.rank_at(q, 0) >= c.alpha}
+            assert c.initial == sum(1 << q for q in initial)
+            assert c.final == sum(1 << q for q in final)
+            forward, backward = set(initial), set(final)
+            for _ in range(a.n):
+                forward |= {j for i, _, j in edges if i in forward}
+                backward |= {i for i, _, j in edges if j in backward}
+            assert c.trimmed == len(forward & backward), (g, c.alpha)
 
 
 def test_a_long_witness_search_ends_at_its_pinned_witness():
