@@ -129,11 +129,17 @@ def equivalence_length_bound(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> int:
     of both automata; initial weights do not enter the count.  The bound is
     d**(n1+n2) - 1 and grows fast.
     """
+    d, e = _length_bound_power(a1, a2)
+    return d**e - 1
+
+
+def _length_bound_power(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> tuple[int, int]:
+    """d and n1 + n2 of `equivalence_length_bound`."""
     _require_compatible(a1, a2)
     ranks = set(a1.eta.data) | set(a2.eta.data)
     for m in a1.delta + a2.delta:
         ranks.update(m.data)
-    return len(ranks) ** (a1.n + a2.n) - 1
+    return len(ranks), a1.n + a2.n
 
 
 # Rank-level helpers of `language_value` and the bounded check.  Vectors are

@@ -22,9 +22,9 @@ from .automaton import (
     FuzzyAutomaton,
     Word,
     bounded_counterexample,
-    equivalence_length_bound,
     equivalent_fixpoint,
     language_value,
+    _length_bound_power,
 )
 from .equations import solve_intervals, solve_points
 from .errors import (
@@ -32,9 +32,10 @@ from .errors import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_VECTOR_BUDGET,
     BudgetExceededError,
+    _size_less_one,
 )
-from .formats import parse_automaton, parse_system, render_automaton
-from .generate import gen_automaton_document, gen_system_document
+from .formats import _write_automaton, _write_system, parse_automaton, parse_system
+from .generate import gen_automaton, gen_system
 from .minimization import MinimizeInstance, cost_estimate, decide_k, minimize
 
 
@@ -82,10 +83,11 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     a2 = parse_automaton(_read(args.file2))
     budget = _budget(args.budget_phi, DEFAULT_VECTOR_BUDGET)
     if args.oracle_bound:
-        bound = equivalence_length_bound(a1, a2)
-        cex = bounded_counterexample(a1, a2, bound, max_pairs=budget)
+        # equivalence_length_bound's d**e - 1, shown as a power past 4,300 digits
+        d, e = _length_bound_power(a1, a2)
+        cex = bounded_counterexample(a1, a2, d**e - 1, max_pairs=budget)
         if cex is None:
-            print(f"equivalent (up to length {bound})")
+            print(f"equivalent (up to length {_size_less_one(d, e)})")
             return 0
     else:
         result = equivalent_fixpoint(a1, a2, max_vectors=budget)
@@ -132,7 +134,7 @@ def _cmd_decide_min(args: argparse.Namespace) -> int:
     if witness is None:
         print("empty")
     else:
-        sys.stdout.write(render_automaton(witness.automaton))
+        _write_automaton(witness.automaton, sys.stdout)
     return 0
 
 
@@ -145,7 +147,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         on_k=lambda inst: print(_cost_line(inst), file=sys.stderr),
         _on_bound=functools.partial(_print_bound, a),
     )
-    sys.stdout.write(render_automaton(small))
+    _write_automaton(small, sys.stdout)
     return 0
 
 
@@ -153,20 +155,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.shape == "automaton":
         n, s = args.states, args.symbols
         sizes, cells = (n, s), n * (2 + s * n)
-        draw = functools.partial(gen_automaton_document, args.seed, n, s, args.chain_size)
+        draw = functools.partial(gen_automaton, args.seed, n, s, args.chain_size)
+        write = _write_automaton
     else:
         sizes = (args.equations, args.max_monomials, args.vars)
         cells = math.prod(sizes)
         draw = functools.partial(
-            gen_system_document,
+            gen_system,
             args.seed, args.vars, args.equations, args.max_monomials, args.chain_size,
         )
+        write = _write_system
     # the most weights or variable indices the document can hold, refused
     # before anything is drawn; sizes below 1 are left to the generator
     limit = _budget(None, DEFAULT_CELL_BUDGET)
     if min(sizes) > 0 and cells > limit:
         raise BudgetExceededError(cells, limit, "generated document cells")
-    sys.stdout.write(draw())
+    write(draw(), sys.stdout)
     return 0
 
 

@@ -16,7 +16,8 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or a stored set outgrew its budget: refused or cut short.
 
     count is an int, or a text such as "5^7320" for a grid too large to write
-    out in digits.
+    out in digits.  The message writes an int count of more than 4,300
+    digits as "at least 10^4300".
     """
 
     def __init__(self, count: int | str, limit: int, context: str = ""):
@@ -24,7 +25,8 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
         self.context = context
         where = f" ({context})" if context else ""
-        super().__init__(f"size {count} exceeds budget {limit}{where}")
+        shown = "at least 10^4300" if isinstance(count, int) and count >= _SIZE_CAP else count
+        super().__init__(f"size {shown} exceeds budget {limit}{where}")
 
 
 # Default ceilings: on a grid searched point by point (the candidate grid of
@@ -50,6 +52,13 @@ def _size(base: int, exp: int) -> int | str:
         if value < _SIZE_CAP:
             return value
     return f"{base}^{exp}"
+
+
+def _size_less_one(base: int, exp: int) -> int | str:
+    """base**exp - 1 as an int, or as the text "<base>^<exp>-1" once base**exp
+    has more than 4,300 decimal digits."""
+    top = _size(base, exp)
+    return top - 1 if isinstance(top, int) else f"{top}-1"
 
 
 def _check_grid(base: int, exp: int, limit: int, context: str) -> None:

@@ -3,6 +3,8 @@
 Values travel as decimal strings so nothing is ever rounded.  Render emits a
 fixed key order and a trailing newline, making rendered documents canonical:
 parse(render(x)) == x, and render(parse(t)) is the canonical form of t.
+The command line writes the same text straight to stdout through one
+streaming encoder, so a large document is never held whole as a string.
 
 Automaton documents: kind, chain (ascending decimal labels), alphabet, n,
 pi (n values), eta (n values), delta (symbol -> n*n values, row-major).
@@ -15,8 +17,9 @@ missing from the declared chain are all errors.
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Any
+from typing import Any, TextIO
 
 from .automaton import FuzzyAutomaton
 from .chain import Chain, is_decimal_label
@@ -173,13 +176,15 @@ def parse_system(text: str) -> EquationSystem:
     return EquationSystem(chain, n_vars, tuple(equations))
 
 
-def _dump(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+def _write(doc: dict[str, Any], out: TextIO) -> None:
+    # one encoder streams the chunks to out, so no whole text is held
+    json.dump(doc, out, indent=2, ensure_ascii=False)
+    out.write("\n")
 
 
-def render_automaton(a: FuzzyAutomaton) -> str:
+def _write_automaton(a: FuzzyAutomaton, out: TextIO) -> None:
     label = a.chain.label
-    return _dump(
+    _write(
         {
             "kind": "automaton",
             "chain": list(a.chain.labels),
@@ -191,11 +196,12 @@ def render_automaton(a: FuzzyAutomaton) -> str:
                 sym: [label(r) for r in a.delta[s].data]
                 for s, sym in enumerate(a.alphabet)
             },
-        }
+        },
+        out,
     )
 
 
-def render_system(s: EquationSystem) -> str:
+def _write_system(s: EquationSystem, out: TextIO) -> None:
     equations = [
         {
             "monomials": [[v + 1 for v in m.vars] for m in eq.lhs.monomials],
@@ -203,11 +209,24 @@ def render_system(s: EquationSystem) -> str:
         }
         for eq in s.equations
     ]
-    return _dump(
+    _write(
         {
             "kind": "system",
             "chain": list(s.chain.labels),
             "n_vars": s.n_vars,
             "equations": equations,
-        }
+        },
+        out,
     )
+
+
+def render_automaton(a: FuzzyAutomaton) -> str:
+    buf = io.StringIO()
+    _write_automaton(a, buf)
+    return buf.getvalue()
+
+
+def render_system(s: EquationSystem) -> str:
+    buf = io.StringIO()
+    _write_system(s, buf)
+    return buf.getvalue()

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .automaton import FuzzyAutomaton
 from .chain import Chain
 from .equations import Equation, EquationSystem, Monomial, Polynomial, Relation
-from .formats import render_automaton, render_system
 from .linalg import FuzzyMatrix
 
 _INTERIOR = tuple(f"0.{i * 5:02d}".rstrip("0") for i in range(1, 20))
@@ -88,14 +87,3 @@ def gen_system(
     chain = Chain(random_chain_labels(rng, chain_size))
     return random_system(rng, chain, n_vars, n_equations, max_monomials)
 
-
-def gen_automaton_document(
-    seed: int, n_states: int, n_symbols: int, chain_size: int
-) -> str:
-    return render_automaton(gen_automaton(seed, n_states, n_symbols, chain_size))
-
-
-def gen_system_document(
-    seed: int, n_vars: int, n_equations: int, max_monomials: int, chain_size: int
-) -> str:
-    return render_system(gen_system(seed, n_vars, n_equations, max_monomials, chain_size))

@@ -22,16 +22,16 @@ in grid order, so witnesses are unchanged.
 
 Two filters run before that search.  The alpha-cut of a k-state witness is
 a k-state NFA for the input's cut language, so a cut of the input with no
-k-state NFA rules k out.  The first filter looks for an extended fooling set
-of k+1 word pairs on some cut (Birget 1992; Glaister and Shallit 1996), a
-certificate found without searching automata; `minimize` looks once for the
-largest such set over all cuts and starts k at its size.  The second runs
-the boolean special case on each cut, on a grid of 2**var_count points
-instead of |V|**var_count, and is skipped on inputs with one positive level.
-Both skip cuts with at most k trimmed states, which already are k-state
-NFAs, and both only ever answer None, so witnesses are unchanged.  Each cut
-is built once per input, as a `_Cut` record of its rows, their reverse, its
-masks and its trimmed state count, which both filters and the search read.
+k-state NFA rules k out.  The first looks for an extended fooling set of
+k+1 word pairs on some cut (Birget 1992; Glaister and Shallit 1996), a
+certificate found without any grid, so it runs before the grid is refused;
+`minimize` looks once for the largest set and starts k at its size.  The
+second, after the refusal that bounds its grid, runs the boolean special
+case on each cut (2**var_count points, not |V|**var_count), and is skipped
+with one positive level.  Both skip cuts with at most k trimmed states,
+which already are k-state NFAs, and only ever answer None, so witnesses are
+unchanged.  A one-point grid is answered directly.  Each cut is built once
+per input, as a `_Cut` record that both filters and the search read.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -47,7 +47,6 @@ from typing import Callable, NamedTuple, Sequence
 from .automaton import (
     FuzzyAutomaton,
     Word,
-    equivalent_fixpoint,
     language_value,
     _cut_mask,
     _cut_rows,
@@ -446,16 +445,12 @@ def _first_witness(
 _OnBound = Callable[[int, list[tuple[Word, Word]]], None]
 
 
-def _quiet(alpha: int, pairs: list[tuple[Word, Word]]) -> None:
-    """The default `_on_bound`: a refutation goes unreported."""
-
-
 def decide_k(
     inst: MinimizeInstance,
     *,
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
-    _on_bound: _OnBound | None = _quiet,
+    _on_bound: _OnBound | None = None,
     _levels: list[_Cut] | None = None,
 ) -> CandidateAutomaton | None:
     """First k-state equivalent over the candidate grid, or None.
@@ -487,58 +482,64 @@ def decide_k(
     The blocks that survive are exactly those the per-block check passes, in
     the same order, so the witness is the same.
 
-    Before that search, the alpha-cut of a k-state witness is a k-state NFA
-    for the input's cut language, so two filters look for a cut with no
-    k-state NFA and answer None when one has none.  First, each level's cut,
-    levels descending, is searched for an extended fooling set of k+1 word
-    pairs (see `_fooling_set`), which proves that every NFA for its
-    language has more than k states; the search is charged against
-    max_vectors per level and gives up silently past it.
-    Then an input with more than one positive level is tried one cut at a
-    time, levels ascending: if the same search over the values 0 and 1, at
-    that one level, finds no k-state NFA for some cut, the answer is None.
-    That grid has 2**var_count assignments, not |V|**var_count.  With a
-    single level the cut is the input itself, so this check is skipped.
-    Both filters skip a cut with at most k states that are reachable and
-    reach a final state, since it already is a k-state NFA.  Only empty
-    answers come from the filters, so witnesses are unchanged.
+    The steps run in one order: build the input's cut records, look for a
+    fooling set, refuse an oversized grid, answer a one-point grid, run the
+    boolean cut checks, search.  The alpha-cut of a k-state witness is a
+    k-state NFA for the input's cut language, so both filters look for a cut
+    with no k-state NFA and answer None when one has none.  First, each
+    level's cut, levels descending, is searched for an extended fooling set
+    of k+1 word pairs (see `_fooling_set`), which proves that every NFA for
+    its language has more than k states; it needs no grid, is charged
+    against max_vectors per level and gives up silently past it.  Then the
+    grid is refused (budget error carrying the count, or the text
+    "<|V|>^<var_count>" past 4,300 digits) when it is larger than
+    max_candidates, since it bounds all the work after it.  A grid of one
+    point (|V| = 1) is not searched: every weight of the input and of that
+    point is the one value v, and every word has a path, so both languages
+    are constantly v and the point is the answer (its var_count weights are
+    refused past max_candidates before they are built).  Then an input with
+    more than one positive level is tried one cut at a time, levels
+    ascending: if the same search over the values 0 and 1, at that one
+    level, finds no k-state NFA for some cut, the answer is None.  That grid
+    has 2**var_count assignments, not |V|**var_count; with a single level
+    the cut is the input itself, so this check is skipped.  Both filters
+    skip a cut with at most k states that are reachable and reach a final
+    state, since it already is a k-state NFA.  Only empty answers come from
+    the filters, so witnesses are unchanged.
 
-    A grid of one point (|V| = 1) is not searched: its only assignment is
-    judged with `equivalent_fixpoint`.
+    max_vectors bounds the cut subsets held at once, which is one level of
+    one check: a level is dropped before the next starts, and it never holds
+    more subsets than the pair has joint suffix vectors.  A cut check that
+    exceeds it decides nothing and the search goes on; one that refutes k
+    within it answers None even where the full search would have exceeded it.
 
-    Refuses up front (budget error carrying the count, or the text
-    "<|V|>^<var_count>" past 4,300 digits) when the grid is larger than
-    max_candidates.  max_vectors bounds the cut subsets held at once, which
-    is one level of one check: a level is dropped before the next starts, and
-    it never holds more subsets than the pair has joint suffix vectors.  A cut
-    check that exceeds it decides nothing and the search goes on; one that
-    refutes k within it answers None even where the full search would have
-    exceeded it.
-
-    _on_bound serves the command line and `minimize`: it is called with the
-    level and the pairs of a fooling set that refutes k, and None skips the
-    fooling-set filter, for a caller that has applied it already.  _levels
-    is the input's `_cut_levels` records, for a caller that has built them.
+    _on_bound, when given, is called with the level and the pairs of a
+    fooling set that refutes k.  _levels is the input's `_cut_levels`
+    records from a caller that has already looked for a fooling set on them
+    (`minimize`), so a given _levels skips that filter.
     """
     space = build_candidate_space(inst)
     a = inst.automaton
     k = inst.k
+    levels = _levels
+    if levels is None:
+        levels = _cut_levels(a)
+        bound = _fooling_bound(levels, k, k + 1, max_vectors)
+        if bound is not None:
+            if _on_bound is not None:
+                _on_bound(*bound)
+            return None
     base = len(space.values)
     _check_grid(base, space.var_count, max_candidates, f"candidate assignments for k={k}")
     if base == 1:
+        if space.var_count > max_candidates:
+            raise BudgetExceededError(
+                space.var_count, max_candidates, f"candidate weights for k={k}"
+            )
         values = space.values * space.var_count
-        cand = decode_candidate(a.chain, a.alphabet, k, values)
-        if not equivalent_fixpoint(a, cand, max_vectors=max_vectors).equivalent:
-            return None
-        return CandidateAutomaton(values, cand)
+        return CandidateAutomaton(values, decode_candidate(a.chain, a.alphabet, k, values))
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
-    levels = _cut_levels(a) if _levels is None else _levels
-    if _on_bound is not None:
-        bound = _fooling_bound(levels, k, k + 1, max_vectors)
-        if bound is not None:
-            _on_bound(*bound)
-            return None
     if len(levels) > 1:
         for cut in levels:
             if cut.trimmed <= k:
@@ -568,27 +569,27 @@ def minimize(
     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
     max_vectors: int = DEFAULT_VECTOR_BUDGET,
     on_k: Callable[[MinimizeInstance], None] | None = None,
-    _on_bound: _OnBound | None = _quiet,
+    _on_bound: _OnBound | None = None,
 ) -> FuzzyAutomaton:
     """Smallest equivalent automaton found by trying k = b, b + 1, ...
 
     b is the size of the largest extended fooling set found on any alpha-cut
-    (see `decide_k`), or 1; it is looked for once, and the searches for each
-    k do not look again.  The cut levels are built once and shared with
-    those searches.  Returns the input itself when no strictly smaller
-    realization exists (the input always realizes itself, so k = n needs no
-    search, and b = n needs none at all).  A budget error raised at some k
-    reports the smallest k left undecided.  on_k, when given, is called with
-    each k's instance before that k is searched; `_on_bound` is as in
-    `decide_k`, called with the set that gives b when b > 1.
+    (see `decide_k`), or 1; it is looked for once, on cut levels built once,
+    and those levels go to each k's `decide_k`, which then does not look
+    again.  Returns the input itself when no strictly smaller realization
+    exists (the input always realizes itself, so k = n needs no search, and
+    b = n needs none at all).  A budget error raised at some k reports the
+    smallest k left undecided.  on_k, when given, is called with each k's
+    instance before that k is searched; `_on_bound`, when given, is called
+    with the set that gives b when b > 1.
     """
     start = 1
     levels = _cut_levels(a)
-    if _on_bound is not None:
-        bound = _fooling_bound(levels, 1, a.n, max_vectors)
-        if bound is not None:
+    bound = _fooling_bound(levels, 1, a.n, max_vectors)
+    if bound is not None:
+        if _on_bound is not None:
             _on_bound(*bound)
-            start = len(bound[1])
+        start = len(bound[1])
     for k in range(start, a.n):
         inst = MinimizeInstance(a, k)
         if on_k is not None:
@@ -597,7 +598,6 @@ def minimize(
             inst,
             max_candidates=max_candidates,
             max_vectors=max_vectors,
-            _on_bound=None,
             _levels=levels,
         )
         if witness is not None:

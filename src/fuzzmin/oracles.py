@@ -49,7 +49,7 @@ from .errors import (
     DEFAULT_VECTOR_BUDGET,
     BudgetExceededError,
     _check_grid,
-    _size,
+    _size_less_one,
 )
 from .minimization import (
     CandidateAutomaton,
@@ -272,8 +272,7 @@ def decide_k_via_equations(
     k = inst.k
     base = len(space.values)
     if not 0 <= max_len <= word_bound(inst):
-        top = _size(base, a.n + k)
-        shown = top - 1 if isinstance(top, int) else f"{top}-1"
+        shown = _size_less_one(base, a.n + k)
         raise ValueError(f"word length bound must lie in [0, {shown}], got {max_len}")
     n_sym = len(a.alphabet)
     total_words = total_monomials = 0

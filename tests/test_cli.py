@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from fuzzmin import (
     Polynomial,
     Relation,
     equivalent_fixpoint,
+    gen_automaton,
     pad_states,
     parse_automaton,
     render_automaton,
@@ -26,9 +28,9 @@ from fuzzmin import (
 )
 import fuzzmin.cli
 from fuzzmin.cli import main
-from fuzzmin.generate import gen_automaton_document
 
-from helpers import BEYOND_CUTS, automaton
+from fuzzmin.oracles import is_fooling_set
+from helpers import BEYOND_CUTS, automaton, permutation_pair
 
 CH = Chain(("0", "0.2", "0.5", "1"))
 
@@ -374,7 +376,7 @@ def wide_doc(tmp_path):
     # `gen automaton --seed 3 --states 3 --symbols 2 --chain-size 5`: five
     # values, two symbols, so the k-state grid has 5**(2k + 2k**2) points
     path = tmp_path / "wide.json"
-    path.write_text(gen_automaton_document(3, 3, 2, 5), encoding="utf-8")
+    path.write_text(render_automaton(gen_automaton(3, 3, 2, 5)), encoding="utf-8")
     return str(path)
 
 
@@ -440,6 +442,65 @@ def test_minimize_one_value_over_many_symbols(tmp_path, capsys):
     assert err == "cost k=1: candidates=1\n"
     small = parse_automaton(out)
     assert (small.n, len(small.alphabet), _ranks(small)) == (1, 1500, {1})
+
+
+def test_decide_min_refuses_a_one_point_witness_too_large_to_build(tmp_path, capsys):
+    # k=40 over one symbol is 2 * 40 + 40**2 = 1,680 weights; k=100000 would
+    # be 10,000,200,000 and is refused before any of them is built
+    path = _one_value_doc(tmp_path, 1, "1")
+    assert main(["decide-min", path, "40", "--budget-candidates", "1680"]) == 0
+    assert parse_automaton(capsys.readouterr().out).n == 40
+    assert main(["decide-min", path, "40", "--budget-candidates", "1679"]) == 3
+    assert capsys.readouterr().err == (
+        "cost k=40: candidates=1\n"
+        "error: size 1680 exceeds budget 1679 (candidate weights for k=40)\n"
+    )
+    assert main(["decide-min", path, "100000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "cost k=100000: candidates=1\n"
+        "error: size 10000200000 exceeds budget 10000000 (candidate weights for k=100000)\n"
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_decide_min_refutes_before_refusing_the_grid(k, tmp_path, capsys):
+    # the 6-state permutation automaton has a fooling set of 6 pairs, so
+    # every k < 6 is empty although its grid is far past the budget
+    a = permutation_pair(6, 0, broken=False)[0]
+    path = tmp_path / "perm6.json"
+    path.write_text(render_automaton(a), encoding="utf-8")
+    assert main(["decide-min", str(path), str(k)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "empty\n"
+    cost, bound = err.splitlines()
+    assert cost.startswith(f"cost k={k}: candidates=")
+    head, shown = bound.split(": ", 1)
+    size, level = re.fullmatch(r"lower bound (\d+) at level (\S+)", head).groups()
+    pairs = [
+        tuple(a.word_from_names([] if w == "λ" else w.split()) for w in pair)
+        for pair in re.findall(r"\(([^,]*), ([^)]*)\)", shown)
+    ]
+    assert int(size) == len(pairs) > k
+    assert is_fooling_set(a, a.chain.rank_of(level), pairs)
+
+
+def test_equiv_oracle_bound_prints_a_long_bound_as_a_power(tmp_path, capsys):
+    # 500 states whose transitions carry 20,000 values, and no initial
+    # weight: the bound d**1000 - 1 has more than 4,300 digits, and the
+    # check ends after one step
+    labels = ["0", *(f"0.{i:05d}".rstrip("0") for i in range(1, 20000)), "1"]
+    n = 500
+    doc = {
+        "kind": "automaton", "chain": labels, "alphabet": ["a"], "n": n,
+        "pi": ["0"] * n, "eta": ["1"] * n,
+        "delta": {"a": [labels[1 + i % 20000] for i in range(n * n)]},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["equiv", str(path), str(path), "--oracle-bound"]) == 0
+    assert capsys.readouterr().out == "equivalent (up to length 20000^1000-1)\n"
 
 
 def _deep_doc(tmp_path, chain, n_sym, pi, eta, block):
@@ -580,7 +641,7 @@ def no_drawing(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"drew a document of size {args[1:]}")
 
-    for name in ("gen_automaton_document", "gen_system_document"):
+    for name in ("gen_automaton", "gen_system"):
         monkeypatch.setattr(fuzzmin.cli, name, refuse)
 
 
@@ -592,6 +653,9 @@ def no_drawing(monkeypatch):
         (["automaton", "--states", "100000000", "--symbols", "1"], 10**16 + 2 * 10**8),
         # equations * max-monomials * variables indices
         (["system", "--vars", "200000000"], 800_000_000),
+        # counts of more than 4,300 digits, which no int may print
+        (["automaton", "--states", str(10**2200)], "at least 10^4300"),
+        (["system", "--vars", str(10**2200), "--equations", str(10**2200)], "at least 10^4300"),
     ],
 )
 def test_gen_refuses_a_document_past_the_cell_ceiling(argv, count, no_drawing, capsys):

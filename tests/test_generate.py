@@ -6,38 +6,40 @@ import random
 
 import pytest
 
-from fuzzmin import parse_automaton, parse_system
-from fuzzmin.generate import (
-    alphabet_of,
-    gen_automaton_document,
-    gen_system_document,
-    random_chain_labels,
+from fuzzmin import (
+    gen_automaton,
+    gen_system,
+    parse_automaton,
+    parse_system,
+    render_automaton,
+    render_system,
 )
+from fuzzmin.generate import alphabet_of, random_chain_labels
 
 
 def test_same_seed_same_document():
-    a = gen_automaton_document(42, 3, 2, 4)
-    b = gen_automaton_document(42, 3, 2, 4)
+    a = render_automaton(gen_automaton(42, 3, 2, 4))
+    b = render_automaton(gen_automaton(42, 3, 2, 4))
     assert a == b
-    s = gen_system_document(42, 3, 2, 2, 4)
-    assert s == gen_system_document(42, 3, 2, 2, 4)
-    assert gen_automaton_document(43, 3, 2, 4) != a
+    s = render_system(gen_system(42, 3, 2, 2, 4))
+    assert s == render_system(gen_system(42, 3, 2, 2, 4))
+    assert render_automaton(gen_automaton(43, 3, 2, 4)) != a
 
 
 def test_generated_documents_parse_back():
-    a = parse_automaton(gen_automaton_document(7, 2, 3, 5))
+    a = parse_automaton(render_automaton(gen_automaton(7, 2, 3, 5)))
     assert a.n == 2
     assert a.alphabet == ("a", "b", "c")
     assert len(a.chain) == 5
 
-    s = parse_system(gen_system_document(7, 4, 3, 2, 3))
+    s = parse_system(render_system(gen_system(7, 4, 3, 2, 3)))
     assert s.n_vars == 4
     assert len(s.equations) == 3
     assert all(len(eq.lhs.monomials) <= 2 for eq in s.equations)
 
 
 def test_two_point_chain_means_boolean_weights():
-    a = parse_automaton(gen_automaton_document(5, 1, 1, 2))
+    a = parse_automaton(render_automaton(gen_automaton(5, 1, 1, 2)))
     assert a.chain.labels == ("0", "1")
 
 
@@ -66,12 +68,12 @@ def test_alphabet_names():
 
 def test_bad_parameters():
     with pytest.raises(ValueError):
-        gen_automaton_document(0, 0, 1, 2)
+        gen_automaton(0, 0, 1, 2)
     with pytest.raises(ValueError):
-        gen_automaton_document(0, 1, 0, 2)
+        gen_automaton(0, 1, 0, 2)
     with pytest.raises(ValueError):
-        gen_system_document(0, 0, 1, 1, 2)
+        gen_system(0, 0, 1, 1, 2)
     with pytest.raises(ValueError):
-        gen_system_document(0, 1, 0, 1, 2)
+        gen_system(0, 1, 0, 1, 2)
     with pytest.raises(ValueError):
-        gen_system_document(0, 1, 1, 0, 2)
+        gen_system(0, 1, 1, 0, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -132,6 +133,49 @@ def test_decide_k_refuses_oversized_grids():
     assert info.value.limit == 7
 
 
+def test_the_fooling_set_is_looked_for_before_the_grid_is_refused(monkeypatch):
+    order = []
+    bound, check = fz.minimization._fooling_bound, fz.minimization._check_grid
+
+    def spy_bound(*args):
+        order.append("bound")
+        return bound(*args)
+
+    def spy_check(*args):
+        order.append("grid")
+        return check(*args)
+
+    monkeypatch.setattr(fz.minimization, "_fooling_bound", spy_bound)
+    monkeypatch.setattr(fz.minimization, "_check_grid", spy_check)
+    # NONMONO's 3 fooling pairs refute k=2 under a one-point grid budget
+    assert decide_k(MinimizeInstance(NONMONO, 2), max_candidates=1) is None
+    assert order == ["bound"]
+    order.clear()
+    assert decide_k(MinimizeInstance(DUP, 1)) is not None
+    assert order == ["bound", "grid"]
+    # a given _levels means the caller has looked for a fooling set already
+    order.clear()
+    assert decide_k(MinimizeInstance(DUP, 1), _levels=_cut_levels(DUP)) is not None
+    with pytest.raises(BudgetExceededError):
+        decide_k(MinimizeInstance(NONMONO, 2), max_candidates=1, _levels=_cut_levels(NONMONO))
+    assert order == ["grid", "grid"]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_a_one_value_automaton_is_answered_by_its_constant(size):
+    # every weight is v, so both languages are constantly v: decide_k returns
+    # the constant k-state automaton, and the fixpoint agrees
+    chain = Chain(fz.random_chain_labels(random.Random(size), size))
+    for v, n_sym, n in itertools.product(chain, (1, 2, 3), (1, 2, 3, 4)):
+        alphabet = "abc"[:n_sym]
+        a = decode_candidate(chain, alphabet, n, [v] * (2 * n + n_sym * n * n))
+        for k in (1, 2, 3, 4):
+            witness = decide_k(MinimizeInstance(a, k))
+            constant = decode_candidate(chain, alphabet, k, [v] * (2 * k + n_sym * k * k))
+            assert witness.automaton == constant
+            assert fz.equivalent_fixpoint(a, constant).equivalent
+
+
 def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
     # the first check of every candidate sees symbol a's rows only; with room
     # for one cut subset it already refuses, before any block of b is chosen
@@ -185,7 +229,8 @@ def test_every_empty_answer_on_several_levels_has_a_cut_needing_more_states():
 
 def test_a_refuting_cut_skips_the_full_search(monkeypatch):
     # NONMONO's lowest cut, at 0.5, accepts exactly {λ, a, aa}, which no
-    # 2-state NFA does; the fooling-set bound, off here, would say so first
+    # 2-state NFA does; the fooling-set bound would say so first, but a
+    # given _levels means the caller has looked for one already
     searched = []
     search = fz.minimization._first_witness
 
@@ -194,7 +239,7 @@ def test_a_refuting_cut_skips_the_full_search(monkeypatch):
         return search(n_sym, k, value_ranks, *args)
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
-    assert decide_k(MinimizeInstance(NONMONO, 2), _on_bound=None) is None
+    assert decide_k(MinimizeInstance(NONMONO, 2), _levels=_cut_levels(NONMONO)) is None
     assert searched and set(searched) == {(0, 1)}
 
 
@@ -416,11 +461,15 @@ def test_minimize_builds_the_cut_levels_once(monkeypatch):
     monkeypatch.setattr(fz.minimization, "_cut_levels", spy)
     # BEYOND_CUTS searches k=2 after its bound, DUP searches k=1 and NONMONO
     # needs no search; without the bound, BEYOND_CUTS searches k=1 and k=2
-    runs = ((BEYOND_CUTS, {}), (DUP, {}), (NONMONO, {}), (BEYOND_CUTS, {"_on_bound": None}))
-    for a, kwargs in runs:
+    for a in (BEYOND_CUTS, DUP, NONMONO):
         built.clear()
-        minimize(a, **kwargs)
+        minimize(a)
         assert built == [a]
+    monkeypatch.setattr(fz.minimization, "_fooling_bound", lambda *args: None)
+    tried = []
+    built.clear()
+    minimize(BEYOND_CUTS, on_k=lambda inst: tried.append(inst.k))
+    assert built == [BEYOND_CUTS] and tried == [1, 2]
 
 
 def test_minimize_collapses_duplicates():
