@@ -158,13 +158,25 @@ def _step(v: tuple[int, ...], cols: Sequence[tuple[int, ...]]) -> tuple[int, ...
     return tuple(_dot(v, col) for col in cols)
 
 
-def _pair_bfs(
+def k_equivalent(
     a1: FuzzyAutomaton,
     a2: FuzzyAutomaton,
     k: int,
-    max_pairs: int,
+    *,
+    max_pairs: int = DEFAULT_VECTOR_BUDGET,
+) -> bool:
+    """True iff the two automata give equal values to every word of length <= k."""
+    return bounded_counterexample(a1, a2, k, max_pairs=max_pairs) is None
+
+
+def bounded_counterexample(
+    a1: FuzzyAutomaton,
+    a2: FuzzyAutomaton,
+    k: int,
+    *,
+    max_pairs: int = DEFAULT_VECTOR_BUDGET,
 ) -> Word | None:
-    """First word (length-lex order, length <= k) whose values differ, else None.
+    """Least word (shortest, then lexicographic) of length <= k with differing values.
 
     Walks words by appending symbols on the right and keys the search on the
     pair of forward vectors pi . delta(w) reached; the value of w x is the
@@ -205,28 +217,6 @@ def _pair_bfs(
                 new.append((*key, word))
         frontier = new
     return None
-
-
-def k_equivalent(
-    a1: FuzzyAutomaton,
-    a2: FuzzyAutomaton,
-    k: int,
-    *,
-    max_pairs: int = DEFAULT_VECTOR_BUDGET,
-) -> bool:
-    """True iff the two automata give equal values to every word of length <= k."""
-    return _pair_bfs(a1, a2, k, max_pairs) is None
-
-
-def bounded_counterexample(
-    a1: FuzzyAutomaton,
-    a2: FuzzyAutomaton,
-    k: int,
-    *,
-    max_pairs: int = DEFAULT_VECTOR_BUDGET,
-) -> Word | None:
-    """Least word (shortest, then lexicographic) of length <= k with differing values."""
-    return _pair_bfs(a1, a2, k, max_pairs)
 
 
 # Threshold cuts.  A set of states is an int bitset, bit i for state i.  At a

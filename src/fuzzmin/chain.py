@@ -215,20 +215,16 @@ def _in_order(kept: list[int], top: int, dim: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _store(kept: list[int], box: int) -> None:
+def _store(kept: list[int], box: int, max_vectors: int | None = None) -> None:
     """Add the packed box to the antichain kept unless a kept box holds it,
     and drop the kept boxes it holds.  Whatever the arrival order, what
-    stays is exactly the maximal boxes seen, each once."""
+    stays is exactly the maximal boxes seen, each once.  Refuses once kept
+    holds more than max_vectors boxes."""
     for k in kept:
         if box | k == k:
             return
     kept[:] = [k for k in kept if k | box != box]
     kept.append(box)
-
-
-def _store_capped(kept: list[int], box: int, max_vectors: int | None) -> None:
-    """`_store`, then refuse once kept holds more than max_vectors boxes."""
-    _store(kept, box)
     if max_vectors is not None and len(kept) > max_vectors:
         raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
 
@@ -356,5 +352,5 @@ def cross_intersect(
         for y in ys:
             meet = x & y
             if (meet + data) & guard == guard:
-                _store_capped(kept, meet, max_vectors)
+                _store(kept, meet, max_vectors)
     return SolutionSet._of(s1.chain, s1.dim, kept)

@@ -32,7 +32,7 @@ from .errors import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_VECTOR_BUDGET,
     BudgetExceededError,
-    _size_less_one,
+    _size,
 )
 from .formats import _write_automaton, _write_system, parse_automaton, parse_system
 from .generate import gen_automaton, gen_system
@@ -87,7 +87,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         d, e = _length_bound_power(a1, a2)
         cex = bounded_counterexample(a1, a2, d**e - 1, max_pairs=budget)
         if cex is None:
-            print(f"equivalent (up to length {_size_less_one(d, e)})")
+            print(f"equivalent (up to length {_size(d, e, less=1)})")
             return 0
     else:
         result = equivalent_fixpoint(a1, a2, max_vectors=budget)
@@ -180,7 +180,7 @@ def _budget_flags(p: argparse.ArgumentParser, *, candidates: bool = False) -> No
             "--budget-candidates",
             type=int,
             metavar="N",
-            help="max enumerated candidate assignments",
+            help="max points of a grid searched point by point",
         )
     p.add_argument(
         "--budget-phi",

@@ -30,7 +30,6 @@ from .chain import (
     _field,
     _layout,
     _store,
-    _store_capped,
 )
 from .errors import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -230,7 +229,7 @@ def polynomial_eq_solutions(
             if j != i:
                 case = cross_intersect(case, le, max_vectors=max_vectors)
         for box in case._packed_boxes():
-            _store_capped(kept, box, max_vectors)
+            _store(kept, box, max_vectors)
     return SolutionSet._of(rhs.chain, n_vars, kept)
 
 

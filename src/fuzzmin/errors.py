@@ -31,34 +31,32 @@ class BudgetExceededError(RuntimeError):
 
 # Default ceilings: on a grid searched point by point (the candidate grid of
 # `decide_k` and the point grid of `solve_points`), on the vectors, cut
-# subsets, forward vector pairs or boxes a decider stores at once, and on the
+# subsets, forward vector pairs or boxes a decider stores at once, on the
 # (lo, hi) pairs of the boxes `solve_intervals` returns, boxes times
-# variables.
+# variables, and on the words and monomials `decide_k_via_equations` writes.
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 DEFAULT_VECTOR_BUDGET = 1_000_000
 DEFAULT_CELL_BUDGET = 10_000_000
+DEFAULT_EQUATION_BUDGET = 100_000
 
 # Sizes of more than 4,300 decimal digits (Python's default limit on int-to-str
 # conversion) are reported as powers and never built.
 _SIZE_CAP = 10**4300
 
 
-def _size(base: int, exp: int) -> int | str:
-    """base**exp as an int, or as the text "<base>^<exp>" once it has more
-    than 4,300 decimal digits.  A power that long is never built: its bit
-    length is bounded from below first."""
+def _size(base: int, exp: int, less: int = 0) -> int | str:
+    """base**exp - less as an int, or as the text "<base>^<exp>" (followed by
+    "-<less>" when less is not 0) once base**exp has more than 4,300 decimal
+    digits.  A power that long is never built: its bit length is bounded from
+    below first.  An exponent too long to write out itself gives the text
+    "at least 10^4300"."""
     if base < 2 or exp * (base.bit_length() - 1) < _SIZE_CAP.bit_length():
         value = base**exp
         if value < _SIZE_CAP:
-            return value
-    return f"{base}^{exp}"
-
-
-def _size_less_one(base: int, exp: int) -> int | str:
-    """base**exp - 1 as an int, or as the text "<base>^<exp>-1" once base**exp
-    has more than 4,300 decimal digits."""
-    top = _size(base, exp)
-    return top - 1 if isinstance(top, int) else f"{top}-1"
+            return value - less
+    if exp >= _SIZE_CAP:
+        return "at least 10^4300"
+    return f"{base}^{exp}-{less}" if less else f"{base}^{exp}"
 
 
 def _check_grid(base: int, exp: int, limit: int, context: str) -> None:

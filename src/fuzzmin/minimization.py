@@ -183,10 +183,14 @@ def _fooling_set(
     two pairs are compatible when F_1 misses B_2 or F_2 misses B_1.  Shrinking
     F or B keeps a set compatible, so only pairs whose subsets are minimal
     among those holding a state they share are tried.  The search for
-    compatible pairs is depth first and keeps the largest set found.  Every
-    stored subset, containment test, candidate pair and compatibility test is
-    charged against max_vectors; past it the search stops with the best set
-    so far, which is still a fooling set.
+    compatible pairs is depth first and keeps the largest set found.  Two
+    pairs whose cores F & B (never empty) share a state q are incompatible,
+    as q lies in F_1 & B_2 and in F_2 & B_1, so a branch is dropped once its
+    pairs plus the distinct lowest core states of the pairs it may still add
+    cannot beat the best set.  Every stored subset, containment test,
+    candidate pair, compatibility test and core is charged against
+    max_vectors; past it the search stops with the best set so far, which is
+    still a fooling set.
     """
     n = len(cut.rows[0])
     # the pairs of a fooling set have distinct nonempty suffix subsets, and
@@ -229,15 +233,16 @@ def _fooling_set(
     pairs = sorted(candidates, key=lambda p: p[0].bit_count() + p[1].bit_count())
     best: list[tuple[int, int]] = []
     # a frame holds the pairs chosen, the pairs compatible with all of them,
-    # and how many of those have been tried as the next pair; floor rises
-    # with each better set found
-    frames: list[tuple[list, list, int]] = [([], pairs, 0)]
+    # how many of those have been tried as the next pair, and the
+    # `_low_core_counts` of those; floor rises with each better set found
+    spent += len(pairs)
+    frames: list[tuple[list, list, int, list[int]]] = [([], pairs, 0, _low_core_counts(pairs))]
     while frames:
-        chosen, open_, tried = frames[-1]
-        if tried == len(open_) or len(chosen) + len(open_) - tried <= floor:
+        chosen, open_, tried, lows = frames[-1]
+        if len(chosen) + lows[tried] <= floor:
             frames.pop()
             continue
-        frames[-1] = (chosen, open_, tried + 1)
+        frames[-1] = (chosen, open_, tried + 1, lows)
         f, b = open_[tried]
         rest = open_[tried + 1 :]
         spent += len(rest) + 1
@@ -248,8 +253,17 @@ def _fooling_set(
             best, floor = chosen, len(chosen)
             if floor >= limit:
                 break
-        frames.append((chosen, [(g, c) for g, c in rest if not f & c or not g & b], 0))
+        open_ = [(g, c) for g, c in rest if not f & c or not g & b]
+        spent += len(open_)
+        frames.append((chosen, open_, 0, _low_core_counts(open_)))
     return [(forward[f][::-1], suffix[b]) for f, b in best]
+
+
+def _low_core_counts(pairs: list[tuple[int, int]]) -> list[int]:
+    """For each position t, and for len(pairs), how many distinct states are
+    the lowest state of the core f & b of some pair at t or later."""
+    lows = itertools.accumulate((f & b & -(f & b) for f, b in reversed(pairs)), int.__or__)
+    return [low.bit_count() for low in lows][::-1] + [0]
 
 
 def _fooling_bound(

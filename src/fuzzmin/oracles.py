@@ -46,10 +46,11 @@ from .equations import (
 )
 from .errors import (
     DEFAULT_CANDIDATE_BUDGET,
+    DEFAULT_EQUATION_BUDGET,
     DEFAULT_VECTOR_BUDGET,
     BudgetExceededError,
     _check_grid,
-    _size_less_one,
+    _size,
 )
 from .minimization import (
     CandidateAutomaton,
@@ -58,8 +59,6 @@ from .minimization import (
     decode_candidate,
     nfa_view,
 )
-
-DEFAULT_EQUATION_BUDGET = 100_000
 
 
 def brute_language_value(a: FuzzyAutomaton, word: Sequence[int]) -> ChainValue:
@@ -272,7 +271,7 @@ def decide_k_via_equations(
     k = inst.k
     base = len(space.values)
     if not 0 <= max_len <= word_bound(inst):
-        shown = _size_less_one(base, a.n + k)
+        shown = _size(base, a.n + k, less=1)
         raise ValueError(f"word length bound must lie in [0, {shown}], got {max_len}")
     n_sym = len(a.alphabet)
     total_words = total_monomials = 0

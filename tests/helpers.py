@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 import fuzzmin as fz
+from fuzzmin.automaton import _saturate_cut
 from fuzzmin.chain import ChainValue
 from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
@@ -321,3 +322,78 @@ def boolean_cut(a: fz.FuzzyAutomaton, alpha: int) -> fz.FuzzyAutomaton:
     return fz.FuzzyAutomaton(
         chain, a.alphabet, cut(a.pi), cut(a.eta), tuple(map(cut, a.delta))
     )
+
+
+def sparse_draw(seed: int) -> fz.FuzzyAutomaton:
+    """A random 10- or 12-state automaton over three symbols and a 12-value
+    chain, with each weight then set to 0 with probability 0.85."""
+    rng = random.Random(seed)
+    chain = fz.Chain(fz.random_chain_labels(rng, 12))
+    a = fz.random_automaton(rng, chain, ("a", "b", "c"), 10 + 2 * (seed % 2))
+
+    def thin(m: fz.FuzzyMatrix) -> fz.FuzzyMatrix:
+        data = tuple(0 if rng.random() < 0.85 else r for r in m.data)
+        return fz.FuzzyMatrix(chain, m.rows, m.cols, data)
+
+    pi, eta = thin(a.pi), thin(a.eta)
+    return fz.FuzzyAutomaton(chain, a.alphabet, pi, eta, tuple(map(thin, a.delta)))
+
+
+def reference_fooling_set(cut, floor: int, limit: int, max_vectors: int) -> list:
+    """`minimization._fooling_set` with a prune on pair counts only: the same
+    pairs, tried in the same depth-first order, but a branch is dropped only
+    when its pairs plus all its untried pairs cannot beat the best set."""
+    n = len(cut.rows[0])
+    try:
+        suffix, _, _ = _saturate_cut(cut.rows, cut.final, 0, 0, 0, max_vectors, exhaust=True)
+        limit = min(limit, len(suffix) - (0 in suffix))
+        if limit <= floor:
+            return []
+        forward, _, _ = _saturate_cut(
+            cut.back, cut.initial, 0, 0, len(suffix), max_vectors, exhaust=True
+        )
+        limit = min(limit, len(forward) - (0 in forward))
+        if limit <= floor:
+            return []
+    except fz.BudgetExceededError:
+        return []
+    spent = len(suffix) + len(forward)
+    minimal = []
+    for subsets in (forward, suffix):
+        per_state: list[list[int]] = [[] for _ in range(n)]
+        for u in sorted(subsets, key=int.bit_count):
+            for q in range(n):
+                if u >> q & 1:
+                    spent += len(per_state[q]) + 1
+                    if all(v & ~u for v in per_state[q]):
+                        per_state[q].append(u)
+            if spent > max_vectors:
+                return []
+        minimal.append(per_state)
+    candidates: dict[tuple[int, int], None] = {}
+    for fs, bs in zip(*minimal):
+        spent += len(fs) * len(bs)
+        if spent > max_vectors:
+            return []
+        candidates.update(((f, b), None) for f in fs for b in bs)
+    pairs = sorted(candidates, key=lambda p: p[0].bit_count() + p[1].bit_count())
+    best: list[tuple[int, int]] = []
+    frames: list[tuple[list, list, int]] = [([], pairs, 0)]
+    while frames:
+        chosen, open_, tried = frames[-1]
+        if tried == len(open_) or len(chosen) + len(open_) - tried <= floor:
+            frames.pop()
+            continue
+        frames[-1] = (chosen, open_, tried + 1)
+        f, b = open_[tried]
+        rest = open_[tried + 1 :]
+        spent += len(rest) + 1
+        if spent > max_vectors:
+            break
+        chosen = chosen + [(f, b)]
+        if len(chosen) > floor:
+            best, floor = chosen, len(chosen)
+            if floor >= limit:
+                break
+        frames.append((chosen, [(g, c) for g, c in rest if not f & c or not g & b], 0))
+    return [(forward[f][::-1], suffix[b]) for f, b in best]

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.chain import SolutionSet, cross_intersect, is_decimal_label
+from fuzzmin.chain import SolutionSet, _store, cross_intersect, is_decimal_label
 from fuzzmin.generate import random_chain_labels
 
 from helpers import in_box
@@ -243,6 +243,18 @@ def test_cross_intersect_covers_exactly_the_common_points(s1, s2, cap):
     else:
         assert capped == prod
         assert len(prod) <= cap
+
+
+def test_a_stored_set_may_hold_exactly_its_cap():
+    # single bits are packed boxes none of which holds another
+    kept: list[int] = []
+    for i in range(4):
+        _store(kept, 1 << i, max_vectors=4)
+    assert kept == [1, 2, 4, 8]
+    with pytest.raises(BudgetExceededError) as refused:
+        _store(kept, 16, max_vectors=4)
+    assert (refused.value.count, refused.value.limit) == (5, 4)
+    assert str(refused.value) == "size 5 exceeds budget 4 (interval solution set)"
 
 
 def _pinned(var):

@@ -403,6 +403,20 @@ def test_decide_min_refuses_a_huge_k_without_building_its_grid(wide_doc, capsys)
     )
 
 
+def test_decide_min_refuses_a_k_whose_grid_exponent_is_too_long_to_write(wide_doc, capsys):
+    # var_count = 2k + 2k**2 has 4,401 digits, past the 4,300 an int may
+    # print with, so even the power is written as a bound
+    k = 10**2200
+    assert main(["decide-min", wide_doc, str(k)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"cost k={k}: candidates=at least 10^4300\n"
+        f"error: size at least 10^4300 exceeds budget 10000000 "
+        f"(candidate assignments for k={k})\n"
+    )
+
+
 def test_decide_min_rejects_k_zero(dup_doc, capsys):
     assert main(["decide-min", dup_doc, "0"]) == 2
     assert "state count" in capsys.readouterr().err

@@ -39,6 +39,8 @@ from helpers import (
     minimize_benchmark_automata,
     permutation_pair,
     positive_ranks,
+    reference_fooling_set,
+    sparse_draw,
 )
 
 # two interchangeable states: collapses to one
@@ -116,6 +118,19 @@ def test_sizes_past_the_digit_limit_are_written_as_powers():
             check(base, exp, limit, "grid")
         assert (refused.value.count, refused.value.limit) == (count, limit)
         assert str(refused.value) == f"size {count} exceeds budget {limit} (grid)"
+
+
+def test_sizes_take_a_subtrahend_and_bound_an_exponent_too_long_to_write():
+    size = fz.errors._size
+    assert size(3, 15) == 3**15
+    assert size(5, 7320) == "5^7320"
+    assert size(3, 15, less=1) == 3**15 - 1
+    assert size(5, 7320, less=1) == "5^7320-1"
+    # an exponent of more than 4,300 digits cannot be written out either
+    assert size(2, 10**4300 - 1) == f"2^{10**4300 - 1}"
+    assert size(2, 10**4300) == "at least 10^4300"
+    assert size(5, 10**4400, less=1) == "at least 10^4300"
+    assert size(1, 10**4400) == 1
 
 
 def test_decide_k_finds_the_one_state_collapse():
@@ -428,6 +443,50 @@ def test_the_fooling_bound_gives_up_silently_past_its_budget(monkeypatch):
     )
     assert [decide_k(inst) for inst in insts] == answers
     assert minimize(NONMONO) is NONMONO
+
+
+def _fooling_corpus():
+    yield from minimize_benchmark_automata()
+    yield from (fz.gen_automaton(g, 4, 2, 3) for g in range(20))
+    yield from (fz.gen_automaton(g, 3, 2, 4) for g in range(40))
+    yield from (criterion4_instance(seed).automaton for seed in range(3000, 3200))
+    yield from (permutation_pair(n, 0, broken=False)[0] for n in range(3, 9))
+    yield from map(sparse_draw, range(20))
+
+
+def test_the_fooling_search_finds_what_the_count_pruned_search_finds_unbounded(
+    monkeypatch,
+):
+    # the lowest-core-state prune drops only branches that cannot beat the
+    # best set, so within the default budget the search returns what the
+    # count-pruned search returns with no budget, at every (floor, limit)
+    # that minimize and decide_k ask for
+    calls = []
+    for a in _fooling_corpus():
+        levels = _cut_levels(a)
+        for floor, limit in [(1, a.n)] + [(k, k + 1) for k in range(1, a.n)]:
+            calls.append((levels, floor, limit, fz.errors.DEFAULT_VECTOR_BUDGET))
+    found = [_fooling_bound(*call) for call in calls]
+    assert len(calls) == 1148 and sum(f is not None for f in found) == 389
+    monkeypatch.setattr(
+        fz.minimization,
+        "_fooling_set",
+        lambda cut, floor, limit, _: reference_fooling_set(cut, floor, limit, 10**18),
+    )
+    assert [_fooling_bound(*call) for call in calls] == found
+
+
+def test_the_fooling_search_proves_a_sparse_draw_minimal_within_its_budget():
+    # the count-pruned search spends the whole budget on one level of this
+    # draw and stops at 11 pairs; 12 pairs prove its 12 states minimal
+    a = sparse_draw(3)
+    alpha, pairs = _bound(a, floor=1)
+    assert len(pairs) == a.n == 12
+    assert is_fooling_set(a, alpha, pairs)
+    budget = fz.errors.DEFAULT_VECTOR_BUDGET
+    sizes = [len(reference_fooling_set(cut, 1, 12, budget)) for cut in _cut_levels(a)]
+    assert max(sizes) == 11
+    assert minimize(a) is a
 
 
 def test_minimize_starts_at_the_bound(monkeypatch):
