@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
@@ -64,7 +64,6 @@ class Chain:
             raise ValueError("a chain must start at value 0")
         if fractions[-1] != 1:
             raise ValueError("a chain must end at value 1")
-        object.__setattr__(self, "_fractions", fractions)
         object.__setattr__(
             self, "_rank_by_fraction", {f: i for i, f in enumerate(fractions)}
         )
@@ -94,9 +93,6 @@ class Chain:
     def label(self, rank: int) -> str:
         return self.labels[rank]
 
-    def fraction(self, rank: int) -> Fraction:
-        return self._fractions[rank]  # type: ignore[attr-defined]
-
     def rank_of(self, value: str | Fraction) -> int:
         """Rank of a member value.  A label spelled as declared is looked up
         directly; anything else is compared by exact rational equality."""
@@ -123,7 +119,6 @@ class Chain:
         return ChainValue(self, self.rank_of(value))
 
 
-@total_ordering
 @dataclass(frozen=True)
 class ChainValue:
     """One member of a chain, identified by its rank."""
@@ -139,26 +134,11 @@ class ChainValue:
     def label(self) -> str:
         return self.chain.label(self.rank)
 
-    @property
-    def fraction(self) -> Fraction:
-        return self.chain.fraction(self.rank)
-
-    def __lt__(self, other: "ChainValue") -> bool:
-        if not isinstance(other, ChainValue):
-            return NotImplemented
-        _require_same_chain(self, other)
-        return self.rank < other.rank
-
     def __str__(self) -> str:
         return self.label
 
     def __repr__(self) -> str:
         return f"ChainValue({self.label!r})"
-
-
-def _require_same_chain(a: ChainValue, b: ChainValue) -> None:
-    if a.chain != b.chain:
-        raise ValueError("values live on different chains")
 
 
 Box = tuple[tuple[int, int], ...]

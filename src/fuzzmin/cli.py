@@ -180,13 +180,15 @@ def _budget_flags(p: argparse.ArgumentParser, *, candidates: bool = False) -> No
             "--budget-candidates",
             type=int,
             metavar="N",
-            help="max points of a grid searched point by point",
+            help="max points of a grid searched point by point "
+            "(max values of its point, for a grid of one point)",
         )
     p.add_argument(
         "--budget-phi",
         type=int,
         metavar="N",
-        help="max stored vectors (cut subsets, forward vector pairs, interval solutions)",
+        help="max stored vectors (cut subsets, forward vector pairs, interval "
+        "solutions) and fooling-set search units per cut",
     )
 
 

@@ -295,10 +295,13 @@ def solve_points(
     Enumeration is lexicographic by rank with the first variable most
     significant, so the returned witness is deterministic.  Refuses up front
     (budget error carrying the count, or the text "<base>^<n_vars>" past
-    4,300 digits) when the grid has more than max_candidates points.
+    4,300 digits) when the grid has more than max_candidates points, and
+    when it has one point of more than max_candidates values.
     """
     ranks = [v.rank for v in rhs_values(system)]
-    _check_grid(len(ranks), system.n_vars, max_candidates, "point-search grid")
+    _check_grid(
+        len(ranks), system.n_vars, max_candidates, "point-search grid", "point-search weights"
+    )
     chain = system.chain
     polys = [
         (tuple(m.vars for m in eq.lhs.monomials), eq.rhs.rank)

@@ -6,7 +6,7 @@ expected to catch and act on: resource ceilings and document problems.
 
 Every budget default lives here, and so does `_check_grid`, which refuses a
 grid searched point by point before any point is tried; its count is the
-grid size, written as a power once it passes 4,300 digits.
+grid size, written as a power past 4,300 digits, or a one-point grid's values.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"size {shown} exceeds budget {limit}{where}")
 
 
-# Default ceilings: on a grid searched point by point (the candidate grid of
-# `decide_k` and the point grid of `solve_points`), on the vectors, cut
-# subsets, forward vector pairs or boxes a decider stores at once, on the
-# (lo, hi) pairs of the boxes `solve_intervals` returns, boxes times
-# variables, and on the words and monomials `decide_k_via_equations` writes.
+# Default ceilings: on the points, or a one-point grid's values, of a grid
+# searched point by point (the candidate grids of `decide_k` and its oracle,
+# the point grid of `solve_points`); on the vectors, cut subsets, forward
+# vector pairs or boxes a decider stores at once; on the boxes `solve_intervals`
+# returns times variables; and on the words and monomials of the oracle.
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 DEFAULT_VECTOR_BUDGET = 1_000_000
 DEFAULT_CELL_BUDGET = 10_000_000
@@ -59,12 +59,17 @@ def _size(base: int, exp: int, less: int = 0) -> int | str:
     return f"{base}^{exp}-{less}" if less else f"{base}^{exp}"
 
 
-def _check_grid(base: int, exp: int, limit: int, context: str) -> None:
-    """Refuse a grid of base**exp points when it has more than limit.  For
-    base >= 2 the power is at least 2**exp, which passes the limit once exp
-    reaches its bit length, so no power past the limit's size is built."""
+def _check_grid(
+    base: int, exp: int, limit: int, context: str, point_context: str
+) -> None:
+    """Refuse, before any point is built, a grid of base**exp points of exp
+    values each with more than limit points (context), or one point of more
+    than limit values (point_context).  For base >= 2 the power is at least
+    2**exp, which passes the limit once exp reaches its bit length."""
     if (base >= 2 and exp >= limit.bit_length()) or base**exp > limit:
         raise BudgetExceededError(_size(base, exp), limit, context)
+    if base == 1 and exp > limit:
+        raise BudgetExceededError(exp, limit, point_context)
 
 
 class NonBooleanValueError(ValueError):

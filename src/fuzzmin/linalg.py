@@ -49,10 +49,3 @@ class FuzzyMatrix:
         c = self.cols
         return tuple(self.data[i * c : (i + 1) * c] for i in range(self.rows))
 
-    def __str__(self) -> str:
-        label = self.chain.label
-        return "[" + ", ".join(
-            "[" + ", ".join(label(r) for r in self.row_ranks(i)) + "]"
-            for i in range(self.rows)
-        ) + "]"
-

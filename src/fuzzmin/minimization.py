@@ -505,13 +505,13 @@ def decide_k(
     of k+1 word pairs (see `_fooling_set`), which proves that every NFA for
     its language has more than k states; it needs no grid, is charged
     against max_vectors per level and gives up silently past it.  Then the
-    grid is refused (budget error carrying the count, or the text
-    "<|V|>^<var_count>" past 4,300 digits) when it is larger than
-    max_candidates, since it bounds all the work after it.  A grid of one
-    point (|V| = 1) is not searched: every weight of the input and of that
+    grid is refused by `_check_grid` when it is larger than max_candidates
+    (budget error carrying the count, or the text "<|V|>^<var_count>" past
+    4,300 digits), since it bounds all the work after it, and so is a grid
+    of one point (|V| = 1) whose var_count weights pass max_candidates.  A
+    one-point grid is not searched: every weight of the input and of that
     point is the one value v, and every word has a path, so both languages
-    are constantly v and the point is the answer (its var_count weights are
-    refused past max_candidates before they are built).  Then an input with
+    are constantly v and the point is the answer.  Then an input with
     more than one positive level is tried one cut at a time, levels
     ascending: if the same search over the values 0 and 1, at that one
     level, finds no k-state NFA for some cut, the answer is None.  That grid
@@ -543,13 +543,11 @@ def decide_k(
             if _on_bound is not None:
                 _on_bound(*bound)
             return None
-    base = len(space.values)
-    _check_grid(base, space.var_count, max_candidates, f"candidate assignments for k={k}")
-    if base == 1:
-        if space.var_count > max_candidates:
-            raise BudgetExceededError(
-                space.var_count, max_candidates, f"candidate weights for k={k}"
-            )
+    _check_grid(
+        len(space.values), space.var_count, max_candidates,
+        f"candidate assignments for k={k}", f"candidate weights for k={k}",
+    )
+    if len(space.values) == 1:
         values = space.values * space.var_count
         return CandidateAutomaton(values, decode_candidate(a.chain, a.alphabet, k, values))
     n_sym = len(a.alphabet)

@@ -39,10 +39,8 @@ from .equations import (
     Equation,
     EquationSystem,
     Monomial,
-    PointAssignment,
     Polynomial,
     Relation,
-    satisfies,
 )
 from .errors import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -287,7 +285,10 @@ def decide_k_via_equations(
             raise BudgetExceededError(
                 total_monomials, max_equations, "materialized monomials"
             )
-    _check_grid(base, space.var_count, max_candidates, f"candidate assignments for k={k}")
+    _check_grid(
+        base, space.var_count, max_candidates,
+        f"candidate assignments for k={k}", f"candidate weights for k={k}",
+    )
 
     kk = k * k
 
@@ -306,10 +307,7 @@ def decide_k_via_equations(
             Equation(Polynomial(tuple(monomials)), Relation.EQ, language_value(a, word))
         )
     system = EquationSystem(a.chain, space.var_count, tuple(equations))
-
-    for combo in itertools.product(space.values, repeat=space.var_count):
-        if satisfies(system, PointAssignment(combo)):
-            return CandidateAutomaton(
-                combo, decode_candidate(a.chain, a.alphabet, k, combo)
-            )
-    return None
+    combo = grid_search_point(system, space.values)
+    if combo is None:
+        return None
+    return CandidateAutomaton(combo, decode_candidate(a.chain, a.alphabet, k, combo))

@@ -187,7 +187,7 @@ def fraction_maxmin_product(
 
 def as_fraction_grid(m: fz.FuzzyMatrix) -> list[list[Fraction]]:
     return [
-        [m.chain.fraction(m.rank_at(i, j)) for j in range(m.cols)]
+        [Fraction(m.chain.label(m.rank_at(i, j))) for j in range(m.cols)]
         for i in range(m.rows)
     ]
 

@@ -308,6 +308,18 @@ def test_solve_refuses_boxes_too_wide_to_pad(tmp_path, capsys):
     assert err == "error: size 3000000000 exceeds budget 10000000 (interval solution cells)\n"
 
 
+def test_solve_points_refuses_a_point_too_wide_to_build(tmp_path, capsys):
+    # one rhs value: the grid is one point of 10^9 values, refused unbuilt
+    path = tmp_path / "wide.json"
+    path.write_text(WIDE_SYSTEM, encoding="utf-8")
+    assert main(["solve", str(path), "--mode", "points"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: size 1000000000 exceeds budget 10000000 (point-search weights)\n"
+    )
+
+
 def test_budget_env_var_replaces_the_cell_ceiling(tmp_path, capsys, monkeypatch):
     path = tmp_path / "wide.json"
     path.write_text(WIDE_SYSTEM.replace("1000000000", "1000"), encoding="utf-8")

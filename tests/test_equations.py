@@ -294,6 +294,16 @@ def test_point_solver_on_a_single_rhs_value():
     assert solve_points(system).labels() == ("0",)
 
 
+def test_point_solver_refuses_the_one_point_of_too_many_values():
+    # one rhs value: a grid of one point, of n_vars values
+    x = Polynomial((Monomial((0,)),))
+    system = EquationSystem(CH, 5, (Equation(x, Relation.EQ, CH.value("0.5")),))
+    assert solve_points(system, max_candidates=5).labels() == ("0.5",) * 5
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_points(system, max_candidates=4)
+    assert str(refused.value) == "size 5 exceeds budget 4 (point-search weights)"
+
+
 def test_point_solver_refuses_an_oversized_grid_up_front():
     # the grid of _system() is 2**3 = 8 points
     with pytest.raises(BudgetExceededError) as refused:

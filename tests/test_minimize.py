@@ -106,18 +106,23 @@ def test_sizes_past_the_digit_limit_are_written_as_powers():
     assert size(5, 10**12) == "5^1000000000000"
     assert size(1, 10**12) == 1
     check = fz.errors._check_grid
-    check(2, 23, 2**23, "grid")
-    check(3, 15, 3**15, "grid")
-    check(1, 10**12, 1, "grid")
-    for base, exp, limit, count in [
-        (2, 24, 2**24 - 1, 2**24),
-        (3, 15, 3**15 - 1, 3**15),
-        (5, 10**12, 10**7, "5^1000000000000"),
+    check(2, 23, 2**23, "grid", "point")
+    check(3, 15, 3**15, "grid", "point")
+    check(1, 10**7, 10**7, "grid", "point")  # one point of exactly limit values
+    for base, exp, limit, count, context in [
+        (2, 24, 2**24 - 1, 2**24, "grid"),
+        (3, 15, 3**15 - 1, 3**15, "grid"),
+        (5, 10**12, 10**7, "5^1000000000000", "grid"),
+        # a grid of one point is refused on its values
+        (1, 10**7 + 1, 10**7, 10**7 + 1, "point"),
+        (1, 10**12, 1, 10**12, "point"),
+        # with two values or more the points are counted first
+        (2, 30, 29, 2**30, "grid"),
     ]:
         with pytest.raises(BudgetExceededError) as refused:
-            check(base, exp, limit, "grid")
+            check(base, exp, limit, "grid", "point")
         assert (refused.value.count, refused.value.limit) == (count, limit)
-        assert str(refused.value) == f"size {count} exceeds budget {limit} (grid)"
+        assert str(refused.value) == f"size {count} exceeds budget {limit} ({context})"
 
 
 def test_sizes_take_a_subtrahend_and_bound_an_exponent_too_long_to_write():
