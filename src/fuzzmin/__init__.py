@@ -15,6 +15,7 @@ importable from its own module.
 
 from .automaton import (
     FuzzyAutomaton,
+    FuzzyMatrix,
     bounded_counterexample,
     equivalence_length_bound,
     equivalent_fixpoint,
@@ -37,7 +38,6 @@ from .equations import (
 from .errors import BudgetExceededError, DocumentError, NonBooleanValueError
 from .formats import parse_automaton, parse_system, render_automaton, render_system
 from .generate import gen_automaton, gen_system, random_automaton, random_chain_labels
-from .linalg import FuzzyMatrix
 from .minimization import (
     MinimizeInstance,
     build_candidate_space,

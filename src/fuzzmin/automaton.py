@@ -1,10 +1,12 @@
 """Fuzzy finite automata over a chain: word semantics and equivalence decisions.
 
 An automaton is (chain, alphabet, pi, eta, delta): a 1 x n initial row, an
-n x 1 final column, and one n x n transition matrix per symbol.  The value of
-a word is pi composed with the word's transition product composed with eta,
-all under max-min.  That composition is associative, so `language_value`
-folds pi through the word one symbol at a time, a row vector throughout.
+n x 1 final column, and one n x n transition matrix per symbol, each an
+immutable `FuzzyMatrix` of entry ranks, row-major; only this module reads one
+by column.  The value of a word is pi composed with the word's transition
+product composed with eta, all under max-min.  That composition is
+associative, so `language_value` folds pi through the word one symbol at a
+time, a row vector throughout.
 
 Two deciders for language equality live here and are deliberately independent
 implementations:
@@ -44,9 +46,41 @@ from typing import Sequence
 
 from .chain import Chain, ChainValue
 from .errors import DEFAULT_VECTOR_BUDGET, BudgetExceededError
-from .linalg import FuzzyMatrix
 
 Word = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FuzzyMatrix:
+    chain: Chain
+    rows: int
+    cols: int
+    data: tuple[int, ...]  # entry ranks, row-major
+
+    def __post_init__(self) -> None:
+        data = tuple(self.data)
+        object.__setattr__(self, "data", data)
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"degenerate shape {self.rows}x{self.cols}")
+        if len(data) != self.rows * self.cols:
+            raise ValueError(
+                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries,"
+                f" got {len(data)}"
+            )
+        top = len(self.chain) - 1
+        for r in data:
+            if not 0 <= r <= top:
+                raise ValueError(f"entry rank {r} outside chain")
+
+    def rank_at(self, i: int, j: int) -> int:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
+        return self.data[i * self.cols + j]
+
+    def as_row_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Row-major view as rank tuples; the low-level form the kernels use."""
+        c = self.cols
+        return tuple(self.data[i * c : (i + 1) * c] for i in range(self.rows))
 
 
 @dataclass(frozen=True)
@@ -112,7 +146,7 @@ def language_value(a: FuzzyAutomaton, word: Sequence[int]) -> ChainValue:
     v = a.pi.data
     for s in word:
         v = _step(v, _columns(a.delta[s]))
-    return ChainValue(a.chain, _dot(v, a.eta.data))
+    return a.chain[_dot(v, a.eta.data)]
 
 
 def _require_compatible(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> None:

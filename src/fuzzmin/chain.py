@@ -70,25 +70,28 @@ class Chain:
         object.__setattr__(
             self, "_rank_by_label", {label: i for i, label in enumerate(labels)}
         )
+        object.__setattr__(
+            self, "_values", tuple(ChainValue(self, i) for i in range(len(labels)))
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __iter__(self) -> Iterator["ChainValue"]:
-        return (ChainValue(self, rank) for rank in range(len(self.labels)))
+        return iter(self._values)  # type: ignore[attr-defined]
 
     def __getitem__(self, rank: int) -> "ChainValue":
         if not 0 <= rank < len(self.labels):
             raise IndexError(f"rank {rank} out of range for chain of {len(self.labels)}")
-        return ChainValue(self, rank)
+        return self._values[rank]  # type: ignore[attr-defined]
 
     @property
     def zero(self) -> "ChainValue":
-        return ChainValue(self, 0)
+        return self._values[0]  # type: ignore[attr-defined]
 
     @property
     def one(self) -> "ChainValue":
-        return ChainValue(self, len(self.labels) - 1)
+        return self._values[-1]  # type: ignore[attr-defined]
 
     def label(self, rank: int) -> str:
         return self.labels[rank]
@@ -116,7 +119,7 @@ class Chain:
         return None if None in ranks else ranks  # type: ignore[return-value]
 
     def value(self, value: str | Fraction) -> "ChainValue":
-        return ChainValue(self, self.rank_of(value))
+        return self[self.rank_of(value)]
 
 
 @dataclass(frozen=True)

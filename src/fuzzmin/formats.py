@@ -21,11 +21,10 @@ import io
 import json
 from typing import Any, TextIO
 
-from .automaton import FuzzyAutomaton
+from .automaton import FuzzyAutomaton, FuzzyMatrix
 from .chain import Chain, is_decimal_label
 from .equations import Equation, EquationSystem, Monomial, Polynomial, Relation
 from .errors import DocumentError
-from .linalg import FuzzyMatrix
 
 _AUTOMATON_KEYS = ("kind", "chain", "alphabet", "n", "pi", "eta", "delta")
 _SYSTEM_KEYS = ("kind", "chain", "n_vars", "equations")

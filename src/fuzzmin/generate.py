@@ -11,10 +11,9 @@ import random
 import string
 from fractions import Fraction
 
-from .automaton import FuzzyAutomaton
+from .automaton import FuzzyAutomaton, FuzzyMatrix
 from .chain import Chain
 from .equations import Equation, EquationSystem, Monomial, Polynomial, Relation
-from .linalg import FuzzyMatrix
 
 _INTERIOR = tuple(f"0.{i * 5:02d}".rstrip("0") for i in range(1, 20))
 

@@ -46,8 +46,10 @@ from typing import Callable, NamedTuple, Sequence
 
 from .automaton import (
     FuzzyAutomaton,
+    FuzzyMatrix,
     Word,
     language_value,
+    _columns,
     _cut_mask,
     _cut_rows,
     _levels,
@@ -62,7 +64,6 @@ from .errors import (
     _check_grid,
     _size,
 )
-from .linalg import FuzzyMatrix
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,7 @@ def _cut_levels(a: FuzzyAutomaton) -> list[_Cut]:
     cuts = []
     for alpha in _levels(a):
         rows = [_cut_rows(d, alpha) for d in a.delta]
-        back = [
-            tuple(_cut_mask(d.data[j :: d.cols], alpha) for j in range(d.cols))
-            for d in a.delta
-        ]
+        back = [tuple(_cut_mask(col, alpha) for col in _columns(d)) for d in a.delta]
         final, initial = _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha)
         trimmed = (_reach(rows, initial) & _reach(back, final)).bit_count()
         cuts.append(_Cut(alpha, rows, back, final, initial, trimmed))
@@ -629,12 +627,10 @@ def pad_states(a: FuzzyAutomaton, n_total: int) -> FuzzyAutomaton:
     pad = (0,) * extra
     pi = FuzzyMatrix(chain, 1, n_total, a.pi.data + pad)
     eta = FuzzyMatrix(chain, n_total, 1, a.eta.data + pad)
+    tail = (0,) * (extra * n_total)
     delta = []
     for m in a.delta:
-        data: tuple[int, ...] = ()
-        for i in range(a.n):
-            data += m.row_ranks(i) + pad
-        data += (0,) * (extra * n_total)
+        data = tuple(r for row in m.as_row_tuples() for r in row + pad) + tail
         delta.append(FuzzyMatrix(chain, n_total, n_total, data))
     return FuzzyAutomaton(chain, a.alphabet, pi, eta, tuple(delta))
 

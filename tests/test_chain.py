@@ -11,7 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.chain import SolutionSet, _store, cross_intersect, is_decimal_label
+from fuzzmin.chain import (
+    ChainValue,
+    SolutionSet,
+    _store,
+    cross_intersect,
+    is_decimal_label,
+)
 from fuzzmin.generate import random_chain_labels
 
 from helpers import in_box
@@ -25,6 +31,16 @@ def test_ranks_follow_declared_order():
     assert CH.one.rank == 4
     assert CH.rank_of("0.75") == 3
     assert CH.rank_of(Fraction(3, 4)) == 3
+
+
+def test_each_value_is_built_once_with_its_chain():
+    for r in range(len(CH)):
+        assert CH[r] is CH[r]
+        assert list(CH)[r] is CH[r]
+    assert CH.zero is CH[0] and CH.one is CH[len(CH) - 1]
+    assert CH.value("0.5") is CH[2]
+    with pytest.raises(ValueError):
+        ChainValue(CH, len(CH))
 
 
 def test_labels_keep_declared_spelling():

@@ -383,6 +383,23 @@ def test_decide_min_budget(dup_doc, capsys):
     assert "8 exceeds budget 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["minimize"], ["decide-min", "1"]])
+def test_budget_phi_refuses_the_witness_search(command, tmp_path, capsys):
+    # the grid of 81 points is within budget, but the search stores the cut
+    # subsets of each prefix it checks, and --budget-phi caps those
+    argv = ["gen", "automaton", "--seed", "1", "--states", "3", "--symbols", "2"]
+    assert main([*argv, "--chain-size", "3"]) == 0
+    path = tmp_path / "g1.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main([command[0], str(path), *command[1:], "--budget-phi", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "cost k=1: candidates=81\n"
+        "error: size 2 exceeds budget 1 (cut subsets)\n"
+    )
+
+
 @pytest.fixture
 def wide_doc(tmp_path):
     # `gen automaton --seed 3 --states 3 --symbols 2 --chain-size 5`: five

@@ -304,6 +304,17 @@ def test_point_solver_refuses_the_one_point_of_too_many_values():
     assert str(refused.value) == "size 5 exceeds budget 4 (point-search weights)"
 
 
+def test_a_wide_point_shares_one_value_object():
+    # one rhs value over 10^5 variables: every coordinate is the chain's own
+    # value, not a copy per variable
+    x = Polynomial((Monomial((0,)),))
+    system = EquationSystem(CH, 100_000, (Equation(x, Relation.EQ, CH.value("0.5")),))
+    point = solve_points(system)
+    assert len(point.values) == 100_000
+    assert len({id(v) for v in point.values}) == 1
+    assert point.values[0] is CH.value("0.5")
+
+
 def test_point_solver_refuses_an_oversized_grid_up_front():
     # the grid of _system() is 2**3 = 8 points
     with pytest.raises(BudgetExceededError) as refused:

@@ -65,8 +65,8 @@ def test_shape_and_chain_checks():
 def test_views_and_accessors():
     m = matrix(CH, [["0", "0.5"], ["0.7", "1"]])
     assert m.rank_at(1, 0) == CH.rank_of("0.7")
-    assert m.row_ranks(1) == (CH.rank_of("0.7"), len(CH) - 1)
-    assert m.as_row_tuples() == (m.row_ranks(0), m.row_ranks(1))
+    assert m.as_row_tuples()[1] == (CH.rank_of("0.7"), len(CH) - 1)
+    assert m.as_row_tuples() == ((0, CH.rank_of("0.5")), (CH.rank_of("0.7"), len(CH) - 1))
 
 
 ranks = st.integers(0, len(CH) - 1)

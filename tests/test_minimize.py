@@ -638,6 +638,24 @@ def test_pad_states_preserves_the_language():
         pad_states(NONMONO, 2)
 
 
+def test_pad_states_appends_zero_columns_then_zero_rows():
+    for seed in range(20):
+        a = fz.gen_automaton(seed, 2 + seed % 3, 2, 4)
+        for extra in (1, 3):
+            n, total = a.n, a.n + extra
+            padded = pad_states(a, total)
+            assert (padded.chain, padded.alphabet) == (a.chain, a.alphabet)
+            assert padded.pi.data == a.pi.data + (0,) * extra
+            assert padded.eta.data == a.eta.data + (0,) * extra
+            for m, p in zip(a.delta, padded.delta):
+                expected = [
+                    [m.rank_at(i, j) for j in range(n)] + [0] * extra for i in range(n)
+                ]
+                expected += [[0] * total for _ in range(extra)]
+                got = [[p.rank_at(i, j) for j in range(total)] for i in range(total)]
+                assert got == expected, (seed, extra)
+
+
 # boolean automata as NFAs
 
 

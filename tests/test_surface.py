@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -38,3 +39,8 @@ def test_star_import_is_clean_under_warnings_as_errors():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_weight_matrix_lives_with_the_automaton():
+    assert fuzzmin.FuzzyMatrix.__module__ == "fuzzmin.automaton"
+    assert importlib.util.find_spec("fuzzmin.linalg") is None
