@@ -41,7 +41,10 @@ occurring in either automaton (initial weights deliberately do not count).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Sequence
 
 from .chain import Chain, ChainValue
@@ -254,8 +257,10 @@ def bounded_counterexample(
 
 
 # Threshold cuts.  A set of states is an int bitset, bit i for state i.  At a
-# level alpha, a matrix cuts to one mask per row (the columns whose entry is
-# >= alpha) and a vector to the mask of its entries >= alpha.
+# level alpha, a vector cuts to the mask of its entries >= alpha and a matrix
+# to one such mask per row.  The deciders need every level, so a rank
+# sequence is read once into its masks at all levels (`_cut_table`) and a
+# matrix's rows into one tuple of row masks per level (`_cut_by_level`).
 
 def _levels(*automata: FuzzyAutomaton) -> list[int]:
     """The positive ranks occurring anywhere in the automata, ascending.
@@ -275,8 +280,25 @@ def _cut_mask(ranks: Sequence[int], alpha: int) -> int:
     return sum(1 << i for i, r in enumerate(ranks) if r >= alpha)
 
 
-def _cut_rows(m: FuzzyMatrix, alpha: int, shift: int = 0) -> tuple[int, ...]:
-    return tuple(_cut_mask(row, alpha) << shift for row in m.as_row_tuples())
+def _cut_table(ranks: Sequence[int], levels: Sequence[int], shift: int = 0) -> list[int]:
+    """_cut_mask(ranks, alpha) << shift for every alpha of the ascending levels.
+
+    Each entry's bit goes once into the slot of the highest level at or below
+    its rank, and the slots then accumulate from the top level down, so the
+    slot of a level ends up holding every entry whose rank reaches it."""
+    slots = [0] * len(levels)
+    for i, r in enumerate(ranks, shift):
+        p = bisect_right(levels, r) - 1
+        if p >= 0:
+            slots[p] |= 1 << i
+    return list(accumulate(reversed(slots), or_))[::-1]
+
+
+def _cut_by_level(
+    rows: Sequence[Sequence[int]], levels: Sequence[int], shift: int = 0
+) -> list[tuple[int, ...]]:
+    """Per level, the tuple of every row's `_cut_table` mask at that level."""
+    return list(zip(*(_cut_table(row, levels, shift) for row in rows)))
 
 
 def _saturate_cut(
@@ -375,20 +397,26 @@ def equivalent_fixpoint(
     """
     _require_compatible(a1, a2)
     n1 = a1.n
+    levels = _levels(a1, a2)
+    rows = [
+        [r1 + r2 for r1, r2 in zip(
+            _cut_by_level(d1.as_row_tuples(), levels),
+            _cut_by_level(d2.as_row_tuples(), levels, n1),
+        )]
+        for d1, d2 in zip(a1.delta, a2.delta)
+    ]
+    # the joint final column is the two columns one after the other
+    final = _cut_table(a1.eta.data + a2.eta.data, levels)
+    pi1, pi2 = _cut_table(a1.pi.data, levels), _cut_table(a2.pi.data, levels, n1)
     reached: list[tuple[int, int]] = []
     least: Word | None = None
     depth = 0
-    for alpha in _levels(a1, a2):
-        rows = [
-            _cut_rows(d1, alpha) + _cut_rows(d2, alpha, n1)
-            for d1, d2 in zip(a1.delta, a2.delta)
-        ]
-        final = _cut_mask(a1.eta.data, alpha) | _cut_mask(a2.eta.data, alpha) << n1
+    for p, alpha in enumerate(levels):
         witness, mismatch, level_depth = _saturate_cut(
-            rows,
-            final,
-            _cut_mask(a1.pi.data, alpha),
-            _cut_mask(a2.pi.data, alpha) << n1,
+            [sym_rows[p] for sym_rows in rows],
+            final[p],
+            pi1[p],
+            pi2[p],
             len(reached),
             max_vectors,
             exhaust=True,
@@ -400,4 +428,3 @@ def equivalent_fixpoint(
         ):
             least = mismatch
     return EquivalenceResult(least is None, depth, least, tuple(reached))
-

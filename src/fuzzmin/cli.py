@@ -6,6 +6,10 @@ cost figures go to stderr.  Exit codes: 0 when a command reaches a
 verdict (either way), 2 for input or usage problems, 3 when an enumeration
 budget is exceeded.  The FUZZMIN_BUDGET environment variable replaces every
 default ceiling; per-run --budget-* flags take precedence over it.
+
+The argument parser is built on the first call of `main`, not at import, and
+that one parser serves every later call in the process: parsing leaves it
+unchanged, so a caller running many commands in-process pays for it once.
 """
 
 from __future__ import annotations
@@ -192,6 +196,7 @@ def _budget_flags(p: argparse.ArgumentParser, *, candidates: bool = False) -> No
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzmin",

@@ -240,14 +240,15 @@ def solve_intervals(
     _max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> SolutionSet:
     """Interval cover of the whole system: the cross-intersection of the
-    per-equation families.  The boxes hold only solutions, cover every
-    solution, and none lies inside another; the system is solvable iff the
-    set is non-empty.
+    per-equation families, in equation order.  The boxes hold only
+    solutions, cover every solution, and none lies inside another; the
+    system is solvable iff the set is non-empty.
 
     Raises BudgetExceededError as soon as any set it builds, inside one
     equation's family or across equations, holds more than max_vectors
     boxes; the running set can grow like (k * n**k)**m even though skipping
-    disjoint pairs and dropping contained boxes usually keeps it tiny.
+    disjoint pairs and dropping contained boxes usually keeps it tiny.  Once
+    the running set is empty no later family is built, so none is refused.
 
     The families are built only over the variables some monomial mentions.
     Every box ranges over the whole chain on the others, so those are added
@@ -270,9 +271,13 @@ def solve_intervals(
         )
         for lhs, eq in zip(lhss, system.equations)
     )
+    # no family is empty (all variables at the rhs solve it), so the running
+    # set first empties at a cross-intersection, and no later family is built
     result = next(families)
     for family in families:
         result = cross_intersect(result, family, max_vectors=max_vectors)
+        if not result:
+            break
     cells = len(result) * system.n_vars
     if cells > _max_cells:
         raise BudgetExceededError(cells, _max_cells, "interval solution cells")

@@ -50,8 +50,9 @@ from .automaton import (
     Word,
     language_value,
     _columns,
+    _cut_by_level,
     _cut_mask,
-    _cut_rows,
+    _cut_table,
     _levels,
     _saturate_cut,
 )
@@ -157,13 +158,16 @@ def _reach(rows: Sequence[tuple[int, ...]], start: int) -> int:
 
 
 def _cut_levels(a: FuzzyAutomaton) -> list[_Cut]:
+    levels = _levels(a)
+    rows = [_cut_by_level(d.as_row_tuples(), levels) for d in a.delta]
+    back = [_cut_by_level(_columns(d), levels) for d in a.delta]
+    final, initial = _cut_table(a.eta.data, levels), _cut_table(a.pi.data, levels)
     cuts = []
-    for alpha in _levels(a):
-        rows = [_cut_rows(d, alpha) for d in a.delta]
-        back = [tuple(_cut_mask(col, alpha) for col in _columns(d)) for d in a.delta]
-        final, initial = _cut_mask(a.eta.data, alpha), _cut_mask(a.pi.data, alpha)
-        trimmed = (_reach(rows, initial) & _reach(back, final)).bit_count()
-        cuts.append(_Cut(alpha, rows, back, final, initial, trimmed))
+    for p, alpha in enumerate(levels):
+        rows_p = [sym_rows[p] for sym_rows in rows]
+        back_p = [sym_back[p] for sym_back in back]
+        trimmed = (_reach(rows_p, initial[p]) & _reach(back_p, final[p])).bit_count()
+        cuts.append(_Cut(alpha, rows_p, back_p, final[p], initial[p], trimmed))
     return cuts
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 from typing import Sequence
 
 import fuzzmin as fz
-from fuzzmin.automaton import _saturate_cut
+from fuzzmin.automaton import EquivalenceResult, _cut_mask, _levels, _saturate_cut
 from fuzzmin.chain import ChainValue
+from fuzzmin.errors import DEFAULT_VECTOR_BUDGET
 from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
     all_words_up_to,
@@ -72,9 +73,10 @@ def _inside(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:
 class TupleBoxSolver:
     """Reference interval solver on boxes held as tuples of (lo, hi) rank
     pairs, at the system's full width: the same families, stored in the same
-    order into the same capped antichains as `solve_intervals`.  peak is the
-    most boxes any capped set held, so every cap below it refuses and every
-    cap from it up answers."""
+    order into the same capped antichains as `solve_intervals`, which also
+    builds no family once the running set is empty.  peak is the most boxes
+    any capped set held, so every cap below it refuses and every cap from it
+    up answers."""
 
     def __init__(self, max_vectors: int | None = None) -> None:
         self.max_vectors = max_vectors
@@ -116,6 +118,8 @@ class TupleBoxSolver:
         n, top = system.n_vars, len(system.chain) - 1
         result = None
         for eq in system.equations:
+            if result == []:
+                break
             r = eq.rhs.rank
             monomials = eq.lhs.monomials
             family: list = []
@@ -234,6 +238,40 @@ def literal_suffix_cuts(
         for v in literal_suffix_vectors(a1, a2, up_to)
         for alpha in positive_ranks(a1, a2)
     }
+
+
+def per_level_fixpoint(
+    a1: fz.FuzzyAutomaton, a2: fz.FuzzyAutomaton
+) -> EquivalenceResult:
+    """Reference for `equivalent_fixpoint` that rebuilds every cut at each
+    level from the weights with `_cut_mask`, one row at a time."""
+    n1 = a1.n
+    reached: list = []
+    least = None
+    depth = 0
+    for alpha in _levels(a1, a2):
+        rows = [
+            tuple(_cut_mask(row, alpha) for row in d1.as_row_tuples())
+            + tuple(_cut_mask(row, alpha) << n1 for row in d2.as_row_tuples())
+            for d1, d2 in zip(a1.delta, a2.delta)
+        ]
+        final = _cut_mask(a1.eta.data, alpha) | _cut_mask(a2.eta.data, alpha) << n1
+        witness, mismatch, level_depth = _saturate_cut(
+            rows,
+            final,
+            _cut_mask(a1.pi.data, alpha),
+            _cut_mask(a2.pi.data, alpha) << n1,
+            len(reached),
+            DEFAULT_VECTOR_BUDGET,
+            exhaust=True,
+        )
+        reached.extend((alpha, subset) for subset in witness)
+        depth = max(depth, level_depth)
+        if mismatch is not None and (
+            least is None or (len(mismatch), mismatch) < (len(least), least)
+        ):
+            least = mismatch
+    return EquivalenceResult(least is None, depth, least, tuple(reached))
 
 
 def permutation_pair(

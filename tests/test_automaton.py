@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
+from fuzzmin.automaton import _cut_mask, _cut_table
 from fuzzmin.oracles import (
     all_words_up_to,
     brute_language_value,
@@ -24,6 +25,7 @@ from helpers import (
     identity,
     literal_suffix_cuts,
     maxmin_product,
+    per_level_fixpoint,
     permutation_pair,
     positive_ranks,
     random_pair,
@@ -202,6 +204,40 @@ def test_reached_vectors_match_literal_word_enumeration():
         assert len(res.reached) == len(lit)
         # one more word length adds nothing: every level already closed off
         assert lit == literal_suffix_cuts(*pair, res.stabilization_index + 1)
+
+
+@given(
+    st.lists(st.integers(0, 8), max_size=12),
+    st.sets(st.integers(1, 9)),
+    st.integers(0, 70),
+)
+def test_cut_table_holds_the_cut_mask_at_every_level(ranks, levels, shift):
+    # levels need not hold the row's ranks, nor the row the levels
+    levels = sorted(levels)
+    assert _cut_table(ranks, levels, shift) == [
+        _cut_mask(ranks, alpha) << shift for alpha in levels
+    ]
+
+
+def test_fixpoint_matches_the_per_level_cut_reference():
+    pairs = [
+        permutation_pair(n, seed, broken=broken)
+        for n in range(3, 8)
+        for seed in range(2)
+        for broken in (False, True)
+    ]
+    # gen_automaton draws against a padded copy and a fresh draw on its chain
+    for g in range(40):
+        a = fz.gen_automaton(g, 1 + g % 6, 1 + g % 3, 2 + g % 6)
+        rng = random.Random(f"fresh/{g}")
+        pairs.append((a, fz.pad_states(a, a.n + 1)))
+        pairs.append((a, fz.random_automaton(rng, a.chain, a.alphabet, rng.randint(1, 6))))
+    verdicts = set()
+    for a1, a2 in pairs:
+        res = fz.equivalent_fixpoint(a1, a2)
+        assert res == per_level_fixpoint(a1, a2)
+        verdicts.add(res.equivalent)
+    assert verdicts == {True, False}
 
 
 def test_fixpoint_budget():

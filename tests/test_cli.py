@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -757,3 +761,87 @@ def test_unknown_subcommand(capsys):
         main(["frobnicate"])
     assert info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_repeated_main_calls_build_the_parser_once(eval_doc, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    # counts the subcommand parsers too, which are built by the same class
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    fuzzmin.cli._build_parser.cache_clear()
+    try:
+        assert _outcome(["eval", eval_doc, "a"], capsys)[0] == 0
+        one_build = list(built)
+        assert one_build.count("fuzzmin") == 1
+        assert _outcome(["equiv", eval_doc, eval_doc], capsys)[0] == 0
+        assert _outcome(["frobnicate"], capsys)[0] == 2
+        assert _outcome(["eval", eval_doc, "a"], capsys)[0] == 0
+    finally:
+        fuzzmin.cli._build_parser.cache_clear()
+    assert built == one_build
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import fuzzmin.cli\n"
+        "print(len(built), fuzzmin.cli._build_parser.cache_info().currsize)\n"
+    )
+    src = str(Path(fuzzmin.cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.stdout == "0 0\n"
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(eval_doc, system_doc, monkeypatch, capsys):
+    # usage errors, help and valid commands in one process give what each
+    # gives on a parser built for it alone
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        [],
+        ["frobnicate"],
+        ["solve", system_doc, "--mode", "nope"],
+        ["eval", eval_doc, "a"],
+        ["decide-min", eval_doc, "two"],
+        ["solve", system_doc],
+        ["--help"],
+        *([cmd, "--help"] for cmd in ("eval", "equiv", "solve", "decide-min", "minimize", "gen")),
+        ["gen", "automaton", "--help"],
+        ["gen", "system", "--help"],
+        ["gen", "system", "--vars", "x"],
+        ["equiv", eval_doc, eval_doc, "--budget-phi", "1"],
+        ["eval", eval_doc, ""],
+    ]
+    fresh = []
+    for argv in argvs:
+        fuzzmin.cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    shared = [_outcome(argv, capsys) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 2, 2, 0, 2, 0, *[0] * 9, 2, 3, 0]
+    assert all("Traceback" not in err for _, _, err in shared)

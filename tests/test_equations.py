@@ -347,6 +347,36 @@ def test_unsolvable_system():
     assert solve_points(clash) is None
 
 
+def test_solve_intervals_stops_at_the_first_empty_running_set(monkeypatch):
+    # every case of a family holds the point with all its variables at the
+    # rhs, so the only empty set a cross-intersection returns is the running
+    # set; after it, no family is built and nothing is intersected
+    calls = []
+    family, cross = equations.polynomial_eq_solutions, equations.cross_intersect
+
+    def family_spy(*args, **kwargs):
+        calls.append("family")
+        return family(*args, **kwargs)
+
+    def cross_spy(*args, **kwargs):
+        out = cross(*args, **kwargs)
+        calls.append("cross" if out else "empty")
+        return out
+
+    monkeypatch.setattr(equations, "polynomial_eq_solutions", family_spy)
+    monkeypatch.setattr(equations, "cross_intersect", cross_spy)
+    stopped_early = 0
+    for seed in range(30):
+        system = gen_system(7000 + seed, 5, 5, 3, 5)
+        calls.clear()
+        solved = len(solve_intervals(system)) > 0
+        assert calls.count("empty") == (not solved)
+        if not solved:
+            assert calls[-1] == "empty"
+            stopped_early += calls.count("family") < len(system.equations)
+    assert stopped_early > 0
+
+
 def test_rhs_value_pool_is_sorted_and_distinct():
     assert [v.label for v in rhs_values(_system())] == ["0.2", "0.5"]
 

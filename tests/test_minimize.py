@@ -283,7 +283,13 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatc
         return search(n_sym, k, value_ranks, f_lambda, levels, max_vectors)
 
     def cut(alpha):
-        rows = [fz.automaton._cut_rows(d, alpha) for d in a.delta]
+        rows = [
+            tuple(
+                sum(1 << j for j in range(a.n) if d.rank_at(i, j) >= alpha)
+                for i in range(a.n)
+            )
+            for d in a.delta
+        ]
         masks = [fz.automaton._cut_mask(m.data, alpha) for m in (a.eta, a.pi)]
         return (rows, *masks)
 
