@@ -86,6 +86,18 @@ class FuzzyMatrix:
         return tuple(self.data[i * c : (i + 1) * c] for i in range(self.rows))
 
 
+_SYMBOL_RULE = "a symbol name is nonempty, holds no whitespace and is not λ"
+
+
+def _plain_symbol(sym: object) -> bool:
+    """Whether sym can be printed in a word and read back: words are written
+    with spaces between symbols, and λ is the empty word."""
+    return (
+        isinstance(sym, str) and sym != "" and sym != "λ"
+        and not any(c.isspace() for c in sym)
+    )
+
+
 @dataclass(frozen=True)
 class FuzzyAutomaton:
     chain: Chain
@@ -102,8 +114,8 @@ class FuzzyAutomaton:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet has duplicate symbols")
         for sym in self.alphabet:
-            if not isinstance(sym, str) or not sym:
-                raise ValueError(f"bad symbol {sym!r}")
+            if not _plain_symbol(sym):
+                raise ValueError(f"bad symbol {sym!r}: {_SYMBOL_RULE}")
         if self.pi.rows != 1:
             raise ValueError("pi must be a single row")
         n = self.pi.cols

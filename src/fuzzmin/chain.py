@@ -1,10 +1,12 @@
 """Finite totally ordered value chains, and solution sets of rank boxes on them.
 
 A chain is declared as an ascending list of exact decimal labels, in ASCII
-digits, that must include "0" and "1".  A value spelled as declared is looked
-up directly; any other spelling ("0.50" for "0.5") is compared as a rational,
-never as a float.  Only the order is ever used.  The declared spelling of
-each label is kept as the canonical one for rendering.
+digits, that must include "0" and "1".  Its order and endpoints are checked
+on the labels scaled to integers by a common power of ten.  A value spelled
+as declared is looked up directly; any other spelling ("0.50" for "0.5") is
+compared as a rational, never as a float.  Only the order is ever used.
+The declared spelling of each label is kept as the canonical one for
+rendering.
 
 The interval solver works on rank boxes.  A box stands for the points whose
 every coordinate has a rank within that coordinate's `(lo, hi)` pair.  Bounds
@@ -22,6 +24,7 @@ boxes are built only when a set is iterated.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,10 +40,20 @@ def is_decimal_label(text: object) -> bool:
     return isinstance(text, str) and bool(_DECIMAL_RE.match(text))
 
 
-def _parse_decimal(label: object) -> Fraction:
-    if not is_decimal_label(label):
-        raise ValueError(f"chain values must be decimal strings, got {label!r}")
-    return Fraction(label)  # type: ignore[arg-type]
+def _scale_labels(labels: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
+    """10**d, for d the most fractional digits of any label, and each label
+    times 10**d, an exact integer."""
+    parts = []
+    for label in labels:
+        if not is_decimal_label(label):
+            raise ValueError(f"chain values must be decimal strings, got {label!r}")
+        parts.append(label.partition("."))
+    digits = max((len(frac) for _, _, frac in parts), default=0)
+    scale = 10**digits
+    return scale, tuple(
+        int(whole) * scale + (int(frac) * 10 ** (digits - len(frac)) if frac else 0)
+        for whole, _, frac in parts
+    )
 
 
 @dataclass(frozen=True)
@@ -52,21 +65,20 @@ class Chain:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        fractions = tuple(_parse_decimal(label) for label in labels)
+        scale, scaled = _scale_labels(labels)
         if len(labels) < 2:
             raise ValueError("a chain needs at least the two endpoints 0 and 1")
-        for left, right in zip(fractions, fractions[1:]):
+        for left, right in zip(scaled, scaled[1:]):
             if not left < right:
                 raise ValueError(
                     f"chain labels must be strictly ascending, got {labels!r}"
                 )
-        if fractions[0] != 0:
+        if scaled[0] != 0:
             raise ValueError("a chain must start at value 0")
-        if fractions[-1] != 1:
+        if scaled[-1] != scale:
             raise ValueError("a chain must end at value 1")
-        object.__setattr__(
-            self, "_rank_by_fraction", {f: i for i, f in enumerate(fractions)}
-        )
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(
             self, "_rank_by_label", {label: i for i, label in enumerate(labels)}
         )
@@ -98,7 +110,8 @@ class Chain:
 
     def rank_of(self, value: str | Fraction) -> int:
         """Rank of a member value.  A label spelled as declared is looked up
-        directly; anything else is compared by exact rational equality."""
+        directly; anything else is compared by exact rational equality with
+        the labels scaled to integers."""
         if type(value) is str:
             rank = self._rank_by_label.get(value)  # type: ignore[attr-defined]
             if rank is not None:
@@ -107,8 +120,10 @@ class Chain:
             frac = value if isinstance(value, Fraction) else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
-        rank = self._rank_by_fraction.get(frac)  # type: ignore[attr-defined]
-        if rank is None:
+        scaled = self._scaled  # type: ignore[attr-defined]
+        target = frac * self._scale  # type: ignore[attr-defined]
+        rank = bisect_left(scaled, target)
+        if rank == len(scaled) or scaled[rank] != target:
             raise ValueError(f"value {value!r} is not a member of the chain")
         return rank
 

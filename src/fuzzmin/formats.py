@@ -21,7 +21,7 @@ import io
 import json
 from typing import Any, TextIO
 
-from .automaton import FuzzyAutomaton, FuzzyMatrix
+from .automaton import FuzzyAutomaton, FuzzyMatrix, _SYMBOL_RULE, _plain_symbol
 from .chain import Chain, is_decimal_label
 from .equations import Equation, EquationSystem, Monomial, Polynomial, Relation
 from .errors import DocumentError
@@ -83,6 +83,9 @@ def _parse_alphabet(raw: Any) -> tuple[str, ...]:
         or not all(isinstance(x, str) and x for x in raw)
     ):
         raise DocumentError("alphabet must be a nonempty list of symbol names")
+    for sym in raw:
+        if not _plain_symbol(sym):
+            raise DocumentError(f"alphabet: bad symbol {sym!r}: {_SYMBOL_RULE}")
     if len(set(raw)) != len(raw):
         raise DocumentError("alphabet symbols must be distinct")
     return tuple(raw)

@@ -20,6 +20,13 @@ some level has no passing pattern that extends its bits.  A block survives
 exactly when checking it on its own would pass it, and blocks are still met
 in grid order, so witnesses are unchanged.
 
+At every block boundary but the last, a block that passes its prefix check
+must also pass an upper bound: at each level, every word the input's cut
+accepts must be accepted by the candidate's cut NFA with every later block
+full.  Adding transitions only adds words, so every completion's cut
+language lies inside that bound, and a block that fails it leads to no
+witness.  Only non-witnesses are cut, so the witness is unchanged.
+
 Two filters run before that search.  The alpha-cut of a k-state witness is
 a k-state NFA for the input's cut language, so a cut of the input with no
 k-state NFA rules k out.  The first looks for an extended fooling set of
@@ -288,6 +295,44 @@ def _fooling_bound(
     return found
 
 
+def _later_full(
+    rows: Sequence[tuple[int, ...]], n: int, k: int
+) -> list[list[tuple[int, ...]]]:
+    """Per symbol s, the distinct joint cut rows of the symbols after s: the
+    input's rows followed by a full candidate block, in which each of the k
+    candidate rows steps to every candidate state."""
+    full = (((1 << k) - 1) << n,) * k
+    later: list[list[tuple[int, ...]]] = []
+    seen: dict[tuple[int, ...], None] = {}
+    for sym_rows in reversed(rows):
+        later.append(list(seen))
+        seen[sym_rows + full] = None
+    return later[::-1]
+
+
+def _fits_upper(
+    rows: list, later: list, final: int, pi1: int, pi2: int, max_vectors: int
+) -> bool:
+    """Whether every word the input (initial states pi1) accepts on the joint
+    cut rows, followed by the later symbols' rows, is also accepted by the
+    candidate (pi2).  With pi1 | pi2 as the first side, the kernel's
+    two-sided test holds exactly where the input accepts and the candidate
+    rejects.  Symbols with the same joint rows reach the same subsets, so
+    each set of rows is saturated once.  With no later symbol the prefix
+    check has already decided, and a test past max_vectors decides nothing,
+    so both answer True."""
+    if not later:
+        return True
+    try:
+        _, mismatch, _ = _saturate_cut(
+            list(dict.fromkeys(rows + later)), final, pi1 | pi2, pi2, 0, max_vectors,
+            exhaust=False,
+        )
+    except BudgetExceededError:
+        return True
+    return mismatch is None
+
+
 class _CutDomain:
     """The k x k cut patterns that can follow one cut prefix at one level.
 
@@ -295,14 +340,16 @@ class _CutDomain:
     final mask of both sides and the candidate's initial mask pi2.  A bit
     prefix of the next symbol's block is coded row-major after a leading 1
     bit.  `ok` tells whether some completion of it agrees with the input on
-    every word over the symbols so far; `child` is the prefix a full block
-    leads to.  Both are computed once per code, so each full pattern costs
-    at most one kernel call however many fuzzy blocks share it.
+    every word over the symbols so far and, unless the symbol is the last,
+    fits the input's cut language inside the candidate's with every later
+    block full; `child` is the prefix a full block leads to.  Both are
+    computed once per code, so each full pattern costs at most two kernel
+    calls however many fuzzy blocks share it.
     """
 
     def __init__(self, level: tuple, rows: list, final: int, pi2: int) -> None:
         # n, k, the input's cut rows per symbol, its initial mask pi1, the
-        # bits a weight can take at this level, max_vectors
+        # bits a weight can take at this level, max_vectors, `_later_full`
         self.level = level
         self.rows = rows
         self.final = final
@@ -321,13 +368,15 @@ class _CutDomain:
     def ok(self, code: int) -> bool:
         hit = self._ok.get(code)
         if hit is None:
-            _, k, _, pi1, bits, max_vectors = self.level
+            _, k, _, pi1, bits, max_vectors, later = self.level
             if code >> k * k:
+                joint = self._joint(code)
                 _, mismatch, _ = _saturate_cut(
-                    self._joint(code), self.final, pi1, self.pi2, 0, max_vectors,
-                    exhaust=False,
+                    joint, self.final, pi1, self.pi2, 0, max_vectors, exhaust=False
                 )
-                hit = mismatch is None
+                hit = mismatch is None and _fits_upper(
+                    joint, later[len(self.rows)], self.final, pi1, self.pi2, max_vectors
+                )
             else:
                 hit = any(self.ok(2 * code + bit) for bit in bits)
             self._ok[code] = hit
@@ -364,6 +413,7 @@ def _first_witness(
         # one level: every block has its own cut pattern, so check blocks
         (cut,) = levels
         masks = {row: _cut_mask(row, cut.alpha) << n for row in row_tuples}
+        later = _later_full(cut.rows, n, k)
 
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
             """First completion of `chosen` by one block per symbol, depth
@@ -379,7 +429,9 @@ def _first_witness(
                     _, mismatch, _ = _saturate_cut(
                         deeper, final, pi1, pi2, 0, max_vectors, exhaust=False
                     )
-                    if mismatch is None:
+                    if mismatch is None and _fits_upper(
+                        deeper, later[s], final, pi1, pi2, max_vectors
+                    ):
                         chosen += sum(block, ())
                         if s + 1 == n_sym:
                             return chosen
@@ -400,7 +452,9 @@ def _first_witness(
         shapes = []
         for cut in levels:
             bits = sorted({int(r >= cut.alpha) for r in value_ranks})
-            shapes.append((n, k, cut.rows, cut.initial, bits, max_vectors))
+            shapes.append(
+                (n, k, cut.rows, cut.initial, bits, max_vectors, _later_full(cut.rows, n, k))
+            )
         roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
 
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
@@ -485,7 +539,15 @@ def decide_k(
     * once the block of symbol s is chosen, the candidate must already agree
       with the input on every word over the symbols up to s.  That check runs
       `_saturate_cut` on those symbols' cut rows at every level; after the
-      last block it is the full verdict.
+      last block it is the full verdict.  Before the last block, the block
+      must also leave room for the input: at every level, each word over the
+      whole alphabet that the input's cut accepts must be accepted by the
+      candidate's cut NFA with every later block full, every candidate
+      state stepping to every candidate state.  Adding transitions only adds
+      words, so that NFA's language holds every completion's, and a block
+      that fails the test has no equivalent completion.  The test is one
+      one-sided `_saturate_cut` call that stops at the first word the input
+      accepts and the candidate rejects; past max_vectors it prunes nothing.
 
     With a single positive level each block is checked as it comes.  With
     several, a block's cut at level alpha is its k x k bit pattern (weight

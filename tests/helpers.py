@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
     all_words_up_to,
     enumerate_boolean_automata,
+    joint_vector_equivalent,
     min_nfa_states_brute,
 )
 
@@ -335,16 +337,38 @@ def criterion6_corpus() -> tuple[tuple[fz.FuzzyAutomaton, int], ...]:
     return tuple((a, min_nfa_states_brute(a)) for a in corpus)
 
 
-def minimize_benchmark_automata() -> list[fz.FuzzyAutomaton]:
+@functools.lru_cache(maxsize=1)
+def minimize_benchmark_ops() -> dict[str, fz.FuzzyAutomaton]:
     """The inputs of the `minimize` benchmark workload's base corpus, from
-    perfbench/corpus.py."""
+    perfbench/corpus.py, by op id, in corpus order."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the module body runs
     sys.modules[spec.name] = corpus
     spec.loader.exec_module(corpus)
-    return [inst.parts[0] for inst in corpus.base_instances(fz, "minimize")]
+    return {inst.id: inst.parts[0] for inst in corpus.base_instances(fz, "minimize")}
+
+
+def minimize_benchmark_automata() -> list[fz.FuzzyAutomaton]:
+    """The inputs of the `minimize` benchmark workload's base corpus."""
+    return list(minimize_benchmark_ops().values())
+
+
+def first_by_flat_scan(inst: fz.MinimizeInstance) -> tuple[ChainValue, ...] | None:
+    """The first assignment of the flat grid, in lexicographic rank order,
+    that passes the empty word and the joint-vector referee."""
+    a, k = inst.automaton, inst.k
+    space = fz.build_candidate_space(inst)
+    f_lambda = fz.language_value(a, ()).rank
+    for values in itertools.product(space.values, repeat=space.var_count):
+        ranks = [v.rank for v in values]
+        if max(map(min, ranks[:k], ranks[k : 2 * k])) != f_lambda:
+            continue
+        cand = fz.decode_candidate(a.chain, a.alphabet, k, values)
+        if joint_vector_equivalent(a, cand):
+            return values
+    return None
 
 
 def boolean_cut(a: fz.FuzzyAutomaton, alpha: int) -> fz.FuzzyAutomaton:

@@ -22,6 +22,7 @@ from helpers import (
     automaton,
     criterion4_instance,
     delta_word,
+    first_by_flat_scan,
     identity,
     literal_suffix_cuts,
     maxmin_product,
@@ -308,22 +309,6 @@ def _grid(inst):
     return len(space.values) ** space.var_count
 
 
-def _first_by_flat_scan(inst):
-    """The first assignment of the flat grid, in lexicographic rank order,
-    that passes the empty word and the joint-vector referee."""
-    a, k = inst.automaton, inst.k
-    space = fz.build_candidate_space(inst)
-    f_lambda = fz.language_value(a, ()).rank
-    for values in itertools.product(space.values, repeat=space.var_count):
-        ranks = [v.rank for v in values]
-        if max(map(min, ranks[:k], ranks[k : 2 * k])) != f_lambda:
-            continue
-        cand = fz.decode_candidate(a.chain, a.alphabet, k, values)
-        if joint_vector_equivalent(a, cand):
-            return values
-    return None
-
-
 CRITERION4_SMALL = [
     inst
     for inst in map(criterion4_instance, range(3000, 3200))
@@ -382,7 +367,7 @@ def test_candidate_verdicts_match_the_joint_referee(insts):
     assert insts
     for inst in insts:
         witness = fz.decide_k(inst)
-        expected = _first_by_flat_scan(inst)
+        expected = first_by_flat_scan(inst)
         assert (None if witness is None else witness.assignment) == expected
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fuzzmin.chain
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.chain import (
     ChainValue,
@@ -55,6 +56,52 @@ def test_membership():
     for stranger in ("0.3", Fraction(1, 3), "2", "x"):
         with pytest.raises(ValueError):
             CH.rank_of(stranger)
+
+
+def test_a_chain_is_checked_without_building_rationals(monkeypatch):
+    # order and endpoints are checked on labels scaled to integers; only a
+    # lookup of a value not spelled as declared builds a Fraction
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(fuzzmin.chain, "Fraction", Counted)
+    ch = Chain(("0", "0.05", "0.5", "0.75", "1"))
+    assert [ch.rank_of(label) for label in ch.labels] == [0, 1, 2, 3, 4]
+    assert built == []
+    assert ch.rank_of("0.50") == ch.rank_of("1/2") == ch.rank_of(Fraction(1, 2)) == 2
+    assert ch.rank_of("0.050") == 1 and ch.rank_of("1.00") == 4
+    for stranger in ("0.5001", "1/3", "2", "0.04999"):
+        with pytest.raises(ValueError, match="not a member"):
+            ch.rank_of(stranger)
+    assert built
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((), "chain needs at least the two endpoints"),
+        (("0", "x"), "chain values must be decimal strings, got 'x'"),
+        (("0.5", "x", "0.1"), "chain values must be decimal strings, got 'x'"),
+        (("1", "0"), "strictly ascending"),
+        (("0", "0.10", "0.1", "1"), "strictly ascending"),
+        (("0", "0.09", "0.1", "0.099", "1"), "strictly ascending"),
+        (("0.01", "1"), "must start at value 0"),
+        (("0", "0.999"), "must end at value 1"),
+        (("0.000", "1.0"), None),
+        (("00", "0.5", "01"), None),
+        (("0", "0." + "0" * 4000 + "1", "1"), None),
+    ],
+)
+def test_chain_errors_come_in_their_order(labels, message):
+    if message is None:
+        assert len(Chain(labels)) == len(labels)
+    else:
+        with pytest.raises(ValueError, match=message):
+            Chain(labels)
 
 
 @pytest.mark.parametrize(

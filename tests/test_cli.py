@@ -87,6 +87,24 @@ def test_eval_unknown_symbol(eval_doc, capsys):
     assert "unknown symbol 'z'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["equiv", "{0}", "{0}"], ["eval", "{0}", "a b"]])
+def test_a_symbol_a_word_cannot_name_is_an_input_error(command, tmp_path, capsys):
+    # a one-symbol alphabet ["λ"] would print the word "λ" as the empty word,
+    # and the symbol "a b" could never be named in a word
+    for symbol in ("λ", "a b"):
+        doc = json.loads(render_automaton(automaton(CH, "a", ["1"], ["1"], [[["0"]]])))
+        doc["alphabet"], doc["delta"] = [symbol], {symbol: doc["delta"]["a"]}
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([part.format(path) for part in command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: alphabet: bad symbol {symbol!r}: a symbol name is"
+            " nonempty, holds no whitespace and is not λ\n"
+        )
+
+
 def test_equiv_fixpoint(eval_doc, capsys):
     assert main(["equiv", eval_doc, eval_doc]) == 0
     assert capsys.readouterr().out == "equivalent (stabilized at l=1)\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,21 @@ def test_shapes_are_enforced():
         parse_automaton(TINY_DOC.replace('"n": 1', '"n": true'))
 
 
+@pytest.mark.parametrize("symbol", ["λ", "a b", " a", "a\t", "a\u3000b", "\x1c"])
+def test_a_symbol_that_cannot_be_printed_in_a_word_is_refused(symbol):
+    # words print with spaces between symbols and λ for the empty word, and
+    # `eval` splits its word on whitespace
+    doc = TINY_DOC.replace('"alphabet": [\n    "a"', f'"alphabet": [{json.dumps(symbol)}')
+    doc = doc.replace('"a": [\n      "0"', f'{json.dumps(symbol)}: ["0"')
+    with pytest.raises(DocumentError, match=f"alphabet: bad symbol {re.escape(repr(symbol))}"):
+        parse_automaton(doc)
+    with pytest.raises(ValueError, match="bad symbol"):
+        automaton(Chain(("0", "1")), [symbol], ["1"], ["1"], [[["0"]]])
+    # the same symbols pass once the offending characters are gone
+    plain = "".join(c for c in symbol if not c.isspace()).replace("λ", "") or "l"
+    assert parse_automaton(doc.replace(json.dumps(symbol), json.dumps(plain))).alphabet == (plain,)
+
+
 def test_delta_must_cover_the_alphabet_exactly():
     with pytest.raises(DocumentError, match="delta: missing symbol.*a"):
         parse_automaton(TINY_DOC.replace('"a": [\n      "0"\n    ]', '"b": [\n      "0"\n    ]'))
@@ -234,7 +250,7 @@ def test_respelled_weights_parse_to_the_canonical_automaton(case):
     a, text, rows = case
     parsed = parse_automaton(text)
     assert parsed == parse_automaton(render_automaton(a)) == a
-    by_fraction = a.chain._rank_by_fraction
+    by_fraction = {Fraction(label): i for i, label in enumerate(a.chain.labels)}
     matrices = [parsed.pi, parsed.eta, *parsed.delta]
     for row, m in zip(rows, matrices):
         assert list(m.data) == [by_fraction[Fraction(w)] for w in row]

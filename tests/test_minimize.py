@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from fuzzmin.oracles import (
     crisp_accepts,
     decide_k_via_equations,
     is_fooling_set,
+    joint_vector_equivalent,
     min_nfa_states_brute,
     word_bound,
 )
@@ -36,7 +38,9 @@ from helpers import (
     boolean_cut,
     criterion4_instance,
     criterion6_corpus,
+    first_by_flat_scan,
     minimize_benchmark_automata,
+    minimize_benchmark_ops,
     permutation_pair,
     positive_ranks,
     reference_fooling_set,
@@ -372,6 +376,141 @@ def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
         decide_k(MinimizeInstance(NONMONO, 1), max_vectors=3)
     assert (info.value.count, info.value.limit) == (4, 3)
     assert info.value.context == "cut subsets"
+
+
+# the upper bound: a delta' block survives only if the input's cut language
+# fits inside the candidate's with every later block full
+
+# 3**24 grids, refused at the default cap; g = 13 is left out, as its search
+# takes about 20 s with or without the bound
+LIFTED = [MinimizeInstance(fz.gen_automaton(g, 4, 2, 3), 3) for g in range(20) if g != 13]
+LIFTED_CAP = 10**12
+# grids up to this many points are checked against the flat scan
+FLAT_LIMIT = 20_000
+
+
+def _search_corpus(name):
+    """(instance, decide_k keywords) pairs.  The criterion-4 and benchmark
+    instances skip the fooling-set filter, as `minimize` does, so their
+    searches run even where a fooling set answers None; the lifted ones keep
+    it, since their searches without it take seconds."""
+    if name == "lifted":
+        return [(inst, {"max_candidates": LIFTED_CAP}) for inst in LIFTED]
+    if name == "criterion-4":
+        insts = [criterion4_instance(seed) for seed in range(3000, 3200)]
+    else:
+        insts = [
+            MinimizeInstance(a, k)
+            for a in minimize_benchmark_automata()
+            for k in range(1, a.n)
+        ]
+    return [(inst, {"_levels": _cut_levels(inst.automaton)}) for inst in insts]
+
+
+def _unbounded(inst, **kwargs):
+    """decide_k with the upper bound switched off: the search it prunes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fz.minimization, "_fits_upper", lambda *args: True)
+        return decide_k(inst, **kwargs)
+
+
+def _assignment(witness):
+    return None if witness is None else witness.assignment
+
+
+@pytest.mark.parametrize("name", ["criterion-4", "minimize-base", "lifted"])
+def test_the_upper_bound_keeps_the_first_witness(name, monkeypatch):
+    # a grid small enough is scanned flat, in lexicographic order, against
+    # the joint-vector referee; a larger one (the one-symbol draws and the
+    # 3**12 scan of the benchmark at k=2, and every lifted 3**24 grid) is
+    # searched again with the bound switched off, and its witness checked
+    # by the same referee
+    cases = _search_corpus(name)
+    pruned = []
+    fits = fz.minimization._fits_upper
+
+    def spy(*args):
+        fit = fits(*args)
+        pruned.append(not fit)
+        return fit
+
+    monkeypatch.setattr(fz.minimization, "_fits_upper", spy)
+    flat = 0
+    for inst, kwargs in cases:
+        got = _assignment(decide_k(inst, **kwargs))
+        space = build_candidate_space(inst)
+        if len(space.values) ** space.var_count <= FLAT_LIMIT:
+            flat += 1
+            assert got == first_by_flat_scan(inst), inst
+        else:
+            assert got == _assignment(_unbounded(inst, **kwargs)), inst
+            if got is not None:
+                cand = decode_candidate(inst.automaton.chain, inst.automaton.alphabet,
+                                        inst.k, got)
+                assert joint_vector_equivalent(inst.automaton, cand)
+    assert any(pruned), name
+    assert flat >= {"criterion-4": 150, "minimize-base": 160, "lifted": 0}[name]
+
+
+def _kernel_calls(inst, **kwargs):
+    """decide_k's witness ranks and its number of `_saturate_cut` calls."""
+    calls = []
+    kernel = fz.minimization._saturate_cut
+
+    def spy(*args, **kw):
+        calls.append(1)
+        return kernel(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fz.minimization, "_saturate_cut", spy)
+        witness = decide_k(inst, **kwargs)
+    ranks = None if witness is None else [v.rank for v in witness.assignment]
+    return ranks, len(calls)
+
+
+def test_the_upper_bound_prunes_the_searches_it_was_built_for(monkeypatch):
+    # boolean-21 at k=2 is the k=2 search `minimize` runs on it: 1,184
+    # kernel calls with all 16 symbol-b blocks failing after each of about
+    # 70 symbol-a blocks; the lifted g=3 search took 79,311 calls, fooling
+    # set included
+    a = minimize_benchmark_ops()["boolean-21"]
+    inst = MinimizeInstance(a, 2)
+    _, calls = _kernel_calls(inst, _levels=_cut_levels(a))
+    assert calls <= 300
+    monkeypatch.setattr(fz.minimization, "_fits_upper", lambda *args: True)
+    _, before = _kernel_calls(inst, _levels=_cut_levels(a))
+    assert before >= 1_000
+    monkeypatch.undo()
+    witness, calls = _kernel_calls(LIFTED[3], max_candidates=LIFTED_CAP)
+    assert calls <= 2_000
+    # the witness the search found before the bound
+    assert witness == [0, 0, 2, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2, 0, 1, 0, 2, 2, 0, 0, 0, 0, 2, 2]
+
+
+def test_a_budget_error_in_the_upper_bound_prunes_nothing(monkeypatch):
+    # the kernel raises in every upper-bound test and nowhere else: each
+    # block is kept, as if the bound did not exist
+    ops = minimize_benchmark_ops()
+    cases = [
+        (MinimizeInstance(ops[name], 2), {"_levels": _cut_levels(ops[name])})
+        for name in ("boolean-02", "boolean-21", "boolean-49", "fullscan-5")
+    ]
+    cases.append((LIFTED[9], {"max_candidates": LIFTED_CAP}))
+    expected = [_assignment(_unbounded(inst, **kwargs)) for inst, kwargs in cases]
+    raised = []
+    kernel = fz.minimization._saturate_cut
+    upper = fz.minimization._fits_upper.__code__
+
+    def spy(*args, **kw):
+        if sys._getframe(1).f_code is upper:
+            raised.append(1)
+            raise BudgetExceededError(1, 0, "spy")
+        return kernel(*args, **kw)
+
+    monkeypatch.setattr(fz.minimization, "_saturate_cut", spy)
+    assert [_assignment(decide_k(inst, **kwargs)) for inst, kwargs in cases] == expected
+    assert len(raised) >= 100
+    assert sum(w is not None for w in expected) >= 2
 
 
 # the fooling-set bound: an extended fooling set of k+1 word pairs on one
