@@ -59,6 +59,7 @@ from .automaton import (
     _columns,
     _cut_by_level,
     _cut_mask,
+    _cut_matrix,
     _cut_table,
     _levels,
     _saturate_cut,
@@ -205,14 +206,18 @@ def _fooling_set(
     # the pairs of a fooling set have distinct nonempty suffix subsets, and
     # distinct nonempty forward subsets
     try:
-        suffix, _, _ = _saturate_cut(cut.rows, cut.final, 0, 0, 0, max_vectors, exhaust=True)
+        suffix, _, _ = _saturate_cut(
+            list(map(_cut_matrix, cut.rows)), n, cut.final, 0, 0, 0, max_vectors,
+            exhaust=True,
+        )
         limit = min(limit, len(suffix) - (0 in suffix))
         if limit <= floor:
             return []
         # the forward subsets are the suffix subsets of the reversed NFA,
         # and their words come back reversed
         forward, _, _ = _saturate_cut(
-            cut.back, cut.initial, 0, 0, len(suffix), max_vectors, exhaust=True
+            list(map(_cut_matrix, cut.back)), n, cut.initial, 0, 0, len(suffix),
+            max_vectors, exhaust=True,
         )
         limit = min(limit, len(forward) - (0 in forward))
         if limit <= floor:
@@ -295,37 +300,35 @@ def _fooling_bound(
     return found
 
 
-def _later_full(
-    rows: Sequence[tuple[int, ...]], n: int, k: int
-) -> list[list[tuple[int, ...]]]:
-    """Per symbol s, the distinct joint cut rows of the symbols after s: the
-    input's rows followed by a full candidate block, in which each of the k
-    candidate rows steps to every candidate state."""
+def _later_full(rows: Sequence[tuple[int, ...]], n: int, k: int) -> list[list]:
+    """Per symbol s, the distinct joint cut matrices of the symbols after s:
+    the input's rows followed by a full candidate block, in which each of the
+    k candidate rows steps to every candidate state."""
     full = (((1 << k) - 1) << n,) * k
-    later: list[list[tuple[int, ...]]] = []
-    seen: dict[tuple[int, ...], None] = {}
+    later: list[list] = []
+    seen: dict = {}
     for sym_rows in reversed(rows):
         later.append(list(seen))
-        seen[sym_rows + full] = None
+        seen[_cut_matrix(sym_rows + full)] = None
     return later[::-1]
 
 
 def _fits_upper(
-    rows: list, later: list, final: int, pi1: int, pi2: int, max_vectors: int
+    mats: list, later: list, n: int, final: int, pi1: int, pi2: int, max_vectors: int
 ) -> bool:
     """Whether every word the input (initial states pi1) accepts on the joint
-    cut rows, followed by the later symbols' rows, is also accepted by the
-    candidate (pi2).  With pi1 | pi2 as the first side, the kernel's
-    two-sided test holds exactly where the input accepts and the candidate
-    rejects.  Symbols with the same joint rows reach the same subsets, so
-    each set of rows is saturated once.  With no later symbol the prefix
-    check has already decided, and a test past max_vectors decides nothing,
-    so both answer True."""
+    cut matrices, on n states, followed by the later symbols' matrices, is
+    also accepted by the candidate (pi2).  With pi1 | pi2 as the first side,
+    the kernel's two-sided test holds exactly where the input accepts and
+    the candidate rejects.  Symbols with the same joint matrix reach the
+    same subsets, so each matrix is saturated once.  With no later symbol
+    the prefix check has already decided, and a test past max_vectors
+    decides nothing, so both answer True."""
     if not later:
         return True
     try:
         _, mismatch, _ = _saturate_cut(
-            list(dict.fromkeys(rows + later)), final, pi1 | pi2, pi2, 0, max_vectors,
+            list(dict.fromkeys(mats + later)), n, final, pi1 | pi2, pi2, 0, max_vectors,
             exhaust=False,
         )
     except BudgetExceededError:
@@ -336,8 +339,8 @@ def _fits_upper(
 class _CutDomain:
     """The k x k cut patterns that can follow one cut prefix at one level.
 
-    The prefix is the joint cut rows of the symbols already chosen, with the
-    final mask of both sides and the candidate's initial mask pi2.  A bit
+    The prefix is the joint cut matrices of the symbols already chosen, with
+    the final mask of both sides and the candidate's initial mask pi2.  A bit
     prefix of the next symbol's block is coded row-major after a leading 1
     bit.  `ok` tells whether some completion of it agrees with the input on
     every word over the symbols so far and, unless the symbol is the last,
@@ -347,11 +350,11 @@ class _CutDomain:
     calls however many fuzzy blocks share it.
     """
 
-    def __init__(self, level: tuple, rows: list, final: int, pi2: int) -> None:
+    def __init__(self, level: tuple, mats: list, final: int, pi2: int) -> None:
         # n, k, the input's cut rows per symbol, its initial mask pi1, the
         # bits a weight can take at this level, max_vectors, `_later_full`
         self.level = level
-        self.rows = rows
+        self.mats = mats
         self.final = final
         self.pi2 = pi2
         self._ok: dict[int, bool] = {}
@@ -363,19 +366,21 @@ class _CutDomain:
         for i in range(k):
             row = code >> k * (k - 1 - i)
             block.append(sum(1 << n + j for j in range(k) if row >> k - 1 - j & 1))
-        return self.rows + [left[len(self.rows)] + tuple(block)]
+        return self.mats + [_cut_matrix(left[len(self.mats)] + tuple(block))]
 
     def ok(self, code: int) -> bool:
         hit = self._ok.get(code)
         if hit is None:
-            _, k, _, pi1, bits, max_vectors, later = self.level
+            n, k, _, pi1, bits, max_vectors, later = self.level
             if code >> k * k:
                 joint = self._joint(code)
                 _, mismatch, _ = _saturate_cut(
-                    joint, self.final, pi1, self.pi2, 0, max_vectors, exhaust=False
+                    joint, n + k, self.final, pi1, self.pi2, 0, max_vectors,
+                    exhaust=False,
                 )
                 hit = mismatch is None and _fits_upper(
-                    joint, later[len(self.rows)], self.final, pi1, self.pi2, max_vectors
+                    joint, later[len(self.mats)], n + k, self.final, pi1, self.pi2,
+                    max_vectors,
                 )
             else:
                 hit = any(self.ok(2 * code + bit) for bit in bits)
@@ -418,19 +423,21 @@ def _first_witness(
         def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
             """First completion of `chosen` by one block per symbol, depth
             first; frame s holds the blocks of symbol s still to try and the
-            joint cut rows of the symbols before s."""
+            joint cut matrices of the symbols before s."""
             ((final, pi1, pi2),) = heads
             frames = [(itertools.product(row_tuples, repeat=k), chosen, [])]
             while frames:
-                blocks, chosen, rows = frames[-1]
+                blocks, chosen, mats = frames[-1]
                 s = len(frames) - 1
                 for block in blocks:
-                    deeper = rows + [cut.rows[s] + tuple(map(masks.__getitem__, block))]
+                    deeper = mats + [
+                        _cut_matrix(cut.rows[s] + tuple(map(masks.__getitem__, block)))
+                    ]
                     _, mismatch, _ = _saturate_cut(
-                        deeper, final, pi1, pi2, 0, max_vectors, exhaust=False
+                        deeper, n + k, final, pi1, pi2, 0, max_vectors, exhaust=False
                     )
                     if mismatch is None and _fits_upper(
-                        deeper, later[s], final, pi1, pi2, max_vectors
+                        deeper, later[s], n + k, final, pi1, pi2, max_vectors
                     ):
                         chosen += sum(block, ())
                         if s + 1 == n_sym:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 import fuzzmin as fz
-from fuzzmin.automaton import EquivalenceResult, _cut_mask, _levels, _saturate_cut
+from fuzzmin.automaton import EquivalenceResult, Word, _cut_mask, _levels
 from fuzzmin.chain import ChainValue
 from fuzzmin.errors import DEFAULT_VECTOR_BUDGET
 from fuzzmin.generate import alphabet_of
@@ -242,11 +242,64 @@ def literal_suffix_cuts(
     }
 
 
+def reference_saturate_cut(
+    rows: Sequence[Sequence[int]],
+    final: int,
+    pi1: int,
+    pi2: int,
+    stored: int,
+    max_vectors: int,
+    exhaust: bool,
+) -> tuple[dict[int, Word], Word | None, int]:
+    """Reference for `automaton._saturate_cut` on cut NFAs given by rows:
+    rows[s][i] is the set of states that state i steps to on symbol s, and a
+    subset v steps to the states whose row meets v, one row test at a time.
+    Same witnesses in the same order, same mismatch, depth and budget
+    errors."""
+    bits = [1 << i for i in range(len(rows[0]))]
+    if stored >= max_vectors:
+        raise fz.BudgetExceededError(stored + 1, max_vectors, "cut subsets")
+    stored += 1
+    witness: dict[int, Word] = {final: ()}
+    mismatch: Word | None = None
+    if bool(pi1 & final) != bool(pi2 & final):
+        mismatch = ()
+        if not exhaust:
+            return witness, mismatch, 0
+    frontier = [final]
+    depth = 0
+    while frontier:
+        new: list[int] = []
+        for s, sym_rows in enumerate(rows):
+            for v in frontier:
+                u = 0
+                for row, bit in zip(sym_rows, bits):
+                    if row & v:
+                        u |= bit
+                if u in witness:
+                    continue
+                if stored >= max_vectors:
+                    raise fz.BudgetExceededError(stored + 1, max_vectors, "cut subsets")
+                stored += 1
+                word = (s,) + witness[v]
+                witness[u] = word
+                if mismatch is None and bool(pi1 & u) != bool(pi2 & u):
+                    mismatch = word
+                    if not exhaust:
+                        return witness, mismatch, depth + 1
+                new.append(u)
+        if new:
+            depth += 1
+        frontier = new
+    return witness, mismatch, depth
+
+
 def per_level_fixpoint(
     a1: fz.FuzzyAutomaton, a2: fz.FuzzyAutomaton
 ) -> EquivalenceResult:
     """Reference for `equivalent_fixpoint` that rebuilds every cut at each
-    level from the weights with `_cut_mask`, one row at a time."""
+    level from the weights with `_cut_mask`, one row at a time, and
+    saturates it with `reference_saturate_cut`."""
     n1 = a1.n
     reached: list = []
     least = None
@@ -258,7 +311,7 @@ def per_level_fixpoint(
             for d1, d2 in zip(a1.delta, a2.delta)
         ]
         final = _cut_mask(a1.eta.data, alpha) | _cut_mask(a2.eta.data, alpha) << n1
-        witness, mismatch, level_depth = _saturate_cut(
+        witness, mismatch, level_depth = reference_saturate_cut(
             rows,
             final,
             _cut_mask(a1.pi.data, alpha),
@@ -407,11 +460,13 @@ def reference_fooling_set(cut, floor: int, limit: int, max_vectors: int) -> list
     when its pairs plus all its untried pairs cannot beat the best set."""
     n = len(cut.rows[0])
     try:
-        suffix, _, _ = _saturate_cut(cut.rows, cut.final, 0, 0, 0, max_vectors, exhaust=True)
+        suffix, _, _ = reference_saturate_cut(
+            cut.rows, cut.final, 0, 0, 0, max_vectors, exhaust=True
+        )
         limit = min(limit, len(suffix) - (0 in suffix))
         if limit <= floor:
             return []
-        forward, _, _ = _saturate_cut(
+        forward, _, _ = reference_saturate_cut(
             cut.back, cut.initial, 0, 0, len(suffix), max_vectors, exhaust=True
         )
         limit = min(limit, len(forward) - (0 in forward))

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
-from fuzzmin.automaton import _cut_mask, _cut_table
+from fuzzmin.automaton import (
+    _PACKED_MAX,
+    _cut_mask,
+    _cut_matrix,
+    _cut_table,
+    _saturate_cut,
+)
 from fuzzmin.oracles import (
     all_words_up_to,
     brute_language_value,
@@ -30,6 +36,7 @@ from helpers import (
     permutation_pair,
     positive_ranks,
     random_pair,
+    reference_saturate_cut,
 )
 
 CH2 = Chain(("0", "1"))
@@ -227,6 +234,10 @@ def test_fixpoint_matches_the_per_level_cut_reference():
         for seed in range(2)
         for broken in (False, True)
     ]
+    # joint widths on both sides of the packing cutoff
+    for g in range(6):
+        a = fz.gen_automaton(g, _PACKED_MAX // 2 - 3 + g, 2, 4)
+        pairs.append((a, fz.pad_states(a, a.n + 1)))
     # gen_automaton draws against a padded copy and a fresh draw on its chain
     for g in range(40):
         a = fz.gen_automaton(g, 1 + g % 6, 1 + g % 3, 2 + g % 6)
@@ -239,6 +250,63 @@ def test_fixpoint_matches_the_per_level_cut_reference():
         assert res == per_level_fixpoint(a1, a2)
         verdicts.add(res.equivalent)
     assert verdicts == {True, False}
+
+
+def test_a_cut_matrix_is_packed_up_to_the_cutoff_and_rows_past_it():
+    rng = random.Random(5)
+    for n in range(1, 2 * _PACKED_MAX + 1):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        m = _cut_matrix(rows)
+        if n > _PACKED_MAX:
+            assert m == tuple(rows)
+            continue
+        # row i in the n low bits of field i, of n + 1 bits, guard clear
+        assert isinstance(m, int) and m < 1 << n * (n + 1)
+        assert [m >> i * (n + 1) & (1 << n + 1) - 1 for i in range(n)] == rows
+
+
+@st.composite
+def cut_nfas(draw):
+    """Rows of 1 to 4 symbols on n states, from 1 to twice the packing
+    cutoff, then final, pi1 and pi2: every set below 2**n.  Sparse rows keep
+    the saturations from filling up at once."""
+    n = draw(st.integers(1, 2 * _PACKED_MAX))
+    below = st.integers(0, 2**n - 1)
+    sparse = st.sets(st.integers(0, n - 1), max_size=2).map(
+        lambda s: sum(1 << i for i in s)
+    )
+    row = st.one_of(sparse, below)
+    sym_rows = st.lists(row, min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(sym_rows, min_size=1, max_size=4))
+    return rows, draw(below), draw(below), draw(below)
+
+
+def _outcome(kernel, *args, **kw):
+    try:
+        witness, mismatch, depth = kernel(*args, **kw)
+    except BudgetExceededError as e:
+        return ("budget", e.count, e.limit)
+    return list(witness.items()), mismatch, depth
+
+
+@given(cut_nfas(), st.booleans(), st.integers(0, 2))
+def test_saturate_cut_matches_the_row_loop_reference(nfa, exhaust, stored):
+    rows, final, pi1, pi2 = nfa
+    n = len(rows[0])
+    mats = [_cut_matrix(sym_rows) for sym_rows in rows]
+
+    def both(max_vectors):
+        args = (final, pi1, pi2, stored, max_vectors)
+        ref = _outcome(reference_saturate_cut, rows, *args, exhaust=exhaust)
+        assert _outcome(_saturate_cut, mats, n, *args, exhaust=exhaust) == ref
+        return ref
+
+    # the witnesses in insertion order, the mismatch and the depth, or the
+    # same refusal past 100 subsets
+    ref = both(stored + 100)
+    if ref[0] != "budget":
+        for max_vectors in range(1, stored + len(ref[0]) + 2):
+            both(max_vectors)
 
 
 def test_fixpoint_budget():
