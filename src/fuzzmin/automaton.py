@@ -18,10 +18,11 @@ implementations:
   every positive level alpha, and only the positive ranks that occur in the
   automata need checking.  At each level a breadth-first search over suffix
   subsets (int bitsets), extending words on the left, stores every subset
-  with the length-lex least word that reaches it; the first stored subset
-  the two sides' initial states disagree on gives that level's least
-  counterexample, and the length-lex least of those is the least
-  counterexample overall.  The stabilization index is the deepest level's
+  with the length-lex least word that reaches it.  The search is length-lex,
+  so the first stored subset the two sides' initial states disagree on gives
+  that level's least counterexample, and the level stops there; the
+  length-lex least of the levels' counterexamples is the least one overall.
+  On equivalent automata the stabilization index is the deepest level's
   saturation depth: the least l such that words up to length l reach every
   cut subset at every level.  `minimization.decide_k` runs the same kernel,
   `_saturate_cut`, on every candidate prefix it checks, restricted to the
@@ -407,7 +408,6 @@ def _saturate_cut(
     pi2: int,
     stored: int,
     max_vectors: int,
-    exhaust: bool,
 ) -> tuple[dict[int, Word], Word | None, int]:
     """Saturate the suffix subsets of one cut NFA on n states of a joint pair
     of automata.
@@ -434,9 +434,9 @@ def _saturate_cut(
     disagree, depth), where depth counts the rounds that stored something.  A
     mismatch is the first stored subset that one side's initial states meet
     and the other's do not; its witness is the least word telling the sides
-    apart at this level.  Unless exhaust is set, the search stops there.
-    stored counts subsets kept by earlier levels toward max_vectors, which is
-    checked at every store.
+    apart at this level, and the search stops there.  With no mismatch the
+    cut is saturated.  stored counts subsets kept by earlier levels toward
+    max_vectors, which is checked at every store.
     """
     layout = _layout(n)
     if layout is None:
@@ -447,11 +447,8 @@ def _saturate_cut(
         raise BudgetExceededError(stored + 1, max_vectors, "cut subsets")
     stored += 1
     witness: dict[int, Word] = {final: ()}
-    mismatch: Word | None = None
     if bool(pi1 & final) != bool(pi2 & final):
-        mismatch = ()
-        if not exhaust:
-            return witness, mismatch, 0
+        return witness, (), 0
     frontier = [final]
     depth = 0
     while frontier:
@@ -472,25 +469,26 @@ def _saturate_cut(
                 stored += 1
                 word = (s,) + witness[v]
                 witness[u] = word
-                if mismatch is None and bool(pi1 & u) != bool(pi2 & u):
-                    mismatch = word
-                    if not exhaust:
-                        return witness, mismatch, depth + 1
+                if bool(pi1 & u) != bool(pi2 & u):
+                    return witness, word, depth + 1
                 new.append(u)
         if new:
             depth += 1
         frontier = new
-    return witness, mismatch, depth
+    return witness, None, depth
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
     """Outcome of `equivalent_fixpoint`.
 
-    stabilization_index is the deepest per-level saturation depth: every
-    cut subset is reached by a word no longer than it.  reached holds every
-    stored (alpha, subset) pair, levels ascending, each level in discovery
-    order.
+    reached holds every stored (alpha, subset) pair, levels ascending, each
+    level in discovery order.  On equivalent automata stabilization_index is
+    the deepest per-level saturation depth, every cut subset is reached by a
+    word no longer than it, and reached holds every cut subset.  Otherwise
+    each level stops at its first mismatch: stabilization_index is the
+    deepest depth searched, at least len(counterexample), and reached keeps
+    each level's subsets up to its first mismatch.
     """
 
     equivalent: bool
@@ -509,9 +507,9 @@ def equivalent_fixpoint(
 
     At each level the two automata sit side by side in one cut NFA, the first
     automaton's states before the second's, and `_saturate_cut` stores every
-    suffix subset.  The least counterexample overall is the length-lex least
-    of the per-level ones.  max_vectors bounds the subsets stored over all
-    levels together.
+    suffix subset up to the level's first mismatch.  The least counterexample
+    overall is the length-lex least of the per-level ones.  max_vectors
+    bounds the subsets stored over all levels together.
     """
     _require_compatible(a1, a2)
     n1 = a1.n
@@ -533,7 +531,6 @@ def equivalent_fixpoint(
             pi2[p],
             len(reached),
             max_vectors,
-            exhaust=True,
         )
         reached.extend((alpha, subset) for subset in witness)
         depth = max(depth, level_depth)

@@ -77,7 +77,9 @@ def _print_bound(a: FuzzyAutomaton, alpha: int, pairs: list[tuple[Word, Word]]) 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     a = parse_automaton(_read(args.file))
-    word = a.word_from_names(args.word.split())
+    names = args.word.split()
+    # λ alone is the empty word, as `format_word` prints it
+    word = a.word_from_names([] if names == ["λ"] else names)
     print(language_value(a, word).label)
     return 0
 
@@ -208,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="value of a word under an automaton")
     p.add_argument("file")
     p.add_argument(
-        "word", help="whitespace-separated symbol names; '' is the empty word"
+        "word", help="whitespace-separated symbol names; '' or λ is the empty word"
     )
     p.set_defaults(func=_cmd_eval)
 

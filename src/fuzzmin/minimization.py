@@ -204,11 +204,11 @@ def _fooling_set(
     """
     n = len(cut.rows[0])
     # the pairs of a fooling set have distinct nonempty suffix subsets, and
-    # distinct nonempty forward subsets
+    # distinct nonempty forward subsets; with no initial states on either
+    # side the kernel finds no mismatch, so it saturates the whole cut
     try:
         suffix, _, _ = _saturate_cut(
-            list(map(_cut_matrix, cut.rows)), n, cut.final, 0, 0, 0, max_vectors,
-            exhaust=True,
+            list(map(_cut_matrix, cut.rows)), n, cut.final, 0, 0, 0, max_vectors
         )
         limit = min(limit, len(suffix) - (0 in suffix))
         if limit <= floor:
@@ -217,7 +217,7 @@ def _fooling_set(
         # and their words come back reversed
         forward, _, _ = _saturate_cut(
             list(map(_cut_matrix, cut.back)), n, cut.initial, 0, 0, len(suffix),
-            max_vectors, exhaust=True,
+            max_vectors,
         )
         limit = min(limit, len(forward) - (0 in forward))
         if limit <= floor:
@@ -328,8 +328,7 @@ def _fits_upper(
         return True
     try:
         _, mismatch, _ = _saturate_cut(
-            list(dict.fromkeys(mats + later)), n, final, pi1 | pi2, pi2, 0, max_vectors,
-            exhaust=False,
+            list(dict.fromkeys(mats + later)), n, final, pi1 | pi2, pi2, 0, max_vectors
         )
     except BudgetExceededError:
         return True
@@ -375,8 +374,7 @@ class _CutDomain:
             if code >> k * k:
                 joint = self._joint(code)
                 _, mismatch, _ = _saturate_cut(
-                    joint, n + k, self.final, pi1, self.pi2, 0, max_vectors,
-                    exhaust=False,
+                    joint, n + k, self.final, pi1, self.pi2, 0, max_vectors
                 )
                 hit = mismatch is None and _fits_upper(
                     joint, later[len(self.mats)], n + k, self.final, pi1, self.pi2,
@@ -434,7 +432,7 @@ def _first_witness(
                         _cut_matrix(cut.rows[s] + tuple(map(masks.__getitem__, block)))
                     ]
                     _, mismatch, _ = _saturate_cut(
-                        deeper, n + k, final, pi1, pi2, 0, max_vectors, exhaust=False
+                        deeper, n + k, final, pi1, pi2, 0, max_vectors
                     )
                     if mismatch is None and _fits_upper(
                         deeper, later[s], n + k, final, pi1, pi2, max_vectors

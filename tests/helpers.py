@@ -295,11 +295,12 @@ def reference_saturate_cut(
 
 
 def per_level_fixpoint(
-    a1: fz.FuzzyAutomaton, a2: fz.FuzzyAutomaton
+    a1: fz.FuzzyAutomaton, a2: fz.FuzzyAutomaton, *, exhaust: bool
 ) -> EquivalenceResult:
     """Reference for `equivalent_fixpoint` that rebuilds every cut at each
     level from the weights with `_cut_mask`, one row at a time, and
-    saturates it with `reference_saturate_cut`."""
+    saturates it with `reference_saturate_cut`, every level to its end when
+    exhaust is set and each to its first mismatch otherwise."""
     n1 = a1.n
     reached: list = []
     least = None
@@ -318,7 +319,7 @@ def per_level_fixpoint(
             _cut_mask(a2.pi.data, alpha) << n1,
             len(reached),
             DEFAULT_VECTOR_BUDGET,
-            exhaust=True,
+            exhaust=exhaust,
         )
         reached.extend((alpha, subset) for subset in witness)
         depth = max(depth, level_depth)
@@ -390,17 +391,28 @@ def criterion6_corpus() -> tuple[tuple[fz.FuzzyAutomaton, int], ...]:
     return tuple((a, min_nfa_states_brute(a)) for a in corpus)
 
 
-@functools.lru_cache(maxsize=1)
-def minimize_benchmark_ops() -> dict[str, fz.FuzzyAutomaton]:
-    """The inputs of the `minimize` benchmark workload's base corpus, from
-    perfbench/corpus.py, by op id, in corpus order."""
+@functools.lru_cache(maxsize=None)
+def _benchmark_base(workload: str) -> list:
+    """The instances of a benchmark workload's base corpus, from
+    perfbench/corpus.py, in corpus order."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the module body runs
     sys.modules[spec.name] = corpus
     spec.loader.exec_module(corpus)
-    return {inst.id: inst.parts[0] for inst in corpus.base_instances(fz, "minimize")}
+    return corpus.base_instances(fz, workload)
+
+
+def minimize_benchmark_ops() -> dict[str, fz.FuzzyAutomaton]:
+    """The inputs of the `minimize` benchmark workload's base corpus, by op
+    id, in corpus order."""
+    return {inst.id: inst.parts[0] for inst in _benchmark_base("minimize")}
+
+
+def equiv_benchmark_pairs() -> list[tuple[fz.FuzzyAutomaton, fz.FuzzyAutomaton]]:
+    """The pairs of the `equiv` benchmark workload's base corpus."""
+    return [inst.parts for inst in _benchmark_base("equiv")]
 
 
 def minimize_benchmark_automata() -> list[fz.FuzzyAutomaton]:

@@ -78,13 +78,18 @@ def system_doc(tmp_path):
 def test_eval(eval_doc, capsys):
     assert main(["eval", eval_doc, "a"]) == 0
     assert capsys.readouterr().out == "0.6\n"
-    assert main(["eval", eval_doc, ""]) == 0
-    assert capsys.readouterr().out == "0.8\n"
+    # λ alone is the empty word, as equiv prints it; '' names it too
+    for empty in ("", "λ"):
+        assert main(["eval", eval_doc, empty]) == 0
+        assert capsys.readouterr().out == "0.8\n"
 
 
 def test_eval_unknown_symbol(eval_doc, capsys):
     assert main(["eval", eval_doc, "z"]) == 2
     assert "unknown symbol 'z'" in capsys.readouterr().err
+    # inside a longer word λ is no symbol
+    assert main(["eval", eval_doc, "a λ"]) == 2
+    assert "unknown symbol 'λ'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["equiv", "{0}", "{0}"], ["eval", "{0}", "a b"]])

@@ -214,11 +214,12 @@ def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
     symbols_seen = []
     kernel = fz.minimization._saturate_cut
 
-    def spy(rows, *args, exhaust):
-        # the fooling-set bound saturates whole cuts first, and gives up
-        if not exhaust:
+    def spy(rows, n, final, pi1, pi2, *args):
+        # the fooling-set bound saturates whole cuts first, with no initial
+        # states on either side, and gives up
+        if pi1 or pi2:
             symbols_seen.append(len(rows))
-        return kernel(rows, *args, exhaust=exhaust)
+        return kernel(rows, n, final, pi1, pi2, *args)
 
     monkeypatch.setattr(fz.minimization, "_saturate_cut", spy)
     with pytest.raises(BudgetExceededError) as info:
