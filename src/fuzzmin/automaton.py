@@ -102,10 +102,7 @@ _SYMBOL_RULE = "a symbol name is nonempty, holds no whitespace and is not λ"
 def _plain_symbol(sym: object) -> bool:
     """Whether sym can be printed in a word and read back: words are written
     with spaces between symbols, and λ is the empty word."""
-    return (
-        isinstance(sym, str) and sym != "" and sym != "λ"
-        and not any(c.isspace() for c in sym)
-    )
+    return isinstance(sym, str) and sym != "λ" and sym.split() == [sym]
 
 
 @dataclass(frozen=True)

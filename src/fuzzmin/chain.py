@@ -27,7 +27,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
@@ -58,7 +58,11 @@ def _scale_labels(labels: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Chain:
-    """Ascending tuple of distinct rationals in [0, 1] with both endpoints present."""
+    """Ascending tuple of distinct rationals in [0, 1] with both endpoints present.
+
+    Its `ChainValue` objects are built on first use: parsing a document and
+    deciding equivalence read only ranks and labels.
+    """
 
     labels: tuple[str, ...]
 
@@ -82,28 +86,29 @@ class Chain:
         object.__setattr__(
             self, "_rank_by_label", {label: i for i, label in enumerate(labels)}
         )
-        object.__setattr__(
-            self, "_values", tuple(ChainValue(self, i) for i in range(len(labels)))
-        )
+
+    @cached_property
+    def _values(self) -> tuple["ChainValue", ...]:
+        return tuple(ChainValue(self, i) for i in range(len(self.labels)))
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __iter__(self) -> Iterator["ChainValue"]:
-        return iter(self._values)  # type: ignore[attr-defined]
+        return iter(self._values)
 
     def __getitem__(self, rank: int) -> "ChainValue":
         if not 0 <= rank < len(self.labels):
             raise IndexError(f"rank {rank} out of range for chain of {len(self.labels)}")
-        return self._values[rank]  # type: ignore[attr-defined]
+        return self._values[rank]
 
     @property
     def zero(self) -> "ChainValue":
-        return self._values[0]  # type: ignore[attr-defined]
+        return self._values[0]
 
     @property
     def one(self) -> "ChainValue":
-        return self._values[-1]  # type: ignore[attr-defined]
+        return self._values[-1]
 
     def label(self, rank: int) -> str:
         return self.labels[rank]
@@ -129,9 +134,11 @@ class Chain:
 
     def label_ranks(self, values: list[object]) -> tuple[int, ...] | None:
         """Ranks of values that are all labels spelled as declared, else None."""
-        get = self._rank_by_label.get  # type: ignore[attr-defined]
-        ranks = tuple(get(v) if type(v) is str else None for v in values)
-        return None if None in ranks else ranks  # type: ignore[return-value]
+        try:
+            lookup = self._rank_by_label.__getitem__  # type: ignore[attr-defined]
+            return tuple(map(lookup, values))
+        except (KeyError, TypeError):  # a miss, or an unhashable value
+            return None
 
     def value(self, value: str | Fraction) -> "ChainValue":
         return self[self.rank_of(value)]

@@ -19,7 +19,6 @@ import functools
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .automaton import (
@@ -44,7 +43,8 @@ from .minimization import MinimizeInstance, cost_estimate, decide_k, minimize
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _budget(flag_value: int | None, default: int) -> int:

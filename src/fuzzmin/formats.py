@@ -2,9 +2,11 @@
 
 Values travel as decimal strings so nothing is ever rounded.  Render emits a
 fixed key order and a trailing newline, making rendered documents canonical:
-parse(render(x)) == x, and render(parse(t)) is the canonical form of t.
-The command line writes the same text straight to stdout through one
-streaming encoder, so a large document is never held whole as a string.
+parse(render(x)) == x, and render(parse(t)) is the canonical form of t:
+the text of json.dump(doc, indent=2, ensure_ascii=False) plus a newline,
+written out directly.  The command line writes it straight to stdout, one
+string per matrix row or per equation, so a large document is never held
+whole as a string.
 
 Automaton documents: kind, chain (ascending decimal labels), alphabet, n,
 pi (n values), eta (n values), delta (symbol -> n*n values, row-major).
@@ -12,14 +14,23 @@ System documents: kind, chain, n_vars, equations; each equation is a list of
 monomials (1-based variable index lists) plus an rhs value.
 
 Parsing is strict: unknown or duplicate keys, wrong shapes, and values
-missing from the declared chain are all errors.
+missing from the declared chain are all errors.  A weight list maps to ranks
+in one pass of label lookups (`Chain.label_ranks`); only a list with a miss
+is walked item by item, to accept another spelling of a label or to name the
+bad item in the error.  Those checks cover every check the constructors of
+`FuzzyMatrix`, `FuzzyAutomaton` and `EquationSystem` make, so the parsed
+objects are built without running them again.  The last chain parsed is
+reused when the next document declares the same labels, as both documents
+of an `equiv` pair usually do.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, TextIO
+import sys
+from functools import lru_cache
+from typing import Any, Iterable, TextIO
 
 from .automaton import FuzzyAutomaton, FuzzyMatrix, _SYMBOL_RULE, _plain_symbol
 from .chain import Chain, is_decimal_label
@@ -46,6 +57,13 @@ def _decode(text: str) -> Any:
         raise DocumentError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError:
         raise DocumentError("document nests too deeply") from None
+    except DocumentError:
+        raise
+    except ValueError:
+        # the one other error json raises: int() refuses a literal longer
+        # than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"an integer has more than {limit} digits") from None
 
 
 def _root_object(text: str, kind: str) -> dict[str, Any]:
@@ -59,6 +77,8 @@ def _root_object(text: str, kind: str) -> dict[str, Any]:
 
 
 def _expect_keys(obj: dict[str, Any], keys: tuple[str, ...], where: str = "document") -> None:
+    if obj.keys() == set(keys):
+        return
     missing = [k for k in keys if k not in obj]
     if missing:
         raise DocumentError(f"{where}: missing field(s): {', '.join(missing)}")
@@ -71,9 +91,14 @@ def _parse_chain(raw: Any) -> Chain:
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise DocumentError("chain must be a list of decimal strings")
     try:
-        return Chain(tuple(raw))
+        return _chain(tuple(raw))
     except ValueError as exc:
         raise DocumentError(f"chain: {exc}") from None
+
+
+@lru_cache(maxsize=1)
+def _chain(labels: tuple[str, ...]) -> Chain:
+    return Chain(labels)
 
 
 def _parse_alphabet(raw: Any) -> tuple[str, ...]:
@@ -115,14 +140,29 @@ def _value_ranks(chain: Chain, raw: Any, count: int, where: str) -> tuple[int, .
     return ranks
 
 
+def _prechecked(cls: type, **fields: Any) -> Any:
+    """An instance of the frozen dataclass cls holding fields as given,
+    without running the checks of its constructor: the parser has made each
+    of them already."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
+
+
+def _matrix(chain: Chain, rows: int, cols: int, raw: Any, where: str) -> FuzzyMatrix:
+    # _value_ranks checks what FuzzyMatrix would: the length and every rank
+    data = _value_ranks(chain, raw, rows * cols, where)
+    return _prechecked(FuzzyMatrix, chain=chain, rows=rows, cols=cols, data=data)
+
+
 def parse_automaton(text: str) -> FuzzyAutomaton:
     payload = _root_object(text, "automaton")
     _expect_keys(payload, _AUTOMATON_KEYS)
     chain = _parse_chain(payload["chain"])
     alphabet = _parse_alphabet(payload["alphabet"])
     n = _positive_int(payload["n"], "n")
-    pi = FuzzyMatrix(chain, 1, n, _value_ranks(chain, payload["pi"], n, "pi"))
-    eta = FuzzyMatrix(chain, n, 1, _value_ranks(chain, payload["eta"], n, "eta"))
+    pi = _matrix(chain, 1, n, payload["pi"], "pi")
+    eta = _matrix(chain, n, 1, payload["eta"], "eta")
     raw_delta = payload["delta"]
     if not isinstance(raw_delta, dict):
         raise DocumentError("delta must be an object mapping symbols to value lists")
@@ -132,13 +172,11 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
     extra = [s for s in raw_delta if s not in alphabet]
     if extra:
         raise DocumentError(f"delta: unknown symbol(s): {', '.join(extra)}")
-    delta = tuple(
-        FuzzyMatrix(
-            chain, n, n, _value_ranks(chain, raw_delta[sym], n * n, f"delta[{sym}]")
-        )
-        for sym in alphabet
+    delta = tuple(_matrix(chain, n, n, raw_delta[sym], f"delta[{sym}]") for sym in alphabet)
+    # every part was checked above, and shares the one chain, as FuzzyAutomaton asks
+    return _prechecked(
+        FuzzyAutomaton, chain=chain, alphabet=alphabet, pi=pi, eta=eta, delta=delta
     )
-    return FuzzyAutomaton(chain, alphabet, pi, eta, delta)
 
 
 def parse_system(text: str) -> EquationSystem:
@@ -175,51 +213,55 @@ def parse_system(text: str) -> EquationSystem:
             monomials.append(Monomial(tuple(vs)))
         rhs = chain[_value_rank(chain, raw["rhs"], f"{where}.rhs")]
         equations.append(Equation(Polynomial(tuple(monomials)), Relation.EQ, rhs))
-    return EquationSystem(chain, n_vars, tuple(equations))
+    # every index was checked against n_vars, and every rhs is on the chain
+    return _prechecked(
+        EquationSystem, chain=chain, n_vars=n_vars, equations=tuple(equations)
+    )
 
 
-def _write(doc: dict[str, Any], out: TextIO) -> None:
-    # one encoder streams the chunks to out, so no whole text is held
-    json.dump(doc, out, indent=2, ensure_ascii=False)
-    out.write("\n")
+def _list(items: Iterable[str], indent: str) -> str:
+    """A nonempty list of items, each already JSON, laid out as json.dump
+    with indent=2 lays it out when its items sit at indent."""
+    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[2:]}]"
 
 
 def _write_automaton(a: FuzzyAutomaton, out: TextIO) -> None:
-    label = a.chain.label
-    _write(
-        {
-            "kind": "automaton",
-            "chain": list(a.chain.labels),
-            "alphabet": list(a.alphabet),
-            "n": a.n,
-            "pi": [label(r) for r in a.pi.data],
-            "eta": [label(r) for r in a.eta.data],
-            "delta": {
-                sym: [label(r) for r in a.delta[s].data]
-                for s, sym in enumerate(a.alphabet)
-            },
-        },
-        out,
+    quoted = [json.dumps(label) for label in a.chain.labels]
+    label = quoted.__getitem__
+    symbols = [json.dumps(sym, ensure_ascii=False) for sym in a.alphabet]
+    n = a.n
+    out.write(
+        '{\n  "kind": "automaton",\n  "chain": ' + _list(quoted, "    ")
+        + ',\n  "alphabet": ' + _list(symbols, "    ")
+        + f',\n  "n": {n},\n  "pi": ' + _list(map(label, a.pi.data), "    ")
+        + ',\n  "eta": ' + _list(map(label, a.eta.data), "    ")
+        + ',\n  "delta": {'
     )
+    for s, sym in enumerate(symbols):
+        data = a.delta[s].data
+        lead = ("\n    " if s == 0 else ",\n    ") + sym + ": [\n      "
+        for i in range(0, n * n, n):
+            out.write(lead + ",\n      ".join(map(label, data[i : i + n])))
+            lead = ",\n      "
+        out.write("\n    ]")
+    out.write("\n  }\n}\n")
 
 
 def _write_system(s: EquationSystem, out: TextIO) -> None:
-    equations = [
-        {
-            "monomials": [[v + 1 for v in m.vars] for m in eq.lhs.monomials],
-            "rhs": eq.rhs.label,
-        }
-        for eq in s.equations
-    ]
-    _write(
-        {
-            "kind": "system",
-            "chain": list(s.chain.labels),
-            "n_vars": s.n_vars,
-            "equations": equations,
-        },
-        out,
+    quoted = [json.dumps(label) for label in s.chain.labels]
+    out.write(
+        '{\n  "kind": "system",\n  "chain": ' + _list(quoted, "    ")
+        + f',\n  "n_vars": {s.n_vars},\n  "equations": ['
     )
+    lead = "\n    "
+    for eq in s.equations:
+        monomials = [_list([str(v + 1) for v in m.vars], " " * 10) for m in eq.lhs.monomials]
+        out.write(
+            lead + '{\n      "monomials": ' + _list(monomials, " " * 8)
+            + ',\n      "rhs": ' + quoted[eq.rhs.rank] + "\n    }"
+        )
+        lead = ",\n    "
+    out.write("\n  ]\n}\n")
 
 
 def render_automaton(a: FuzzyAutomaton) -> str:

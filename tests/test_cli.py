@@ -208,7 +208,7 @@ def _system_texts(draw):
             eq["coefficient"] = "1"
         elif fault == "non-list monomial" and monos:
             monos[0] = draw(_JUNK)
-        elif fault == "index out of range" and monos and isinstance(monos[-1], list):
+        elif fault == "index out of range" and monos and isinstance(monos[-1], list) and monos[-1]:
             monos[-1][0] = draw(st.sampled_from([0, n + 1, -1, "1", 1.0, True]))
         elif fault == "rhs outside chain":
             eq["rhs"] = draw(st.sampled_from(["0.3", "2", "-1", "x", "", 0.5, 1]))
@@ -768,6 +768,26 @@ def test_budget_env_var_replaces_the_gen_ceiling(capsys, monkeypatch):
 def test_missing_file(capsys):
     assert main(["eval", "/nonexistent/a.json", "a"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["eval", "{path}", "a"], '{"kind": "automaton", "n": %s}'),
+        (
+            ["solve", "{path}"],
+            '{"kind": "system", "chain": ["0", "1"], "n_vars": 2,'
+            ' "equations": [{"monomials": [[%s]], "rhs": "1"}]}',
+        ),
+    ],
+)
+def test_an_integer_too_long_to_convert_is_an_input_error(argv, text, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(text % ("9" * 5000), encoding="utf-8")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: an integer has more than {sys.get_int_max_str_digits()} digits\n"
 
 
 def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,12 @@ from fuzzmin import (
     DocumentError,
     Equation,
     EquationSystem,
+    FuzzyAutomaton,
+    FuzzyMatrix,
     Monomial,
     Polynomial,
     Relation,
+    gen_system,
     parse_automaton,
     parse_system,
     random_automaton,
@@ -27,7 +31,7 @@ from fuzzmin import (
     render_system,
 )
 
-from helpers import automaton
+from helpers import _benchmark_base, automaton
 
 CH = Chain(("0", "0.5", "1"))
 TINY = automaton(CH, "a", ["1"], ["0.5"], [[["0"]]])
@@ -183,6 +187,18 @@ def test_system_variable_indices_are_one_based_and_in_range():
         parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", "[]"))
 
 
+def test_an_integer_too_long_to_convert_is_a_document_error():
+    # int() refuses literals past sys.get_int_max_str_digits(), 4,300 by default
+    message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    long = "9" * 5000
+    with pytest.raises(DocumentError) as caught:
+        parse_automaton(TINY_DOC.replace('"n": 1', f'"n": {long}'))
+    assert str(caught.value) == message
+    with pytest.raises(DocumentError) as caught:
+        parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", f"[{long}]"))
+    assert str(caught.value) == message
+
+
 def _with_eta(weights) -> str:
     doc = json.loads(TINY_DOC)
     doc["n"] = len(weights)
@@ -254,3 +270,146 @@ def test_respelled_weights_parse_to_the_canonical_automaton(case):
     matrices = [parsed.pi, parsed.eta, *parsed.delta]
     for row, m in zip(rows, matrices):
         assert list(m.data) == [by_fraction[Fraction(w)] for w in row]
+
+
+# The parser ranks a weight list with one lookup pass and reuses the last
+# chain it built; these documents are ranked again here one item at a time,
+# through Chain.rank_of alone, on a chain built afresh.
+
+
+def _ranked_item_by_item(text: str):
+    doc = json.loads(text)
+    chain = Chain(tuple(doc["chain"]))
+    if doc["kind"] == "system":
+        equations = tuple(
+            Equation(
+                Polynomial(tuple(Monomial(tuple(i - 1 for i in m)) for m in eq["monomials"])),
+                Relation.EQ,
+                chain[chain.rank_of(eq["rhs"])],
+            )
+            for eq in doc["equations"]
+        )
+        return EquationSystem(chain, doc["n_vars"], equations)
+    n = doc["n"]
+
+    def matrix(rows, cols, values):
+        return FuzzyMatrix(chain, rows, cols, tuple(chain.rank_of(v) for v in values))
+
+    return FuzzyAutomaton(
+        chain,
+        tuple(doc["alphabet"]),
+        matrix(1, n, doc["pi"]),
+        matrix(n, 1, doc["eta"]),
+        tuple(matrix(n, n, doc["delta"][sym]) for sym in doc["alphabet"]),
+    )
+
+
+def _relabelled(part, chain: Chain):
+    """part with the same ranks on another chain of its size."""
+    if isinstance(part, EquationSystem):
+        equations = tuple(
+            Equation(eq.lhs, eq.relation, chain[eq.rhs.rank]) for eq in part.equations
+        )
+        return EquationSystem(chain, part.n_vars, equations)
+
+    def moved(m):
+        return FuzzyMatrix(chain, m.rows, m.cols, m.data)
+
+    return FuzzyAutomaton(
+        chain, part.alphabet, moved(part.pi), moved(part.eta), tuple(map(moved, part.delta))
+    )
+
+
+def _respelled(text: str) -> str:
+    """The document with every weight written with one more trailing zero."""
+    doc = json.loads(text)
+
+    def respell(label: str) -> str:
+        return label + ("0" if "." in label else ".0")
+
+    if doc["kind"] == "system":
+        for eq in doc["equations"]:
+            eq["rhs"] = respell(eq["rhs"])
+    else:
+        for row in (doc["pi"], doc["eta"], *doc["delta"].values()):
+            row[:] = map(respell, row)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("workload", ["equiv", "solve", "minimize"])
+def test_parsing_matches_item_by_item_ranking_on_the_benchmark_corpora(workload):
+    rng = random.Random(workload)
+    for inst in _benchmark_base(workload):
+        # a pair's documents are read one after the other, as `equiv` reads
+        # them, and then the pair again on one other chain
+        chain = Chain(random_chain_labels(rng, len(inst.parts[0].chain)))
+        for parts in (inst.parts, tuple(_relabelled(p, chain) for p in inst.parts)):
+            for part in parts:
+                render = render_system if isinstance(part, EquationSystem) else render_automaton
+                parse = parse_system if isinstance(part, EquationSystem) else parse_automaton
+                text = render(part)
+                parsed = parse(text)
+                assert parsed == _ranked_item_by_item(text) == part
+                assert render(parsed) == text
+                respelled = _respelled(text)
+                assert parse(respelled) == _ranked_item_by_item(respelled) == part
+
+
+# The writer lays documents out itself; json.dumps is the referee.
+
+_SYMBOLS = st.text(
+    st.sampled_from(
+        ["a", "b", '"', "\\", "/", "é", "中", "λ", "\x00", "\x01", "\x1b", "\x7f", "\u200b",
+         "\U0001d51e"]
+    ),
+    min_size=1,
+    max_size=3,
+).filter(lambda sym: sym != "λ")
+
+
+@st.composite
+def _automata(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    chain = Chain(random_chain_labels(rng, draw(st.integers(2, 6))))
+    alphabet = tuple(draw(st.lists(_SYMBOLS, min_size=1, max_size=3, unique=True)))
+    return random_automaton(rng, chain, alphabet, draw(st.integers(1, 4)))
+
+
+@given(_automata())
+def test_rendered_automata_are_the_json_module_layout(a):
+    label = a.chain.label
+    doc = {
+        "kind": "automaton",
+        "chain": list(a.chain.labels),
+        "alphabet": list(a.alphabet),
+        "n": a.n,
+        "pi": [label(r) for r in a.pi.data],
+        "eta": [label(r) for r in a.eta.data],
+        "delta": {sym: [label(r) for r in m.data] for sym, m in zip(a.alphabet, a.delta)},
+    }
+    text = render_automaton(a)
+    assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    assert parse_automaton(text) == a
+
+
+@given(
+    st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 4), st.integers(1, 4),
+    st.integers(2, 6),
+)
+def test_rendered_systems_are_the_json_module_layout(seed, n_vars, equations, monomials, size):
+    s = gen_system(seed, n_vars, equations, monomials, size)
+    doc = {
+        "kind": "system",
+        "chain": list(s.chain.labels),
+        "n_vars": s.n_vars,
+        "equations": [
+            {
+                "monomials": [[v + 1 for v in m.vars] for m in eq.lhs.monomials],
+                "rhs": eq.rhs.label,
+            }
+            for eq in s.equations
+        ],
+    }
+    text = render_system(s)
+    assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    assert parse_system(text) == s
