@@ -2,11 +2,11 @@
 
 A chain is declared as an ascending list of exact decimal labels, in ASCII
 digits, that must include "0" and "1".  Its order and endpoints are checked
-on the labels scaled to integers by a common power of ten.  A value spelled
-as declared is looked up directly; any other spelling ("0.50" for "0.5") is
-compared as a rational, never as a float.  Only the order is ever used.
-The declared spelling of each label is kept as the canonical one for
-rendering.
+on the labels' exact values as `Decimal`s.  A value spelled as declared is
+looked up directly; any other spelling ("0.50" for "0.5") is read as a
+rational, never as a float, and found by its value: equal numbers hash
+equal across `Decimal` and `Fraction`.  Only the order is ever used.  The
+declared spelling of each label is kept as the canonical one for rendering.
 
 The interval solver works on rank boxes.  A box stands for the points whose
 every coordinate has a rank within that coordinate's `(lo, hi)` pair.  Bounds
@@ -24,8 +24,8 @@ boxes are built only when a set is iterated.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -38,22 +38,6 @@ _DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?\Z")
 def is_decimal_label(text: object) -> bool:
     """True when text is a plain non-negative decimal string like "0", "0.25"."""
     return isinstance(text, str) and bool(_DECIMAL_RE.match(text))
-
-
-def _scale_labels(labels: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
-    """10**d, for d the most fractional digits of any label, and each label
-    times 10**d, an exact integer."""
-    parts = []
-    for label in labels:
-        if not is_decimal_label(label):
-            raise ValueError(f"chain values must be decimal strings, got {label!r}")
-        parts.append(label.partition("."))
-    digits = max((len(frac) for _, _, frac in parts), default=0)
-    scale = 10**digits
-    return scale, tuple(
-        int(whole) * scale + (int(frac) * 10 ** (digits - len(frac)) if frac else 0)
-        for whole, _, frac in parts
-    )
 
 
 @dataclass(frozen=True)
@@ -69,20 +53,21 @@ class Chain:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        scale, scaled = _scale_labels(labels)
+        for label in labels:
+            if not is_decimal_label(label):
+                raise ValueError(f"chain values must be decimal strings, got {label!r}")
         if len(labels) < 2:
             raise ValueError("a chain needs at least the two endpoints 0 and 1")
-        for left, right in zip(scaled, scaled[1:]):
+        values = tuple(map(Decimal, labels))
+        for left, right in zip(values, values[1:]):
             if not left < right:
                 raise ValueError(
                     f"chain labels must be strictly ascending, got {labels!r}"
                 )
-        if scaled[0] != 0:
+        if values[0] != 0:
             raise ValueError("a chain must start at value 0")
-        if scaled[-1] != scale:
+        if values[-1] != 1:
             raise ValueError("a chain must end at value 1")
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(
             self, "_rank_by_label", {label: i for i, label in enumerate(labels)}
         )
@@ -90,6 +75,10 @@ class Chain:
     @cached_property
     def _values(self) -> tuple["ChainValue", ...]:
         return tuple(ChainValue(self, i) for i in range(len(self.labels)))
+
+    @cached_property
+    def _rank_by_value(self) -> dict[Decimal, int]:
+        return {Decimal(label): i for i, label in enumerate(self.labels)}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -115,8 +104,8 @@ class Chain:
 
     def rank_of(self, value: str | Fraction) -> int:
         """Rank of a member value.  A label spelled as declared is looked up
-        directly; anything else is compared by exact rational equality with
-        the labels scaled to integers."""
+        directly; anything else is read as a `Fraction` and looked up by its
+        exact value among the labels' `Decimal` values."""
         if type(value) is str:
             rank = self._rank_by_label.get(value)  # type: ignore[attr-defined]
             if rank is not None:
@@ -125,10 +114,8 @@ class Chain:
             frac = value if isinstance(value, Fraction) else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
-        scaled = self._scaled  # type: ignore[attr-defined]
-        target = frac * self._scale  # type: ignore[attr-defined]
-        rank = bisect_left(scaled, target)
-        if rank == len(scaled) or scaled[rank] != target:
+        rank = self._rank_by_value.get(frac)
+        if rank is None:
             raise ValueError(f"value {value!r} is not a member of the chain")
         return rank
 

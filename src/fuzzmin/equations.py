@@ -170,7 +170,9 @@ def _pin_family(
 ) -> SolutionSet:
     """One box per variable of m: that variable ranges over the rank pair
     pinned, the other variables of m over rest, and variables absent from m
-    over the whole chain."""
+    over the whole chain.  Two of these boxes differ only where one has
+    pinned and the other rest, so none holds another unless pinned == rest,
+    and then all are one box."""
     if m.max_index >= n_vars:
         raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
     top = len(chain) - 1
@@ -179,9 +181,10 @@ def _pin_family(
     shifts = [(n_vars - 1 - i) * width for i in m.vars]
     for shift in shifts:
         base = base & ~(mask << shift) | _field(*rest, top) << shift
-    kept: list[int] = []
-    for shift in shifts:
-        _store(kept, base & ~(mask << shift) | _field(*pinned, top) << shift)
+    if pinned == rest:
+        return SolutionSet._of(chain, n_vars, [base])
+    pin = _field(*pinned, top)
+    kept = [base & ~(mask << shift) | pin << shift for shift in shifts]
     return SolutionSet._of(chain, n_vars, kept)
 
 
@@ -216,13 +219,16 @@ def polynomial_eq_solutions(
     each case being the cross-intersection of its per-monomial families.
     The result has at most k * n_vars**k boxes for k monomials.  Raises
     BudgetExceededError as soon as a case or the union holds more than
-    max_vectors boxes.
+    max_vectors boxes.  A single monomial's family is its only case.
     """
+    if len(p.monomials) == 1:
+        family = monomial_eq_solutions(p.monomials[0], rhs, n_vars)
+        if max_vectors is not None and len(family) > max_vectors:
+            raise BudgetExceededError(max_vectors + 1, max_vectors, "interval solution set")
+        return family
     kept: list[int] = []
     # each monomial's <= family, read by every case but its own
-    les = []
-    if len(p.monomials) > 1:
-        les = [monomial_le_solutions(m, rhs, n_vars) for m in p.monomials]
+    les = [monomial_le_solutions(m, rhs, n_vars) for m in p.monomials]
     for i, m_eq in enumerate(p.monomials):
         case = monomial_eq_solutions(m_eq, rhs, n_vars)
         for j, le in enumerate(les):

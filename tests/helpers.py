@@ -6,7 +6,9 @@ import functools
 import importlib.util
 import itertools
 import random
+import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -66,6 +68,46 @@ def in_box(box: Sequence[tuple[int, int]], point: Sequence[ChainValue]) -> bool:
     if len(point) != len(box):
         raise ValueError(f"point dimension {len(point)} != box dimension {len(box)}")
     return all(lo <= v.rank <= hi for (lo, hi), v in zip(box, point))
+
+
+def scaled_chain(labels: Sequence[str]) -> tuple[int, tuple[int, ...]]:
+    """Referee for `Chain`'s checks, on integers: each label times 10**d,
+    for d the most fractional digits of any label, checked in `Chain`'s
+    order with its messages.  Returns 10**d and the scaled labels."""
+    labels = tuple(labels)
+    for label in labels:
+        if not (isinstance(label, str) and re.fullmatch(r"[0-9]+(\.[0-9]+)?", label)):
+            raise ValueError(f"chain values must be decimal strings, got {label!r}")
+    if len(labels) < 2:
+        raise ValueError("a chain needs at least the two endpoints 0 and 1")
+    parts = [label.partition(".") for label in labels]
+    digits = max(len(frac) for _, _, frac in parts)
+    scale = 10**digits
+    scaled = tuple(
+        int(whole) * scale + (int(frac) * 10 ** (digits - len(frac)) if frac else 0)
+        for whole, _, frac in parts
+    )
+    if any(not left < right for left, right in zip(scaled, scaled[1:])):
+        raise ValueError(f"chain labels must be strictly ascending, got {labels!r}")
+    if scaled[0] != 0:
+        raise ValueError("a chain must start at value 0")
+    if scaled[-1] != scale:
+        raise ValueError("a chain must end at value 1")
+    return scale, scaled
+
+
+def scaled_rank_of(labels: Sequence[str], value: str | Fraction) -> int:
+    """Referee for `Chain.rank_of`: the value as a `Fraction`, times the
+    chain's scale, bisected among the scaled labels."""
+    scale, scaled = scaled_chain(labels)
+    try:
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational value: {value!r}") from exc
+    rank = bisect_left(scaled, frac * scale)
+    if rank == len(scaled) or scaled[rank] != frac * scale:
+        raise ValueError(f"value {value!r} is not a member of the chain")
+    return rank
 
 
 def _inside(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:

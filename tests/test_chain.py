@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from fuzzmin.chain import (
 )
 from fuzzmin.generate import random_chain_labels
 
-from helpers import in_box
+from helpers import in_box, scaled_chain, scaled_rank_of
 
 CH = Chain(("0", "0.25", "0.5", "0.75", "1"))
 
@@ -59,7 +60,7 @@ def test_membership():
 
 
 def test_a_chain_is_checked_without_building_rationals(monkeypatch):
-    # order and endpoints are checked on labels scaled to integers; only a
+    # order and endpoints are checked on the labels' Decimal values; only a
     # lookup of a value not spelled as declared builds a Fraction
     built = []
 
@@ -78,6 +79,79 @@ def test_a_chain_is_checked_without_building_rationals(monkeypatch):
         with pytest.raises(ValueError, match="not a member"):
             ch.rank_of(stranger)
     assert built
+
+
+_FRACTIONAL = st.text("0123456789", min_size=1, max_size=40).map(lambda d: "0." + d)
+_JUNK = ("x", "", "-0.5", ".5", "0.", "1e3", " 0.5", "2", "1.5", "\u0660.\u0665")
+
+
+@st.composite
+def _chains(draw):
+    """Label lists, mostly valid chains: interior labels with up to 40
+    fractional digits, endpoints in several spellings, and sometimes an
+    endpoint dropped, the order shuffled or a bad label put in."""
+    interior = sorted(draw(st.lists(_FRACTIONAL, max_size=8)), key=Fraction)
+    labels = [
+        draw(st.sampled_from(("0", "00", "0.0", "0.000"))),
+        *interior,
+        draw(st.sampled_from(("1", "1.0", "01", "1.00"))),
+    ]
+    broken = draw(st.integers(0, 5))
+    if broken == 1:
+        del labels[draw(st.sampled_from((0, -1)))]
+    elif broken == 2:
+        labels = draw(st.permutations(labels))
+    elif broken == 3:
+        labels.insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(_JUNK)))
+    return tuple(labels)
+
+
+def _spellings(label):
+    """Ways to write a label's value other than as declared."""
+    value = Fraction(label)
+    return [
+        label + ("0" if "." in label else ".0"),
+        "0" + label,
+        " " + label,
+        f"{value.numerator}/{value.denominator}",
+        format(Decimal(label), "e"),
+        value,
+    ]
+
+
+def _outcome(rank_of, *args):
+    try:
+        return rank_of(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(_chains())
+def test_chain_checks_and_ranks_match_the_scaled_integer_referee(labels):
+    try:
+        ch = Chain(labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            scaled_chain(labels)
+        assert str(refused.value) == str(exc)
+        return
+    scaled_chain(labels)
+    values = ["NaN", "", "1/0", "x", "inf", "0.5.1", "2", "1.5", Fraction(-1, 2)]
+    for label, above in zip(labels, labels[1:]):
+        values += [label, *_spellings(label), (Fraction(label) + Fraction(above)) / 2]
+    values += [labels[-1], *_spellings(labels[-1])]
+    for value in values:
+        assert _outcome(ch.rank_of, value) == _outcome(scaled_rank_of, labels, value)
+
+
+def test_a_label_past_the_int_conversion_limit_is_kept_exact():
+    # 5,001 fractional digits, more than int() converts by default
+    tiny = "0." + "0" * 5000 + "1"
+    ch = Chain(("0", tiny, "1"))
+    assert ch.rank_of(tiny) == 1
+    assert ch.rank_of(Fraction(1, 10**5001)) == 1
+    with pytest.raises(ValueError, match="not a member"):
+        ch.rank_of(Fraction(1, 10**4000))
 
 
 @pytest.mark.parametrize(

@@ -262,20 +262,37 @@ def _outcome(solve):
         return str(refused)
 
 
+def _wide_monomial_systems():
+    """Systems whose first equation is one monomial over 8-12 variables,
+    its rhs at every rank in turn, so a cap binds inside that family, or
+    the family is one box when the rhs is the top."""
+    for seed in range(16):
+        rng = random.Random(7100 + seed)
+        chain = Chain(random_chain_labels(rng, rng.randint(2, 4)))
+        n_vars = rng.randint(8, 12)
+        wide = Monomial(tuple(rng.sample(range(n_vars), rng.randint(8, n_vars))))
+        first = Equation(Polynomial((wide,)), Relation.EQ, chain[seed % len(chain)])
+        rest = random_system(rng, chain, n_vars, 2, 2).equations[: seed % 3]
+        yield EquationSystem(chain, n_vars, (first, *rest))
+
+
 def test_packed_solver_matches_the_tuple_box_reference_at_every_cap():
+    systems = [
+        gen_system(7000 + seed, n_vars, n_equations, max_monomials, chain_size)
+        for n_vars, n_equations, max_monomials, chain_size in _DIFFERENTIAL_SHAPES
+        for seed in range(30)
+    ]
     widest = 0
-    for n_vars, n_equations, max_monomials, chain_size in _DIFFERENTIAL_SHAPES:
-        for seed in range(30):
-            system = gen_system(7000 + seed, n_vars, n_equations, max_monomials, chain_size)
-            reference = TupleBoxSolver()
-            assert solve_intervals(system).boxes == reference.solve(system)
-            used = {i for eq in system.equations for m in eq.lhs.monomials for i in m.vars}
-            widest = max(widest, len(used) * (chain_size + 1))
-            # same boxes in the same order, or the same refusal, at every cap
-            for cap in range(1, reference.peak + 2):
-                assert _outcome(lambda: solve_intervals(system, max_vectors=cap).boxes) == (
-                    _outcome(lambda: TupleBoxSolver(cap).solve(system))
-                )
+    for system in [*systems, *_wide_monomial_systems()]:
+        reference = TupleBoxSolver()
+        assert solve_intervals(system).boxes == reference.solve(system)
+        used = {i for eq in system.equations for m in eq.lhs.monomials for i in m.vars}
+        widest = max(widest, len(used) * (len(system.chain) + 1))
+        # same boxes in the same order, or the same refusal, at every cap
+        for cap in range(1, reference.peak + 2):
+            assert _outcome(lambda: solve_intervals(system, max_vectors=cap).boxes) == (
+                _outcome(lambda: TupleBoxSolver(cap).solve(system))
+            )
     assert widest > 64
 
 
