@@ -3,9 +3,10 @@
 A chain is declared as an ascending list of exact decimal labels, in ASCII
 digits, that must include "0" and "1".  Its order and endpoints are checked
 on the labels' exact values as `Decimal`s.  A value spelled as declared is
-looked up directly; any other spelling ("0.50" for "0.5") is read as a
-rational, never as a float, and found by its value: equal numbers hash
-equal across `Decimal` and `Fraction`.  Only the order is ever used.  The
+looked up directly; another decimal spelling ("0.50" for "0.5") is read as
+a `Decimal`, which has no digit limit, and any other value as a rational,
+never as a float; either is found by its value: equal numbers hash equal
+across `Decimal` and `Fraction`.  Only the order is ever used.  The
 declared spelling of each label is kept as the canonical one for rendering.
 
 The interval solver works on rank boxes.  A box stands for the points whose
@@ -13,22 +14,26 @@ every coordinate has a rank within that coordinate's `(lo, hi)` pair.  Bounds
 never cross, so every box holds a point.  The solver holds each box packed
 into one int, one bit field per coordinate (see `_layout`), so containment,
 meet and the test that a meet holds a point are a few integer operations,
-whatever the dimension.  A `SolutionSet` keeps only the maximal boxes,
-sorted by their `(lo, hi)` pairs, and spells a box out as a tuple of those
-pairs only when asked.  `cross_intersect` intersects two sets pair by pair,
-in that order, and keeps the running set maximal as each box is stored, so
-its budget bounds the boxes actually held.  Chain values and printable
-boxes are built only when a set is iterated.
+whatever the dimension.  It solves a whole system on plain lists of packed
+boxes, one layout per system: `_cross` intersects two lists pair by pair,
+in their order, keeps the running list maximal as each box is stored, so
+its budget bounds the boxes actually held, and sorts the result once into
+canonical order, that of the boxes' `(lo, hi)` pairs.  A `SolutionSet`
+holds such a list behind the public boundary and spells a box out as a
+tuple of those pairs only when asked; `cross_intersect` is `_cross` on two
+sets.  Chain values and printable boxes are built only when a set is
+iterated.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -104,19 +109,27 @@ class Chain:
 
     def rank_of(self, value: str | Fraction) -> int:
         """Rank of a member value.  A label spelled as declared is looked up
-        directly; anything else is read as a `Fraction` and looked up by its
-        exact value among the labels' `Decimal` values."""
+        directly; another decimal string is read as a `Decimal`, anything
+        else as a `Fraction`, and looked up by its exact value among the
+        labels' `Decimal` values."""
         if type(value) is str:
             rank = self._rank_by_label.get(value)  # type: ignore[attr-defined]
             if rank is not None:
                 return rank
         try:
-            frac = value if isinstance(value, Fraction) else Fraction(value)
+            if is_decimal_label(value):
+                exact: Decimal | Fraction = Decimal(value)  # type: ignore[arg-type]
+            else:
+                exact = value if isinstance(value, Fraction) else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
-        rank = self._rank_by_value.get(frac)
+        rank = self._rank_by_value.get(exact)
         if rank is None:
-            raise ValueError(f"value {value!r} is not a member of the chain")
+            try:
+                shown = repr(value)
+            except ValueError:  # a term past the digits an int may print with
+                shown = f"with a term of more than {sys.get_int_max_str_digits()} digits"
+            raise ValueError(f"value {shown} is not a member of the chain")
         return rank
 
     def label_ranks(self, values: list[object]) -> tuple[int, ...] | None:
@@ -195,16 +208,15 @@ def _unpack(packed: int, top: int, dim: int) -> Box:
     return tuple(pairs)
 
 
-def _in_order(kept: list[int], top: int, dim: int) -> tuple[int, ...]:
-    """The packed boxes kept, sorted in canonical order: that of their
-    (lo, hi) pairs, coordinate 0 first.  In each field, the guard minus the
-    lowest set bit (rank hi) sets the bits of ranks 0..hi, and clearing the
-    highest set bit (rank lo) leaves a number that grows with lo and, for
-    equal lo, with hi.  The guards stay 0, so these keys compare field by
-    field as the pairs do."""
-    guard = _layout(top, dim)[2]
+def _in_order(kept: list[int], guard: int) -> list[int]:
+    """The packed boxes kept, sorted in place into canonical order: that of
+    their (lo, hi) pairs, coordinate 0 first; guard is the layout's guard
+    mask.  In each field, the guard minus the lowest set bit (rank hi) sets
+    the bits of ranks 0..hi, and clearing the highest set bit (rank lo)
+    leaves a number that grows with lo and, for equal lo, with hi.  The
+    guards stay 0, so these keys compare field by field as the pairs do."""
     kept.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
-    return tuple(kept)
+    return kept
 
 
 def _store(kept: list[int], box: int, max_vectors: int | None = None) -> None:
@@ -267,16 +279,16 @@ class SolutionSet:
                 raise ValueError(f"bad box bounds {box}")
             _store(kept, _pack(box, top))
         self.chain, self.dim = chain, dim
-        self._packed: tuple[int, ...] | None = _in_order(kept, top, dim)
+        self._packed: tuple[int, ...] | None = tuple(_in_order(kept, _layout(top, dim)[2]))
         self._boxes: tuple[Box, ...] | None = None
 
     @classmethod
     def _of(cls, chain: Chain, dim: int, kept: list[int]) -> "SolutionSet":
-        """The set of an antichain of packed boxes, sorted but not
-        normalized again."""
+        """The set of an antichain of packed boxes already in canonical
+        order, taken as it is."""
         self = object.__new__(cls)
         self.chain, self.dim = chain, dim
-        self._packed, self._boxes = _in_order(kept, len(chain) - 1, dim), None
+        self._packed, self._boxes = tuple(kept), None
         return self
 
     @classmethod
@@ -322,27 +334,49 @@ class SolutionSet:
         return f"SolutionSet({self.chain!r}, {self.dim!r}, {self.boxes!r})"
 
 
+def _cross(
+    xs: Sequence[int], ys: Sequence[int], top: int, dim: int, max_vectors: int | None
+) -> list[int]:
+    """The maximal meets of the packed boxes xs with the packed boxes ys,
+    in canonical order.  The pairs are met in the order of the lists, and
+    disjoint pairs build no box; each meet is stored as it is built, as
+    `_store` stores it, so the running list stays maximal and never holds
+    more than len(xs) * len(ys) boxes, and BudgetExceededError is raised as
+    soon as it holds more than max_vectors.  The list is sorted once, at the
+    end.  The store is written out here: a call per meet cost a tenth of
+    `solve_intervals`' time."""
+    _, data, guard = _layout(top, dim)
+    kept: list[int] = []
+    for x in xs:
+        for y in ys:
+            meet = x & y
+            if (meet + data) & guard != guard:
+                continue
+            for k in kept:
+                if meet | k == k:
+                    break
+            else:
+                kept = [k for k in kept if k | meet != meet]
+                kept.append(meet)
+                if max_vectors is not None and len(kept) > max_vectors:
+                    raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
+    return _in_order(kept, guard)
+
+
 def cross_intersect(
     s1: SolutionSet, s2: SolutionSet, *, max_vectors: int | None = None
 ) -> SolutionSet:
-    """Intersect every box of s1 with every box of s2.
+    """Intersect every box of s1 with every box of s2: `_cross` on the
+    sets' packed boxes.
 
-    The result covers exactly the points common to both sets.  Disjoint
-    pairs build no box, and the running set stays maximal as each
-    intersection is stored, so it never holds more than len(s1) * len(s2)
-    boxes.  Raises BudgetExceededError as soon as it holds more than
-    max_vectors.  The pairs are met packed, in the order of the sets.
+    The result covers exactly the points common to both sets.  Raises
+    BudgetExceededError as soon as the running set holds more than
+    max_vectors boxes.
     """
     if s1.chain != s2.chain:
         raise ValueError("solution sets live on different chains")
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    _, data, guard = _layout(len(s1.chain) - 1, s1.dim)
-    kept: list[int] = []
-    ys = s2._packed_boxes()
-    for x in s1._packed_boxes():
-        for y in ys:
-            meet = x & y
-            if (meet + data) & guard == guard:
-                _store(kept, meet, max_vectors)
+    top = len(s1.chain) - 1
+    kept = _cross(s1._packed_boxes(), s2._packed_boxes(), top, s1.dim, max_vectors)
     return SolutionSet._of(s1.chain, s1.dim, kept)

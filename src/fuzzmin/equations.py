@@ -6,14 +6,18 @@ chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
 Two solvers are provided.  `solve_intervals` builds, per equation, the finite
 family of rank boxes that covers the solutions, then intersects the families
-across equations.  Every family is a `SolutionSet` of boxes, none inside
-another, and the families are built and intersected on boxes packed into one
-int each (see `chain`).  Two boxes that share no point build no
-intersection, so the system is solvable iff the final set is non-empty.
-Chain values enter only as right-hand sides and when the boxes are printed.
-`solve_points` exploits that a solvable system is already solvable using
-only values that appear on some right-hand side, and searches that finite
-grid directly.
+across equations.  It solves the whole system on one packed layout (see
+`chain`): every box is one int, and every family and running set is a plain
+list of boxes, none inside another, in canonical order.  A monomial's pin
+family comes out in that order as it is built, so it is never sorted.  Two
+boxes that share no point build no intersection, so the system is solvable
+iff the final set is non-empty; only that set, padded, becomes a
+`SolutionSet`.  `monomial_eq_solutions`, `monomial_le_solutions`,
+`polynomial_eq_solutions` and `chain.cross_intersect` hand out the same
+helpers' lists as `SolutionSet`s.  Chain values enter only as right-hand
+sides and when the boxes are printed.  `solve_points` exploits that a
+solvable system is already solvable using only values that appear on some
+right-hand side, and searches that finite grid directly.
 """
 
 from __future__ import annotations
@@ -21,15 +25,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Mapping
 
 from .chain import (
     Chain,
     ChainValue,
     SolutionSet,
-    cross_intersect,
+    _cross,
     _field,
+    _in_order,
     _layout,
     _store,
+    _unpack,
 )
 from .errors import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -161,31 +168,87 @@ def rhs_values(system: EquationSystem) -> tuple[ChainValue, ...]:
     return tuple(system.chain[r] for r in ranks)
 
 
+def _cuts(rank: int, top: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (cut, pin) field bits of the = and the <= pin families at rank
+    (see `_pin_family`).  The = family holds its monomial's variables in
+    [rank, top] and pins one to [rank, rank]; the <= family leaves them
+    whole and pins one to [0, rank]."""
+    whole, upper = _field(0, top, top), _field(rank, top, top)
+    return (whole ^ upper, upper ^ _field(rank, rank, top)), (0, whole ^ _field(0, rank, top))
+
+
 def _pin_family(
-    m: Monomial,
-    chain: Chain,
-    n_vars: int,
-    pinned: tuple[int, int],
-    rest: tuple[int, int],
-) -> SolutionSet:
-    """One box per variable of m: that variable ranges over the rank pair
-    pinned, the other variables of m over rest, and variables absent from m
-    over the whole chain.  Two of these boxes differ only where one has
-    pinned and the other rest, so none holds another unless pinned == rest,
-    and then all are one box."""
-    if m.max_index >= n_vars:
-        raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
-    top = len(chain) - 1
-    width, base, _ = _layout(top, n_vars)
-    mask = (1 << width) - 1
-    shifts = [(n_vars - 1 - i) * width for i in m.vars]
-    for shift in shifts:
-        base = base & ~(mask << shift) | _field(*rest, top) << shift
-    if pinned == rest:
-        return SolutionSet._of(chain, n_vars, [base])
-    pin = _field(*pinned, top)
-    kept = [base & ~(mask << shift) | pin << shift for shift in shifts]
-    return SolutionSet._of(chain, n_vars, kept)
+    m: Monomial, shift: Mapping[int, int], base: int, cut: int, pin: int
+) -> list[int]:
+    """The packed boxes of one monomial's family, one per variable of m, in
+    canonical order.  base is the layout's data mask, every field whole;
+    variable v is the field at shift[v].  Every variable of m loses the
+    bits cut from its field, and in its own box also the bits pin.
+
+    Two of these boxes differ only in the two fields where one has pin
+    cleared and the other not, so none holds another unless pin is 0, and
+    then all are one box.  Otherwise clearing pin keeps a field's lo and
+    lowers its hi ([rank, top] to [rank, rank], [0, top] to [0, rank]), so
+    two boxes first differ at the field of the lower variable, which lies
+    further left, and the box of that variable sorts first.  m's variables
+    are ascending, and so are the boxes, with no sort."""
+    shifts = [shift[v] for v in m.vars]
+    for s in shifts:
+        base ^= cut << s
+    if not pin:
+        return [base]
+    return [base ^ pin << s for s in shifts]
+
+
+def _family(
+    monomials: tuple[Monomial, ...],
+    shift: Mapping[int, int],
+    rank: int,
+    top: int,
+    dim: int,
+    max_vectors: int | None,
+) -> list[int]:
+    """The packed boxes of dimension dim that cover the solutions of
+    max(monomials) = the value of rank rank, in canonical order; variable v
+    is the field at shift[v].
+
+    The max equals the value exactly when some monomial equals it and every
+    other stays at or below it, so the family is the union over that case
+    split, each case being the cross-intersection of its per-monomial
+    families.  It has at most k * dim**k boxes for k monomials.  Raises
+    BudgetExceededError as soon as a case or the union holds more than
+    max_vectors boxes.  A single monomial's family is its only case.
+    """
+    _, data, guard = _layout(top, dim)
+    eq, le = _cuts(rank, top)
+    if len(monomials) == 1:
+        family = _pin_family(monomials[0], shift, data, *eq)
+        if max_vectors is not None and len(family) > max_vectors:
+            raise BudgetExceededError(max_vectors + 1, max_vectors, "interval solution set")
+        return family
+    # each monomial's <= family, read by every case but its own
+    les = [_pin_family(m, shift, data, *le) for m in monomials]
+    kept: list[int] = []
+    for i, m_eq in enumerate(monomials):
+        case = _pin_family(m_eq, shift, data, *eq)
+        for j, m_le in enumerate(les):
+            if j != i:
+                case = _cross(case, m_le, top, dim, max_vectors)
+        for box in case:
+            _store(kept, box, max_vectors)
+    return _in_order(kept, guard)
+
+
+def _full_width(monomials: Iterable[Monomial], n_vars: int, top: int) -> dict[int, int]:
+    """The field shift of each variable of the monomials in a box over all
+    n_vars variables."""
+    shift = {}
+    for m in monomials:
+        if m.max_index >= n_vars:
+            raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
+        for v in m.vars:
+            shift[v] = (n_vars - 1 - v) * (top + 2)
+    return shift
 
 
 def monomial_eq_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
@@ -196,8 +259,10 @@ def monomial_eq_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> Solution
     variables absent from the monomial are unconstrained.  Deduplication can
     collapse the family (all patterns coincide when rhs is the top value).
     """
-    r = rhs.rank
-    return _pin_family(m, rhs.chain, n_vars, (r, r), (r, len(rhs.chain) - 1))
+    top = len(rhs.chain) - 1
+    eq, _ = _cuts(rhs.rank, top)
+    family = _pin_family(m, _full_width((m,), n_vars, top), _layout(top, n_vars)[1], *eq)
+    return SolutionSet._of(rhs.chain, n_vars, family)
 
 
 def monomial_le_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
@@ -206,37 +271,24 @@ def monomial_le_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> Solution
     One box per variable of the monomial: that variable is capped to
     [0, rhs], everything else is unconstrained.
     """
-    return _pin_family(m, rhs.chain, n_vars, (0, rhs.rank), (0, len(rhs.chain) - 1))
+    top = len(rhs.chain) - 1
+    _, le = _cuts(rhs.rank, top)
+    family = _pin_family(m, _full_width((m,), n_vars, top), _layout(top, n_vars)[1], *le)
+    return SolutionSet._of(rhs.chain, n_vars, family)
 
 
 def polynomial_eq_solutions(
     p: Polynomial, rhs: ChainValue, n_vars: int, *, max_vectors: int | None = None
 ) -> SolutionSet:
-    """Boxes covering the solutions of max(monomials) = rhs.
-
-    The max equals rhs exactly when some monomial equals rhs and every other
-    stays at or below it, so the family is the union over that case split,
-    each case being the cross-intersection of its per-monomial families.
-    The result has at most k * n_vars**k boxes for k monomials.  Raises
-    BudgetExceededError as soon as a case or the union holds more than
-    max_vectors boxes.  A single monomial's family is its only case.
+    """Boxes covering the solutions of max(monomials) = rhs: `_family` over
+    all n_vars variables.  The result has at most k * n_vars**k boxes for k
+    monomials.  Raises BudgetExceededError as soon as a case or the union
+    holds more than max_vectors boxes.
     """
-    if len(p.monomials) == 1:
-        family = monomial_eq_solutions(p.monomials[0], rhs, n_vars)
-        if max_vectors is not None and len(family) > max_vectors:
-            raise BudgetExceededError(max_vectors + 1, max_vectors, "interval solution set")
-        return family
-    kept: list[int] = []
-    # each monomial's <= family, read by every case but its own
-    les = [monomial_le_solutions(m, rhs, n_vars) for m in p.monomials]
-    for i, m_eq in enumerate(p.monomials):
-        case = monomial_eq_solutions(m_eq, rhs, n_vars)
-        for j, le in enumerate(les):
-            if j != i:
-                case = cross_intersect(case, le, max_vectors=max_vectors)
-        for box in case._packed_boxes():
-            _store(kept, box, max_vectors)
-    return SolutionSet._of(rhs.chain, n_vars, kept)
+    top = len(rhs.chain) - 1
+    shift = _full_width(p.monomials, n_vars, top)
+    family = _family(p.monomials, shift, rhs.rank, top, n_vars, max_vectors)
+    return SolutionSet._of(rhs.chain, n_vars, family)
 
 
 def solve_intervals(
@@ -256,42 +308,43 @@ def solve_intervals(
     disjoint pairs and dropping contained boxes usually keeps it tiny.  Once
     the running set is empty no later family is built, so none is refused.
 
-    The families are built only over the variables some monomial mentions.
-    Every box ranges over the whole chain on the others, so those are added
-    once per result box, all sharing one (0, top) pair; the boxes and any
-    refusal are those of the families built at full width.  The same pair at
-    the same places keeps the boxes maximal and in order, so the padded set
-    is not normalized again.  Before padding, it refuses when the padded
-    boxes would hold more than _max_cells (boxes times n_vars) pairs; the
-    command line passes its own ceiling there.
+    The whole system is solved on one packed layout, over only the variables
+    some monomial mentions, in ascending order: each variable's field shift
+    comes straight from its place among them.  The families (`_family`) and
+    the running set (`_cross`) are plain lists of packed boxes in canonical
+    order, the pin families built in that order with no sort; only the
+    padded result is a `SolutionSet`.  Every box ranges over the whole chain
+    on the unmentioned variables, so those are added once per result box,
+    all sharing one (0, top) pair; the boxes and any refusal are those of
+    the families built at full width.  The same pair at the same places
+    keeps the boxes maximal and in order, so the padded set is not
+    normalized again.  Before padding, it refuses when the padded boxes
+    would hold more than _max_cells (boxes times n_vars) pairs; the command
+    line passes its own ceiling there.
     """
     lhss = [eq.lhs.monomials for eq in system.equations]
     used = sorted({i for lhs in lhss for m in lhs for i in m.vars})
-    place = {v: i for i, v in enumerate(used)}
+    top, dim = len(system.chain) - 1, len(used)
+    shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
     families = (
-        polynomial_eq_solutions(
-            Polynomial(tuple(Monomial(tuple(map(place.get, m.vars))) for m in lhs)),
-            eq.rhs,
-            len(used),
-            max_vectors=max_vectors,
-        )
+        _family(lhs, shift, eq.rhs.rank, top, dim, max_vectors)
         for lhs, eq in zip(lhss, system.equations)
     )
     # no family is empty (all variables at the rhs solve it), so the running
     # set first empties at a cross-intersection, and no later family is built
     result = next(families)
     for family in families:
-        result = cross_intersect(result, family, max_vectors=max_vectors)
+        result = _cross(result, family, top, dim, max_vectors)
         if not result:
             break
     cells = len(result) * system.n_vars
     if cells > _max_cells:
         raise BudgetExceededError(cells, _max_cells, "interval solution cells")
-    full = (0, len(system.chain) - 1)
+    full = (0, top)
     boxes = []
-    for box in result.boxes:
+    for box in result:
         padded = [full] * system.n_vars
-        for v, pair in zip(used, box):
+        for v, pair in zip(used, _unpack(box, top, dim)):
             padded[v] = pair
         boxes.append(tuple(padded))
     return SolutionSet._canonical(system.chain, system.n_vars, tuple(boxes))

@@ -18,10 +18,10 @@ missing from the declared chain are all errors.  A weight list maps to ranks
 in one pass of label lookups (`Chain.label_ranks`); only a list with a miss
 is walked item by item, to accept another spelling of a label or to name the
 bad item in the error.  Those checks cover every check the constructors of
-`FuzzyMatrix`, `FuzzyAutomaton` and `EquationSystem` make, so the parsed
-objects are built without running them again.  The last chain parsed is
-reused when the next document declares the same labels, as both documents
-of an `equiv` pair usually do.
+`FuzzyMatrix`, `FuzzyAutomaton`, `Monomial`, `Polynomial`, `Equation` and
+`EquationSystem` make, so the parsed objects are built without running them
+again.  The last chain parsed is reused when the next document declares the
+same labels, as both documents of an `equiv` pair usually do.
 """
 
 from __future__ import annotations
@@ -196,24 +196,28 @@ def parse_system(text: str) -> EquationSystem:
         raw_monos = raw["monomials"]
         if not isinstance(raw_monos, list) or not raw_monos:
             raise DocumentError(f"{where}.monomials must be a nonempty list")
-        monomials = []
+        # vars tuple -> monomial, the first of each kept, as Polynomial keeps it
+        monomials: dict[tuple[int, ...], Monomial] = {}
         for j, mono in enumerate(raw_monos):
             if not isinstance(mono, list) or not mono:
                 raise DocumentError(
                     f"{where}.monomials[{j}] must be a nonempty list of variable indices"
                 )
-            vs = []
             for idx in mono:
                 if type(idx) is not int or not 1 <= idx <= n_vars:
                     raise DocumentError(
                         f"{where}.monomials[{j}]: variable index {idx!r} "
                         f"out of range 1..{n_vars}"
                     )
-                vs.append(idx - 1)
-            monomials.append(Monomial(tuple(vs)))
+            vs = tuple(sorted({idx - 1 for idx in mono}))
+            if vs not in monomials:
+                monomials[vs] = _prechecked(Monomial, vars=vs)
         rhs = chain[_value_rank(chain, raw["rhs"], f"{where}.rhs")]
-        equations.append(Equation(Polynomial(tuple(monomials)), Relation.EQ, rhs))
-    # every index was checked against n_vars, and every rhs is on the chain
+        lhs = _prechecked(Polynomial, monomials=tuple(monomials.values()))
+        equations.append(_prechecked(Equation, lhs=lhs, relation=Relation.EQ, rhs=rhs))
+    # every monomial is a sorted, duplicate-free, nonempty index tuple checked
+    # against n_vars, every polynomial holds each monomial once, and every rhs
+    # is on the chain: all that Monomial, Polynomial and EquationSystem check
     return _prechecked(
         EquationSystem, chain=chain, n_vars=n_vars, equations=tuple(equations)
     )

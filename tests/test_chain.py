@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -152,6 +153,27 @@ def test_a_label_past_the_int_conversion_limit_is_kept_exact():
     assert ch.rank_of(Fraction(1, 10**5001)) == 1
     with pytest.raises(ValueError, match="not a member"):
         ch.rank_of(Fraction(1, 10**4000))
+
+
+def test_a_respelling_past_the_int_conversion_limit_is_read_exactly():
+    # 5,001 trailing zeros: read as a Decimal, which has no digit limit
+    ch = Chain(("0", "0.5", "1"))
+    assert ch.rank_of("0.5" + "0" * 5000) == 1
+    assert ch.rank_of("0" * 5000 + "1") == 2
+    with pytest.raises(ValueError, match="is not a member of the chain"):
+        ch.rank_of("0.5" + "0" * 5000 + "1")
+
+
+def test_a_non_member_past_the_int_conversion_limit_is_named_by_its_size():
+    # its repr would need a 5,001-digit int printed
+    ch = Chain(("0", "0.5", "1"))
+    limit = sys.get_int_max_str_digits()
+    for value in (Fraction(1, 10**5000), Fraction(10**5000 + 1, 10**5000)):
+        with pytest.raises(ValueError) as refused:
+            ch.rank_of(value)
+        assert str(refused.value) == (
+            f"value with a term of more than {limit} digits is not a member of the chain"
+        )
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fuzzmin import (
     Chain,
+    DocumentError,
     Equation,
     EquationSystem,
     Monomial,
@@ -27,6 +28,7 @@ from fuzzmin import (
     gen_automaton,
     pad_states,
     parse_automaton,
+    parse_system,
     render_automaton,
     render_system,
 )
@@ -227,6 +229,30 @@ def test_solve_ends_in_a_verdict_or_an_error_on_any_document(tmp_path_factory, t
         assert code in (0, 2, 3)
         assert bool(out.getvalue()) == (code == 0)
         assert err.getvalue().startswith("error: ") == (code != 0)
+
+
+@given(_system_texts())
+def test_a_parsed_system_equals_one_built_by_the_public_constructors(text):
+    # the parser builds monomials, polynomials and equations without their
+    # constructors' checks; on every document it accepts, the public
+    # constructors, which sort, deduplicate and check, build an equal system
+    try:
+        parsed = parse_system(text)
+    except DocumentError:
+        return
+    doc = json.loads(text)
+    chain = Chain(tuple(doc["chain"]))
+    built = EquationSystem(chain, doc["n_vars"], tuple(
+        Equation(
+            Polynomial(tuple(Monomial(tuple(i - 1 for i in mono)) for mono in eq["monomials"])),
+            Relation.EQ,
+            chain.value(eq["rhs"]),
+        )
+        for eq in doc["equations"]
+    ))
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert render_system(parsed) == render_system(built)
 
 
 _AUTOMATON_FAULTS = (

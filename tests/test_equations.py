@@ -25,6 +25,7 @@ from fuzzmin import (
     solve_points,
 )
 from fuzzmin import equations
+from fuzzmin.chain import _layout, _unpack
 from fuzzmin.equations import (
     monomial_eq_solutions,
     monomial_le_solutions,
@@ -151,6 +152,24 @@ def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
         polynomial_eq_solutions(p, CH.value("0.5"), 5)
         assert len(built) == (1 if k == 1 else 2 * k)
         assert set(built) == set(p.monomials)
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True), st.data())
+def test_pin_families_come_out_in_canonical_order(used, data):
+    # a family is built in the order of m's variables, which the fields of
+    # the compact renaming keep, and never sorted; canonical order is that
+    # of the boxes' (lo, hi) pairs
+    used.sort()
+    top = data.draw(st.integers(1, 6))
+    m = Monomial(tuple(data.draw(st.lists(st.sampled_from(used), min_size=1, unique=True))))
+    rank = data.draw(st.integers(0, top))
+    dim = len(used)
+    shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
+    base = _layout(top, dim)[1]
+    for cut, pin in equations._cuts(rank, top):
+        family = equations._pin_family(m, shift, base, cut, pin)
+        assert family == sorted(family, key=lambda box: _unpack(box, top, dim))
+        assert len(family) == (len(m.vars) if rank < top else 1)
 
 
 # whole systems
@@ -367,9 +386,10 @@ def test_unsolvable_system():
 def test_solve_intervals_stops_at_the_first_empty_running_set(monkeypatch):
     # every case of a family holds the point with all its variables at the
     # rhs, so the only empty set a cross-intersection returns is the running
-    # set; after it, no family is built and nothing is intersected
+    # set; after it, no family is built and nothing is intersected.  The
+    # solver works on the list-level helpers, so those are the ones spied on
     calls = []
-    family, cross = equations.polynomial_eq_solutions, equations.cross_intersect
+    family, cross = equations._family, equations._cross
 
     def family_spy(*args, **kwargs):
         calls.append("family")
@@ -380,8 +400,8 @@ def test_solve_intervals_stops_at_the_first_empty_running_set(monkeypatch):
         calls.append("cross" if out else "empty")
         return out
 
-    monkeypatch.setattr(equations, "polynomial_eq_solutions", family_spy)
-    monkeypatch.setattr(equations, "cross_intersect", cross_spy)
+    monkeypatch.setattr(equations, "_family", family_spy)
+    monkeypatch.setattr(equations, "_cross", cross_spy)
     stopped_early = 0
     for seed in range(30):
         system = gen_system(7000 + seed, 5, 5, 3, 5)
