@@ -18,11 +18,11 @@ whatever the dimension.  It solves a whole system on plain lists of packed
 boxes, one layout per system: `_cross` intersects two lists pair by pair,
 in their order, keeps the running list maximal as each box is stored, so
 its budget bounds the boxes actually held, and sorts the result once into
-canonical order, that of the boxes' `(lo, hi)` pairs.  A `SolutionSet`
-holds such a list behind the public boundary and spells a box out as a
-tuple of those pairs only when asked; `cross_intersect` is `_cross` on two
-sets.  Chain values and printable boxes are built only when a set is
-iterated.
+canonical order, that of the boxes' `(lo, hi)` pairs.  A `SolutionSet` is
+the plain record of such a result, its boxes spelled out as tuples of
+those pairs; `cross_intersect` packs two sets, runs `_cross` and spells the
+result out again.  Chain values and printable boxes are built only when a
+set is iterated.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -252,86 +252,22 @@ class IntervalVector:
         return "(" + ", ".join(pairs) + ")"
 
 
+@dataclass(frozen=True, slots=True)
 class SolutionSet:
-    """The maximal rank boxes of one dimension on one chain, canonically sorted.
+    """The maximal rank boxes of one dimension on one chain, in canonical
+    order: none lies inside another, so the set is empty exactly when it
+    denotes no point.  The record takes its boxes as they are; the solver
+    builds them that way."""
 
-    Construction normalizes: every box inside another one is dropped and the
-    rest are sorted by their rank bounds.  The stored boxes cover the same
-    points as the given ones and none lies inside another; sets built from
-    the same boxes in any order or multiplicity compare equal.  Bounds that
-    cross are rejected, so every box holds a point and the set is empty
-    exactly when it denotes no point.
-
-    A set holds its boxes packed (see `_layout`) and decodes `boxes` on
-    first use; the padded sets `solve_intervals` returns hold only `boxes`,
-    and are packed only if they are intersected.
-    """
-
-    __slots__ = ("chain", "dim", "_packed", "_boxes")
-
-    def __init__(self, chain: Chain, dim: int, boxes: Iterable[Box]) -> None:
-        top = len(chain) - 1
-        kept: list[int] = []
-        for box in boxes:
-            if len(box) != dim:
-                raise ValueError(f"box dimension {len(box)} != set dimension {dim}")
-            if not all(0 <= lo <= hi <= top for lo, hi in box):
-                raise ValueError(f"bad box bounds {box}")
-            _store(kept, _pack(box, top))
-        self.chain, self.dim = chain, dim
-        self._packed: tuple[int, ...] | None = tuple(_in_order(kept, _layout(top, dim)[2]))
-        self._boxes: tuple[Box, ...] | None = None
-
-    @classmethod
-    def _of(cls, chain: Chain, dim: int, kept: list[int]) -> "SolutionSet":
-        """The set of an antichain of packed boxes already in canonical
-        order, taken as it is."""
-        self = object.__new__(cls)
-        self.chain, self.dim = chain, dim
-        self._packed, self._boxes = tuple(kept), None
-        return self
-
-    @classmethod
-    def _canonical(
-        cls, chain: Chain, dim: int, boxes: tuple[Box, ...]
-    ) -> "SolutionSet":
-        """The set of boxes that are already valid, maximal and sorted, taken
-        as they are instead of normalized again."""
-        self = object.__new__(cls)
-        self.chain, self.dim = chain, dim
-        self._packed, self._boxes = None, boxes
-        return self
-
-    @property
-    def boxes(self) -> tuple[Box, ...]:
-        """The boxes as tuples of (lo, hi) rank pairs, in canonical order."""
-        if self._boxes is None:
-            top = len(self.chain) - 1
-            self._boxes = tuple(_unpack(box, top, self.dim) for box in self._packed)
-        return self._boxes
-
-    def _packed_boxes(self) -> tuple[int, ...]:
-        if self._packed is None:
-            top = len(self.chain) - 1
-            self._packed = tuple(_pack(box, top) for box in self._boxes)
-        return self._packed
+    chain: Chain
+    dim: int
+    boxes: tuple[Box, ...]
 
     def __len__(self) -> int:
-        return len(self._boxes if self._packed is None else self._packed)
+        return len(self.boxes)
 
     def __iter__(self) -> Iterator[IntervalVector]:
         return (IntervalVector(self.chain, box) for box in self.boxes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SolutionSet):
-            return NotImplemented
-        return (self.chain, self.dim, self.boxes) == (other.chain, other.dim, other.boxes)
-
-    def __hash__(self) -> int:
-        return hash((self.chain, self.dim, self.boxes))
-
-    def __repr__(self) -> str:
-        return f"SolutionSet({self.chain!r}, {self.dim!r}, {self.boxes!r})"
 
 
 def _cross(
@@ -367,7 +303,7 @@ def cross_intersect(
     s1: SolutionSet, s2: SolutionSet, *, max_vectors: int | None = None
 ) -> SolutionSet:
     """Intersect every box of s1 with every box of s2: `_cross` on the
-    sets' packed boxes.
+    sets' boxes, packed.
 
     The result covers exactly the points common to both sets.  Raises
     BudgetExceededError as soon as the running set holds more than
@@ -377,6 +313,7 @@ def cross_intersect(
         raise ValueError("solution sets live on different chains")
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    top = len(s1.chain) - 1
-    kept = _cross(s1._packed_boxes(), s2._packed_boxes(), top, s1.dim, max_vectors)
-    return SolutionSet._of(s1.chain, s1.dim, kept)
+    top, dim = len(s1.chain) - 1, s1.dim
+    xs, ys = ([_pack(box, top) for box in s.boxes] for s in (s1, s2))
+    kept = _cross(xs, ys, top, dim, max_vectors)
+    return SolutionSet(s1.chain, dim, tuple(_unpack(box, top, dim) for box in kept))

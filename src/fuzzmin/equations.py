@@ -9,15 +9,15 @@ family of rank boxes that covers the solutions, then intersects the families
 across equations.  It solves the whole system on one packed layout (see
 `chain`): every box is one int, and every family and running set is a plain
 list of boxes, none inside another, in canonical order.  A monomial's pin
-family comes out in that order as it is built, so it is never sorted.  Two
+family comes out in that order as it is built, so it is never sorted, and
+its cells are charged against the cell ceiling before it is built.  Two
 boxes that share no point build no intersection, so the system is solvable
 iff the final set is non-empty; only that set, padded, becomes a
-`SolutionSet`.  `monomial_eq_solutions`, `monomial_le_solutions`,
-`polynomial_eq_solutions` and `chain.cross_intersect` hand out the same
-helpers' lists as `SolutionSet`s.  Chain values enter only as right-hand
-sides and when the boxes are printed.  `solve_points` exploits that a
-solvable system is already solvable using only values that appear on some
-right-hand side, and searches that finite grid directly.
+`SolutionSet`.  `polynomial_eq_solutions` is `solve_intervals` on one
+equation.  Chain values enter only as right-hand sides and when the boxes
+are printed.  `solve_points` exploits that a solvable system is already
+solvable using only values that appear on some right-hand side, and
+searches that finite grid directly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .chain import (
     Chain,
@@ -200,6 +200,15 @@ def _pin_family(
     return [base ^ pin << s for s in shifts]
 
 
+def _charge_cells(m: Monomial, pin: int, dim: int, max_cells: int) -> None:
+    """Refuse, before it is built, a pin family of m whose boxes of
+    dimension dim would hold more than max_cells (lo, hi) pairs: one box
+    when pin is 0 (see `_pin_family`), one per variable of m otherwise."""
+    cells = (len(m.vars) if pin else 1) * dim
+    if cells > max_cells:
+        raise BudgetExceededError(cells, max_cells, "interval solution cells")
+
+
 def _family(
     monomials: tuple[Monomial, ...],
     shift: Mapping[int, int],
@@ -207,6 +216,7 @@ def _family(
     top: int,
     dim: int,
     max_vectors: int | None,
+    max_cells: int,
 ) -> list[int]:
     """The packed boxes of dimension dim that cover the solutions of
     max(monomials) = the value of rank rank, in canonical order; variable v
@@ -217,17 +227,25 @@ def _family(
     split, each case being the cross-intersection of its per-monomial
     families.  It has at most k * dim**k boxes for k monomials.  Raises
     BudgetExceededError as soon as a case or the union holds more than
-    max_vectors boxes.  A single monomial's family is its only case.
+    max_vectors boxes, and before any per-monomial family is built whose
+    boxes would hold more than max_cells pairs.  A single monomial's family
+    is its only case.
     """
     _, data, guard = _layout(top, dim)
     eq, le = _cuts(rank, top)
     if len(monomials) == 1:
+        _charge_cells(monomials[0], eq[1], dim, max_cells)
         family = _pin_family(monomials[0], shift, data, *eq)
         if max_vectors is not None and len(family) > max_vectors:
             raise BudgetExceededError(max_vectors + 1, max_vectors, "interval solution set")
         return family
-    # each monomial's <= family, read by every case but its own
-    les = [_pin_family(m, shift, data, *le) for m in monomials]
+    # each monomial's <= family, read by every case but its own; its =
+    # family has as many boxes (both pins are 0 exactly at the top), so the
+    # one charge covers both
+    les = []
+    for m in monomials:
+        _charge_cells(m, le[1], dim, max_cells)
+        les.append(_pin_family(m, shift, data, *le))
     kept: list[int] = []
     for i, m_eq in enumerate(monomials):
         case = _pin_family(m_eq, shift, data, *eq)
@@ -239,62 +257,23 @@ def _family(
     return _in_order(kept, guard)
 
 
-def _full_width(monomials: Iterable[Monomial], n_vars: int, top: int) -> dict[int, int]:
-    """The field shift of each variable of the monomials in a box over all
-    n_vars variables."""
-    shift = {}
-    for m in monomials:
-        if m.max_index >= n_vars:
-            raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
-        for v in m.vars:
-            shift[v] = (n_vars - 1 - v) * (top + 2)
-    return shift
-
-
-def monomial_eq_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
-    """Boxes covering the solutions of min(vars) = rhs.
-
-    One box per variable of the monomial: that variable is pinned to
-    [rhs, rhs], the other monomial variables range over [rhs, 1], and
-    variables absent from the monomial are unconstrained.  Deduplication can
-    collapse the family (all patterns coincide when rhs is the top value).
-    """
-    top = len(rhs.chain) - 1
-    eq, _ = _cuts(rhs.rank, top)
-    family = _pin_family(m, _full_width((m,), n_vars, top), _layout(top, n_vars)[1], *eq)
-    return SolutionSet._of(rhs.chain, n_vars, family)
-
-
-def monomial_le_solutions(m: Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
-    """Boxes covering the solutions of min(vars) <= rhs.
-
-    One box per variable of the monomial: that variable is capped to
-    [0, rhs], everything else is unconstrained.
-    """
-    top = len(rhs.chain) - 1
-    _, le = _cuts(rhs.rank, top)
-    family = _pin_family(m, _full_width((m,), n_vars, top), _layout(top, n_vars)[1], *le)
-    return SolutionSet._of(rhs.chain, n_vars, family)
-
-
 def polynomial_eq_solutions(
     p: Polynomial, rhs: ChainValue, n_vars: int, *, max_vectors: int | None = None
 ) -> SolutionSet:
-    """Boxes covering the solutions of max(monomials) = rhs: `_family` over
-    all n_vars variables.  The result has at most k * n_vars**k boxes for k
-    monomials.  Raises BudgetExceededError as soon as a case or the union
-    holds more than max_vectors boxes.
+    """Boxes covering the solutions of max(monomials) = rhs over n_vars
+    variables: `solve_intervals` on that one equation.  The result has at
+    most k * n_vars**k boxes for k monomials.  Raises BudgetExceededError
+    as soon as a case or the union holds more than max_vectors boxes, or
+    past the default cell ceiling.
     """
-    top = len(rhs.chain) - 1
-    shift = _full_width(p.monomials, n_vars, top)
-    family = _family(p.monomials, shift, rhs.rank, top, n_vars, max_vectors)
-    return SolutionSet._of(rhs.chain, n_vars, family)
+    system = EquationSystem(rhs.chain, n_vars, (Equation(p, Relation.EQ, rhs),))
+    return solve_intervals(system, max_vectors=max_vectors)
 
 
 def solve_intervals(
     system: EquationSystem,
     *,
-    max_vectors: int = DEFAULT_VECTOR_BUDGET,
+    max_vectors: int | None = DEFAULT_VECTOR_BUDGET,
     _max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> SolutionSet:
     """Interval cover of the whole system: the cross-intersection of the
@@ -319,15 +298,17 @@ def solve_intervals(
     the families built at full width.  The same pair at the same places
     keeps the boxes maximal and in order, so the padded set is not
     normalized again.  Before padding, it refuses when the padded boxes
-    would hold more than _max_cells (boxes times n_vars) pairs; the command
-    line passes its own ceiling there.
+    would hold more than _max_cells (boxes times n_vars) pairs, and each pin
+    family is charged against the same ceiling before it is built (boxes
+    times the variables used); the command line passes its own ceiling
+    there.
     """
     lhss = [eq.lhs.monomials for eq in system.equations]
     used = sorted({i for lhs in lhss for m in lhs for i in m.vars})
     top, dim = len(system.chain) - 1, len(used)
     shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
     families = (
-        _family(lhs, shift, eq.rhs.rank, top, dim, max_vectors)
+        _family(lhs, shift, eq.rhs.rank, top, dim, max_vectors, _max_cells)
         for lhs, eq in zip(lhss, system.equations)
     )
     # no family is empty (all variables at the rhs solve it), so the running
@@ -347,7 +328,7 @@ def solve_intervals(
         for v, pair in zip(used, _unpack(box, top, dim)):
             padded[v] = pair
         boxes.append(tuple(padded))
-    return SolutionSet._canonical(system.chain, system.n_vars, tuple(boxes))
+    return SolutionSet(system.chain, system.n_vars, tuple(boxes))
 
 
 def solve_points(

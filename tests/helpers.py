@@ -11,11 +11,21 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import fuzzmin as fz
+from fuzzmin import equations
 from fuzzmin.automaton import EquivalenceResult, Word, _cut_mask, _levels
-from fuzzmin.chain import ChainValue
+from fuzzmin.chain import (
+    Box,
+    ChainValue,
+    SolutionSet,
+    _in_order,
+    _layout,
+    _pack,
+    _store,
+    _unpack,
+)
 from fuzzmin.errors import DEFAULT_VECTOR_BUDGET
 from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
@@ -112,6 +122,84 @@ def scaled_rank_of(labels: Sequence[str], value: str | Fraction) -> int:
 
 def _inside(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:
     return all(blo <= alo and ahi <= bhi for (alo, ahi), (blo, bhi) in zip(a, b))
+
+
+def solution_set(chain: fz.Chain, dim: int, boxes: Iterable[Box]) -> SolutionSet:
+    """The `SolutionSet` of the maximal boxes among boxes, in canonical
+    order: boxes inside another one are dropped, repeats kept once, and the
+    rest sorted by their rank bounds, so sets built from the same boxes in
+    any order or multiplicity compare equal.  Bounds that cross, or leave
+    the chain, are rejected, and so is a box of another dimension."""
+    top = len(chain) - 1
+    kept: list[int] = []
+    for box in boxes:
+        if len(box) != dim:
+            raise ValueError(f"box dimension {len(box)} != set dimension {dim}")
+        if not all(0 <= lo <= hi <= top for lo, hi in box):
+            raise ValueError(f"bad box bounds {box}")
+        _store(kept, _pack(box, top))
+    kept = _in_order(kept, _layout(top, dim)[2])
+    return SolutionSet(chain, dim, tuple(_unpack(box, top, dim) for box in kept))
+
+
+def _full_width(monomials: Iterable[fz.Monomial], n_vars: int, top: int) -> dict[int, int]:
+    """The field shift of each variable of the monomials in a box over all
+    n_vars variables, as `solve_intervals` would lay them out had every
+    variable been used."""
+    shift = {}
+    for m in monomials:
+        if m.max_index >= n_vars:
+            raise ValueError(f"variable index {m.max_index} outside {n_vars} variables")
+        for v in m.vars:
+            shift[v] = (n_vars - 1 - v) * (top + 2)
+    return shift
+
+
+def _full_width_set(chain: fz.Chain, n_vars: int, packed: list[int]) -> SolutionSet:
+    top = len(chain) - 1
+    return SolutionSet(chain, n_vars, tuple(_unpack(box, top, n_vars) for box in packed))
+
+
+def _monomial_family(m: fz.Monomial, rhs: ChainValue, n_vars: int, kind: int) -> SolutionSet:
+    """m's = family (kind 0) or <= family (kind 1), in the order of `_cuts`."""
+    top = len(rhs.chain) - 1
+    shift = _full_width((m,), n_vars, top)
+    cut, pin = equations._cuts(rhs.rank, top)[kind]
+    family = equations._pin_family(m, shift, _layout(top, n_vars)[1], cut, pin)
+    return _full_width_set(rhs.chain, n_vars, family)
+
+
+def monomial_eq_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
+    """Boxes covering the solutions of min(vars) = rhs, from the solver's
+    own `_pin_family` at full width.
+
+    One box per variable of the monomial: that variable is pinned to
+    [rhs, rhs], the other monomial variables range over [rhs, 1], and
+    variables absent from the monomial are unconstrained.  The family
+    collapses to one box when rhs is the top value.
+    """
+    return _monomial_family(m, rhs, n_vars, 0)
+
+
+def monomial_le_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
+    """Boxes covering the solutions of min(vars) <= rhs, from the solver's
+    own `_pin_family` at full width: one box per variable of the monomial,
+    that variable capped to [0, rhs], everything else unconstrained."""
+    return _monomial_family(m, rhs, n_vars, 1)
+
+
+def full_width_family(
+    p: fz.Polynomial, rhs: ChainValue, n_vars: int, max_vectors: int | None = None
+) -> SolutionSet:
+    """Referee for `polynomial_eq_solutions`: the solver's `_family` laid
+    out over all n_vars variables, with no cell ceiling, instead of over
+    the variables used and padded."""
+    top = len(rhs.chain) - 1
+    shift = _full_width(p.monomials, n_vars, top)
+    family = equations._family(
+        p.monomials, shift, rhs.rank, top, n_vars, max_vectors, sys.maxsize
+    )
+    return _full_width_set(rhs.chain, n_vars, family)
 
 
 class TupleBoxSolver:

@@ -25,13 +25,8 @@ from fuzzmin import (
     solve_intervals,
     solve_points,
 )
-from fuzzmin.chain import SolutionSet, cross_intersect
-from fuzzmin.equations import (
-    monomial_eq_solutions,
-    monomial_le_solutions,
-    polynomial_eq_solutions,
-    rhs_values,
-)
+from fuzzmin.chain import cross_intersect
+from fuzzmin.equations import polynomial_eq_solutions, rhs_values
 from fuzzmin.generate import (
     alphabet_of,
     random_automaton,
@@ -45,7 +40,13 @@ from fuzzmin.oracles import (
     word_bound,
 )
 
-from helpers import criterion6_corpus, in_box
+from helpers import (
+    criterion6_corpus,
+    in_box,
+    monomial_eq_solutions,
+    monomial_le_solutions,
+    solution_set,
+)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -257,7 +258,7 @@ def test_criterion_8_single_monomial_families_match_their_closed_forms():
             r = a.rank
             cases += 2
             # pin one variable to [a, a], the rest to [a, 1]
-            want_eq = SolutionSet(
+            want_eq = solution_set(
                 chain5,
                 n,
                 tuple(
@@ -268,7 +269,7 @@ def test_criterion_8_single_monomial_families_match_their_closed_forms():
             if monomial_eq_solutions(m, a, n) != want_eq:
                 bad += 1
             # cap one variable to [0, a], leave the rest free
-            want_le = SolutionSet(
+            want_le = solution_set(
                 chain5,
                 n,
                 tuple(

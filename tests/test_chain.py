@@ -16,14 +16,13 @@ import fuzzmin.chain
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.chain import (
     ChainValue,
-    SolutionSet,
     _store,
     cross_intersect,
     is_decimal_label,
 )
 from fuzzmin.generate import random_chain_labels
 
-from helpers import in_box, scaled_chain, scaled_rank_of
+from helpers import in_box, scaled_chain, scaled_rank_of, solution_set
 
 CH = Chain(("0", "0.25", "0.5", "0.75", "1"))
 
@@ -235,7 +234,7 @@ FULL = (0, TOP)
 
 def _one(box):
     """The solution set of a single box."""
-    return SolutionSet(CH, len(box), (box,))
+    return solution_set(CH, len(box), (box,))
 
 
 def _strs(solutions):
@@ -257,7 +256,7 @@ def test_intersection_crosses_to_empty():
     assert _strs(cross_intersect(_one(((1, TOP),)), _one(((0, 3),)))) == ["([0.25,0.75])"]
     assert _strs(cross_intersect(_one(((0, 1),)), _one(((1, TOP),)))) == ["([0.25,0.25])"]
     with pytest.raises(ValueError):
-        cross_intersect(_one((FULL,)), SolutionSet(Chain(("0", "1")), 1, (((0, 1),),)))
+        cross_intersect(_one((FULL,)), solution_set(Chain(("0", "1")), 1, (((0, 1),),)))
 
 
 rank_pairs = st.tuples(st.integers(0, TOP), st.integers(0, TOP)).map(
@@ -305,9 +304,9 @@ def test_vector_intersection_is_none_iff_a_coordinate_pair_is_disjoint(v, w):
 def test_solution_sets_canonicalize():
     a = (FULL, (TOP, TOP))
     b = ((TOP, TOP), FULL)
-    assert SolutionSet(CH, 2, (a, b, a)) == SolutionSet(CH, 2, (b, a))
-    assert len(SolutionSet(CH, 2, (a, b, a))) == 2
-    assert _strs(SolutionSet(CH, 2, (b, a))) == [
+    assert solution_set(CH, 2, (a, b, a)) == solution_set(CH, 2, (b, a))
+    assert len(solution_set(CH, 2, (a, b, a))) == 2
+    assert _strs(solution_set(CH, 2, (b, a))) == [
         "([0,1], [1,1])",
         "([1,1], [0,1])",
     ]
@@ -317,14 +316,14 @@ def test_vector_containment_is_coordinatewise():
     full = (FULL, FULL)
     inner = ((TOP, TOP), FULL)
     beside = (FULL, (0, 0))
-    assert SolutionSet(CH, 2, (inner, full)).boxes == (full,)
-    assert SolutionSet(CH, 2, (full, full)).boxes == (full,)
+    assert solution_set(CH, 2, (inner, full)).boxes == (full,)
+    assert solution_set(CH, 2, (full, full)).boxes == (full,)
     # overlapping but incomparable boxes: neither holds the other
-    assert SolutionSet(CH, 2, (inner, beside)).boxes == (beside, inner)
+    assert solution_set(CH, 2, (inner, beside)).boxes == (beside, inner)
     # inside in one coordinate but wider in the other is not inside
     wide = ((1, 3), (0, TOP))
     tall = ((0, TOP), (1, 3))
-    assert SolutionSet(CH, 2, (wide, tall)).boxes == (tall, wide)
+    assert solution_set(CH, 2, (wide, tall)).boxes == (tall, wide)
 
 
 def test_contained_vectors_are_dropped():
@@ -332,12 +331,12 @@ def test_contained_vectors_are_dropped():
     inner = ((TOP, TOP), FULL)
     point = ((TOP, TOP), (TOP, TOP))
     beside = (FULL, (0, 0))
-    assert len(SolutionSet(CH, 2, ())) == 0
-    assert SolutionSet(CH, 2, (point, inner)).boxes == (inner,)
-    assert SolutionSet(CH, 2, (inner, point, full)).boxes == (full,)
-    assert SolutionSet(CH, 2, (point, beside, inner)).boxes == (beside, inner)
+    assert len(solution_set(CH, 2, ())) == 0
+    assert solution_set(CH, 2, (point, inner)).boxes == (inner,)
+    assert solution_set(CH, 2, (inner, point, full)).boxes == (full,)
+    assert solution_set(CH, 2, (point, beside, inner)).boxes == (beside, inner)
     with pytest.raises(ValueError):
-        SolutionSet(CH, 2, ((FULL,),))
+        solution_set(CH, 2, ((FULL,),))
 
 
 @given(st.data())
@@ -354,11 +353,11 @@ def test_sets_keep_the_maximal_boxes_sorted_on_chains_up_to_21_values(data):
         return all(c <= x and y <= d for (x, y), (c, d) in zip(a, b))
 
     maximal = {b for b in boxes if not any(b != c and inside(b, c) for c in boxes)}
-    assert SolutionSet(chain, dim, boxes).boxes == tuple(sorted(maximal))
+    assert solution_set(chain, dim, boxes).boxes == tuple(sorted(maximal))
 
 
 sets2 = st.lists(boxes2, min_size=1, max_size=4).map(
-    lambda vs: SolutionSet(CH, 2, tuple(vs))
+    lambda vs: solution_set(CH, 2, tuple(vs))
 )
 
 
@@ -370,6 +369,13 @@ def _points(box):
 def test_cross_intersect_covers_exactly_the_common_points(s1, s2, cap):
     prod = cross_intersect(s1, s2)
     assert len(prod) <= len(s1) * len(s2)
+    # the maximal meets, in canonical order
+    meets = [
+        tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(v, w))
+        for v in s1.boxes
+        for w in s2.boxes
+    ]
+    assert prod == solution_set(CH, 2, [m for m in meets if all(lo <= hi for lo, hi in m)])
     for p in itertools.product(CH, repeat=2):
         in1 = any(in_box(v, p) for v in s1.boxes)
         in2 = any(in_box(v, p) for v in s2.boxes)
@@ -409,8 +415,8 @@ def _pinned(var):
 def test_cross_intersect_refuses_before_every_pair_is_held():
     # each of the 3 x 3 intersections pins its own pair of variables, so none
     # lies inside another and the running set grows by one box per pair
-    s1 = SolutionSet(CH, 6, tuple(_pinned(i) for i in range(3)))
-    s2 = SolutionSet(CH, 6, tuple(_pinned(i) for i in range(3, 6)))
+    s1 = solution_set(CH, 6, tuple(_pinned(i) for i in range(3)))
+    s2 = solution_set(CH, 6, tuple(_pinned(i) for i in range(3, 6)))
     assert len(cross_intersect(s1, s2)) == 9
     with pytest.raises(BudgetExceededError) as refused:
         cross_intersect(s1, s2, max_vectors=4)

@@ -26,16 +26,17 @@ from fuzzmin import (
 )
 from fuzzmin import equations
 from fuzzmin.chain import _layout, _unpack
-from fuzzmin.equations import (
-    monomial_eq_solutions,
-    monomial_le_solutions,
-    polynomial_eq_solutions,
-    rhs_values,
-)
+from fuzzmin.equations import polynomial_eq_solutions, rhs_values
 from fuzzmin.generate import random_chain_labels, random_system
 from fuzzmin.oracles import grid_search_point
 
-from helpers import TupleBoxSolver, in_box
+from helpers import (
+    TupleBoxSolver,
+    full_width_family,
+    in_box,
+    monomial_eq_solutions,
+    monomial_le_solutions,
+)
 
 CH = Chain(("0", "0.2", "0.5", "1"))
 
@@ -152,6 +153,72 @@ def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
         polynomial_eq_solutions(p, CH.value("0.5"), 5)
         assert len(built) == (1 if k == 1 else 2 * k)
         assert set(built) == set(p.monomials)
+
+
+def test_one_equation_solves_as_its_full_width_family_at_every_cap():
+    # polynomial_eq_solutions lays the family out over the variables used and
+    # pads it; the referee builds the same family over all n_vars variables
+    refusals = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        system = gen_system(
+            8000 + seed, rng.randint(1, 7), 1, rng.randint(1, 4), rng.randint(2, 6)
+        )
+        (eq,) = system.equations
+        for cap in (None, 1, 2, 3, 5, 10):
+            got = _outcome(lambda: polynomial_eq_solutions(
+                eq.lhs, eq.rhs, system.n_vars, max_vectors=cap
+            ))
+            want = _outcome(lambda: full_width_family(
+                eq.lhs, eq.rhs, system.n_vars, max_vectors=cap
+            ))
+            assert got == want
+            refusals += isinstance(got, str)
+    assert 0 < refusals < 1000 * 6
+
+
+def test_a_wide_family_is_refused_before_it_is_built(monkeypatch):
+    # x1 ... x60000 = 0.5 would pin each of its variables in a box of its
+    # own, 60,000 boxes of 60,000 pairs; the cells are charged first, so the
+    # family is never built
+    built = []
+    pin_family = equations._pin_family
+
+    def spy(m, *args):
+        built.append(len(m.vars))
+        return pin_family(m, *args)
+
+    monkeypatch.setattr(equations, "_pin_family", spy)
+    chain = Chain(("0", "0.5", "1"))
+
+    def system(n_vars, monomials, label):
+        p = Polynomial(tuple(Monomial(tuple(vs)) for vs in monomials))
+        return EquationSystem(chain, n_vars, (Equation(p, Relation.EQ, chain.value(label)),))
+
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_intervals(system(60_000, [range(60_000)], "0.5"))
+    assert str(refused.value) == (
+        "size 3600000000 exceeds budget 10000000 (interval solution cells)"
+    )
+    assert built == []
+    # at the top value the family is one box, charged as one: 5 pairs
+    top = system(5, [range(5)], "1")
+    assert solve_intervals(top, _max_cells=5).boxes == (((2, 2),) * 5,)
+    assert built == [5]
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_intervals(top, _max_cells=4)
+    assert (refused.value.count, refused.value.limit) == (5, 4)
+    # in a case split each <= family is charged before it is built: the
+    # first one would hold 5 boxes of 6 pairs
+    built.clear()
+    split = system(6, [range(5), [5]], "0.5")
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_intervals(split, _max_cells=29)
+    assert str(refused.value) == "size 30 exceeds budget 29 (interval solution cells)"
+    assert built == []
+    # each case keeps its 5 boxes, so the 10 boxes found hold 60 pairs
+    assert len(solve_intervals(split, _max_cells=60)) == 10
+    assert built == [5, 1, 5, 1]
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True), st.data())

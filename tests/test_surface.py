@@ -44,3 +44,30 @@ def test_star_import_is_clean_under_warnings_as_errors():
 def test_the_weight_matrix_lives_with_the_automaton():
     assert fuzzmin.FuzzyMatrix.__module__ == "fuzzmin.automaton"
     assert importlib.util.find_spec("fuzzmin.linalg") is None
+
+
+def test_every_name_the_benchmark_reads_resolves(monkeypatch):
+    # perfbench reads these from outside the package; a deletion from src/
+    # that breaks its tracer or its corpus fails here, not only in a traced run
+    path = README.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module body runs
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    for module, attr in spans.TRACED:
+        target = getattr(importlib.import_module(f"fuzzmin.{module}"), attr, None)
+        assert callable(target), f"fuzzmin.{module}.{attr}"
+    # the corpus rebuilds equations positionally, relation included
+    system = fuzzmin.gen_system(2, 4, 3, 2, 4)  # solvable, in 2 boxes
+    eq = system.equations[0]
+    assert fuzzmin.Equation(eq.lhs, eq.relation, eq.rhs) == eq
+    # the tracer's counters read these off real arguments and results
+    boxes = fuzzmin.solve_intervals(system)
+    assert len(boxes) == 2 and all(v.is_nonempty for v in boxes)
+    a = fuzzmin.gen_automaton(3, 3, 2, 4)
+    result = fuzzmin.equivalent_fixpoint(a, a)
+    assert len(result.reached) > 0 and result.stabilization_index >= 0
+    space = fuzzmin.build_candidate_space(fuzzmin.MinimizeInstance(a, 2))
+    assert space.var_count == 2 * 2 + 2 * 2**2
+    assert [space.values.index(v) for v in space.values] == list(range(len(space.values)))
