@@ -15,10 +15,11 @@ never cross, so every box holds a point.  The solver holds each box packed
 into one int, one bit field per coordinate (see `_layout`), so containment,
 meet and the test that a meet holds a point are a few integer operations,
 whatever the dimension.  It solves a whole system on plain lists of packed
-boxes, one layout per system: `_cross` intersects two lists pair by pair,
-in their order, keeps the running list maximal as each box is stored, so
-its budget bounds the boxes actually held, and sorts the result once into
-canonical order, that of the boxes' `(lo, hi)` pairs.  A `SolutionSet` is
+boxes, one layout per system: `_meet_into` meets two lists pair by pair,
+in their order, and keeps the list it stores into maximal as each box is
+stored, so its budget bounds the boxes actually held; `_cross` runs it
+into an empty list and sorts the result once into canonical order, that
+of the boxes' `(lo, hi)` pairs.  A `SolutionSet` is
 the plain record of such a result, its boxes spelled out as tuples of
 those pairs; `cross_intersect` packs two sets, runs `_cross` and spells the
 result out again.  Chain values and printable boxes are built only when a
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -199,12 +200,22 @@ def _pack(box: Box, top: int) -> int:
 
 
 def _unpack(packed: int, top: int, dim: int) -> Box:
+    """The (lo, hi) pairs of a packed box, coordinate 0 first.  Eight fields
+    fill top + 2 bytes, so the box is read as bytes, eight fields at a time,
+    each chunk a small int: time linear in the box's width, where shifting
+    the whole int once per field is quadratic."""
     width = top + 2
     mask = (1 << width) - 1
+    pad = -dim % 8  # zero fields ahead of coordinate 0
+    data = packed.to_bytes((dim + pad) // 8 * width, "big")
     pairs = []
-    for shift in range((dim - 1) * width, -1, -width):
-        bits = packed >> shift & mask
-        pairs.append((top + 1 - bits.bit_length(), top + 1 - (bits & -bits).bit_length()))
+    first = (7 - pad) * width
+    for at in range(0, len(data), width):
+        chunk = int.from_bytes(data[at : at + width], "big")
+        for shift in range(first, -1, -width):
+            bits = chunk >> shift & mask
+            pairs.append((top + 1 - bits.bit_length(), top + 1 - (bits & -bits).bit_length()))
+        first = 7 * width
     return tuple(pairs)
 
 
@@ -217,20 +228,6 @@ def _in_order(kept: list[int], guard: int) -> list[int]:
     guards stay 0, so these keys compare field by field as the pairs do."""
     kept.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
     return kept
-
-
-def _store(kept: list[int], box: int, max_vectors: int | None = None) -> None:
-    """Add the packed box to the antichain kept unless a kept box holds it,
-    and drop the kept boxes it holds.  Whatever the arrival order, what
-    stays is exactly the maximal boxes seen, each once.  Refuses once kept
-    holds more than max_vectors boxes."""
-    for k in kept:
-        if box | k == k:
-            return
-    kept[:] = [k for k in kept if k | box != box]
-    kept.append(box)
-    if max_vectors is not None and len(kept) > max_vectors:
-        raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
 
 
 @dataclass(frozen=True)
@@ -247,9 +244,8 @@ class IntervalVector:
         return True
 
     def __str__(self) -> str:
-        label = self.chain.label
-        pairs = (f"[{label(lo)},{label(hi)}]" for lo, hi in self.bounds)
-        return "(" + ", ".join(pairs) + ")"
+        labels = self.chain.labels
+        return "(" + ", ".join([f"[{labels[lo]},{labels[hi]}]" for lo, hi in self.bounds]) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,33 +266,52 @@ class SolutionSet:
         return (IntervalVector(self.chain, box) for box in self.boxes)
 
 
+def _meet_into(
+    kept: list[int],
+    xs: Iterable[int],
+    ys: Sequence[int],
+    data: int,
+    guard: int,
+    max_vectors: int | None,
+) -> list[int]:
+    """kept with the meets of the packed boxes xs with the packed boxes ys
+    stored into it; data and guard are the layout's masks.  The pairs are
+    met in the order of the lists, and disjoint pairs build no box.  Each
+    meet is stored as it is built: dropped if a kept box holds it, else
+    added after the kept boxes it holds are dropped.  Whatever the arrival
+    order, kept stays exactly the maximal boxes seen, each once, and
+    BudgetExceededError is raised as soon as it holds more than
+    max_vectors.  An x inside a kept box is skipped whole: each of its
+    meets would be dropped.  The store is written out here: a call per
+    meet cost a tenth of `solve_intervals`' time."""
+    for x in xs:
+        for k in kept:
+            if x | k == k:
+                break  # so is each meet of x
+        else:
+            for y in ys:
+                meet = x & y
+                if (meet + data) & guard != guard:
+                    continue
+                for k in kept:
+                    if meet | k == k:
+                        break
+                else:
+                    kept = [k for k in kept if k | meet != meet]
+                    kept.append(meet)
+                    if max_vectors is not None and len(kept) > max_vectors:
+                        raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
+    return kept
+
+
 def _cross(
     xs: Sequence[int], ys: Sequence[int], top: int, dim: int, max_vectors: int | None
 ) -> list[int]:
     """The maximal meets of the packed boxes xs with the packed boxes ys,
-    in canonical order.  The pairs are met in the order of the lists, and
-    disjoint pairs build no box; each meet is stored as it is built, as
-    `_store` stores it, so the running list stays maximal and never holds
-    more than len(xs) * len(ys) boxes, and BudgetExceededError is raised as
-    soon as it holds more than max_vectors.  The list is sorted once, at the
-    end.  The store is written out here: a call per meet cost a tenth of
-    `solve_intervals`' time."""
+    in canonical order: `_meet_into` an empty list, which never holds more
+    than len(xs) * len(ys) boxes, sorted once at the end."""
     _, data, guard = _layout(top, dim)
-    kept: list[int] = []
-    for x in xs:
-        for y in ys:
-            meet = x & y
-            if (meet + data) & guard != guard:
-                continue
-            for k in kept:
-                if meet | k == k:
-                    break
-            else:
-                kept = [k for k in kept if k | meet != meet]
-                kept.append(meet)
-                if max_vectors is not None and len(kept) > max_vectors:
-                    raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
-    return _in_order(kept, guard)
+    return _in_order(_meet_into([], xs, ys, data, guard, max_vectors), guard)
 
 
 def cross_intersect(

@@ -10,6 +10,12 @@ default ceiling; per-run --budget-* flags take precedence over it.
 The argument parser is built on the first call of `main`, not at import, and
 that one parser serves every later call in the process: parsing leaves it
 unchanged, so a caller running many commands in-process pays for it once.
+`main` hands the arguments after a subcommand's name straight to that
+subcommand's parser; when the first argument names no subcommand, or the
+subcommand leaves arguments over, the full parser parses them all, so every
+usage error and help text is the full parser's.  A document is read in one
+unbuffered binary read and decoded as UTF-8, with CR LF and a lone CR each
+read as LF, as text mode reads them.
 """
 
 from __future__ import annotations
@@ -43,8 +49,13 @@ from .minimization import MinimizeInstance, cost_estimate, decide_k, minimize
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    """The file's text as text mode reads it: UTF-8, each CR LF and each
+    lone CR read as LF.  One unbuffered read, then one decode."""
+    with open(path, "rb", buffering=0) as f:
+        text = f.readall().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _budget(flag_value: int | None, default: int) -> int:
@@ -199,7 +210,7 @@ def _budget_flags(p: argparse.ArgumentParser, *, candidates: bool = False) -> No
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="fuzzmin",
         description="Equivalence, equation solving, and exact state "
@@ -258,11 +269,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-monomials", type=int, default=2)
     ps.add_argument("--chain-size", type=int, default=3)
     ps.set_defaults(func=_cmd_gen)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or rest:
+        # no subcommand, or arguments left over: the full parser gives the
+        # usage error, or the help, in its own words
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

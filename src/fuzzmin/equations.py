@@ -6,13 +6,16 @@ chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
 Two solvers are provided.  `solve_intervals` builds, per equation, the finite
 family of rank boxes that covers the solutions, then intersects the families
-across equations.  It solves the whole system on one packed layout (see
-`chain`): every box is one int, and every family and running set is a plain
-list of boxes, none inside another, in canonical order.  A monomial's pin
-family comes out in that order as it is built, so it is never sorted, and
-its cells are charged against the cell ceiling before it is built.  Two
-boxes that share no point build no intersection, so the system is solvable
-iff the final set is non-empty; only that set, padded, becomes a
+across equations, cheapest first: in the order of a bound on their size,
+read off the monomial sizes before any family is built.  It solves the
+whole system on one packed layout (see `chain`): every box is one int, and
+every family and running set is a plain list of boxes, none inside another,
+in canonical order.  A monomial's pin family comes out in that order as it
+is built, so it is never sorted, and its cells are charged against the cell
+ceiling before it is built.  A family of several monomials is built in one
+product pass, each meet stored as it is made into the family's antichain.
+Two boxes that share no point build no intersection, so the system is
+solvable iff the final set is non-empty; only that set, padded, becomes a
 `SolutionSet`.  `polynomial_eq_solutions` is `solve_intervals` on one
 equation.  Chain values enter only as right-hand sides and when the boxes
 are printed.  `solve_points` exploits that a solvable system is already
@@ -22,10 +25,12 @@ searches that finite grid directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .chain import (
     Chain,
@@ -35,7 +40,7 @@ from .chain import (
     _field,
     _in_order,
     _layout,
-    _store,
+    _meet_into,
     _unpack,
 )
 from .errors import (
@@ -168,6 +173,7 @@ def rhs_values(system: EquationSystem) -> tuple[ChainValue, ...]:
     return tuple(system.chain[r] for r in ranks)
 
 
+@functools.lru_cache(maxsize=256)
 def _cuts(rank: int, top: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The (cut, pin) field bits of the = and the <= pin families at rank
     (see `_pin_family`).  The = family holds its monomial's variables in
@@ -183,7 +189,10 @@ def _pin_family(
     """The packed boxes of one monomial's family, one per variable of m, in
     canonical order.  base is the layout's data mask, every field whole;
     variable v is the field at shift[v].  Every variable of m loses the
-    bits cut from its field, and in its own box also the bits pin.
+    bits cut from its field, and in its own box also the bits pin.  The
+    cuts are cleared by one multiply of cut with an int that has bit s set
+    for each shift s, built from bytes, so the base costs time linear in
+    its width where clearing one field at a time is quadratic.
 
     Two of these boxes differ only in the two fields where one has pin
     cleared and the other not, so none holds another unless pin is 0, and
@@ -193,8 +202,11 @@ def _pin_family(
     further left, and the box of that variable sorts first.  m's variables
     are ascending, and so are the boxes, with no sort."""
     shifts = [shift[v] for v in m.vars]
-    for s in shifts:
-        base ^= cut << s
+    if cut:
+        marks = bytearray(shifts[0] // 8 + 1)  # the first shift is the largest
+        for s in shifts:
+            marks[s >> 3] |= 1 << (s & 7)
+        base ^= cut * int.from_bytes(marks, "little")
     if not pin:
         return [base]
     return [base ^ pin << s for s in shifts]
@@ -207,6 +219,20 @@ def _charge_cells(m: Monomial, pin: int, dim: int, max_cells: int) -> None:
     cells = (len(m.vars) if pin else 1) * dim
     if cells > max_cells:
         raise BudgetExceededError(cells, max_cells, "interval solution cells")
+
+
+def _size_bound(monomials: tuple[Monomial, ...]) -> int:
+    """The meets `_family` makes for these monomials, a bound on the boxes
+    of their family: k * the product of their sizes for k monomials, the
+    size of the one monomial for k = 1."""
+    return len(monomials) * math.prod([len(m.vars) for m in monomials])
+
+
+def _meets(heads: Iterable[int], boxes: list[int]) -> Iterator[int]:
+    """Each packed head met with each packed box, the boxes varying fastest.
+    A function, so that each lazy level keeps its own boxes: a generator
+    written in `_family`'s loop would read the loop variable late."""
+    return (head & box for head in heads for box in boxes)
 
 
 def _family(
@@ -224,12 +250,19 @@ def _family(
 
     The max equals the value exactly when some monomial equals it and every
     other stays at or below it, so the family is the union over that case
-    split, each case being the cross-intersection of its per-monomial
-    families.  It has at most k * dim**k boxes for k monomials.  Raises
-    BudgetExceededError as soon as a case or the union holds more than
-    max_vectors boxes, and before any per-monomial family is built whose
-    boxes would hold more than max_cells pairs.  A single monomial's family
-    is its only case.
+    split.  Each case is the product of its monomial's = family with every
+    other monomial's <= family, in monomial order: each tuple of boxes, the
+    last family varying fastest, meets in one box, and each meet goes
+    straight into the family's one antichain (`_meet_into`), sorted once at
+    the end.  The product is lazy: the meets of all but the last family
+    are made one head at a time, and a head already inside a kept box is
+    skipped with all its meets, which the antichain would drop.  No meet is
+    empty: a <= field [0, rank] meets an = field [rank, top] at [rank,
+    rank].  The family has at most `_size_bound` boxes.  Raises
+    BudgetExceededError as soon as the family holds more than max_vectors
+    boxes (no case is capped on its own), and before any per-monomial
+    family is built whose boxes would hold more than max_cells pairs.  A
+    single monomial's family is its only case.
     """
     _, data, guard = _layout(top, dim)
     eq, le = _cuts(rank, top)
@@ -248,12 +281,11 @@ def _family(
         les.append(_pin_family(m, shift, data, *le))
     kept: list[int] = []
     for i, m_eq in enumerate(monomials):
-        case = _pin_family(m_eq, shift, data, *eq)
-        for j, m_le in enumerate(les):
-            if j != i:
-                case = _cross(case, m_le, top, dim, max_vectors)
-        for box in case:
-            _store(kept, box, max_vectors)
+        *middle, last = les[:i] + les[i + 1 :]
+        heads: Iterable[int] = _pin_family(m_eq, shift, data, *eq)
+        for boxes in middle:
+            heads = _meets(heads, boxes)
+        kept = _meet_into(kept, heads, last, data, guard, max_vectors)
     return _in_order(kept, guard)
 
 
@@ -263,8 +295,8 @@ def polynomial_eq_solutions(
     """Boxes covering the solutions of max(monomials) = rhs over n_vars
     variables: `solve_intervals` on that one equation.  The result has at
     most k * n_vars**k boxes for k monomials.  Raises BudgetExceededError
-    as soon as a case or the union holds more than max_vectors boxes, or
-    past the default cell ceiling.
+    as soon as the family holds more than max_vectors boxes, or past the
+    default cell ceiling.
     """
     system = EquationSystem(rhs.chain, n_vars, (Equation(p, Relation.EQ, rhs),))
     return solve_intervals(system, max_vectors=max_vectors)
@@ -277,15 +309,21 @@ def solve_intervals(
     _max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> SolutionSet:
     """Interval cover of the whole system: the cross-intersection of the
-    per-equation families, in equation order.  The boxes hold only
-    solutions, cover every solution, and none lies inside another; the
-    system is solvable iff the set is non-empty.
+    per-equation families, cheapest first.  The boxes hold only solutions,
+    cover every solution, and none lies inside another; the system is
+    solvable iff the set is non-empty.  The maximal meets are the maximal
+    boxes of the intersection in any order, so the order changes only the
+    work done and where a capped run refuses.
 
-    Raises BudgetExceededError as soon as any set it builds, inside one
-    equation's family or across equations, holds more than max_vectors
-    boxes; the running set can grow like (k * n**k)**m even though skipping
-    disjoint pairs and dropping contained boxes usually keeps it tiny.  Once
-    the running set is empty no later family is built, so none is refused.
+    The families are intersected in the order of their size bounds
+    (`_size_bound`), ties in equation order, each built only when the
+    running set reaches it: small families keep the running set small, and
+    an empty one is found sooner.  Raises BudgetExceededError as soon as any
+    set it builds, one equation's family or the running set, holds more
+    than max_vectors boxes; the running set can grow like (k * n**k)**m
+    even though skipping disjoint pairs and dropping contained boxes
+    usually keeps it tiny.  Once the running set is empty no later family
+    is built, so none is refused.
 
     The whole system is solved on one packed layout, over only the variables
     some monomial mentions, in ascending order: each variable's field shift
@@ -308,8 +346,8 @@ def solve_intervals(
     top, dim = len(system.chain) - 1, len(used)
     shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
     families = (
-        _family(lhs, shift, eq.rhs.rank, top, dim, max_vectors, _max_cells)
-        for lhs, eq in zip(lhss, system.equations)
+        _family(eq.lhs.monomials, shift, eq.rhs.rank, top, dim, max_vectors, _max_cells)
+        for eq in sorted(system.equations, key=lambda eq: _size_bound(eq.lhs.monomials))
     )
     # no family is empty (all variables at the rhs solve it), so the running
     # set first empties at a cross-intersection, and no later family is built

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import itertools
+import math
 import random
 import re
 import sys
@@ -22,8 +23,8 @@ from fuzzmin.chain import (
     SolutionSet,
     _in_order,
     _layout,
+    _meet_into,
     _pack,
-    _store,
     _unpack,
 )
 from fuzzmin.errors import DEFAULT_VECTOR_BUDGET
@@ -131,14 +132,16 @@ def solution_set(chain: fz.Chain, dim: int, boxes: Iterable[Box]) -> SolutionSet
     any order or multiplicity compare equal.  Bounds that cross, or leave
     the chain, are rejected, and so is a box of another dimension."""
     top = len(chain) - 1
-    kept: list[int] = []
+    packed = []
     for box in boxes:
         if len(box) != dim:
             raise ValueError(f"box dimension {len(box)} != set dimension {dim}")
         if not all(0 <= lo <= hi <= top for lo, hi in box):
             raise ValueError(f"bad box bounds {box}")
-        _store(kept, _pack(box, top))
-    kept = _in_order(kept, _layout(top, dim)[2])
+        packed.append(_pack(box, top))
+    # each box is its meet with the whole box, stored as the solver stores it
+    _, data, guard = _layout(top, dim)
+    kept = _in_order(_meet_into([], packed, [data], data, guard, None), guard)
     return SolutionSet(chain, dim, tuple(_unpack(box, top, dim) for box in kept))
 
 
@@ -204,11 +207,12 @@ def full_width_family(
 
 class TupleBoxSolver:
     """Reference interval solver on boxes held as tuples of (lo, hi) rank
-    pairs, at the system's full width: the same families, stored in the same
-    order into the same capped antichains as `solve_intervals`, which also
-    builds no family once the running set is empty.  peak is the most boxes
-    any capped set held, so every cap below it refuses and every cap from it
-    up answers."""
+    pairs, at the system's full width: the same families, intersected in
+    the same order (cheapest size bound first, ties in equation order), and
+    the same meets stored in the same order into the same capped antichains
+    as `solve_intervals`, which also builds no family once the running set
+    is empty.  peak is the most boxes any capped set held, so every cap
+    below it refuses and every cap from it up answers."""
 
     def __init__(self, max_vectors: int | None = None) -> None:
         self.max_vectors = max_vectors
@@ -226,14 +230,16 @@ class TupleBoxSolver:
                     len(kept), self.max_vectors, "interval solution set"
                 )
 
-    def _cross(self, xs: list, ys: list) -> list:
-        kept: list = []
-        for x in xs:
-            for y in ys:
-                meet = tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(x, y))
-                if all(lo <= hi for lo, hi in meet):
-                    self._store(kept, meet)
-        return sorted(kept)
+    def _meets(self, kept: list, *families: list) -> None:
+        """Store the meet of every tuple of the families' boxes, the last
+        family varying fastest, skipping the empty ones."""
+        for boxes in itertools.product(*families):
+            meet = tuple(
+                (max(lo for lo, _ in pairs), min(hi for _, hi in pairs))
+                for pairs in zip(*boxes)
+            )
+            if all(lo <= hi for lo, hi in meet):
+                self._store(kept, meet)
 
     def _pins(self, vars_: Sequence[int], n: int, top: int, pinned, rest) -> list:
         kept: list = []
@@ -248,22 +254,32 @@ class TupleBoxSolver:
     def solve(self, system: fz.EquationSystem) -> tuple:
         """The boxes of the system, sorted, or BudgetExceededError."""
         n, top = system.n_vars, len(system.chain) - 1
+
+        def size_bound(eq):  # the meets eq's family makes, all cases together
+            sizes = [len(m.vars) for m in eq.lhs.monomials]
+            return len(sizes) * math.prod(sizes)
+
         result = None
-        for eq in system.equations:
+        for eq in sorted(system.equations, key=size_bound):
             if result == []:
                 break
             r = eq.rhs.rank
             monomials = eq.lhs.monomials
             family: list = []
             for i, m_eq in enumerate(monomials):
-                case = self._pins(m_eq.vars, n, top, (r, r), (r, top))
-                for j, m_le in enumerate(monomials):
-                    if j != i:
-                        case = self._cross(case, self._pins(m_le.vars, n, top, (0, r), (0, top)))
-                for box in case:
-                    self._store(family, box)
+                self._meets(
+                    family,
+                    self._pins(m_eq.vars, n, top, (r, r), (r, top)),
+                    *(self._pins(m.vars, n, top, (0, r), (0, top))
+                      for j, m in enumerate(monomials) if j != i),
+                )
             family.sort()
-            result = family if result is None else self._cross(result, family)
+            if result is None:
+                result = family
+            else:
+                crossed: list = []
+                self._meets(crossed, result, family)
+                result = sorted(crossed)
         return tuple(result)
 
 

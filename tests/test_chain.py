@@ -16,7 +16,9 @@ import fuzzmin.chain
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.chain import (
     ChainValue,
-    _store,
+    _layout,
+    _meet_into,
+    _pack,
     cross_intersect,
     is_decimal_label,
 )
@@ -396,13 +398,16 @@ def test_cross_intersect_covers_exactly_the_common_points(s1, s2, cap):
 
 
 def test_a_stored_set_may_hold_exactly_its_cap():
-    # single bits are packed boxes none of which holds another
-    kept: list[int] = []
-    for i in range(4):
-        _store(kept, 1 << i, max_vectors=4)
-    assert kept == [1, 2, 4, 8]
+    # x1 ... x5 each pinned to 0 in a box of its own, on chain (0, 1): none
+    # holds another, and each is its own meet with the whole box
+    top, dim = 1, 5
+    _, data, guard = _layout(top, dim)
+    pins = [
+        _pack(tuple((0, 0) if i == v else (0, 1) for i in range(dim)), top) for v in range(dim)
+    ]
+    assert _meet_into([], [data], pins[:4], data, guard, 4) == pins[:4]
     with pytest.raises(BudgetExceededError) as refused:
-        _store(kept, 16, max_vectors=4)
+        _meet_into([], [data], pins, data, guard, 4)
     assert (refused.value.count, refused.value.limit) == (5, 4)
     assert str(refused.value) == "size 5 exceeds budget 4 (interval solution set)"
 

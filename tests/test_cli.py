@@ -796,6 +796,87 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_ONE_EQUATION = (
+    '{"kind": "system", "chain": ["0", "1"], "n_vars": 1,'
+    ' "equations": [{"monomials": [[1]], "rhs": "1"}]}'
+)
+
+
+def _text_mode_error(path: Path) -> str:
+    """The error line `solve` gives for the document at path when the file
+    is read in text mode, as `Path.read_text` reads it."""
+    try:
+        parse_system(path.read_text(encoding="utf-8"))
+    except (ValueError, OSError) as exc:
+        return f"error: {exc}\n"
+    raise AssertionError(f"{path} parsed")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_document_reads_its_newlines_as_text_mode_does(newline, tmp_path, capsys):
+    # the JSON error sits on line 3 only once CR LF and a lone CR each read
+    # as one newline
+    lines = ['{"kind": "system",', ' "chain": ["0", "1"],', ' "n_vars": 1 "equations": []}']
+    path = tmp_path / "newlines.json"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    assert fuzzmin.cli._read(str(path)) == path.read_text(encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == _text_mode_error(path)
+    assert err.startswith("error: line 3, column 14: ")
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "bom", "invalid utf-8"])
+def test_a_file_unreadable_as_a_document_fails_as_in_text_mode(fault, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    raw = _ONE_EQUATION.encode("utf-8")
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + raw)
+    elif fault == "invalid utf-8":
+        path.write_bytes(raw[:20] + b"\xff" + raw[20:])
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == _text_mode_error(path)
+
+
+def test_the_subcommand_dispatch_answers_as_the_full_parser(
+    eval_doc, system_doc, monkeypatch, capsys
+):
+    # main hands the arguments straight to the named subcommand's parser;
+    # with no subcommand parsers to hand them to, it uses the full parser
+    # for every command, so both must give the same exit, output and errors
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["equiv", "-h"],
+        ["equiv", eval_doc, eval_doc],
+        ["solve", system_doc, "--frob"],
+        ["solve", system_doc, "extra"],
+        ["solve", system_doc, "--mode", "points"],
+        ["solve"],
+        ["solve", system_doc, "--budget-phi"],
+        ["eval", eval_doc, "a", "b"],
+        ["decide-min", eval_doc, "1", "--budget-phi", "1"],
+        ["gen"],
+        ["gen", "system", "--seed", "1"],
+        ["gen", "system", "--bogus"],
+        ["gen", "automaton", "--states", "2", "x"],
+        ["-h"],
+        [],
+    ]
+    dispatched = [_outcome(argv, capsys) for argv in argvs]
+    parser, _ = fuzzmin.cli._build_parser()
+    monkeypatch.setattr(fuzzmin.cli, "_build_parser", lambda: (parser, {}))
+    assert [_outcome(argv, capsys) for argv in argvs] == dispatched
+    code, out, err = dispatched[2]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fuzzmin [-h]")
+    assert err.endswith("fuzzmin: error: unrecognized arguments: --frob\n")
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

@@ -382,6 +382,54 @@ def test_packed_solver_matches_the_tuple_box_reference_at_every_cap():
     assert widest > 64
 
 
+# the shapes the ordering was sized on: (n_vars, equations, max monomials,
+# chain size)
+_ORDER_SHAPES = (
+    (5, 5, 3, 5), (6, 5, 3, 5), (8, 6, 3, 5), (10, 8, 3, 5), (12, 4, 4, 6), (4, 3, 2, 3)
+)
+
+
+def test_cheapest_first_finds_the_boxes_of_equation_order(monkeypatch):
+    # the maximal meets are the maximal boxes of the intersection in any
+    # order; a constant size bound makes the stable sort keep equation order
+    systems = [gen_system(9000 + seed, *shape) for shape in _ORDER_SHAPES for seed in range(170)]
+    cheapest = [solve_intervals(system).boxes for system in systems]
+    monkeypatch.setattr(equations, "_size_bound", lambda monomials: 0)
+    assert [solve_intervals(system).boxes for system in systems] == cheapest
+    assert len(systems) >= 1000
+    assert 0 < sum(1 for boxes in cheapest if boxes) < len(systems)
+
+
+def test_families_are_built_cheapest_first_ties_in_equation_order(monkeypatch):
+    # size bounds 12, 1, 3 and 1: k * the product of the monomial sizes.  At
+    # the top value every system is solvable, so every family is built
+    built = []
+    family = equations._family
+
+    def spy(monomials, *args):
+        built.append(monomials)
+        return family(monomials, *args)
+
+    monkeypatch.setattr(equations, "_family", spy)
+    lhss = [
+        Polynomial((Monomial((0, 1)), Monomial((2, 3, 4)))),
+        Polynomial((Monomial((5,)),)),
+        Polynomial((Monomial((0, 1, 2)),)),
+        Polynomial((Monomial((3,)),)),
+    ]
+    system = EquationSystem(CH, 6, tuple(Equation(p, Relation.EQ, CH.value("1")) for p in lhss))
+    assert len(solve_intervals(system)) > 0
+    assert built == [lhss[i].monomials for i in (1, 3, 2, 0)]
+    # drawn systems: bounds never fall, and ties keep equation order
+    for seed in range(30):
+        system = gen_system(7000 + seed, 6, 5, 3, 5)
+        built.clear()
+        solve_intervals(system)
+        place = {eq.lhs.monomials: i for i, eq in reversed(list(enumerate(system.equations)))}
+        keys = [(equations._size_bound(lhs), place[lhs]) for lhs in built]
+        assert keys == sorted(keys)
+
+
 def test_point_solver_walks_the_grid_in_order():
     # first hit in lex order over the rhs values, first variable most significant
     point = solve_points(_system())
