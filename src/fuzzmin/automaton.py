@@ -134,7 +134,7 @@ class FuzzyAutomaton:
             if (m.rows, m.cols) != (n, n):
                 raise ValueError(f"transition matrix for {sym!r} must be {n}x{n}")
         for m in (self.pi, self.eta, *self.delta):
-            if m.chain != self.chain:
+            if m.chain is not self.chain and m.chain != self.chain:
                 raise ValueError("automaton parts live on different chains")
 
     @property
@@ -353,12 +353,20 @@ def _layout(n: int) -> tuple[int, int, int, int, int, int] | None:
     return ones, ones << n, ones * ((1 << n) - 1), gather, n + (n - 1) * w, (1 << n) - 1
 
 
-def _cut_matrix(rows: Sequence[int]) -> int | tuple[int, ...]:
-    """The square cut matrix with these row masks, in `_saturate_cut`'s form."""
-    n = len(rows)
+def _cut_matrix(
+    rows: Sequence[int], n: int | None = None, first: int = 0
+) -> int | tuple[int, ...]:
+    """The cut matrix on n states, by default len(rows), in `_saturate_cut`'s
+    form, with these row masks as rows first, first + 1, ... and every other
+    row empty.  Past _PACKED_MAX it is the tuple of these rows alone, so the
+    matrices of consecutive runs of rows, added in row order, make up the
+    matrix of all of them."""
+    if n is None:
+        n = len(rows)
     if _layout(n) is None:
         return tuple(rows)
-    return sum(map(lshift, rows, range(0, n * (n + 1), n + 1)))
+    w = n + 1
+    return sum(map(lshift, rows, range(first * w, (first + len(rows)) * w, w)))
 
 
 @cache

@@ -13,12 +13,12 @@ when nothing smaller works.
 
 A candidate's alpha-cut depends only on which of its weights are >= alpha,
 so at one level and one cut prefix every transition block with the same bit
-pattern passes or fails the same check.  On inputs with several positive
-levels the search therefore tests each cut pattern once per level and
-prefix, and fills a block weight by weight, dropping a weight as soon as
-some level has no passing pattern that extends its bits.  A block survives
-exactly when checking it on its own would pass it, and blocks are still met
-in grid order, so witnesses are unchanged.
+pattern passes or fails the same check.  The search therefore tests each
+cut pattern once per level and prefix, with one level or several, and fills
+a block weight by weight, dropping a weight as soon as some level has no
+passing pattern that extends its bits.  A block survives exactly when
+checking it on its own would pass it, and blocks are still met in grid
+order, so witnesses are unchanged.
 
 At every block boundary but the last, a block that passes its prefix check
 must also pass an upper bound: at each level, every word the input's cut
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .automaton import (
@@ -98,15 +99,18 @@ class CandidateSpace:
 
 
 def build_candidate_space(inst: MinimizeInstance) -> CandidateSpace:
+    ranks, var_count = _grid(inst)
+    return CandidateSpace(tuple(map(inst.automaton.chain.__getitem__, ranks)), var_count)
+
+
+def _grid(inst: MinimizeInstance) -> tuple[tuple[int, ...], int]:
+    """The ranks of the candidate grid's values, ascending, and its var_count."""
     a = inst.automaton
     k = inst.k
     ranks = set(a.pi.data) | set(a.eta.data)
     for m in a.delta:
         ranks.update(m.data)
-    values = tuple(a.chain[r] for r in sorted(ranks))
-    n_sym = len(a.alphabet)
-    var_count = 2 * k + n_sym * k * k
-    return CandidateSpace(values, var_count)
+    return tuple(sorted(ranks)), 2 * k + len(a.alphabet) * k * k
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def decode_candidate(
     if len(assignment) != expected:
         raise ValueError(f"assignment needs {expected} values, got {len(assignment)}")
     for v in assignment:
-        if v.chain != chain:
+        if v.chain is not chain and v.chain != chain:
             raise ValueError("assignment value from a different chain")
     ranks = tuple(v.rank for v in assignment)
     pi = FuzzyMatrix(chain, 1, k, ranks[:k])
@@ -300,16 +304,15 @@ def _fooling_bound(
     return found
 
 
-def _later_full(rows: Sequence[tuple[int, ...]], n: int, k: int) -> list[list]:
+def _later_full(bases: Sequence, full: int | tuple[int, ...]) -> list[list]:
     """Per symbol s, the distinct joint cut matrices of the symbols after s:
-    the input's rows followed by a full candidate block, in which each of the
-    k candidate rows steps to every candidate state."""
-    full = (((1 << k) - 1) << n,) * k
+    each symbol's base plus the full candidate block, in which each of the k
+    candidate rows steps to every candidate state."""
     later: list[list] = []
     seen: dict = {}
-    for sym_rows in reversed(rows):
+    for base in reversed(bases):
         later.append(list(seen))
-        seen[_cut_matrix(sym_rows + full)] = None
+        seen[base + full] = None
     return later[::-1]
 
 
@@ -344,54 +347,67 @@ class _CutDomain:
     bit.  `ok` tells whether some completion of it agrees with the input on
     every word over the symbols so far and, unless the symbol is the last,
     fits the input's cut language inside the candidate's with every later
-    block full; `child` is the prefix a full block leads to.  Both are
-    computed once per code, so each full pattern costs at most two kernel
-    calls however many fuzzy blocks share it.
+    block full; `child` maps each full pattern that passes to the prefix it
+    leads to.  Both are computed once per code, so each full pattern costs
+    at most two kernel calls however many fuzzy blocks share it.  A full
+    pattern's joint matrix is the symbol's base, the input's cut rows with
+    the candidate rows empty, plus one table entry per candidate row,
+    indexed by that row's k bits.
     """
 
     def __init__(self, level: tuple, mats: list, final: int, pi2: int) -> None:
-        # n, k, the input's cut rows per symbol, its initial mask pi1, the
-        # bits a weight can take at this level, max_vectors, `_later_full`
+        # k, the input's cut rows per symbol as bases, the row tables, n + k,
+        # its initial mask pi1, the bits a weight can take at this level,
+        # max_vectors, `_later_full`
         self.level = level
         self.mats = mats
         self.final = final
         self.pi2 = pi2
         self._ok: dict[int, bool] = {}
-        self._child: dict[int, _CutDomain] = {}
+        self.child: dict[int, _CutDomain] = {}
 
     def _joint(self, code: int) -> list:
-        n, k, left, *_ = self.level
-        block = []
-        for i in range(k):
-            row = code >> k * (k - 1 - i)
-            block.append(sum(1 << n + j for j in range(k) if row >> k - 1 - j & 1))
-        return self.mats + [_cut_matrix(left[len(self.mats)] + tuple(block))]
+        k, bases, tables = self.level[:3]
+        joint = bases[len(self.mats)]
+        shift, low = k * k, (1 << k) - 1
+        for table in tables:
+            shift -= k
+            joint += table[code >> shift & low]
+        return self.mats + [joint]
 
     def ok(self, code: int) -> bool:
         hit = self._ok.get(code)
         if hit is None:
-            n, k, _, pi1, bits, max_vectors, later = self.level
-            if code >> k * k:
+            k, _, _, size, pi1, bits, max_vectors, later = self.level
+            todo = k * k + 1 - code.bit_length()  # bits still to choose
+            if not todo:
                 joint = self._joint(code)
                 _, mismatch, _ = _saturate_cut(
-                    joint, n + k, self.final, pi1, self.pi2, 0, max_vectors
+                    joint, size, self.final, pi1, self.pi2, 0, max_vectors
                 )
                 hit = mismatch is None and _fits_upper(
-                    joint, later[len(self.mats)], n + k, self.final, pi1, self.pi2,
+                    joint, later[len(self.mats)], size, self.final, pi1, self.pi2,
                     max_vectors,
                 )
+                if hit:
+                    self.child[code] = _CutDomain(self.level, joint, self.final, self.pi2)
+            elif len(bits) == 1:
+                hit = self.ok(2 * code + bits[0])
             else:
-                hit = any(self.ok(2 * code + bit) for bit in bits)
+                # the full patterns below code, in grid order
+                hit = any(map(self.ok, range(code << todo, code + 1 << todo)))
             self._ok[code] = hit
         return hit
 
-    def child(self, code: int) -> _CutDomain:
-        nxt = self._child.get(code)
-        if nxt is None:
-            nxt = self._child[code] = _CutDomain(
-                self.level, self._joint(code), self.final, self.pi2
-            )
-        return nxt
+
+@cache
+def _row_tables(n: int, k: int) -> tuple[list[list], int | tuple[int, ...]]:
+    """Per candidate row i, its part of the joint cut matrix on n + k states
+    for each k-bit pattern p (column 0 the top bit), and the part of a full
+    candidate block."""
+    patterns = [sum(1 << n + j for j in range(k) if p >> k - 1 - j & 1) for p in range(1 << k)]
+    tables = [[_cut_matrix((row,), n + k, n + i) for row in patterns] for i in range(k)]
+    return tables, _cut_matrix(patterns[-1:] * k, n + k, n)
 
 
 def _first_witness(
@@ -410,103 +426,64 @@ def _first_witness(
     documents the search order and its cuts.
     """
     n = len(levels[0].rows[0])
-    row_tuples = list(itertools.product(value_ranks, repeat=k))
+    size, kk = n + k, k * k
+    tables, full = _row_tables(n, k)
+    alphas = [cut.alpha for cut in levels]
+    shapes = []
+    for cut in levels:
+        bases = [_cut_matrix(rows, size) for rows in cut.rows]
+        bits = sorted({int(r >= cut.alpha) for r in value_ranks})
+        shapes.append(
+            (k, bases, tables, size, cut.initial, bits, max_vectors, _later_full(bases, full))
+        )
+    roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
 
-    if len(levels) == 1:
-        # one level: every block has its own cut pattern, so check blocks
-        (cut,) = levels
-        masks = {row: _cut_mask(row, cut.alpha) << n for row in row_tuples}
-        later = _later_full(cut.rows, n, k)
-
-        def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
-            """First completion of `chosen` by one block per symbol, depth
-            first; frame s holds the blocks of symbol s still to try and the
-            joint cut matrices of the symbols before s."""
-            ((final, pi1, pi2),) = heads
-            frames = [(itertools.product(row_tuples, repeat=k), chosen, [])]
-            while frames:
-                blocks, chosen, mats = frames[-1]
-                s = len(frames) - 1
-                for block in blocks:
-                    deeper = mats + [
-                        _cut_matrix(cut.rows[s] + tuple(map(masks.__getitem__, block)))
-                    ]
-                    _, mismatch, _ = _saturate_cut(
-                        deeper, n + k, final, pi1, pi2, 0, max_vectors
-                    )
-                    if mismatch is None and _fits_upper(
-                        deeper, later[s], n + k, final, pi1, pi2, max_vectors
-                    ):
-                        chosen += sum(block, ())
-                        if s + 1 == n_sym:
+    def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
+        """First completion of `chosen` by the delta' weights, depth first;
+        frame i holds the ranks still to try for weight i, which is entry
+        i % kk of the block of symbol i // kk, with each level's node and
+        bit prefix."""
+        nodes = []
+        for root, shape, head in zip(roots, shapes, heads):
+            node = root.get(head)
+            if node is None:
+                node = root[head] = _CutDomain(shape, [], *head)
+            nodes.append(node)
+        frames = [(iter(value_ranks), chosen, nodes, [1] * len(nodes))]
+        while frames:
+            ranks, chosen, nodes, codes = frames[-1]
+            for r in ranks:
+                deeper = []
+                for node, code, alpha in zip(nodes, codes, alphas):
+                    code = 2 * code + (r >= alpha)
+                    if not node.ok(code):
+                        break
+                    deeper.append(code)
+                else:
+                    chosen += (r,)
+                    if len(frames) % kk == 0:
+                        # the block is complete: step to the next symbol
+                        if len(frames) == n_sym * kk:
                             return chosen
-                        frames.append(
-                            (itertools.product(row_tuples, repeat=k), chosen, deeper)
-                        )
-                        break
-                else:
-                    frames.pop()
-            return None
-
-    else:
-        # several levels: a block's cut at each level depends only on which
-        # of its ranks reach alpha, so filter weights through each level's
-        # cut domain
-        kk = k * k
-        alphas = [cut.alpha for cut in levels]
-        shapes = []
-        for cut in levels:
-            bits = sorted({int(r >= cut.alpha) for r in value_ranks})
-            shapes.append(
-                (n, k, cut.rows, cut.initial, bits, max_vectors, _later_full(cut.rows, n, k))
-            )
-        roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
-
-        def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
-            """First completion of `chosen` by the delta' weights, depth first;
-            frame i holds the ranks still to try for weight i, which is entry
-            i % kk of the block of symbol i // kk, with each level's node and
-            bit prefix."""
-            nodes = []
-            for root, shape, (final, _, pi2) in zip(roots, shapes, heads):
-                node = root.get((final, pi2))
-                if node is None:
-                    node = root[final, pi2] = _CutDomain(shape, [], final, pi2)
-                nodes.append(node)
-            frames = [(iter(value_ranks), chosen, nodes, [1] * len(nodes))]
-            while frames:
-                ranks, chosen, nodes, codes = frames[-1]
-                for r in ranks:
-                    deeper = []
-                    for node, code, alpha in zip(nodes, codes, alphas):
-                        code = 2 * code + (r >= alpha)
-                        if not node.ok(code):
-                            break
-                        deeper.append(code)
-                    else:
-                        chosen += (r,)
-                        if len(frames) % kk == 0:
-                            # the block is complete: step to the next symbol
-                            if len(frames) == n_sym * kk:
-                                return chosen
-                            nodes = [node.child(c) for node, c in zip(nodes, deeper)]
-                            deeper = [1] * len(nodes)
-                        frames.append((iter(value_ranks), chosen, nodes, deeper))
-                        break
-                else:
-                    frames.pop()
-            return None
+                        nodes = [node.child[c] for node, c in zip(nodes, deeper)]
+                        deeper = [1] * len(nodes)
+                    frames.append((iter(value_ranks), chosen, nodes, deeper))
+                    break
+            else:
+                frames.pop()
+        return None
 
     # non-decreasing pi' only, in lexicographic order
+    eta_cols = list(itertools.product(value_ranks, repeat=k))
     for pi_row in itertools.combinations_with_replacement(value_ranks, k):
-        for eta_col in row_tuples:
+        for eta_col in eta_cols:
             if max(map(min, pi_row, eta_col)) != f_lambda:
                 continue
             pairs = list(zip(pi_row, eta_col))
             if pairs != sorted(pairs):
                 continue
             heads = [
-                (cut.final | _cut_mask(eta_col, cut.alpha) << n, cut.initial,
+                (cut.final | _cut_mask(eta_col, cut.alpha) << n,
                  _cut_mask(pi_row, cut.alpha) << n)
                 for cut in levels
             ]
@@ -554,16 +531,17 @@ def decide_k(
       one-sided `_saturate_cut` call that stops at the first word the input
       accepts and the candidate rejects; past max_vectors it prunes nothing.
 
-    With a single positive level each block is checked as it comes.  With
-    several, a block's cut at level alpha is its k x k bit pattern (weight
-    >= alpha), and the check at that level depends only on that pattern and
-    the cut prefix already chosen.  So each (level, prefix) node
-    learns once, per bit prefix, whether some pattern extending it passes,
-    at most 2**(k*k) kernel calls per node, kept for the whole call.  Blocks
-    are filled weight by weight in ascending rank order, and a weight is
-    dropped as soon as some level's bit prefix has no passing completion.
-    The blocks that survive are exactly those the per-block check passes, in
-    the same order, so the witness is the same.
+    A block's cut at level alpha is its k x k bit pattern (weight >= alpha),
+    and the check at that level depends only on that pattern and the cut
+    prefix already chosen.  So each (level, prefix) node learns once, per
+    bit prefix, whether some pattern extending it passes, by checking those
+    patterns in grid order up to the first that passes: at most 2**(k*k)
+    kernel calls per node, kept for the whole call.  Blocks are filled
+    weight by weight in ascending rank order, and a weight is dropped as
+    soon as some level's bit prefix has no passing completion.  The blocks
+    that survive are exactly those that checking each block on its own
+    passes, in the same order, with one level or several, so the witness is
+    the same.
 
     The steps run in one order: build the input's cut records, look for a
     fooling set, refuse an oversized grid, answer a one-point grid, run the
@@ -601,9 +579,9 @@ def decide_k(
     records from a caller that has already looked for a fooling set on them
     (`minimize`), so a given _levels skips that filter.
     """
-    space = build_candidate_space(inst)
     a = inst.automaton
     k = inst.k
+    v_ranks, var_count = _grid(inst)
     levels = _levels
     if levels is None:
         levels = _cut_levels(a)
@@ -613,11 +591,11 @@ def decide_k(
                 _on_bound(*bound)
             return None
     _check_grid(
-        len(space.values), space.var_count, max_candidates,
+        len(v_ranks), var_count, max_candidates,
         f"candidate assignments for k={k}", f"candidate weights for k={k}",
     )
-    if len(space.values) == 1:
-        values = space.values * space.var_count
+    if len(v_ranks) == 1:
+        values = (a.chain[v_ranks[0]],) * var_count
         return CandidateAutomaton(values, decode_candidate(a.chain, a.alphabet, k, values))
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
@@ -634,7 +612,6 @@ def decide_k(
                 continue
             if nfa is None:
                 return None
-    v_ranks = tuple(v.rank for v in space.values)
     found = _first_witness(n_sym, k, v_ranks, f_lambda, levels, max_vectors)
     if found is None:
         return None
@@ -732,5 +709,5 @@ def nfa_view(a: FuzzyAutomaton) -> NfaView:
 def cost_estimate(inst: MinimizeInstance) -> int | str:
     """The size of `decide_k`'s candidate grid, |V|**var_count, or the text
     "<|V|>^<var_count>" once it has more than 4,300 digits."""
-    space = build_candidate_space(inst)
-    return _size(len(space.values), space.var_count)
+    ranks, var_count = _grid(inst)
+    return _size(len(ranks), var_count)

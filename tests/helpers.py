@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import fuzzmin as fz
 from fuzzmin import equations
-from fuzzmin.automaton import EquivalenceResult, Word, _cut_mask, _levels
+from fuzzmin.automaton import EquivalenceResult, Word, _cut_mask, _cut_matrix, _levels
 from fuzzmin.chain import (
     Box,
     ChainValue,
@@ -438,6 +438,32 @@ def reference_saturate_cut(
             depth += 1
         frontier = new
     return witness, mismatch, depth
+
+
+def reference_joint(rows: Sequence[int], n: int, k: int, code: int):
+    """Referee for the last matrix of `minimization._CutDomain._joint`: the
+    n input cut rows of one symbol followed by the k candidate rows of the
+    block code, row-major after a leading 1 bit with column 0 first, each
+    candidate column j the joint state n + j, rebuilt row by row."""
+    block = []
+    for i in range(k):
+        row = code >> k * (k - 1 - i)
+        block.append(sum(1 << n + j for j in range(k) if row >> k - 1 - j & 1))
+    return _cut_matrix(tuple(rows) + tuple(block))
+
+
+def reference_later_full(rows: Sequence[Sequence[int]], n: int, k: int) -> list[list]:
+    """Referee for `minimization._later_full` on one level's cut rows per
+    symbol: per symbol, the distinct joint matrices of the symbols after it,
+    each the symbol's rows followed by a full candidate block, rebuilt row by
+    row, last symbol first."""
+    full = (((1 << k) - 1) << n,) * k
+    later: list[list] = []
+    seen: dict = {}
+    for sym_rows in reversed(rows):
+        later.append(list(seen))
+        seen[_cut_matrix(tuple(sym_rows) + full)] = None
+    return later[::-1]
 
 
 def per_level_fixpoint(

@@ -44,6 +44,8 @@ from helpers import (
     permutation_pair,
     positive_ranks,
     reference_fooling_set,
+    reference_joint,
+    reference_later_full,
     sparse_draw,
 )
 
@@ -512,6 +514,109 @@ def test_a_budget_error_in_the_upper_bound_prunes_nothing(monkeypatch):
     assert [_assignment(decide_k(inst, **kwargs)) for inst, kwargs in cases] == expected
     assert len(raised) >= 100
     assert sum(w is not None for w in expected) >= 2
+
+
+# the node build: a node's joint matrix is its symbol's base, the input's
+# cut rows, plus one table entry per candidate row, and each later matrix is
+# a base plus a full candidate block; past the packing cutoff both are
+# tuples of rows
+
+
+def _wide_cases():
+    """k=2 on three inputs that hold a 0 weight, a boolean one with a
+    witness, a two-level one with a witness and a boolean one whose search
+    comes back empty, each as it is and padded to 31 states: 33 joint states,
+    past the packing cutoff.  The padding adds only 0 weights on unreachable
+    states, so the language and V, and with them the first witness, stay."""
+    ops = minimize_benchmark_ops()
+    for a in (ops["boolean-21"], fz.gen_automaton(26, 3, 2, 3), ops["boolean-01"]):
+        yield a, pad_states(a, 31)
+
+
+def _node_builds(cases):
+    """Every `_first_witness` search the decide_k cases run, as (k, levels,
+    the `_later_full` lists it built, the nodes whose `_joint` ran)."""
+    searches = []
+    search = fz.minimization._first_witness
+    later_full = fz.minimization._later_full
+    joint = fz.minimization._CutDomain._joint
+
+    def search_spy(n_sym, k, value_ranks, f_lambda, levels, max_vectors):
+        searches.append((k, levels, [], {}))
+        return search(n_sym, k, value_ranks, f_lambda, levels, max_vectors)
+
+    def later_spy(*args):
+        searches[-1][2].append(later_full(*args))
+        return searches[-1][2][-1]
+
+    def joint_spy(node, code):
+        searches[-1][3][id(node)] = node
+        return joint(node, code)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fz.minimization, "_first_witness", search_spy)
+        mp.setattr(fz.minimization, "_later_full", later_spy)
+        mp.setattr(fz.minimization._CutDomain, "_joint", joint_spy)
+        for inst, kwargs in cases:
+            decide_k(inst, **kwargs)
+    return searches
+
+
+def test_the_packed_nodes_are_their_rows_rebuilt():
+    # k = 1, 2 and 3 on one level and on several, and the wide k=2 cases;
+    # every code of every node visited equals its rebuild from one level's
+    # rows, and each level's later list its rebuild from that level's rows
+    ops = minimize_benchmark_ops()
+    boolean = [ops["boolean-21"]] * 2 + [
+        fz.random_automaton(random.Random(4), Chain(("0", "1")), ("a", "b"), 4)
+    ]
+    several = [DUP, fz.gen_automaton(26, 3, 2, 3), LIFTED[9].automaton]
+    insts = [MinimizeInstance(a, k) for a, k in zip(boolean + several, [1, 2, 3] * 2)]
+    insts += [MinimizeInstance(b, 2) for _, b in _wide_cases()]
+    cases = [
+        (inst, {"_levels": _cut_levels(inst.automaton), "max_candidates": LIFTED_CAP})
+        for inst in insts
+    ]
+    seen = set()
+    for k, levels, laters, nodes in _node_builds(cases):
+        n = len(levels[0].rows[0])
+        assert laters == [reference_later_full(cut.rows, n, k) for cut in levels]
+        codes = range(1 << k * k, 2 << k * k)
+        for node in nodes.values():
+            s = len(node.mats)
+            built = [node._joint(code) for code in codes]
+            assert all(m[:s] == node.mats for m in built)
+            assert any(
+                [m[s] for m in built]
+                == [reference_joint(cut.rows[s], n, k, code) for code in codes]
+                for cut in levels
+            ), (k, n, s)
+            seen.add((k, n > 30, len(levels) > 1))
+    assert {(k, False, several) for k in (1, 2, 3) for several in (False, True)} <= seen
+    assert (2, True, False) in seen and (2, True, True) in seen
+
+
+def test_a_wide_node_build_keeps_the_answer(monkeypatch):
+    # the padded searches build their nodes as tuples of 33 rows
+    joint = fz.minimization._CutDomain._joint
+    widths = set()
+
+    def spy(node, code):
+        mats = joint(node, code)
+        widths.update(len(m) for m in mats if isinstance(m, tuple))
+        return mats
+
+    monkeypatch.setattr(fz.minimization._CutDomain, "_joint", spy)
+    answers = []
+    for a, padded in _wide_cases():
+        got = [
+            _assignment(decide_k(MinimizeInstance(b, 2), _levels=_cut_levels(b)))
+            for b in (a, padded)
+        ]
+        assert got[0] == got[1], a
+        answers.append(got[0])
+    assert widths == {33}
+    assert [w is None for w in answers] == [False, False, True]
 
 
 # the fooling-set bound: an extended fooling set of k+1 word pairs on one
