@@ -11,6 +11,14 @@ lexicographically first equivalent grid assignment.  `minimize` walks k
 upward from a lower bound and returns the first winner, or the input itself
 when nothing smaller works.
 
+k = 1 needs no search.  A one-state automaton values a word w as min(pi',
+eta', delta'_s for each letter s of w).  So if any one-state equivalent
+exists, (c, c, f(a_1), ..., f(a_m)) is one too, where c = f(lambda) and
+f(a_i) is the input's value on the letter a_i.  That point is also the
+first in grid order: pi' >= c and eta' >= c are forced, and each delta'_s
+is forced or can be as low as c.  `_one_state` checks that one point, and
+`minimize` tries it before anything else.
+
 A candidate's alpha-cut depends only on which of its weights are >= alpha,
 so at one level and one cut prefix every transition block with the same bit
 pattern passes or fails the same check.  The search therefore tests each
@@ -35,10 +43,11 @@ certificate found without any grid, so it runs before the grid is refused;
 `minimize` looks once for the largest set and starts k at its size.  The
 second, after the refusal that bounds its grid, runs the boolean special
 case on each cut (2**var_count points, not |V|**var_count), and is skipped
-with one positive level.  Both skip cuts with at most k trimmed states,
-which already are k-state NFAs, and only ever answer None, so witnesses are
-unchanged.  A one-point grid is answered directly.  Each cut is built once
-per input, as a `_Cut` record that both filters and the search read.
+with one positive level and at k = 1.  Both skip cuts with at most k
+trimmed states, which already are k-state NFAs, and only ever answer None,
+so witnesses are unchanged.  A one-point grid is answered directly.  Each
+cut is built once per input, as a `_Cut` record that both filters and the
+search read.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -62,6 +71,8 @@ from .automaton import (
     _cut_mask,
     _cut_matrix,
     _cut_table,
+    _dot,
+    _joint_cut_matrices,
     _levels,
     _saturate_cut,
 )
@@ -119,6 +130,11 @@ class CandidateAutomaton:
 
     assignment: tuple[ChainValue, ...]
     automaton: FuzzyAutomaton
+
+
+def _candidate(a: FuzzyAutomaton, k: int, ranks: Sequence[int]) -> CandidateAutomaton:
+    values = tuple(map(a.chain.__getitem__, ranks))
+    return CandidateAutomaton(values, decode_candidate(a.chain, a.alphabet, k, values))
 
 
 def decode_candidate(
@@ -493,6 +509,55 @@ def _first_witness(
     return None
 
 
+def _one_state(a: FuzzyAutomaton, max_vectors: int) -> tuple[int, ...] | None:
+    """Ranks of the first one-state assignment in grid order that agrees
+    with a, or None.
+
+    A one-state equivalent has min(pi', eta') = c, the input's value on the
+    empty word, and min(c, delta'_s) = f(s), its value on the letter s, so
+    none exists when some f(s) exceeds c.  On it every word w takes
+    min(c, f(s) for each letter s of w), and so it does on (c, c, f(s) per
+    symbol), the least weights, in grid order, that solve those equations;
+    all of them occur in V.  That one point is checked level by level on
+    the joint cut, as `equivalent_fixpoint` builds it, each level counting
+    its cut subsets from 0 against max_vectors, as the search's checks do.
+    """
+    c = max(map(min, a.pi.data, a.eta.data))
+    letters = [
+        _dot(a.pi.data, [_dot(row, a.eta.data) for row in d.as_row_tuples()])
+        for d in a.delta
+    ]
+    if max(letters) > c:
+        return None
+    levels = _levels(a)
+    mats = [
+        _joint_cut_matrices(d, FuzzyMatrix(a.chain, 1, 1, (r,)), levels)
+        for d, r in zip(a.delta, letters)
+    ]
+    final = _cut_table(a.eta.data + (c,), levels)
+    pi1, pi2 = _cut_table(a.pi.data, levels), _cut_table((c,), levels, a.n)
+    for p in range(len(levels)):
+        _, mismatch, _ = _saturate_cut(
+            [sym_mats[p] for sym_mats in mats], a.n + 1, final[p], pi1[p], pi2[p], 0,
+            max_vectors,
+        )
+        if mismatch is not None:
+            return None
+    return (c, c, *letters)
+
+
+def _check_k(
+    inst: MinimizeInstance, max_candidates: int
+) -> tuple[tuple[int, ...], int]:
+    """`_grid`, after `_check_grid` has refused a grid past max_candidates."""
+    v_ranks, var_count = _grid(inst)
+    _check_grid(
+        len(v_ranks), var_count, max_candidates,
+        f"candidate assignments for k={inst.k}", f"candidate weights for k={inst.k}",
+    )
+    return v_ranks, var_count
+
+
 # Receives the level and the word pairs of a fooling set that refutes k.
 _OnBound = Callable[[int, list[tuple[Word, Word]]], None]
 
@@ -544,29 +609,34 @@ def decide_k(
     the same.
 
     The steps run in one order: build the input's cut records, look for a
-    fooling set, refuse an oversized grid, answer a one-point grid, run the
-    boolean cut checks, search.  The alpha-cut of a k-state witness is a
-    k-state NFA for the input's cut language, so both filters look for a cut
-    with no k-state NFA and answer None when one has none.  First, each
-    level's cut, levels descending, is searched for an extended fooling set
-    of k+1 word pairs (see `_fooling_set`), which proves that every NFA for
-    its language has more than k states; it needs no grid, is charged
-    against max_vectors per level and gives up silently past it.  Then the
-    grid is refused by `_check_grid` when it is larger than max_candidates
-    (budget error carrying the count, or the text "<|V|>^<var_count>" past
-    4,300 digits), since it bounds all the work after it, and so is a grid
-    of one point (|V| = 1) whose var_count weights pass max_candidates.  A
-    one-point grid is not searched: every weight of the input and of that
-    point is the one value v, and every word has a path, so both languages
-    are constantly v and the point is the answer.  Then an input with
-    more than one positive level is tried one cut at a time, levels
-    ascending: if the same search over the values 0 and 1, at that one
-    level, finds no k-state NFA for some cut, the answer is None.  That grid
-    has 2**var_count assignments, not |V|**var_count; with a single level
-    the cut is the input itself, so this check is skipped.  Both filters
-    skip a cut with at most k states that are reachable and reach a final
-    state, since it already is a k-state NFA.  Only empty answers come from
-    the filters, so witnesses are unchanged.
+    fooling set, refuse an oversized grid, answer a one-point grid, and then
+    at k = 1 check the one candidate `_one_state` builds, or at k >= 2 run
+    the boolean cut checks and search.  The k=1 candidate is the point this
+    search would meet first among the witnesses (see `_one_state`), so the
+    witness is the same; only budget refusals move, since it checks one
+    point on the whole alphabet where the search checked prefixes of many.
+    The alpha-cut of a k-state witness is a k-state NFA for the input's cut
+    language, so both filters look for a cut with no k-state NFA and answer
+    None when one has none.  First, each level's cut, levels descending, is
+    searched for an extended fooling set of k+1 word pairs (see
+    `_fooling_set`), which proves that every NFA for its language has more
+    than k states; it needs no grid, is charged against max_vectors per
+    level and gives up silently past it.  Then the grid is refused by
+    `_check_grid` when it is larger than max_candidates (budget error
+    carrying the count, or the text "<|V|>^<var_count>" past 4,300 digits),
+    since it bounds all the work after it, and so is a grid of one point
+    (|V| = 1) whose var_count weights pass max_candidates.  A one-point grid
+    is not searched: every weight of the input and of that point is the one
+    value v, and every word has a path, so both languages are constantly v
+    and the point is the answer.  Then, at k >= 2, an input with more than
+    one positive level is tried one cut at a time, levels ascending: if the
+    same search over the values 0 and 1, at that one level, finds no k-state
+    NFA for some cut, the answer is None.  That grid has 2**var_count
+    assignments, not |V|**var_count; with a single level the cut is the
+    input itself, so this check is skipped.  Both filters skip a cut with at
+    most k states that are reachable and reach a final state, since it
+    already is a k-state NFA.  Only empty answers come from the filters, so
+    witnesses are unchanged.
 
     max_vectors bounds the cut subsets held at once, which is one level of
     one check: a level is dropped before the next starts, and it never holds
@@ -581,7 +651,6 @@ def decide_k(
     """
     a = inst.automaton
     k = inst.k
-    v_ranks, var_count = _grid(inst)
     levels = _levels
     if levels is None:
         levels = _cut_levels(a)
@@ -590,13 +659,12 @@ def decide_k(
             if _on_bound is not None:
                 _on_bound(*bound)
             return None
-    _check_grid(
-        len(v_ranks), var_count, max_candidates,
-        f"candidate assignments for k={k}", f"candidate weights for k={k}",
-    )
+    v_ranks, var_count = _check_k(inst, max_candidates)
     if len(v_ranks) == 1:
-        values = (a.chain[v_ranks[0]],) * var_count
-        return CandidateAutomaton(values, decode_candidate(a.chain, a.alphabet, k, values))
+        return _candidate(a, k, v_ranks * var_count)
+    if k == 1:
+        found = _one_state(a, max_vectors)
+        return None if found is None else _candidate(a, 1, found)
     n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
     if len(levels) > 1:
@@ -613,12 +681,7 @@ def decide_k(
             if nfa is None:
                 return None
     found = _first_witness(n_sym, k, v_ranks, f_lambda, levels, max_vectors)
-    if found is None:
-        return None
-    values = tuple(a.chain[r] for r in found)
-    return CandidateAutomaton(
-        values, decode_candidate(a.chain, a.alphabet, k, values)
-    )
+    return None if found is None else _candidate(a, k, found)
 
 
 def minimize(
@@ -631,6 +694,13 @@ def minimize(
 ) -> FuzzyAutomaton:
     """Smallest equivalent automaton found by trying k = b, b + 1, ...
 
+    First, with more than one state, the k=1 candidate of `_one_state` is
+    checked.  When it agrees with the input, on_k sees k=1, the k=1 grid is
+    refused past max_candidates as `decide_k` refuses it, and the one-state
+    automaton is returned: the same witness `decide_k` gives at k=1, with
+    no cut levels built and no fooling set looked for.  Otherwise, or when
+    that check exceeds max_vectors, the steps below run.
+
     b is the size of the largest extended fooling set found on any alpha-cut
     (see `decide_k`), or 1; it is looked for once, on cut levels built once,
     and those levels go to each k's `decide_k`, which then does not look
@@ -641,6 +711,17 @@ def minimize(
     instance before that k is searched; `_on_bound`, when given, is called
     with the set that gives b when b > 1.
     """
+    if a.n > 1:
+        try:
+            found = _one_state(a, max_vectors)
+        except BudgetExceededError:
+            found = None
+        if found is not None:
+            inst = MinimizeInstance(a, 1)
+            if on_k is not None:
+                on_k(inst)
+            _check_k(inst, max_candidates)
+            return _candidate(a, 1, found).automaton
     start = 1
     levels = _cut_levels(a)
     bound = _fooling_bound(levels, 1, a.n, max_vectors)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -21,7 +22,13 @@ from fuzzmin import (
     nfa_view,
     pad_states,
 )
-from fuzzmin.minimization import _cut_levels, _fooling_bound, cost_estimate
+from fuzzmin.minimization import (
+    _cut_levels,
+    _fooling_bound,
+    _grid,
+    _one_state,
+    cost_estimate,
+)
 from fuzzmin.oracles import (
     all_words_up_to,
     crisp_accepts,
@@ -225,9 +232,141 @@ def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
 
     monkeypatch.setattr(fz.minimization, "_saturate_cut", spy)
     with pytest.raises(BudgetExceededError) as info:
-        decide_k(MinimizeInstance(a, 1), max_vectors=1)
+        decide_k(MinimizeInstance(a, 2), max_vectors=1)
     assert (info.value.count, info.value.limit) == (2, 1)
     assert symbols_seen == [1]
+    # k=1 is answered in closed form: f(a) = 1 exceeds f(λ) = 0, so no
+    # one-state automaton agrees, and no check runs
+    symbols_seen.clear()
+    assert decide_k(MinimizeInstance(a, 1), max_vectors=1) is None
+    assert symbols_seen == []
+
+
+# k=1 in closed form: the one candidate a one-state equivalent can be first
+
+
+def _searched_one_state(a, max_vectors=fz.errors.DEFAULT_VECTOR_BUDGET):
+    """The general search's k=1 answer, as ranks: `_first_witness` over the
+    input's values and levels, the referee of `_one_state`."""
+    v_ranks, _ = _grid(MinimizeInstance(a, 1))
+    f_lambda = max(map(min, a.pi.data, a.eta.data))
+    return fz.minimization._first_witness(
+        len(a.alphabet), 1, v_ranks, f_lambda, _cut_levels(a), max_vectors
+    )
+
+
+# gen_automaton shapes (states, symbols, chain size): one symbol and several,
+# one positive level (chain size 2) and several
+ONE_STATE_SHAPES = [
+    (2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 3, 2), (2, 1, 4),
+    (3, 1, 5), (3, 2, 3), (4, 2, 4), (2, 3, 3), (5, 2, 6),
+]
+
+
+def _one_state_corpus():
+    """(name, automaton) for criterion 6's boolean automata, 100 draws of
+    each shape and the `minimize` benchmark's inputs; inputs whose values
+    are all 0 have no positive level and no search, and are left out."""
+    corpora = [
+        ("criterion-6", (a for a, _ in criterion6_corpus())),
+        ("draws", (
+            fz.gen_automaton(100 * i + g, *shape)
+            for i, shape in enumerate(ONE_STATE_SHAPES)
+            for g in range(100)
+        )),
+        ("minimize-base", minimize_benchmark_automata()),
+    ]
+    for name, automata in corpora:
+        yield from ((name, a) for a in automata if positive_ranks(a))
+
+
+def test_the_one_state_answer_is_the_searched_first_witness():
+    # the closed form against the general search at k=1, same assignment or
+    # both None, counted per corpus as (inputs, one-state, one-state on
+    # several levels)
+    counts = {}
+    budget = fz.errors.DEFAULT_VECTOR_BUDGET
+    for name, a in _one_state_corpus():
+        got = _one_state(a, budget)
+        assert got == _searched_one_state(a), (name, a)
+        seen = counts.setdefault(name, [0, 0, 0])
+        seen[0] += 1
+        seen[1] += got is not None
+        seen[2] += got is not None and len(positive_ranks(a)) > 1
+    assert counts["criterion-6"][:2] == [4210, 3155]
+    assert counts["draws"] == [999, 614, 330]
+    assert counts["minimize-base"] == [101, 77, 35]
+    # and decide_k's k=1 answer is that assignment, decoded
+    for a in (DUP, NONMONO, BEYOND_CUTS):
+        got = _assignment(decide_k(MinimizeInstance(a, 1)))
+        assert (got and tuple(v.rank for v in got)) == _searched_one_state(a)
+
+
+def test_the_one_state_check_fits_every_budget_the_search_fits():
+    # each level's cut subsets are counted from 0, as in the search, whose
+    # last check of the witness is the same kernel call: a budget the search
+    # answers within, the closed form answers within too.  Counted: the
+    # several-level inputs whose least such budget gives a witness, and those
+    # among them where that budget is below all levels' subsets together
+    answered = tight = 0
+    for name, a in _one_state_corpus():
+        if name == "criterion-6" or len(positive_ranks(a)) < 2:
+            continue
+        for max_vectors in range(1, 64):
+            try:
+                searched = _searched_one_state(a, max_vectors)
+            except BudgetExceededError:
+                continue
+            if searched is not None:
+                answered += 1
+                assert _one_state(a, max_vectors) == searched, (a, max_vectors)
+                # the fixpoint counts every level's subsets together
+                values = list(map(a.chain.__getitem__, searched))
+                one = decode_candidate(a.chain, a.alphabet, 1, values)
+                tight += max_vectors < len(fz.equivalent_fixpoint(a, one).reached)
+            break
+    assert (answered, tight) == (365, 333)
+
+
+def test_a_wide_one_state_check_keeps_the_answer():
+    # padded to 40 states, the check runs on 41 joint states, past the
+    # packing cutoff, as tuples of rows; the padding adds 0 weights on
+    # unreachable states, so the language, f(λ) and every letter's value stay
+    budget = fz.errors.DEFAULT_VECTOR_BUDGET
+    answers = []
+    for a in [DUP, NONMONO, *minimize_benchmark_automata()[::10]]:
+        answers.append(_one_state(a, budget))
+        assert _one_state(pad_states(a, 40), budget) == answers[-1], a
+    assert [w is not None for w in answers].count(False) == 4
+
+
+def test_minimize_answers_a_one_state_collapse_before_the_bound(monkeypatch):
+    # DUP collapses: no cut records, no fooling-set search, no witness search,
+    # but on_k still sees k=1 and the k=1 grid is still refused past its cap
+    called = []
+    for name in ("_cut_levels", "_fooling_bound", "_first_witness"):
+        real = getattr(fz.minimization, name)
+
+        def spy(*args, real=real, name=name):
+            called.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(fz.minimization, name, spy)
+    tried = []
+    small = minimize(DUP, on_k=lambda inst: tried.append(inst.k))
+    assert (small.n, tried, called) == (1, [1], [])
+    tried.clear()
+    with pytest.raises(BudgetExceededError) as info:
+        minimize(DUP, max_candidates=7, on_k=lambda inst: tried.append(inst.k))
+    assert (info.value.count, info.value.limit, tried, called) == (8, 7, [1], [])
+    # a budget error in the closed form leaves k=1 undecided: the bound is
+    # looked for, and the k=1 refusal comes from decide_k
+    tried.clear()
+    with pytest.raises(BudgetExceededError) as info:
+        minimize(DUP, max_vectors=1, on_k=lambda inst: tried.append(inst.k))
+    assert (info.value.count, info.value.limit) == (2, 1)
+    assert called == ["_cut_levels", "_fooling_bound"] and tried == [1]
+    assert small == decide_k(MinimizeInstance(DUP, 1)).automaton
 
 
 # the cut check: one alpha-cut with no k-state NFA rules k out
@@ -270,11 +409,16 @@ def test_a_refuting_cut_skips_the_full_search(monkeypatch):
     assert searched and set(searched) == {(0, 1)}
 
 
-@pytest.mark.parametrize("seed, k", [(3, 1), (0, 2)])
-def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatch):
+@pytest.mark.parametrize(
+    "seed, k, checked",
+    [pytest.param(3, 1, [], id="3-1"), pytest.param(0, 2, [1, 2], id="0-2")],
+)
+def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, checked, monkeypatch):
     # 3-state unary draws on chain 4 (levels 1, 2, 3): the cuts at levels 1
     # and 2 keep more than k states that are reachable and reach a final
-    # state, the cut at level 3 keeps at most k
+    # state, the cut at level 3 keeps at most k.  At k=2 the boolean cut
+    # check runs on the checked levels; k=1 is answered in closed form, so
+    # no cut is checked at all
     a = fz.gen_automaton(seed, 3, 1, 4)
     inst = MinimizeInstance(a, k)
     assert positive_ranks(a) == [1, 2, 3]
@@ -302,7 +446,7 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatc
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
     witness = decide_k(inst)
-    assert searched == [cut(1), cut(2)]
+    assert searched == list(map(cut, checked))
     # with every cut counted as all of its states, level 3 is searched too
     searched.clear()
     cut_levels = fz.minimization._cut_levels
@@ -312,7 +456,7 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, monkeypatc
         lambda a: [c._replace(trimmed=a.n) for c in cut_levels(a)],
     )
     unskipped = decide_k(inst)
-    assert searched == [cut(1), cut(2), cut(3)]
+    assert searched == list(map(cut, [1, 2, 3] if checked else []))
     assert witness.assignment == unskipped.assignment
 
 
@@ -359,7 +503,11 @@ def test_a_long_witness_search_ends_at_its_pinned_witness():
 
 def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
     # on an input with several levels, value ranks (0, 1) mark the boolean
-    # cut checks: the input's own values hold more than one positive rank
+    # cut checks: the input's own values hold more than one positive rank.
+    # gen_automaton(11, 3, 2, 3) has a k=2 witness and two levels, each with
+    # three trimmed states, and no fooling set of three pairs
+    a = fz.gen_automaton(11, 3, 2, 3)
+    expected = decide_k(MinimizeInstance(a, 2)).assignment
     refused = []
     search = fz.minimization._first_witness
 
@@ -370,11 +518,15 @@ def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
         return search(n_sym, k, value_ranks, *args)
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
+    assert decide_k(MinimizeInstance(a, 2)).assignment == expected
+    assert refused == [2, 2]
+    # k=1 runs no boolean cut check, and no search
+    refused.clear()
     witness = decide_k(MinimizeInstance(DUP, 1))
     assert [v.label for v in witness.assignment] == ["0.8", "0.8", "0.6"]
-    assert refused == [1, 1]
+    assert refused == []
     assert decide_k(MinimizeInstance(NONMONO, 2)) is None
-    # the full search's own refusal, as before the cut check existed
+    # the one-state check's own refusal
     with pytest.raises(BudgetExceededError) as info:
         decide_k(MinimizeInstance(NONMONO, 1), max_vectors=3)
     assert (info.value.count, info.value.limit) == (4, 3)
@@ -533,9 +685,9 @@ def _wide_cases():
         yield a, pad_states(a, 31)
 
 
-def _node_builds(cases):
-    """Every `_first_witness` search the decide_k cases run, as (k, levels,
-    the `_later_full` lists it built, the nodes whose `_joint` ran)."""
+def _node_builds(runs):
+    """Every `_first_witness` search the runs make, as (k, levels, the
+    `_later_full` lists it built, the nodes whose `_joint` ran)."""
     searches = []
     search = fz.minimization._first_witness
     later_full = fz.minimization._later_full
@@ -557,15 +709,17 @@ def _node_builds(cases):
         mp.setattr(fz.minimization, "_first_witness", search_spy)
         mp.setattr(fz.minimization, "_later_full", later_spy)
         mp.setattr(fz.minimization._CutDomain, "_joint", joint_spy)
-        for inst, kwargs in cases:
-            decide_k(inst, **kwargs)
+        for run in runs:
+            run()
     return searches
 
 
 def test_the_packed_nodes_are_their_rows_rebuilt():
     # k = 1, 2 and 3 on one level and on several, and the wide k=2 cases;
     # every code of every node visited equals its rebuild from one level's
-    # rows, and each level's later list its rebuild from that level's rows
+    # rows, and each level's later list its rebuild from that level's rows.
+    # decide_k answers k=1 in closed form, so the k=1 searches are called
+    # directly
     ops = minimize_benchmark_ops()
     boolean = [ops["boolean-21"]] * 2 + [
         fz.random_automaton(random.Random(4), Chain(("0", "1")), ("a", "b"), 4)
@@ -573,12 +727,15 @@ def test_the_packed_nodes_are_their_rows_rebuilt():
     several = [DUP, fz.gen_automaton(26, 3, 2, 3), LIFTED[9].automaton]
     insts = [MinimizeInstance(a, k) for a, k in zip(boolean + several, [1, 2, 3] * 2)]
     insts += [MinimizeInstance(b, 2) for _, b in _wide_cases()]
-    cases = [
-        (inst, {"_levels": _cut_levels(inst.automaton), "max_candidates": LIFTED_CAP})
+    runs = [
+        functools.partial(_searched_one_state, inst.automaton) if inst.k == 1 else
+        functools.partial(
+            decide_k, inst, _levels=_cut_levels(inst.automaton), max_candidates=LIFTED_CAP
+        )
         for inst in insts
     ]
     seen = set()
-    for k, levels, laters, nodes in _node_builds(cases):
+    for k, levels, laters, nodes in _node_builds(runs):
         n = len(levels[0].rows[0])
         assert laters == [reference_later_full(cut.rows, n, k) for cut in levels]
         codes = range(1 << k * k, 2 << k * k)
@@ -774,12 +931,13 @@ def test_minimize_builds_the_cut_levels_once(monkeypatch):
         return cut_levels(a)
 
     monkeypatch.setattr(fz.minimization, "_cut_levels", spy)
-    # BEYOND_CUTS searches k=2 after its bound, DUP searches k=1 and NONMONO
-    # needs no search; without the bound, BEYOND_CUTS searches k=1 and k=2
-    for a in (BEYOND_CUTS, DUP, NONMONO):
+    # BEYOND_CUTS searches k=2 after its bound and NONMONO needs no search;
+    # DUP collapses to one state in closed form, before any cut is built.
+    # Without the bound, BEYOND_CUTS searches k=1 and k=2
+    for a, times in ((BEYOND_CUTS, 1), (DUP, 0), (NONMONO, 1)):
         built.clear()
         minimize(a)
-        assert built == [a]
+        assert built == [a] * times
     monkeypatch.setattr(fz.minimization, "_fooling_bound", lambda *args: None)
     tried = []
     built.clear()
