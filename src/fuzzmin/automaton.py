@@ -295,12 +295,9 @@ def _levels(*automata: FuzzyAutomaton) -> list[int]:
     return sorted(ranks)
 
 
-def _cut_mask(ranks: Sequence[int], alpha: int) -> int:
-    return sum(1 << i for i, r in enumerate(ranks) if r >= alpha)
-
-
 def _cut_table(ranks: Sequence[int], levels: Sequence[int], shift: int = 0) -> list[int]:
-    """_cut_mask(ranks, alpha) << shift for every alpha of the ascending levels.
+    """For every alpha of the ascending levels, the mask with bit i + shift
+    set for each entry i of ranks that is at least alpha.
 
     Each entry's bit goes once into the slot of the highest level at or below
     its rank, and the slots then accumulate from the top level down, so the

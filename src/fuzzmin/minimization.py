@@ -28,12 +28,13 @@ passing pattern that extends its bits.  A block survives exactly when
 checking it on its own would pass it, and blocks are still met in grid
 order, so witnesses are unchanged.
 
-At every block boundary but the last, a block that passes its prefix check
-must also pass an upper bound: at each level, every word the input's cut
-accepts must be accepted by the candidate's cut NFA with every later block
+Each (pi', eta') head, before any block is tried, and each block that
+passes its prefix check at every block boundary but the last, must also
+pass an upper bound: at each level, every word the input's cut accepts must
+be accepted by the candidate's cut NFA with every block not yet chosen
 full.  Adding transitions only adds words, so every completion's cut
-language lies inside that bound, and a block that fails it leads to no
-witness.  Only non-witnesses are cut, so the witness is unchanged.
+language lies inside that bound, and a head or block that fails it leads
+to no witness.  Only non-witnesses are cut, so the witness is unchanged.
 
 Two filters run before that search.  The alpha-cut of a k-state witness is
 a k-state NFA for the input's cut language, so a cut of the input with no
@@ -68,7 +69,6 @@ from .automaton import (
     language_value,
     _columns,
     _cut_by_level,
-    _cut_mask,
     _cut_matrix,
     _cut_table,
     _dot,
@@ -321,14 +321,15 @@ def _fooling_bound(
 
 
 def _later_full(bases: Sequence, full: int | tuple[int, ...]) -> list[list]:
-    """Per symbol s, the distinct joint cut matrices of the symbols after s:
-    each symbol's base plus the full candidate block, in which each of the k
-    candidate rows steps to every candidate state."""
-    later: list[list] = []
+    """Per i from 0 to len(bases), the distinct joint cut matrices of symbol i
+    and the symbols after it: each symbol's base plus the full candidate
+    block, in which each of the k candidate rows steps to every candidate
+    state.  Entry 0 holds every symbol, and the last entry none."""
+    later: list[list] = [[]]
     seen: dict = {}
     for base in reversed(bases):
-        later.append(list(seen))
         seen[base + full] = None
+        later.append(list(seen))
     return later[::-1]
 
 
@@ -337,12 +338,13 @@ def _fits_upper(
 ) -> bool:
     """Whether every word the input (initial states pi1) accepts on the joint
     cut matrices, on n states, followed by the later symbols' matrices, is
-    also accepted by the candidate (pi2).  With pi1 | pi2 as the first side,
-    the kernel's two-sided test holds exactly where the input accepts and
-    the candidate rejects.  Symbols with the same joint matrix reach the
-    same subsets, so each matrix is saturated once.  With no later symbol
-    the prefix check has already decided, and a test past max_vectors
-    decides nothing, so both answer True."""
+    also accepted by the candidate (pi2).  With no chosen matrix and every
+    symbol's block full, it tests a (pi', eta') head before any block.  With
+    pi1 | pi2 as the first side, the kernel's two-sided test holds exactly
+    where the input accepts and the candidate rejects.  Symbols with the
+    same joint matrix reach the same subsets, so each matrix is saturated
+    once.  With no later symbol the prefix check has already decided, and a
+    test past max_vectors decides nothing, so both answer True."""
     if not later:
         return True
     try:
@@ -363,12 +365,13 @@ class _CutDomain:
     bit.  `ok` tells whether some completion of it agrees with the input on
     every word over the symbols so far and, unless the symbol is the last,
     fits the input's cut language inside the candidate's with every later
-    block full; `child` maps each full pattern that passes to the prefix it
-    leads to.  Both are computed once per code, so each full pattern costs
-    at most two kernel calls however many fuzzy blocks share it.  A full
-    pattern's joint matrix is the symbol's base, the input's cut rows with
-    the candidate rows empty, plus one table entry per candidate row,
-    indexed by that row's k bits.
+    block full (`fits`); `child` maps each full pattern that passes to the
+    prefix it leads to.  Both are computed once per code, so each full
+    pattern costs at most two kernel calls however many fuzzy blocks share
+    it.  A full pattern's joint matrix is the symbol's base, the input's cut
+    rows with the candidate rows empty, plus one table entry per candidate
+    row, indexed by that row's k bits.  A root node, with no symbol chosen,
+    is searched only if `fits` passes it with every block full.
     """
 
     def __init__(self, level: tuple, mats: list, final: int, pi2: int) -> None:
@@ -391,20 +394,24 @@ class _CutDomain:
             joint += table[code >> shift & low]
         return self.mats + [joint]
 
+    def fits(self, mats: list) -> bool:
+        """`_fits_upper` on the prefix mats, every later block full."""
+        _, _, _, size, pi1, _, max_vectors, later = self.level
+        return _fits_upper(
+            mats, later[len(mats)], size, self.final, pi1, self.pi2, max_vectors
+        )
+
     def ok(self, code: int) -> bool:
         hit = self._ok.get(code)
         if hit is None:
-            k, _, _, size, pi1, bits, max_vectors, later = self.level
+            k, _, _, size, pi1, bits, max_vectors, _ = self.level
             todo = k * k + 1 - code.bit_length()  # bits still to choose
             if not todo:
                 joint = self._joint(code)
                 _, mismatch, _ = _saturate_cut(
                     joint, size, self.final, pi1, self.pi2, 0, max_vectors
                 )
-                hit = mismatch is None and _fits_upper(
-                    joint, later[len(self.mats)], size, self.final, pi1, self.pi2,
-                    max_vectors,
-                )
+                hit = mismatch is None and self.fits(joint)
                 if hit:
                     self.child[code] = _CutDomain(self.level, joint, self.final, self.pi2)
             elif len(bits) == 1:
@@ -452,7 +459,8 @@ def _first_witness(
         shapes.append(
             (k, bases, tables, size, cut.initial, bits, max_vectors, _later_full(bases, full))
         )
-    roots: list[dict[tuple[int, int], _CutDomain]] = [{} for _ in levels]
+    # per level, the root node of each cut head, or None for a refuted head
+    roots: list[dict[tuple[int, int], _CutDomain | None]] = [{} for _ in levels]
 
     def start(chosen: tuple[int, ...], heads: list) -> tuple[int, ...] | None:
         """First completion of `chosen` by the delta' weights, depth first;
@@ -461,9 +469,13 @@ def _first_witness(
         bit prefix."""
         nodes = []
         for root, shape, head in zip(roots, shapes, heads):
-            node = root.get(head)
+            if head in root:
+                node = root[head]
+            else:
+                node = _CutDomain(shape, [], *head)
+                node = root[head] = node if node.fits([]) else None
             if node is None:
-                node = root[head] = _CutDomain(shape, [], *head)
+                return None
             nodes.append(node)
         frames = [(iter(value_ranks), chosen, nodes, [1] * len(nodes))]
         while frames:
@@ -489,20 +501,22 @@ def _first_witness(
                 frames.pop()
         return None
 
-    # non-decreasing pi' only, in lexicographic order
-    eta_cols = list(itertools.product(value_ranks, repeat=k))
+    # non-decreasing pi' only, in lexicographic order; a head's masks at
+    # every level come from one `_cut_table` per pi' row and eta' column
+    finals = [cut.final for cut in levels]
+    eta_cols = [
+        (eta_col, list(map(int.__or__, finals, _cut_table(eta_col, alphas, n))))
+        for eta_col in itertools.product(value_ranks, repeat=k)
+    ]
     for pi_row in itertools.combinations_with_replacement(value_ranks, k):
-        for eta_col in eta_cols:
+        pi_masks = _cut_table(pi_row, alphas, n)
+        for eta_col, final_masks in eta_cols:
             if max(map(min, pi_row, eta_col)) != f_lambda:
                 continue
             pairs = list(zip(pi_row, eta_col))
             if pairs != sorted(pairs):
                 continue
-            heads = [
-                (cut.final | _cut_mask(eta_col, cut.alpha) << n,
-                 _cut_mask(pi_row, cut.alpha) << n)
-                for cut in levels
-            ]
+            heads = list(zip(final_masks, pi_masks))
             found = start(pi_row + eta_col, heads)
             if found is not None:
                 return found
@@ -576,25 +590,30 @@ def decide_k(
     delta' block per symbol, each chunk in ascending lexicographic order by
     value rank.  Surviving leaves are therefore met in the order of the flat
     grid, and the witness is the lexicographically first grid assignment
-    equivalent to the input.  Three cuts drop only assignments that cannot be
+    equivalent to the input.  Four cuts drop only assignments that cannot be
     that first witness:
 
     * once eta' is chosen, the empty word fixes max(min(pi', eta'));
     * renumbering the k states maps a witness to a witness, so the first one
       is the least of its renumberings: pi' is non-decreasing, and so are the
       pairs (pi'_i, eta'_i);
+    * the candidate must leave room for the input: at every level, each word
+      over the whole alphabet that the input's cut accepts must be accepted
+      by the candidate's cut NFA with every block not yet chosen full, every
+      candidate state stepping to every candidate state.  Adding
+      transitions only adds words, so that NFA's language holds every
+      completion's, and a prefix that fails the test has no equivalent
+      completion.  The test is one one-sided `_saturate_cut` call that
+      stops at the first word the input accepts and the candidate rejects;
+      past max_vectors it prunes nothing.  It runs on each distinct cut of
+      a (pi', eta') head, once per level, before any block, where it fails
+      exactly when the input's cut accepts a nonempty word and the head's
+      cut has no initial or no final state; and on every block but the last
+      that passes the check below;
     * once the block of symbol s is chosen, the candidate must already agree
       with the input on every word over the symbols up to s.  That check runs
       `_saturate_cut` on those symbols' cut rows at every level; after the
-      last block it is the full verdict.  Before the last block, the block
-      must also leave room for the input: at every level, each word over the
-      whole alphabet that the input's cut accepts must be accepted by the
-      candidate's cut NFA with every later block full, every candidate
-      state stepping to every candidate state.  Adding transitions only adds
-      words, so that NFA's language holds every completion's, and a block
-      that fails the test has no equivalent completion.  The test is one
-      one-sided `_saturate_cut` call that stops at the first word the input
-      accepts and the candidate rejects; past max_vectors it prunes nothing.
+      last block it is the full verdict.
 
     A block's cut at level alpha is its k x k bit pattern (weight >= alpha),
     and the check at that level depends only on that pattern and the cut
@@ -699,7 +718,11 @@ def minimize(
     refused past max_candidates as `decide_k` refuses it, and the one-state
     automaton is returned: the same witness `decide_k` gives at k=1, with
     no cut levels built and no fooling set looked for.  Otherwise, or when
-    that check exceeds max_vectors, the steps below run.
+    that check exceeds max_vectors, the steps below run, and if they reach
+    k=1 they take that check's outcome, as `decide_k` would, without running
+    it again: after on_k and the k=1 grid refusal, a one-point grid is
+    answered, then the check's budget error is raised, or else k=1 has no
+    witness.
 
     b is the size of the largest extended fooling set found on any alpha-cut
     (see `decide_k`), or 1; it is looked for once, on cut levels built once,
@@ -711,11 +734,12 @@ def minimize(
     instance before that k is searched; `_on_bound`, when given, is called
     with the set that gives b when b > 1.
     """
+    refused = None
     if a.n > 1:
         try:
             found = _one_state(a, max_vectors)
-        except BudgetExceededError:
-            found = None
+        except BudgetExceededError as exc:
+            found, refused = None, exc
         if found is not None:
             inst = MinimizeInstance(a, 1)
             if on_k is not None:
@@ -733,6 +757,14 @@ def minimize(
         inst = MinimizeInstance(a, k)
         if on_k is not None:
             on_k(inst)
+        if k == 1:
+            # decide_k's steps at k=1, its one-state check already made
+            v_ranks, var_count = _check_k(inst, max_candidates)
+            if len(v_ranks) == 1:
+                return _candidate(a, 1, v_ranks * var_count).automaton
+            if refused is not None:
+                raise refused
+            continue
         witness = decide_k(
             inst,
             max_candidates=max_candidates,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import fuzzmin as fz
 from fuzzmin import equations
-from fuzzmin.automaton import EquivalenceResult, Word, _cut_mask, _cut_matrix, _levels
+from fuzzmin.automaton import EquivalenceResult, Word, _cut_matrix, _levels
 from fuzzmin.chain import (
     Box,
     ChainValue,
@@ -79,6 +79,12 @@ def in_box(box: Sequence[tuple[int, int]], point: Sequence[ChainValue]) -> bool:
     if len(point) != len(box):
         raise ValueError(f"point dimension {len(point)} != box dimension {len(box)}")
     return all(lo <= v.rank <= hi for (lo, hi), v in zip(box, point))
+
+
+def cut_mask(ranks: Sequence[int], alpha: int) -> int:
+    """The positions whose rank is at least alpha, as a bit mask: one level
+    of `automaton._cut_table`, read entry by entry."""
+    return sum(1 << i for i, r in enumerate(ranks) if r >= alpha)
 
 
 def scaled_chain(labels: Sequence[str]) -> tuple[int, tuple[int, ...]]:
@@ -454,23 +460,19 @@ def reference_joint(rows: Sequence[int], n: int, k: int, code: int):
 
 def reference_later_full(rows: Sequence[Sequence[int]], n: int, k: int) -> list[list]:
     """Referee for `minimization._later_full` on one level's cut rows per
-    symbol: per symbol, the distinct joint matrices of the symbols after it,
-    each the symbol's rows followed by a full candidate block, rebuilt row by
-    row, last symbol first."""
+    symbol: for i from 0 to the symbol count, the distinct joint matrices of
+    symbol i and the symbols after it, each the symbol's rows followed by a
+    full candidate block, rebuilt row by row, last symbol first."""
     full = (((1 << k) - 1) << n,) * k
-    later: list[list] = []
-    seen: dict = {}
-    for sym_rows in reversed(rows):
-        later.append(list(seen))
-        seen[_cut_matrix(tuple(sym_rows) + full)] = None
-    return later[::-1]
+    joint = [_cut_matrix(tuple(sym_rows) + full) for sym_rows in rows]
+    return [list(dict.fromkeys(joint[i:][::-1])) for i in range(len(rows) + 1)]
 
 
 def per_level_fixpoint(
     a1: fz.FuzzyAutomaton, a2: fz.FuzzyAutomaton, *, exhaust: bool
 ) -> EquivalenceResult:
     """Reference for `equivalent_fixpoint` that rebuilds every cut at each
-    level from the weights with `_cut_mask`, one row at a time, and
+    level from the weights with `cut_mask`, one row at a time, and
     saturates it with `reference_saturate_cut`, every level to its end when
     exhaust is set and each to its first mismatch otherwise."""
     n1 = a1.n
@@ -479,16 +481,16 @@ def per_level_fixpoint(
     depth = 0
     for alpha in _levels(a1, a2):
         rows = [
-            tuple(_cut_mask(row, alpha) for row in d1.as_row_tuples())
-            + tuple(_cut_mask(row, alpha) << n1 for row in d2.as_row_tuples())
+            tuple(cut_mask(row, alpha) for row in d1.as_row_tuples())
+            + tuple(cut_mask(row, alpha) << n1 for row in d2.as_row_tuples())
             for d1, d2 in zip(a1.delta, a2.delta)
         ]
-        final = _cut_mask(a1.eta.data, alpha) | _cut_mask(a2.eta.data, alpha) << n1
+        final = cut_mask(a1.eta.data, alpha) | cut_mask(a2.eta.data, alpha) << n1
         witness, mismatch, level_depth = reference_saturate_cut(
             rows,
             final,
-            _cut_mask(a1.pi.data, alpha),
-            _cut_mask(a2.pi.data, alpha) << n1,
+            cut_mask(a1.pi.data, alpha),
+            cut_mask(a2.pi.data, alpha) << n1,
             len(reached),
             DEFAULT_VECTOR_BUDGET,
             exhaust=exhaust,

@@ -13,7 +13,6 @@ import fuzzmin as fz
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.automaton import (
     _PACKED_MAX,
-    _cut_mask,
     _cut_matrix,
     _cut_table,
     _saturate_cut,
@@ -27,6 +26,7 @@ from fuzzmin.oracles import (
 from helpers import (
     automaton,
     criterion4_instance,
+    cut_mask,
     delta_word,
     equiv_benchmark_pairs,
     first_by_flat_scan,
@@ -224,7 +224,7 @@ def test_cut_table_holds_the_cut_mask_at_every_level(ranks, levels, shift):
     # levels need not hold the row's ranks, nor the row the levels
     levels = sorted(levels)
     assert _cut_table(ranks, levels, shift) == [
-        _cut_mask(ranks, alpha) << shift for alpha in levels
+        cut_mask(ranks, alpha) << shift for alpha in levels
     ]
 
 

@@ -45,6 +45,7 @@ from helpers import (
     boolean_cut,
     criterion4_instance,
     criterion6_corpus,
+    cut_mask,
     first_by_flat_scan,
     minimize_benchmark_automata,
     minimize_benchmark_ops,
@@ -211,7 +212,9 @@ def test_a_one_value_automaton_is_answered_by_its_constant(size):
 
 def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
     # the first check of every candidate sees symbol a's rows only; with room
-    # for one cut subset it already refuses, before any block of b is chosen
+    # for one cut subset it already refuses, before any block of b is chosen.
+    # The head's root check runs first, on both symbols with every block
+    # full, and past the budget decides nothing
     ch2 = Chain(("0", "1"))
     a = automaton(
         ch2,
@@ -221,6 +224,7 @@ def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
         [[["0", "1"], ["0", "0"]], [["1", "0"], ["0", "1"]]],
     )
     symbols_seen = []
+    refusals = []
     kernel = fz.minimization._saturate_cut
 
     def spy(rows, n, final, pi1, pi2, *args):
@@ -228,13 +232,20 @@ def test_decide_k_budget_binds_in_an_alphabet_prefix_check(monkeypatch):
         # states on either side, and gives up
         if pi1 or pi2:
             symbols_seen.append(len(rows))
-        return kernel(rows, n, final, pi1, pi2, *args)
+        try:
+            return kernel(rows, n, final, pi1, pi2, *args)
+        except BudgetExceededError as exc:
+            refusals.append((len(rows), exc))
+            raise
 
     monkeypatch.setattr(fz.minimization, "_saturate_cut", spy)
     with pytest.raises(BudgetExceededError) as info:
         decide_k(MinimizeInstance(a, 2), max_vectors=1)
     assert (info.value.count, info.value.limit) == (2, 1)
-    assert symbols_seen == [1]
+    assert symbols_seen == [2, 1]
+    # the root check's refusal is swallowed; the one raised is the prefix's
+    assert [size for size, _ in refusals] == [2, 1]
+    assert refusals[-1][1] is info.value
     # k=1 is answered in closed form: f(a) = 1 exceeds f(λ) = 0, so no
     # one-state automaton agrees, and no check runs
     symbols_seen.clear()
@@ -360,13 +371,55 @@ def test_minimize_answers_a_one_state_collapse_before_the_bound(monkeypatch):
         minimize(DUP, max_candidates=7, on_k=lambda inst: tried.append(inst.k))
     assert (info.value.count, info.value.limit, tried, called) == (8, 7, [1], [])
     # a budget error in the closed form leaves k=1 undecided: the bound is
-    # looked for, and the k=1 refusal comes from decide_k
+    # looked for, and k=1 is then refused with that same error
     tried.clear()
     with pytest.raises(BudgetExceededError) as info:
         minimize(DUP, max_vectors=1, on_k=lambda inst: tried.append(inst.k))
     assert (info.value.count, info.value.limit) == (2, 1)
     assert called == ["_cut_levels", "_fooling_bound"] and tried == [1]
     assert small == decide_k(MinimizeInstance(DUP, 1)).automaton
+
+
+def test_minimize_runs_the_one_state_check_once(monkeypatch):
+    # gen_automaton(1, 3, 2, 3) has no fooling set that skips k=1.  Under
+    # max_vectors=1 its one-state check exceeds the budget; minimize then
+    # calls on_k for k=1, refuses the k=1 grid past max_candidates, and else
+    # raises that same error, without checking the point again
+    a = fz.gen_automaton(1, 3, 2, 3)
+    calls, raised, tried = [], [], []
+    one_state = fz.minimization._one_state
+
+    def spy(*args):
+        calls.append(args[0])
+        try:
+            return one_state(*args)
+        except BudgetExceededError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(fz.minimization, "_one_state", spy)
+    with pytest.raises(BudgetExceededError) as info:
+        minimize(a, max_vectors=1, on_k=lambda inst: tried.append(inst.k))
+    assert (info.value.count, info.value.limit, info.value.context) == (2, 1, "cut subsets")
+    assert (calls, raised, tried) == ([a], [info.value], [1])
+    calls.clear()
+    with pytest.raises(BudgetExceededError) as info:
+        minimize(a, max_vectors=1, max_candidates=80)
+    assert (info.value.count, info.value.limit, len(calls)) == (81, 80, 1)
+    # a one-point grid is answered before the error is raised: with no room
+    # at all the check refuses at once
+    chain = Chain(("0", "0.5", "1"))
+    constant = decode_candidate(chain, "ab", 2, [chain.value("0.5")] * 12)
+    calls.clear()
+    raised.clear()
+    small = minimize(constant, max_vectors=0)
+    assert small == decode_candidate(chain, "ab", 1, [chain.value("0.5")] * 4)
+    assert calls == [constant] and len(raised) == 1
+    # a check that refutes k=1 is not repeated either
+    calls.clear()
+    monkeypatch.setattr(fz.minimization, "_fooling_bound", lambda *args: None)
+    minimize(BEYOND_CUTS, on_k=lambda inst: tried.append(inst.k))
+    assert calls == [BEYOND_CUTS] and tried[-2:] == [1, 2]
 
 
 # the cut check: one alpha-cut with no k-state NFA rules k out
@@ -441,7 +494,7 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, checked, m
             )
             for d in a.delta
         ]
-        masks = [fz.automaton._cut_mask(m.data, alpha) for m in (a.eta, a.pi)]
+        masks = [cut_mask(m.data, alpha) for m in (a.eta, a.pi)]
         return (rows, *masks)
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
@@ -642,6 +695,55 @@ def test_the_upper_bound_prunes_the_searches_it_was_built_for(monkeypatch):
     assert witness == [0, 0, 2, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2, 0, 1, 0, 2, 2, 0, 0, 0, 0, 2, 2]
 
 
+# gen_automaton shapes (states, symbols, chain size) whose k >= 2 grids are
+# small enough to scan flat: one symbol and two, one level and two
+FLAT_SHAPES = [(3, 1, 3), (3, 2, 2), (4, 1, 2), (4, 1, 3)]
+
+
+def test_decide_k_is_the_flat_scans_first_witness_on_small_draws(monkeypatch):
+    # every k >= 2 below n of 30 draws of each shape whose grid has at most
+    # FLAT_LIMIT points, searched with the fooling-set filter skipped so that
+    # the search runs, against the flat scan in lexicographic order.  Counted:
+    # the instances, those with a witness, and the (level, head) roots
+    # checked and refuted before any block
+    roots = []
+    fits = fz.minimization._CutDomain.fits
+
+    def spy(node, mats):
+        fit = fits(node, mats)
+        if not mats:
+            roots.append(fit)
+        return fit
+
+    monkeypatch.setattr(fz.minimization._CutDomain, "fits", spy)
+    insts = [
+        MinimizeInstance(a, k)
+        for shape in FLAT_SHAPES
+        for a in (fz.gen_automaton(g, *shape) for g in range(30))
+        for k in range(2, a.n)
+    ]
+    answered = 0
+    for inst in insts:
+        space = build_candidate_space(inst)
+        if len(space.values) ** space.var_count <= FLAT_LIMIT:
+            got = _assignment(decide_k(inst, _levels=_cut_levels(inst.automaton)))
+            assert got == first_by_flat_scan(inst), inst
+            answered += got is not None
+    assert (len(insts), answered) == (180, 113)
+    assert (len(roots), roots.count(False)) == (327, 81)
+
+
+def test_a_head_is_refuted_before_its_blocks(monkeypatch):
+    # gen_automaton(7, 5, 2, 3) at k=4, its 3**40 grid lifted: most (pi',
+    # eta') heads leave some cut whose input accepts a word with no initial
+    # or no final candidate state, so they fail the root check with every
+    # block full; without that check the search took 1,966,230 kernel calls
+    inst = MinimizeInstance(fz.gen_automaton(7, 5, 2, 3), 4)
+    witness, calls = _kernel_calls(inst, max_candidates=10**20)
+    assert calls < 1_000
+    assert witness == [0, 0, 0, 2, 0, 0, 2, 1] + [0] * 10 + [2, 0, 0, 0, 0, 2] + [0] * 14 + [2, 2]
+
+
 def test_a_budget_error_in_the_upper_bound_prunes_nothing(monkeypatch):
     # the kernel raises in every upper-bound test and nowhere else: each
     # block is kept, as if the bound did not exist
@@ -719,9 +821,11 @@ def test_the_packed_nodes_are_their_rows_rebuilt():
     # every code of every node visited equals its rebuild from one level's
     # rows, and each level's later list its rebuild from that level's rows.
     # decide_k answers k=1 in closed form, so the k=1 searches are called
-    # directly
+    # directly.  The one-level k=1 search runs on boolean-01, which accepts
+    # λ: every head of boolean-21 at k=1 leaves some cut with no initial or
+    # no final candidate state and is refuted at its root, visiting no node
     ops = minimize_benchmark_ops()
-    boolean = [ops["boolean-21"]] * 2 + [
+    boolean = [ops["boolean-01"], ops["boolean-21"]] + [
         fz.random_automaton(random.Random(4), Chain(("0", "1")), ("a", "b"), 4)
     ]
     several = [DUP, fz.gen_automaton(26, 3, 2, 3), LIFTED[9].automaton]
