@@ -36,19 +36,16 @@ full.  Adding transitions only adds words, so every completion's cut
 language lies inside that bound, and a head or block that fails it leads
 to no witness.  Only non-witnesses are cut, so the witness is unchanged.
 
-Two filters run before that search.  The alpha-cut of a k-state witness is
+One filter runs before that search.  The alpha-cut of a k-state witness is
 a k-state NFA for the input's cut language, so a cut of the input with no
-k-state NFA rules k out.  The first looks for an extended fooling set of
+k-state NFA rules k out.  The filter looks for an extended fooling set of
 k+1 word pairs on some cut (Birget 1992; Glaister and Shallit 1996), a
 certificate found without any grid, so it runs before the grid is refused;
-`minimize` looks once for the largest set and starts k at its size.  The
-second, after the refusal that bounds its grid, runs the boolean special
-case on each cut (2**var_count points, not |V|**var_count), and is skipped
-with one positive level and at k = 1.  Both skip cuts with at most k
-trimmed states, which already are k-state NFAs, and only ever answer None,
-so witnesses are unchanged.  A one-point grid is answered directly.  Each
-cut is built once per input, as a `_Cut` record that both filters and the
-search read.
+`minimize` looks once for the largest set and starts k at its size.  It
+skips cuts with at most k trimmed states, which already are k-state NFAs,
+and only ever answers None, so witnesses are unchanged.  A one-point grid
+is answered directly.  Each cut is built once per input, as a `_Cut` record
+that the filter and the search read.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -445,8 +442,8 @@ def _first_witness(
     that agrees with the input at every level, or None.
 
     f_lambda is the input's value on the empty word, and each level's alpha
-    cuts the candidate's weights, on the scale of value_ranks.  `decide_k`
-    documents the search order and its cuts.
+    cuts the candidate's weights.  `decide_k` documents the search order and
+    its cuts.
     """
     n = len(levels[0].rows[0])
     size, kk = n + k, k * k
@@ -629,39 +626,32 @@ def decide_k(
 
     The steps run in one order: build the input's cut records, look for a
     fooling set, refuse an oversized grid, answer a one-point grid, and then
-    at k = 1 check the one candidate `_one_state` builds, or at k >= 2 run
-    the boolean cut checks and search.  The k=1 candidate is the point this
-    search would meet first among the witnesses (see `_one_state`), so the
-    witness is the same; only budget refusals move, since it checks one
-    point on the whole alphabet where the search checked prefixes of many.
-    The alpha-cut of a k-state witness is a k-state NFA for the input's cut
-    language, so both filters look for a cut with no k-state NFA and answer
-    None when one has none.  First, each level's cut, levels descending, is
-    searched for an extended fooling set of k+1 word pairs (see
-    `_fooling_set`), which proves that every NFA for its language has more
-    than k states; it needs no grid, is charged against max_vectors per
-    level and gives up silently past it.  Then the grid is refused by
-    `_check_grid` when it is larger than max_candidates (budget error
-    carrying the count, or the text "<|V|>^<var_count>" past 4,300 digits),
-    since it bounds all the work after it, and so is a grid of one point
-    (|V| = 1) whose var_count weights pass max_candidates.  A one-point grid
-    is not searched: every weight of the input and of that point is the one
-    value v, and every word has a path, so both languages are constantly v
-    and the point is the answer.  Then, at k >= 2, an input with more than
-    one positive level is tried one cut at a time, levels ascending: if the
-    same search over the values 0 and 1, at that one level, finds no k-state
-    NFA for some cut, the answer is None.  That grid has 2**var_count
-    assignments, not |V|**var_count; with a single level the cut is the
-    input itself, so this check is skipped.  Both filters skip a cut with at
-    most k states that are reachable and reach a final state, since it
-    already is a k-state NFA.  Only empty answers come from the filters, so
-    witnesses are unchanged.
+    at k = 1 check the one candidate `_one_state` builds, or at k >= 2
+    search.  The k=1 candidate is the point this search would meet first
+    among the witnesses (see `_one_state`), so the witness is the same; only
+    budget refusals move, since it checks one point on the whole alphabet
+    where the search checked prefixes of many.  The alpha-cut of a k-state
+    witness is a k-state NFA for the input's cut language, so the filter
+    looks for a cut with no k-state NFA and answers None when one has none:
+    each level's cut, levels descending, is searched for an extended fooling
+    set of k+1 word pairs (see `_fooling_set`), which proves that every NFA
+    for its language has more than k states.  It needs no grid, skips a cut
+    with at most k states that are reachable and reach a final state, since
+    that cut already is a k-state NFA, and only ever answers None, so
+    witnesses are unchanged.  Then the grid is refused by `_check_grid` when
+    it is larger than max_candidates (budget error carrying the count, or
+    the text "<|V|>^<var_count>" past 4,300 digits), since it bounds the
+    search, and so is a grid of one point (|V| = 1) whose var_count weights
+    pass max_candidates.  A one-point grid is not searched: every weight of
+    the input and of that point is the one value v, and every word has a
+    path, so both languages are constantly v and the point is the answer.
 
     max_vectors bounds the cut subsets held at once, which is one level of
     one check: a level is dropped before the next starts, and it never holds
-    more subsets than the pair has joint suffix vectors.  A cut check that
-    exceeds it decides nothing and the search goes on; one that refutes k
-    within it answers None even where the full search would have exceeded it.
+    more subsets than the pair has joint suffix vectors.  The fooling-set
+    filter, charged per level, gives up silently past it, and an upper-bound
+    test past it prunes nothing; a prefix check or the k=1 check past it
+    raises the budget error.
 
     _on_bound, when given, is called with the level and the pairs of a
     fooling set that refutes k.  _levels is the input's `_cut_levels`
@@ -684,22 +674,8 @@ def decide_k(
     if k == 1:
         found = _one_state(a, max_vectors)
         return None if found is None else _candidate(a, 1, found)
-    n_sym = len(a.alphabet)
     f_lambda = max(map(min, a.pi.data, a.eta.data))
-    if len(levels) > 1:
-        for cut in levels:
-            if cut.trimmed <= k:
-                continue
-            try:
-                nfa = _first_witness(
-                    n_sym, k, (0, 1), int(f_lambda >= cut.alpha),
-                    [cut._replace(alpha=1)], max_vectors,
-                )
-            except BudgetExceededError:
-                continue
-            if nfa is None:
-                return None
-    found = _first_witness(n_sym, k, v_ranks, f_lambda, levels, max_vectors)
+    found = _first_witness(len(a.alphabet), k, v_ranks, f_lambda, levels, max_vectors)
     return None if found is None else _candidate(a, k, found)
 
 

@@ -422,7 +422,7 @@ def test_minimize_runs_the_one_state_check_once(monkeypatch):
     assert calls == [BEYOND_CUTS] and tried[-2:] == [1, 2]
 
 
-# the cut check: one alpha-cut with no k-state NFA rules k out
+# the cut filter: one alpha-cut with no k-state NFA rules k out
 
 
 def test_every_empty_answer_on_several_levels_has_a_cut_needing_more_states():
@@ -446,10 +446,12 @@ def test_every_empty_answer_on_several_levels_has_a_cut_needing_more_states():
     assert empty >= 15
 
 
-def test_a_refuting_cut_skips_the_full_search(monkeypatch):
+def test_a_cut_with_no_k_state_nfa_is_refuted_by_one_search(monkeypatch):
     # NONMONO's lowest cut, at 0.5, accepts exactly {λ, a, aa}, which no
     # 2-state NFA does; the fooling-set bound would say so first, but a
-    # given _levels means the caller has looked for one already
+    # given _levels means the caller has looked for one already, so one
+    # search over V, on every level at once, comes back empty, as the flat
+    # scan does
     searched = []
     search = fz.minimization._first_witness
 
@@ -458,33 +460,43 @@ def test_a_refuting_cut_skips_the_full_search(monkeypatch):
         return search(n_sym, k, value_ranks, *args)
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
-    assert decide_k(MinimizeInstance(NONMONO, 2), _levels=_cut_levels(NONMONO)) is None
-    assert searched and set(searched) == {(0, 1)}
+    inst = MinimizeInstance(NONMONO, 2)
+    assert decide_k(inst, _levels=_cut_levels(NONMONO)) is None
+    assert searched == [(0, 1, 2, 3)]
+    assert first_by_flat_scan(inst) is None
+    # without _levels the fooling set answers, and k=1 is answered in
+    # closed form: neither searches
+    searched.clear()
+    assert decide_k(inst) is None
+    witness = decide_k(MinimizeInstance(DUP, 1))
+    assert [v.label for v in witness.assignment] == ["0.8", "0.8", "0.6"]
+    assert searched == []
+    # the one-state check's own refusal
+    with pytest.raises(BudgetExceededError) as info:
+        decide_k(MinimizeInstance(NONMONO, 1), max_vectors=3)
+    assert (info.value.count, info.value.limit) == (4, 3)
+    assert info.value.context == "cut subsets"
 
 
 @pytest.mark.parametrize(
     "seed, k, checked",
-    [pytest.param(3, 1, [], id="3-1"), pytest.param(0, 2, [1, 2], id="0-2")],
+    [pytest.param(3, 1, [2, 1], id="3-1"), pytest.param(0, 2, [2, 1], id="0-2")],
 )
 def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, checked, monkeypatch):
     # 3-state unary draws on chain 4 (levels 1, 2, 3): the cuts at levels 1
     # and 2 keep more than k states that are reachable and reach a final
-    # state, the cut at level 3 keeps at most k.  At k=2 the boolean cut
-    # check runs on the checked levels; k=1 is answered in closed form, so
-    # no cut is checked at all
+    # state, the cut at level 3 keeps at most k.  The fooling-set filter
+    # looks on the checked levels, descending, and skips the others
     a = fz.gen_automaton(seed, 3, 1, 4)
     inst = MinimizeInstance(a, k)
     assert positive_ranks(a) == [1, 2, 3]
     assert min_nfa_states_brute(boolean_cut(a, 3)) <= k
     searched = []
-    search = fz.minimization._first_witness
+    fooling_set = fz.minimization._fooling_set
 
-    def spy(n_sym, k, value_ranks, f_lambda, levels, max_vectors):
-        if value_ranks == (0, 1):
-            (cut,) = levels
-            assert cut.alpha == 1
-            searched.append((cut.rows, cut.final, cut.initial))
-        return search(n_sym, k, value_ranks, f_lambda, levels, max_vectors)
+    def spy(cut, floor, limit, max_vectors):
+        searched.append((cut.rows, cut.final, cut.initial))
+        return fooling_set(cut, floor, limit, max_vectors)
 
     def cut(alpha):
         rows = [
@@ -497,10 +509,10 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, checked, m
         masks = [cut_mask(m.data, alpha) for m in (a.eta, a.pi)]
         return (rows, *masks)
 
-    monkeypatch.setattr(fz.minimization, "_first_witness", spy)
+    monkeypatch.setattr(fz.minimization, "_fooling_set", spy)
     witness = decide_k(inst)
     assert searched == list(map(cut, checked))
-    # with every cut counted as all of its states, level 3 is searched too
+    # with every cut counted as all of its states, every level is searched
     searched.clear()
     cut_levels = fz.minimization._cut_levels
     monkeypatch.setattr(
@@ -509,7 +521,7 @@ def test_a_cut_with_at_most_k_trimmed_states_is_not_searched(seed, k, checked, m
         lambda a: [c._replace(trimmed=a.n) for c in cut_levels(a)],
     )
     unskipped = decide_k(inst)
-    assert searched == list(map(cut, [1, 2, 3] if checked else []))
+    assert searched == list(map(cut, [3, 2, 1]))
     assert witness.assignment == unskipped.assignment
 
 
@@ -554,43 +566,11 @@ def test_a_long_witness_search_ends_at_its_pinned_witness():
     assert [v.rank for v in witness.assignment] == [0, 3, 3, 3, 0, 3, 0, 3, 0, 0, 3, 2]
 
 
-def test_a_budget_error_in_the_cut_check_falls_through(monkeypatch):
-    # on an input with several levels, value ranks (0, 1) mark the boolean
-    # cut checks: the input's own values hold more than one positive rank.
-    # gen_automaton(11, 3, 2, 3) has a k=2 witness and two levels, each with
-    # three trimmed states, and no fooling set of three pairs
-    a = fz.gen_automaton(11, 3, 2, 3)
-    expected = decide_k(MinimizeInstance(a, 2)).assignment
-    refused = []
-    search = fz.minimization._first_witness
-
-    def spy(n_sym, k, value_ranks, *args):
-        if value_ranks == (0, 1):
-            refused.append(k)
-            raise BudgetExceededError(1, 0, "spy")
-        return search(n_sym, k, value_ranks, *args)
-
-    monkeypatch.setattr(fz.minimization, "_first_witness", spy)
-    assert decide_k(MinimizeInstance(a, 2)).assignment == expected
-    assert refused == [2, 2]
-    # k=1 runs no boolean cut check, and no search
-    refused.clear()
-    witness = decide_k(MinimizeInstance(DUP, 1))
-    assert [v.label for v in witness.assignment] == ["0.8", "0.8", "0.6"]
-    assert refused == []
-    assert decide_k(MinimizeInstance(NONMONO, 2)) is None
-    # the one-state check's own refusal
-    with pytest.raises(BudgetExceededError) as info:
-        decide_k(MinimizeInstance(NONMONO, 1), max_vectors=3)
-    assert (info.value.count, info.value.limit) == (4, 3)
-    assert info.value.context == "cut subsets"
-
-
 # the upper bound: a delta' block survives only if the input's cut language
 # fits inside the candidate's with every later block full
 
 # 3**24 grids, refused at the default cap; g = 13 is left out, as its search
-# takes about 20 s with or without the bound
+# takes about 5-8 s
 LIFTED = [MinimizeInstance(fz.gen_automaton(g, 4, 2, 3), 3) for g in range(20) if g != 13]
 LIFTED_CAP = 10**12
 # grids up to this many points are checked against the flat scan
@@ -730,7 +710,7 @@ def test_decide_k_is_the_flat_scans_first_witness_on_small_draws(monkeypatch):
             assert got == first_by_flat_scan(inst), inst
             answered += got is not None
     assert (len(insts), answered) == (180, 113)
-    assert (len(roots), roots.count(False)) == (327, 81)
+    assert (len(roots), roots.count(False)) == (263, 66)
 
 
 def test_a_head_is_refuted_before_its_blocks(monkeypatch):
