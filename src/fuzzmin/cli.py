@@ -141,11 +141,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_decide_min(args: argparse.Namespace) -> int:
     a = parse_automaton(_read(args.file))
     inst = MinimizeInstance(a, args.k)
+    max_candidates = _budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET)
+    max_vectors = _budget(args.budget_phi, DEFAULT_VECTOR_BUDGET)
     print(_cost_line(inst), file=sys.stderr)
     witness = decide_k(
         inst,
-        max_candidates=_budget(args.budget_candidates, DEFAULT_CANDIDATE_BUDGET),
-        max_vectors=_budget(args.budget_phi, DEFAULT_VECTOR_BUDGET),
+        max_candidates=max_candidates,
+        max_vectors=max_vectors,
         _on_bound=functools.partial(_print_bound, a),
     )
     if witness is None:

@@ -431,21 +431,19 @@ def _row_tables(n: int, k: int) -> tuple[list[list], int | tuple[int, ...]]:
 
 
 def _first_witness(
-    n_sym: int,
-    k: int,
-    value_ranks: Sequence[int],
-    f_lambda: int,
-    levels: Sequence[_Cut],
-    max_vectors: int,
+    k: int, value_ranks: Sequence[int], levels: Sequence[_Cut], max_vectors: int
 ) -> tuple[int, ...] | None:
     """Ranks of the first k-state assignment over value_ranks, in grid order,
     that agrees with the input at every level, or None.
 
-    f_lambda is the input's value on the empty word, and each level's alpha
-    cuts the candidate's weights.  `decide_k` documents the search order and
-    its cuts.
+    levels are the input's `_cut_levels`; each level's alpha cuts the
+    candidate's weights, and the alphabet and f(lambda) are read off them:
+    f(lambda) is 0 or a rank of V, so it is the highest alpha whose cut has
+    a state both initial and final, or 0.  `decide_k` documents the search
+    order and its cuts.
     """
-    n = len(levels[0].rows[0])
+    n_sym, n = len(levels[0].rows), len(levels[0].rows[0])
+    f_lambda = max((cut.alpha for cut in levels if cut.initial & cut.final), default=0)
     size, kk = n + k, k * k
     tables, full = _row_tables(n, k)
     alphas = [cut.alpha for cut in levels]
@@ -627,10 +625,11 @@ def decide_k(
     The steps run in one order: build the input's cut records, look for a
     fooling set, refuse an oversized grid, answer a one-point grid, and then
     at k = 1 check the one candidate `_one_state` builds, or at k >= 2
-    search.  The k=1 candidate is the point this search would meet first
-    among the witnesses (see `_one_state`), so the witness is the same; only
-    budget refusals move, since it checks one point on the whole alphabet
-    where the search checked prefixes of many.  The alpha-cut of a k-state
+    search; `minimize` takes the k=1 steps in this order too.  The k=1
+    candidate is the point this search would meet first among the
+    witnesses (see `_one_state`), so the witness is the same; only budget
+    refusals move, since it checks one point on the whole alphabet where
+    the search checked prefixes of many.  The alpha-cut of a k-state
     witness is a k-state NFA for the input's cut language, so the filter
     looks for a cut with no k-state NFA and answers None when one has none:
     each level's cut, levels descending, is searched for an extended fooling
@@ -673,9 +672,8 @@ def decide_k(
         return _candidate(a, k, v_ranks * var_count)
     if k == 1:
         found = _one_state(a, max_vectors)
-        return None if found is None else _candidate(a, 1, found)
-    f_lambda = max(map(min, a.pi.data, a.eta.data))
-    found = _first_witness(len(a.alphabet), k, v_ranks, f_lambda, levels, max_vectors)
+    else:
+        found = _first_witness(k, v_ranks, levels, max_vectors)
     return None if found is None else _candidate(a, k, found)
 
 
@@ -689,64 +687,57 @@ def minimize(
 ) -> FuzzyAutomaton:
     """Smallest equivalent automaton found by trying k = b, b + 1, ...
 
-    First, with more than one state, the k=1 candidate of `_one_state` is
-    checked.  When it agrees with the input, on_k sees k=1, the k=1 grid is
-    refused past max_candidates as `decide_k` refuses it, and the one-state
-    automaton is returned: the same witness `decide_k` gives at k=1, with
-    no cut levels built and no fooling set looked for.  Otherwise, or when
-    that check exceeds max_vectors, the steps below run, and if they reach
-    k=1 they take that check's outcome, as `decide_k` would, without running
-    it again: after on_k and the k=1 grid refusal, a one-point grid is
-    answered, then the check's budget error is raised, or else k=1 has no
-    witness.
+    With more than one state, the k=1 candidate of `_one_state` is checked
+    first, once; its outcome is the candidate's ranks, None, or the check's
+    budget error.  b is the size of the largest extended fooling set found
+    on any alpha-cut (see `decide_k`), or 1.  An outcome of ranks gives a
+    one-state NFA for every cut, so b is 1 and no cut levels are built;
+    otherwise the set is looked for once, on cut levels built once, and
+    those levels go to each k's `decide_k`, which then does not look again.
+    k=1 takes `decide_k`'s steps in its order on the outcome: on_k, the k=1
+    grid refusal, the one-point answer, then the outcome's budget error,
+    witness or None.
 
-    b is the size of the largest extended fooling set found on any alpha-cut
-    (see `decide_k`), or 1; it is looked for once, on cut levels built once,
-    and those levels go to each k's `decide_k`, which then does not look
-    again.  Returns the input itself when no strictly smaller realization
-    exists (the input always realizes itself, so k = n needs no search, and
-    b = n needs none at all).  A budget error raised at some k reports the
+    Returns the input itself when no strictly smaller realization exists
+    (the input always realizes itself, so k = n needs no search, and b = n
+    needs none at all).  A budget error raised at some k reports the
     smallest k left undecided.  on_k, when given, is called with each k's
-    instance before that k is searched; `_on_bound`, when given, is called
+    instance before that k is decided; `_on_bound`, when given, is called
     with the set that gives b when b > 1.
     """
-    refused = None
+    outcome: tuple[int, ...] | BudgetExceededError | None = None
     if a.n > 1:
         try:
-            found = _one_state(a, max_vectors)
+            outcome = _one_state(a, max_vectors)
         except BudgetExceededError as exc:
-            found, refused = None, exc
-        if found is not None:
-            inst = MinimizeInstance(a, 1)
-            if on_k is not None:
-                on_k(inst)
-            _check_k(inst, max_candidates)
-            return _candidate(a, 1, found).automaton
-    start = 1
-    levels = _cut_levels(a)
-    bound = _fooling_bound(levels, 1, a.n, max_vectors)
-    if bound is not None:
-        if _on_bound is not None:
-            _on_bound(*bound)
-        start = len(bound[1])
+            outcome = exc
+    start, levels = 1, None
+    if not isinstance(outcome, tuple):
+        levels = _cut_levels(a)
+        bound = _fooling_bound(levels, 1, a.n, max_vectors)
+        if bound is not None:
+            if _on_bound is not None:
+                _on_bound(*bound)
+            start = len(bound[1])
     for k in range(start, a.n):
         inst = MinimizeInstance(a, k)
         if on_k is not None:
             on_k(inst)
         if k == 1:
-            # decide_k's steps at k=1, its one-state check already made
+            # decide_k's k=1 steps, on the one-state outcome
             v_ranks, var_count = _check_k(inst, max_candidates)
             if len(v_ranks) == 1:
-                return _candidate(a, 1, v_ranks * var_count).automaton
-            if refused is not None:
-                raise refused
-            continue
-        witness = decide_k(
-            inst,
-            max_candidates=max_candidates,
-            max_vectors=max_vectors,
-            _levels=levels,
-        )
+                outcome = v_ranks * var_count
+            elif isinstance(outcome, BudgetExceededError):
+                raise outcome
+            witness = None if outcome is None else _candidate(a, 1, outcome)
+        else:
+            witness = decide_k(
+                inst,
+                max_candidates=max_candidates,
+                max_vectors=max_vectors,
+                _levels=levels,
+            )
         if witness is not None:
             return witness.automaton
     return a

@@ -79,6 +79,23 @@ def test_construction_checks():
         fz.FuzzyAutomaton(
             CH2, ("a",), ALL_ONE.pi, ALL_ONE.eta, (identity(CH2, 2),)
         )
+    one = ALL_ONE.delta[0]
+    column = fz.FuzzyMatrix(CH2, 2, 1, (1, 1))
+    faults = [
+        ("pi must be a single row", (CH2, "a", column, ALL_ONE.eta, (one,))),
+        ("eta must be 1x1", (CH2, "a", ALL_ONE.pi, column, (one,))),
+        (
+            "one transition matrix per symbol required",
+            (CH2, "ab", ALL_ONE.pi, ALL_ONE.eta, (one,)),
+        ),
+        (
+            "automaton parts live on different chains",
+            (CH2, "a", fz.FuzzyMatrix(CH3, 1, 1, (2,)), ALL_ONE.eta, (one,)),
+        ),
+    ]
+    for message, parts in faults:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fz.FuzzyAutomaton(*parts)
 
 
 def test_words_and_symbols():

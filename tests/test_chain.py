@@ -45,6 +45,9 @@ def test_each_value_is_built_once_with_its_chain():
     assert CH.value("0.5") is CH[2]
     with pytest.raises(ValueError):
         ChainValue(CH, len(CH))
+    for rank in (len(CH), -1):
+        with pytest.raises(IndexError, match=f"^rank {rank} out of range for chain of {len(CH)}$"):
+            CH[rank]
 
 
 def test_labels_keep_declared_spelling():

@@ -719,6 +719,22 @@ def test_budget_env_var_must_be_an_integer(dup_doc, capsys, monkeypatch):
     assert "FUZZMIN_BUDGET" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["minimize"], ["decide-min", "1"]])
+@pytest.mark.parametrize("flag", ["--budget-candidates", "--budget-phi"])
+def test_a_budget_flag_below_one_is_refused_before_any_output(command, flag, dup_doc, capsys):
+    # decide-min reads its budgets before it prints its cost line
+    for value in ("0", "-5"):
+        assert main([command[0], dup_doc, *command[1:], flag, value]) == 2
+        assert capsys.readouterr() == ("", "error: budgets must be positive\n")
+
+
+def test_budget_env_var_must_be_positive(dup_doc, capsys, monkeypatch):
+    monkeypatch.setenv("FUZZMIN_BUDGET", "0")
+    for argv in (["gen", "automaton"], ["decide-min", dup_doc, "1"], ["minimize", dup_doc]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: FUZZMIN_BUDGET must be positive\n")
+
+
 def test_gen_is_deterministic(capsys):
     assert main(["gen", "automaton", "--seed", "9", "--states", "2"]) == 0
     first = capsys.readouterr().out

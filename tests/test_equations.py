@@ -87,10 +87,31 @@ def test_system_rejects_out_of_range_variables():
         EquationSystem(CH, 1, (Equation(stray, Relation.EQ, CH.value("0")),))
 
 
+def test_system_construction_checks():
+    x = Polynomial((Monomial((0,)),))
+    faults = [
+        ("a system needs at least one variable", 0, [Equation(x, Relation.EQ, CH.value("0"))]),
+        ("a system needs at least one equation", 1, []),
+        (
+            "right-hand side from a different chain",
+            1,
+            [Equation(x, Relation.EQ, Chain(("0", "1")).value("1"))],
+        ),
+    ]
+    for message, n_vars, eqs in faults:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EquationSystem(CH, n_vars, eqs)
+
+
 def test_assignment_rejects_mixed_chains():
     other = Chain(("0", "1"))
     with pytest.raises(ValueError):
         PointAssignment((CH.value("0"), other.value("1")))
+
+
+def test_an_empty_assignment_is_refused():
+    with pytest.raises(ValueError, match="^empty assignment$"):
+        PointAssignment(())
 
 
 # interval families for a single monomial

@@ -178,6 +178,37 @@ def test_delta_must_cover_the_alphabet_exactly():
         parse_automaton(extra)
 
 
+def _edited(doc, key, value):
+    """doc with one top-level field replaced, or one equation's when key is
+    (i, field)."""
+    payload = json.loads(doc)
+    if isinstance(key, tuple):
+        payload["equations"][key[0]][key[1]] = value
+    else:
+        payload[key] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "parse, doc, key, value, message",
+    [
+        (parse_automaton, TINY_DOC, "alphabet", ["a", "a"], "alphabet symbols must be distinct"),
+        (
+            parse_automaton, TINY_DOC, "delta", [["0"]],
+            "delta must be an object mapping symbols to value lists",
+        ),
+        (parse_system, SYSTEM_DOC, "equations", [[[1, 2]]], r"equations\[0\] must be an object"),
+        (
+            parse_system, SYSTEM_DOC, (0, "monomials"), [],
+            r"equations\[0\]\.monomials must be a nonempty list",
+        ),
+    ],
+)
+def test_a_malformed_part_is_a_document_error(parse, doc, key, value, message):
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        parse(_edited(doc, key, value))
+
+
 def test_system_variable_indices_are_one_based_and_in_range():
     with pytest.raises(DocumentError, match="out of range 1..2"):
         parse_system(SYSTEM_DOC.replace("[\n          1,\n          2\n        ]", "[0]"))

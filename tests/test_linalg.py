@@ -65,6 +65,9 @@ def test_shape_and_chain_checks():
 def test_views_and_accessors():
     m = matrix(CH, [["0", "0.5"], ["0.7", "1"]])
     assert m.rank_at(1, 0) == CH.rank_of("0.7")
+    for i, j in ((2, 0), (0, -1)):
+        with pytest.raises(IndexError, match=rf"^\({i}, {j}\) outside 2x2$"):
+            m.rank_at(i, j)
     assert m.as_row_tuples()[1] == (CH.rank_of("0.7"), len(CH) - 1)
     assert m.as_row_tuples() == ((0, CH.rank_of("0.5")), (CH.rank_of("0.7"), len(CH) - 1))
 

@@ -260,10 +260,7 @@ def _searched_one_state(a, max_vectors=fz.errors.DEFAULT_VECTOR_BUDGET):
     """The general search's k=1 answer, as ranks: `_first_witness` over the
     input's values and levels, the referee of `_one_state`."""
     v_ranks, _ = _grid(MinimizeInstance(a, 1))
-    f_lambda = max(map(min, a.pi.data, a.eta.data))
-    return fz.minimization._first_witness(
-        len(a.alphabet), 1, v_ranks, f_lambda, _cut_levels(a), max_vectors
-    )
+    return fz.minimization._first_witness(1, v_ranks, _cut_levels(a), max_vectors)
 
 
 # gen_automaton shapes (states, symbols, chain size): one symbol and several,
@@ -455,9 +452,9 @@ def test_a_cut_with_no_k_state_nfa_is_refuted_by_one_search(monkeypatch):
     searched = []
     search = fz.minimization._first_witness
 
-    def spy(n_sym, k, value_ranks, *args):
+    def spy(k, value_ranks, *args):
         searched.append(value_ranks)
-        return search(n_sym, k, value_ranks, *args)
+        return search(k, value_ranks, *args)
 
     monkeypatch.setattr(fz.minimization, "_first_witness", spy)
     inst = MinimizeInstance(NONMONO, 2)
@@ -775,9 +772,9 @@ def _node_builds(runs):
     later_full = fz.minimization._later_full
     joint = fz.minimization._CutDomain._joint
 
-    def search_spy(n_sym, k, value_ranks, f_lambda, levels, max_vectors):
+    def search_spy(k, value_ranks, levels, max_vectors):
         searches.append((k, levels, [], {}))
-        return search(n_sym, k, value_ranks, f_lambda, levels, max_vectors)
+        return search(k, value_ranks, levels, max_vectors)
 
     def later_spy(*args):
         searches[-1][2].append(later_full(*args))
