@@ -17,7 +17,9 @@ exists, (c, c, f(a_1), ..., f(a_m)) is one too, where c = f(lambda) and
 f(a_i) is the input's value on the letter a_i.  That point is also the
 first in grid order: pi' >= c and eta' >= c are forced, and each delta'_s
 is forced or can be as low as c.  `_one_state` checks that one point, and
-`minimize` tries it before anything else.
+`minimize` tries it before anything else.  So k = 1 has no grid: it is
+decided by that check alone, and the grid steps below (the refusal of an
+oversized grid, the one-point answer, the search) start at k = 2.
 
 A candidate's alpha-cut depends only on which of its weights are >= alpha,
 so at one level and one cut prefix every transition block with the same bit
@@ -40,12 +42,12 @@ One filter runs before that search.  The alpha-cut of a k-state witness is
 a k-state NFA for the input's cut language, so a cut of the input with no
 k-state NFA rules k out.  The filter looks for an extended fooling set of
 k+1 word pairs on some cut (Birget 1992; Glaister and Shallit 1996), a
-certificate found without any grid, so it runs before the grid is refused;
-`minimize` looks once for the largest set and starts k at its size.  It
-skips cuts with at most k trimmed states, which already are k-state NFAs,
-and only ever answers None, so witnesses are unchanged.  A one-point grid
-is answered directly.  Each cut is built once per input, as a `_Cut` record
-that the filter and the search read.
+certificate found without any grid, so it runs first at every k, before
+the grid is refused; `minimize` looks once for the largest set and starts
+k at its size.  It skips cuts with at most k trimmed states, which already
+are k-state NFAs, and only ever answers None, so witnesses are unchanged.
+A one-point grid is answered directly.  Each cut is built once per input,
+as a `_Cut` record that the filter and the search read.
 
 Automata whose values are all 0 or 1 are classical NFAs under the reading
 "accepted iff value 1"; `nfa_view` exposes that reading, and minimization on
@@ -555,18 +557,6 @@ def _one_state(a: FuzzyAutomaton, max_vectors: int) -> tuple[int, ...] | None:
     return (c, c, *letters)
 
 
-def _check_k(
-    inst: MinimizeInstance, max_candidates: int
-) -> tuple[tuple[int, ...], int]:
-    """`_grid`, after `_check_grid` has refused a grid past max_candidates."""
-    v_ranks, var_count = _grid(inst)
-    _check_grid(
-        len(v_ranks), var_count, max_candidates,
-        f"candidate assignments for k={inst.k}", f"candidate weights for k={inst.k}",
-    )
-    return v_ranks, var_count
-
-
 # Receives the level and the word pairs of a fooling set that refutes k.
 _OnBound = Callable[[int, list[tuple[Word, Word]]], None]
 
@@ -622,22 +612,21 @@ def decide_k(
     passes, in the same order, with one level or several, so the witness is
     the same.
 
-    The steps run in one order: build the input's cut records, look for a
-    fooling set, refuse an oversized grid, answer a one-point grid, and then
-    at k = 1 check the one candidate `_one_state` builds, or at k >= 2
-    search; `minimize` takes the k=1 steps in this order too.  The k=1
-    candidate is the point this search would meet first among the
-    witnesses (see `_one_state`), so the witness is the same; only budget
-    refusals move, since it checks one point on the whole alphabet where
-    the search checked prefixes of many.  The alpha-cut of a k-state
-    witness is a k-state NFA for the input's cut language, so the filter
-    looks for a cut with no k-state NFA and answers None when one has none:
-    each level's cut, levels descending, is searched for an extended fooling
-    set of k+1 word pairs (see `_fooling_set`), which proves that every NFA
-    for its language has more than k states.  It needs no grid, skips a cut
-    with at most k states that are reachable and reach a final state, since
-    that cut already is a k-state NFA, and only ever answers None, so
-    witnesses are unchanged.  Then the grid is refused by `_check_grid` when
+    The steps run in one order: build the input's cut records and look for
+    a fooling set; then at k = 1 check the one candidate `_one_state`
+    builds, with no grid; or at k >= 2 refuse an oversized grid, answer a
+    one-point grid, and search.  The k=1 candidate is the point this search
+    would meet first among the witnesses (see `_one_state`), so the witness
+    is the same; its one point is never refused for the size of the grid it
+    stands for.  The alpha-cut of a k-state witness is a k-state NFA for the
+    input's cut language, so the filter looks for a cut with no k-state NFA
+    and answers None when one has none: each level's cut, levels
+    descending, is searched for an extended fooling set of k+1 word pairs
+    (see `_fooling_set`), which proves that every NFA for its language has
+    more than k states.  It needs no grid, skips a cut with at most k
+    states that are reachable and reach a final state, since that cut
+    already is a k-state NFA, and only ever answers None, so witnesses are
+    unchanged.  Then, at k >= 2, the grid is refused by `_check_grid` when
     it is larger than max_candidates (budget error carrying the count, or
     the text "<|V|>^<var_count>" past 4,300 digits), since it bounds the
     search, and so is a grid of one point (|V| = 1) whose var_count weights
@@ -667,12 +656,16 @@ def decide_k(
             if _on_bound is not None:
                 _on_bound(*bound)
             return None
-    v_ranks, var_count = _check_k(inst, max_candidates)
-    if len(v_ranks) == 1:
-        return _candidate(a, k, v_ranks * var_count)
     if k == 1:
         found = _one_state(a, max_vectors)
     else:
+        v_ranks, var_count = _grid(inst)
+        _check_grid(
+            len(v_ranks), var_count, max_candidates,
+            f"candidate assignments for k={k}", f"candidate weights for k={k}",
+        )
+        if len(v_ranks) == 1:
+            return _candidate(a, k, v_ranks * var_count)
         found = _first_witness(k, v_ranks, levels, max_vectors)
     return None if found is None else _candidate(a, k, found)
 
@@ -687,16 +680,16 @@ def minimize(
 ) -> FuzzyAutomaton:
     """Smallest equivalent automaton found by trying k = b, b + 1, ...
 
-    With more than one state, the k=1 candidate of `_one_state` is checked
-    first, once; its outcome is the candidate's ranks, None, or the check's
-    budget error.  b is the size of the largest extended fooling set found
-    on any alpha-cut (see `decide_k`), or 1.  An outcome of ranks gives a
-    one-state NFA for every cut, so b is 1 and no cut levels are built;
-    otherwise the set is looked for once, on cut levels built once, and
-    those levels go to each k's `decide_k`, which then does not look again.
-    k=1 takes `decide_k`'s steps in its order on the outcome: on_k, the k=1
-    grid refusal, the one-point answer, then the outcome's budget error,
-    witness or None.
+    A one-state input is returned at once.  Otherwise the k=1 candidate of
+    `_one_state` is checked first, once; its outcome is the candidate's
+    ranks, None, or the check's budget error.  b is the size of the largest
+    extended fooling set found on any alpha-cut (see `decide_k`), or 1.  An
+    outcome of ranks gives a one-state NFA for every cut, so b is 1 and no
+    cut levels are built; otherwise the set is looked for once, on cut
+    levels built once, and those levels go to each k's `decide_k`, which
+    then does not look again.  k=1, as in `decide_k`, has no grid: after
+    on_k it raises the outcome's budget error or returns its witness, and
+    None moves on to k=2.
 
     Returns the input itself when no strictly smaller realization exists
     (the input always realizes itself, so k = n needs no search, and b = n
@@ -705,12 +698,12 @@ def minimize(
     instance before that k is decided; `_on_bound`, when given, is called
     with the set that gives b when b > 1.
     """
-    outcome: tuple[int, ...] | BudgetExceededError | None = None
-    if a.n > 1:
-        try:
-            outcome = _one_state(a, max_vectors)
-        except BudgetExceededError as exc:
-            outcome = exc
+    if a.n == 1:
+        return a
+    try:
+        outcome: tuple[int, ...] | BudgetExceededError | None = _one_state(a, max_vectors)
+    except BudgetExceededError as exc:
+        outcome = exc
     start, levels = 1, None
     if not isinstance(outcome, tuple):
         levels = _cut_levels(a)
@@ -724,11 +717,7 @@ def minimize(
         if on_k is not None:
             on_k(inst)
         if k == 1:
-            # decide_k's k=1 steps, on the one-state outcome
-            v_ranks, var_count = _check_k(inst, max_candidates)
-            if len(v_ranks) == 1:
-                outcome = v_ranks * var_count
-            elif isinstance(outcome, BudgetExceededError):
+            if isinstance(outcome, BudgetExceededError):
                 raise outcome
             witness = None if outcome is None else _candidate(a, 1, outcome)
         else:

@@ -340,6 +340,13 @@ def test_fixpoint_budget():
         fz.equivalent_fixpoint(NONMONO, NONMONO, max_vectors=2)
 
 
+def test_joint_referee_budget():
+    with pytest.raises(BudgetExceededError) as info:
+        joint_vector_equivalent(NONMONO, NONMONO, max_vectors=1)
+    assert (info.value.count, info.value.limit) == (2, 1)
+    assert info.value.context == "joint suffix vectors"
+
+
 def test_fixpoint_budget_stops_at_the_first_subset_over_it():
     pair = permutation_pair(7, 0, broken=False)
     total = len(fz.equivalent_fixpoint(*pair).reached)

@@ -54,6 +54,8 @@ def test_labels_keep_declared_spelling():
     ch = Chain(("0", "0.50", "1"))
     assert ch.label(1) == "0.50"
     assert ch.rank_of("0.5") == 1  # lookup is by value, not spelling
+    assert str(ch.value("0.5")) == "0.50"
+    assert repr(ch.value("0.5")) == "ChainValue('0.50')"
 
 
 def test_membership():

@@ -432,8 +432,14 @@ def test_decide_min_empty(tmp_path, capsys):
 
 
 def test_decide_min_budget(dup_doc, capsys):
-    assert main(["decide-min", dup_doc, "1", "--budget-candidates", "7"]) == 3
-    assert "8 exceeds budget 7" in capsys.readouterr().err
+    assert main(["decide-min", dup_doc, "2", "--budget-candidates", "7"]) == 3
+    assert "256 exceeds budget 7" in capsys.readouterr().err
+    # k=1 has no grid: its one point is checked under the same cap, and the
+    # cost line still prints the figure of the grid it stands for
+    assert main(["decide-min", dup_doc, "1", "--budget-candidates", "7"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "cost k=1: candidates=8\n"
+    assert parse_automaton(out).n == 1
 
 
 @pytest.mark.parametrize("command", [["minimize"], ["decide-min", "1"]])
@@ -706,11 +712,14 @@ def test_minimize_budget_stops_after_the_stuck_k(beyond_cuts_doc, capsys):
 
 def test_budget_env_var(dup_doc, capsys, monkeypatch):
     monkeypatch.setenv("FUZZMIN_BUDGET", "2")
-    assert main(["decide-min", dup_doc, "1"]) == 3
-    assert "8 exceeds budget 2" in capsys.readouterr().err
+    assert main(["decide-min", dup_doc, "2"]) == 3
+    assert "256 exceeds budget 2" in capsys.readouterr().err
     # an explicit flag wins over the environment
-    assert main(["decide-min", dup_doc, "1", "--budget-candidates", "100"]) == 0
-    capsys.readouterr()
+    assert main(["decide-min", dup_doc, "2", "--budget-candidates", "256"]) == 0
+    assert parse_automaton(capsys.readouterr().out).n == 2
+    # k=1 has no grid to refuse, and its check fits the same cut-subset cap
+    assert main(["decide-min", dup_doc, "1"]) == 0
+    assert parse_automaton(capsys.readouterr().out).n == 1
 
 
 def test_budget_env_var_must_be_an_integer(dup_doc, capsys, monkeypatch):

@@ -162,9 +162,11 @@ def test_decide_k_finds_the_one_state_collapse():
 
 def test_decide_k_refuses_oversized_grids():
     with pytest.raises(BudgetExceededError) as info:
-        decide_k(MinimizeInstance(DUP, 1), max_candidates=7)
-    assert info.value.count == 8
+        decide_k(MinimizeInstance(DUP, 2), max_candidates=7)
+    assert info.value.count == 256
     assert info.value.limit == 7
+    # k=1 has no grid: its one point is checked under the same cap
+    assert decide_k(MinimizeInstance(DUP, 1), max_candidates=7).automaton.n == 1
 
 
 def test_the_fooling_set_is_looked_for_before_the_grid_is_refused(monkeypatch):
@@ -184,12 +186,16 @@ def test_the_fooling_set_is_looked_for_before_the_grid_is_refused(monkeypatch):
     # NONMONO's 3 fooling pairs refute k=2 under a one-point grid budget
     assert decide_k(MinimizeInstance(NONMONO, 2), max_candidates=1) is None
     assert order == ["bound"]
+    # k=1 has no grid to refuse: the one-state check follows the bound
     order.clear()
     assert decide_k(MinimizeInstance(DUP, 1)) is not None
+    assert order == ["bound"]
+    order.clear()
+    assert decide_k(MinimizeInstance(DUP, 2)) is not None
     assert order == ["bound", "grid"]
     # a given _levels means the caller has looked for a fooling set already
     order.clear()
-    assert decide_k(MinimizeInstance(DUP, 1), _levels=_cut_levels(DUP)) is not None
+    assert decide_k(MinimizeInstance(DUP, 2), _levels=_cut_levels(DUP)) is not None
     with pytest.raises(BudgetExceededError):
         decide_k(MinimizeInstance(NONMONO, 2), max_candidates=1, _levels=_cut_levels(NONMONO))
     assert order == ["grid", "grid"]
@@ -350,7 +356,7 @@ def test_a_wide_one_state_check_keeps_the_answer():
 
 def test_minimize_answers_a_one_state_collapse_before_the_bound(monkeypatch):
     # DUP collapses: no cut records, no fooling-set search, no witness search,
-    # but on_k still sees k=1 and the k=1 grid is still refused past its cap
+    # but on_k still sees k=1; k=1 has no grid, so no cap refuses it
     called = []
     for name in ("_cut_levels", "_fooling_bound", "_first_witness"):
         real = getattr(fz.minimization, name)
@@ -364,9 +370,8 @@ def test_minimize_answers_a_one_state_collapse_before_the_bound(monkeypatch):
     small = minimize(DUP, on_k=lambda inst: tried.append(inst.k))
     assert (small.n, tried, called) == (1, [1], [])
     tried.clear()
-    with pytest.raises(BudgetExceededError) as info:
-        minimize(DUP, max_candidates=7, on_k=lambda inst: tried.append(inst.k))
-    assert (info.value.count, info.value.limit, tried, called) == (8, 7, [1], [])
+    assert minimize(DUP, max_candidates=7, on_k=lambda inst: tried.append(inst.k)) == small
+    assert (tried, called) == ([1], [])
     # a budget error in the closed form leaves k=1 undecided: the bound is
     # looked for, and k=1 is then refused with that same error
     tried.clear()
@@ -377,11 +382,28 @@ def test_minimize_answers_a_one_state_collapse_before_the_bound(monkeypatch):
     assert small == decide_k(MinimizeInstance(DUP, 1)).automaton
 
 
+def test_minimize_returns_a_one_state_input_at_once(monkeypatch):
+    # no k is below one state, so there is nothing to check or bound
+    called = []
+    for name in ("_one_state", "_cut_levels", "_fooling_bound"):
+        real = getattr(fz.minimization, name)
+
+        def spy(*args, real=real, name=name):
+            called.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(fz.minimization, name, spy)
+    a = fz.gen_automaton(0, 1, 2, 3)
+    tried = []
+    assert minimize(a, on_k=tried.append) is a
+    assert (called, tried) == ([], [])
+
+
 def test_minimize_runs_the_one_state_check_once(monkeypatch):
     # gen_automaton(1, 3, 2, 3) has no fooling set that skips k=1.  Under
     # max_vectors=1 its one-state check exceeds the budget; minimize then
-    # calls on_k for k=1, refuses the k=1 grid past max_candidates, and else
-    # raises that same error, without checking the point again
+    # calls on_k for k=1 and raises that same error, whatever max_candidates,
+    # without checking the point again
     a = fz.gen_automaton(1, 3, 2, 3)
     calls, raised, tried = [], [], []
     one_state = fz.minimization._one_state
@@ -402,16 +424,19 @@ def test_minimize_runs_the_one_state_check_once(monkeypatch):
     calls.clear()
     with pytest.raises(BudgetExceededError) as info:
         minimize(a, max_vectors=1, max_candidates=80)
-    assert (info.value.count, info.value.limit, len(calls)) == (81, 80, 1)
-    # a one-point grid is answered before the error is raised: with no room
-    # at all the check refuses at once
+    assert (info.value.count, info.value.limit, info.value.context) == (2, 1, "cut subsets")
+    assert len(calls) == 1
+    # a one-value input has no one-point shortcut at k=1: with room it
+    # collapses to its constant, and with no room at all the check refuses
     chain = Chain(("0", "0.5", "1"))
     constant = decode_candidate(chain, "ab", 2, [chain.value("0.5")] * 12)
+    small = decode_candidate(chain, "ab", 1, [chain.value("0.5")] * 4)
+    assert minimize(constant) == small
     calls.clear()
     raised.clear()
-    small = minimize(constant, max_vectors=0)
-    assert small == decode_candidate(chain, "ab", 1, [chain.value("0.5")] * 4)
-    assert calls == [constant] and len(raised) == 1
+    with pytest.raises(BudgetExceededError) as info:
+        minimize(constant, max_vectors=0)
+    assert calls == [constant] and raised == [info.value]
     # a check that refutes k=1 is not repeated either
     calls.clear()
     monkeypatch.setattr(fz.minimization, "_fooling_bound", lambda *args: None)
