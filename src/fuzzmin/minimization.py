@@ -16,10 +16,11 @@ eta', delta'_s for each letter s of w).  So if any one-state equivalent
 exists, (c, c, f(a_1), ..., f(a_m)) is one too, where c = f(lambda) and
 f(a_i) is the input's value on the letter a_i.  That point is also the
 first in grid order: pi' >= c and eta' >= c are forced, and each delta'_s
-is forced or can be as low as c.  `_one_state` checks that one point, and
-`minimize` tries it before anything else.  So k = 1 has no grid: it is
-decided by that check alone, and the grid steps below (the refusal of an
-oversized grid, the one-point answer, the search) start at k = 2.
+is forced or can be as low as c.  `_one_state` checks that candidate on
+`equivalent_fixpoint`'s joint cut and returns it, and `minimize` tries it
+before anything else.  So k = 1 has no grid: it is decided by that check
+alone, and the grid steps below (the refusal of an oversized grid, the
+one-point answer, the search) start at k = 2.
 
 A candidate's alpha-cut depends only on which of its weights are >= alpha,
 so at one level and one cut prefix every transition block with the same bit
@@ -70,8 +71,7 @@ from .automaton import (
     _cut_by_level,
     _cut_matrix,
     _cut_table,
-    _dot,
-    _joint_cut_matrices,
+    _joint_cuts,
     _levels,
     _saturate_cut,
 )
@@ -520,33 +520,27 @@ def _first_witness(
     return None
 
 
-def _one_state(a: FuzzyAutomaton, max_vectors: int) -> tuple[int, ...] | None:
-    """Ranks of the first one-state assignment in grid order that agrees
-    with a, or None.
+def _one_state(a: FuzzyAutomaton, max_vectors: int) -> CandidateAutomaton | None:
+    """The first one-state candidate in grid order that agrees with a, or
+    None.
 
     A one-state equivalent has min(pi', eta') = c, the input's value on the
     empty word, and min(c, delta'_s) = f(s), its value on the letter s, so
     none exists when some f(s) exceeds c.  On it every word w takes
     min(c, f(s) for each letter s of w), and so it does on (c, c, f(s) per
     symbol), the least weights, in grid order, that solve those equations;
-    all of them occur in V.  That one point is checked level by level on
-    the joint cut, as `equivalent_fixpoint` builds it, each level counting
-    its cut subsets from 0 against max_vectors, as the search's checks do.
+    all of them occur in V.  That one automaton is checked level by level
+    on `equivalent_fixpoint`'s joint cut (`_joint_cuts`), each level
+    counting its cut subsets from 0 against max_vectors, as the search's
+    checks do.
     """
-    c = max(map(min, a.pi.data, a.eta.data))
-    letters = [
-        _dot(a.pi.data, [_dot(row, a.eta.data) for row in d.as_row_tuples()])
-        for d in a.delta
-    ]
-    if max(letters) > c:
+    c = language_value(a, ())
+    letters = [language_value(a, (s,)) for s in range(len(a.alphabet))]
+    if max(v.rank for v in letters) > c.rank:
         return None
-    levels = _levels(a)
-    mats = [
-        _joint_cut_matrices(d, FuzzyMatrix(a.chain, 1, 1, (r,)), levels)
-        for d, r in zip(a.delta, letters)
-    ]
-    final = _cut_table(a.eta.data + (c,), levels)
-    pi1, pi2 = _cut_table(a.pi.data, levels), _cut_table((c,), levels, a.n)
+    values = (c, c, *letters)
+    one = decode_candidate(a.chain, a.alphabet, 1, values)
+    levels, mats, final, pi1, pi2 = _joint_cuts(a, one)
     for p in range(len(levels)):
         _, mismatch, _ = _saturate_cut(
             [sym_mats[p] for sym_mats in mats], a.n + 1, final[p], pi1[p], pi2[p], 0,
@@ -554,7 +548,7 @@ def _one_state(a: FuzzyAutomaton, max_vectors: int) -> tuple[int, ...] | None:
         )
         if mismatch is not None:
             return None
-    return (c, c, *letters)
+    return CandidateAutomaton(values, one)
 
 
 # Receives the level and the word pairs of a fooling set that refutes k.
@@ -613,8 +607,8 @@ def decide_k(
     the same.
 
     The steps run in one order: build the input's cut records and look for
-    a fooling set; then at k = 1 check the one candidate `_one_state`
-    builds, with no grid; or at k >= 2 refuse an oversized grid, answer a
+    a fooling set; then at k = 1 return the candidate `_one_state` checks,
+    or None, with no grid; or at k >= 2 refuse an oversized grid, answer a
     one-point grid, and search.  The k=1 candidate is the point this search
     would meet first among the witnesses (see `_one_state`), so the witness
     is the same; its one point is never refused for the size of the grid it
@@ -657,16 +651,15 @@ def decide_k(
                 _on_bound(*bound)
             return None
     if k == 1:
-        found = _one_state(a, max_vectors)
-    else:
-        v_ranks, var_count = _grid(inst)
-        _check_grid(
-            len(v_ranks), var_count, max_candidates,
-            f"candidate assignments for k={k}", f"candidate weights for k={k}",
-        )
-        if len(v_ranks) == 1:
-            return _candidate(a, k, v_ranks * var_count)
-        found = _first_witness(k, v_ranks, levels, max_vectors)
+        return _one_state(a, max_vectors)
+    v_ranks, var_count = _grid(inst)
+    _check_grid(
+        len(v_ranks), var_count, max_candidates,
+        f"candidate assignments for k={k}", f"candidate weights for k={k}",
+    )
+    if len(v_ranks) == 1:
+        return _candidate(a, k, v_ranks * var_count)
+    found = _first_witness(k, v_ranks, levels, max_vectors)
     return None if found is None else _candidate(a, k, found)
 
 
@@ -681,15 +674,15 @@ def minimize(
     """Smallest equivalent automaton found by trying k = b, b + 1, ...
 
     A one-state input is returned at once.  Otherwise the k=1 candidate of
-    `_one_state` is checked first, once; its outcome is the candidate's
-    ranks, None, or the check's budget error.  b is the size of the largest
-    extended fooling set found on any alpha-cut (see `decide_k`), or 1.  An
-    outcome of ranks gives a one-state NFA for every cut, so b is 1 and no
+    `_one_state` is checked first, once; its outcome is the checked
+    candidate, None, or the check's budget error.  b is the size of the
+    largest extended fooling set found on any alpha-cut (see `decide_k`), or
+    1.  A candidate gives a one-state NFA for every cut, so b is 1 and no
     cut levels are built; otherwise the set is looked for once, on cut
     levels built once, and those levels go to each k's `decide_k`, which
     then does not look again.  k=1, as in `decide_k`, has no grid: after
-    on_k it raises the outcome's budget error or returns its witness, and
-    None moves on to k=2.
+    on_k it raises the outcome's budget error or returns the candidate's
+    automaton as checked, and None moves on to k=2.
 
     Returns the input itself when no strictly smaller realization exists
     (the input always realizes itself, so k = n needs no search, and b = n
@@ -701,11 +694,11 @@ def minimize(
     if a.n == 1:
         return a
     try:
-        outcome: tuple[int, ...] | BudgetExceededError | None = _one_state(a, max_vectors)
+        outcome: CandidateAutomaton | BudgetExceededError | None = _one_state(a, max_vectors)
     except BudgetExceededError as exc:
         outcome = exc
     start, levels = 1, None
-    if not isinstance(outcome, tuple):
+    if not isinstance(outcome, CandidateAutomaton):
         levels = _cut_levels(a)
         bound = _fooling_bound(levels, 1, a.n, max_vectors)
         if bound is not None:
@@ -716,19 +709,14 @@ def minimize(
         inst = MinimizeInstance(a, k)
         if on_k is not None:
             on_k(inst)
-        if k == 1:
-            if isinstance(outcome, BudgetExceededError):
-                raise outcome
-            witness = None if outcome is None else _candidate(a, 1, outcome)
-        else:
-            witness = decide_k(
-                inst,
-                max_candidates=max_candidates,
-                max_vectors=max_vectors,
-                _levels=levels,
+        if k > 1:
+            outcome = decide_k(
+                inst, max_candidates=max_candidates, max_vectors=max_vectors, _levels=levels
             )
-        if witness is not None:
-            return witness.automaton
+        elif isinstance(outcome, BudgetExceededError):
+            raise outcome
+        if outcome is not None:
+            return outcome.automaton
     return a
 
 

@@ -252,10 +252,21 @@ def test_fixpoint_matches_the_per_level_cut_reference():
         for seed in range(2)
         for broken in (False, True)
     ]
-    # joint widths on both sides of the packing cutoff
+    # joint widths on both sides of the packing cutoff.  A padded copy reaches
+    # the same subsets even where its states sit on the first side's, so the
+    # second side is also the draw with its states numbered backwards (every
+    # matrix's data reversed) and a fresh draw
     for g in range(6):
         a = fz.gen_automaton(g, _PACKED_MAX // 2 - 3 + g, 2, 4)
-        pairs.append((a, fz.pad_states(a, a.n + 1)))
+        pi, eta, *delta = (
+            fz.FuzzyMatrix(m.chain, m.rows, m.cols, m.data[::-1]) for m in (a.pi, a.eta, *a.delta)
+        )
+        rng = random.Random(f"wide/{g}")
+        pairs += [
+            (a, fz.pad_states(a, a.n + 1)),
+            (a, fz.FuzzyAutomaton(a.chain, a.alphabet, pi, eta, tuple(delta))),
+            (a, fz.random_automaton(rng, a.chain, a.alphabet, a.n)),
+        ]
     # gen_automaton draws against a padded copy and a fresh draw on its chain
     for g in range(40):
         a = fz.gen_automaton(g, 1 + g % 6, 1 + g % 3, 2 + g % 6)
