@@ -12,15 +12,16 @@ whole system on one packed layout (see `chain`): every box is one int, and
 every family and running set is a plain list of boxes, none inside another,
 in canonical order.  A monomial's pin family comes out in that order as it
 is built, so it is never sorted, and its cells are charged against the cell
-ceiling before it is built.  A family of several monomials is built in one
-product pass, each meet stored as it is made into the family's antichain.
-Two boxes that share no point build no intersection, so the system is
-solvable iff the final set is non-empty; only that set, padded, becomes a
-`SolutionSet`.  `polynomial_eq_solutions` is `solve_intervals` on one
-equation.  Chain values enter only as right-hand sides and when the boxes
-are printed.  `solve_points` exploits that a solvable system is already
-solvable using only values that appear on some right-hand side, and
-searches that finite grid directly.
+ceiling before it is built.  An equation's family is built by the same
+cross-intersection as the running set: its monomials' <= families crossed
+one after another, then met with one >= box per monomial.  Two boxes that
+share no point build no intersection, so the system is solvable iff the
+final set is non-empty; only that set, padded, becomes a `SolutionSet`.
+`polynomial_eq_solutions` is `solve_intervals` on one equation.  Chain
+values enter only as right-hand sides and when the boxes are printed.
+`solve_points` exploits that a solvable system is already solvable using
+only values that appear on some right-hand side, and searches that finite
+grid directly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .chain import (
     Chain,
@@ -38,9 +39,7 @@ from .chain import (
     SolutionSet,
     _cross,
     _field,
-    _in_order,
     _layout,
-    _meet_into,
     _unpack,
 )
 from .errors import (
@@ -174,33 +173,33 @@ def rhs_values(system: EquationSystem) -> tuple[ChainValue, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _cuts(rank: int, top: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The (cut, pin) field bits of the = and the <= pin families at rank
-    (see `_pin_family`).  The = family holds its monomial's variables in
-    [rank, top] and pins one to [rank, rank]; the <= family leaves them
-    whole and pins one to [0, rank]."""
-    whole, upper = _field(0, top, top), _field(rank, top, top)
-    return (whole ^ upper, upper ^ _field(rank, rank, top)), (0, whole ^ _field(0, rank, top))
+def _cuts(rank: int, top: int) -> tuple[int, int]:
+    """The (cut, pin) field bits of a >= box and of a <= family at rank
+    (see `_pin_family`): the >= box holds every variable of its monomial
+    in [rank, top], and each box of the <= family caps one to [0, rank]."""
+    whole = _field(0, top, top)
+    return whole ^ _field(rank, top, top), whole ^ _field(0, rank, top)
 
 
 def _pin_family(
     m: Monomial, shift: Mapping[int, int], base: int, cut: int, pin: int
 ) -> list[int]:
     """The packed boxes of one monomial's family, one per variable of m, in
-    canonical order.  base is the layout's data mask, every field whole;
-    variable v is the field at shift[v].  Every variable of m loses the
-    bits cut from its field, and in its own box also the bits pin.  The
-    cuts are cleared by one multiply of cut with an int that has bit s set
-    for each shift s, built from bytes, so the base costs time linear in
-    its width where clearing one field at a time is quadratic.
+    canonical order: its <= family, or with pin 0 its one >= box (see
+    `_cuts`).  base is the layout's data mask, every field whole; variable
+    v is the field at shift[v].  Every variable of m loses the bits cut
+    from its field, and in its own box also the bits pin.  The cuts are
+    cleared by one multiply of cut with an int that has bit s set for each
+    shift s, built from bytes, so the base costs time linear in its width
+    where clearing one field at a time is quadratic.
 
     Two of these boxes differ only in the two fields where one has pin
     cleared and the other not, so none holds another unless pin is 0, and
     then all are one box.  Otherwise clearing pin keeps a field's lo and
-    lowers its hi ([rank, top] to [rank, rank], [0, top] to [0, rank]), so
-    two boxes first differ at the field of the lower variable, which lies
-    further left, and the box of that variable sorts first.  m's variables
-    are ascending, and so are the boxes, with no sort."""
+    lowers its hi ([0, top] to [0, rank]), so two boxes first differ at the
+    field of the lower variable, which lies further left, and the box of
+    that variable sorts first.  m's variables are ascending, and so are the
+    boxes, with no sort."""
     shifts = [shift[v] for v in m.vars]
     if cut:
         marks = bytearray(shifts[0] // 8 + 1)  # the first shift is the largest
@@ -222,17 +221,10 @@ def _charge_cells(m: Monomial, pin: int, dim: int, max_cells: int) -> None:
 
 
 def _size_bound(monomials: tuple[Monomial, ...]) -> int:
-    """The meets `_family` makes for these monomials, a bound on the boxes
-    of their family: k * the product of their sizes for k monomials, the
-    size of the one monomial for k = 1."""
+    """A bound on the boxes of these monomials' family (`_family`): k * the
+    product of their sizes for k monomials, the k >= boxes each met with
+    at most that product of transversals."""
     return len(monomials) * math.prod([len(m.vars) for m in monomials])
-
-
-def _meets(heads: Iterable[int], boxes: list[int]) -> Iterator[int]:
-    """Each packed head met with each packed box, the boxes varying fastest.
-    A function, so that each lazy level keeps its own boxes: a generator
-    written in `_family`'s loop would read the loop variable late."""
-    return (head & box for head in heads for box in boxes)
 
 
 def _family(
@@ -248,45 +240,28 @@ def _family(
     max(monomials) = the value of rank rank, in canonical order; variable v
     is the field at shift[v].
 
-    The max equals the value exactly when some monomial equals it and every
-    other stays at or below it, so the family is the union over that case
-    split.  Each case is the product of its monomial's = family with every
-    other monomial's <= family, in monomial order: each tuple of boxes, the
-    last family varying fastest, meets in one box, and each meet goes
-    straight into the family's one antichain (`_meet_into`), sorted once at
-    the end.  The product is lazy: the meets of all but the last family
-    are made one head at a time, and a head already inside a kept box is
-    skipped with all its meets, which the antichain would drop.  No meet is
-    empty: a <= field [0, rank] meets an = field [rank, top] at [rank,
+    The max equals the value exactly when every monomial is at or below it
+    and some monomial is at or above it.  So the monomials' <= families are
+    crossed one after another (`_cross`), in monomial order: the result is
+    the minimal transversals, one variable of each monomial capped to [0,
+    rank].  The >= boxes, one per monomial, each holding the monomial's
+    variables in [rank, top], are crossed with that set.  No meet is
+    empty: a <= field [0, rank] meets a >= field [rank, top] at [rank,
     rank].  The family has at most `_size_bound` boxes.  Raises
-    BudgetExceededError as soon as the family holds more than max_vectors
-    boxes (no case is capped on its own), and before any per-monomial
-    family is built whose boxes would hold more than max_cells pairs.  A
-    single monomial's family is its only case.
+    BudgetExceededError as soon as a set it crosses holds more than
+    max_vectors boxes, and before any <= family is built whose boxes would
+    hold more than max_cells pairs; a >= box holds no more pairs than its
+    monomial's <= family.
     """
-    _, data, guard = _layout(top, dim)
-    eq, le = _cuts(rank, top)
-    if len(monomials) == 1:
-        _charge_cells(monomials[0], eq[1], dim, max_cells)
-        family = _pin_family(monomials[0], shift, data, *eq)
-        if max_vectors is not None and len(family) > max_vectors:
-            raise BudgetExceededError(max_vectors + 1, max_vectors, "interval solution set")
-        return family
-    # each monomial's <= family, read by every case but its own; its =
-    # family has as many boxes (both pins are 0 exactly at the top), so the
-    # one charge covers both
-    les = []
+    data = _layout(top, dim)[1]
+    ge, le = _cuts(rank, top)
+    boxes = None
     for m in monomials:
-        _charge_cells(m, le[1], dim, max_cells)
-        les.append(_pin_family(m, shift, data, *le))
-    kept: list[int] = []
-    for i, m_eq in enumerate(monomials):
-        *middle, last = les[:i] + les[i + 1 :]
-        heads: Iterable[int] = _pin_family(m_eq, shift, data, *eq)
-        for boxes in middle:
-            heads = _meets(heads, boxes)
-        kept = _meet_into(kept, heads, last, data, guard, max_vectors)
-    return _in_order(kept, guard)
+        _charge_cells(m, le, dim, max_cells)
+        family = _pin_family(m, shift, data, 0, le)
+        boxes = family if boxes is None else _cross(boxes, family, top, dim, max_vectors)
+    ges = [_pin_family(m, shift, data, ge, 0)[0] for m in monomials]
+    return _cross(ges, boxes, top, dim, max_vectors)
 
 
 def polynomial_eq_solutions(
@@ -295,8 +270,8 @@ def polynomial_eq_solutions(
     """Boxes covering the solutions of max(monomials) = rhs over n_vars
     variables: `solve_intervals` on that one equation.  The result has at
     most k * n_vars**k boxes for k monomials.  Raises BudgetExceededError
-    as soon as the family holds more than max_vectors boxes, or past the
-    default cell ceiling.
+    as soon as the family or its <= product holds more than max_vectors
+    boxes, or past the default cell ceiling.
     """
     system = EquationSystem(rhs.chain, n_vars, (Equation(p, Relation.EQ, rhs),))
     return solve_intervals(system, max_vectors=max_vectors)
@@ -319,27 +294,27 @@ def solve_intervals(
     (`_size_bound`), ties in equation order, each built only when the
     running set reaches it: small families keep the running set small, and
     an empty one is found sooner.  Raises BudgetExceededError as soon as any
-    set it builds, one equation's family or the running set, holds more
-    than max_vectors boxes; the running set can grow like (k * n**k)**m
-    even though skipping disjoint pairs and dropping contained boxes
-    usually keeps it tiny.  Once the running set is empty no later family
-    is built, so none is refused.
+    set it crosses, an equation's <= product, its family or the running
+    set, holds more than max_vectors boxes; the running set can grow like
+    (k * n**k)**m even though skipping disjoint pairs and dropping
+    contained boxes usually keeps it tiny.  Once the running set is empty
+    no later family is built, so none is refused.
 
     The whole system is solved on one packed layout, over only the variables
     some monomial mentions, in ascending order: each variable's field shift
-    comes straight from its place among them.  The families (`_family`) and
-    the running set (`_cross`) are plain lists of packed boxes in canonical
-    order, the pin families built in that order with no sort; only the
-    padded result is a `SolutionSet`.  Every box ranges over the whole chain
-    on the unmentioned variables, so those are added once per result box,
-    all sharing one (0, top) pair; the boxes and any refusal are those of
-    the families built at full width.  The same pair at the same places
-    keeps the boxes maximal and in order, so the padded set is not
-    normalized again.  Before padding, it refuses when the padded boxes
-    would hold more than _max_cells (boxes times n_vars) pairs, and each pin
-    family is charged against the same ceiling before it is built (boxes
-    times the variables used); the command line passes its own ceiling
-    there.
+    comes straight from its place among them.  Every family (`_family`) and
+    the running set are built by the one cross-intersection `_cross`, as
+    plain lists of packed boxes in canonical order, the pin families built
+    in that order with no sort; only the padded result is a `SolutionSet`.
+    Every box ranges over the whole chain on the unmentioned variables, so
+    those are added once per result box, all sharing one (0, top) pair; the
+    boxes and any refusal are those of the families built at full width.
+    The same pair at the same places keeps the boxes maximal and in order,
+    so the padded set is not normalized again.  Before padding, it refuses
+    when the padded boxes would hold more than _max_cells (boxes times
+    n_vars) pairs, and each pin family is charged against the same ceiling
+    before it is built (boxes times the variables used); the command line
+    passes its own ceiling there.
     """
     lhss = [eq.lhs.monomials for eq in system.equations]
     used = sorted({i for lhs in lhss for m in lhs for i in m.vars})

@@ -6,6 +6,7 @@ import functools
 import importlib.util
 import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -21,6 +22,7 @@ from fuzzmin.chain import (
     Box,
     ChainValue,
     SolutionSet,
+    _field,
     _in_order,
     _layout,
     _meet_into,
@@ -169,32 +171,27 @@ def _full_width_set(chain: fz.Chain, n_vars: int, packed: list[int]) -> Solution
     return SolutionSet(chain, n_vars, tuple(_unpack(box, top, n_vars) for box in packed))
 
 
-def _monomial_family(m: fz.Monomial, rhs: ChainValue, n_vars: int, kind: int) -> SolutionSet:
-    """m's = family (kind 0) or <= family (kind 1), in the order of `_cuts`."""
-    top = len(rhs.chain) - 1
-    shift = _full_width((m,), n_vars, top)
-    cut, pin = equations._cuts(rhs.rank, top)[kind]
-    family = equations._pin_family(m, shift, _layout(top, n_vars)[1], cut, pin)
-    return _full_width_set(rhs.chain, n_vars, family)
-
-
 def monomial_eq_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
-    """Boxes covering the solutions of min(vars) = rhs, from the solver's
-    own `_pin_family` at full width.
+    """Boxes covering the solutions of min(vars) = rhs: the solver's own
+    `_family` of that one-monomial equation, at full width.
 
     One box per variable of the monomial: that variable is pinned to
     [rhs, rhs], the other monomial variables range over [rhs, 1], and
     variables absent from the monomial are unconstrained.  The family
     collapses to one box when rhs is the top value.
     """
-    return _monomial_family(m, rhs, n_vars, 0)
+    return full_width_family(fz.Polynomial((m,)), rhs, n_vars)
 
 
 def monomial_le_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
     """Boxes covering the solutions of min(vars) <= rhs, from the solver's
     own `_pin_family` at full width: one box per variable of the monomial,
     that variable capped to [0, rhs], everything else unconstrained."""
-    return _monomial_family(m, rhs, n_vars, 1)
+    top = len(rhs.chain) - 1
+    shift = _full_width((m,), n_vars, top)
+    le = equations._cuts(rhs.rank, top)[1]
+    family = equations._pin_family(m, shift, _layout(top, n_vars)[1], 0, le)
+    return _full_width_set(rhs.chain, n_vars, family)
 
 
 def full_width_family(
@@ -211,14 +208,50 @@ def full_width_family(
     return _full_width_set(rhs.chain, n_vars, family)
 
 
+def case_split_family(
+    monomials: tuple[fz.Monomial, ...],
+    shift: dict[int, int],
+    rank: int,
+    top: int,
+    dim: int,
+    max_vectors: int | None,
+    max_cells: int,
+) -> list[int]:
+    """Referee for `equations._family`, with its arguments: the case split.
+    max(monomials) = the value of rank rank exactly when some monomial
+    equals it and every other stays at or below it, so the family is the
+    union over that case split.  Each case is the product of its
+    monomial's = family (every variable in [rank, top], one pinned to
+    [rank, rank]) with every other monomial's <= family, and each tuple of
+    boxes meets in one box, stored into one antichain."""
+    _, data, guard = _layout(top, dim)
+    whole, upper = _field(0, top, top), _field(rank, top, top)
+    eq_cut, eq_pin = whole ^ upper, upper ^ _field(rank, rank, top)
+    le_pin = whole ^ _field(0, rank, top)
+    eqs, les = [], []
+    for m in monomials:
+        equations._charge_cells(m, le_pin, dim, max_cells)
+        eqs.append(equations._pin_family(m, shift, data, eq_cut, eq_pin))
+        les.append(equations._pin_family(m, shift, data, 0, le_pin))
+    kept: list[int] = []
+    for i, eq_family in enumerate(eqs):
+        factors = [eq_family, *les[:i], *les[i + 1 :]]
+        meets = (functools.reduce(operator.and_, boxes) for boxes in itertools.product(*factors))
+        # a meet with the whole box is itself, stored as the solver stores it
+        kept = _meet_into(kept, meets, [data], data, guard, max_vectors)
+    return _in_order(kept, guard)
+
+
 class TupleBoxSolver:
     """Reference interval solver on boxes held as tuples of (lo, hi) rank
     pairs, at the system's full width: the same families, intersected in
     the same order (cheapest size bound first, ties in equation order), and
     the same meets stored in the same order into the same capped antichains
     as `solve_intervals`, which also builds no family once the running set
-    is empty.  peak is the most boxes any capped set held, so every cap
-    below it refuses and every cap from it up answers."""
+    is empty.  A family is its monomials' <= families crossed in monomial
+    order, then its >= boxes crossed with that product.  peak is the most
+    boxes any capped set held, so every cap below it refuses and every cap
+    from it up answers."""
 
     def __init__(self, max_vectors: int | None = None) -> None:
         self.max_vectors = max_vectors
@@ -236,16 +269,17 @@ class TupleBoxSolver:
                     len(kept), self.max_vectors, "interval solution set"
                 )
 
-    def _meets(self, kept: list, *families: list) -> None:
-        """Store the meet of every tuple of the families' boxes, the last
-        family varying fastest, skipping the empty ones."""
-        for boxes in itertools.product(*families):
+    def _cross(self, xs: list, ys: list) -> list:
+        """The meet of every pair of boxes, ys varying fastest, stored into
+        one capped set, skipping the empty ones; sorted."""
+        kept: list = []
+        for x, y in itertools.product(xs, ys):
             meet = tuple(
-                (max(lo for lo, _ in pairs), min(hi for _, hi in pairs))
-                for pairs in zip(*boxes)
+                (max(xlo, ylo), min(xhi, yhi)) for (xlo, xhi), (ylo, yhi) in zip(x, y)
             )
             if all(lo <= hi for lo, hi in meet):
                 self._store(kept, meet)
+        return sorted(kept)
 
     def _pins(self, vars_: Sequence[int], n: int, top: int, pinned, rest) -> list:
         kept: list = []
@@ -261,7 +295,7 @@ class TupleBoxSolver:
         """The boxes of the system, sorted, or BudgetExceededError."""
         n, top = system.n_vars, len(system.chain) - 1
 
-        def size_bound(eq):  # the meets eq's family makes, all cases together
+        def size_bound(eq):  # k * the product of the monomial sizes
             sizes = [len(m.vars) for m in eq.lhs.monomials]
             return len(sizes) * math.prod(sizes)
 
@@ -270,22 +304,12 @@ class TupleBoxSolver:
             if result == []:
                 break
             r = eq.rhs.rank
-            monomials = eq.lhs.monomials
-            family: list = []
-            for i, m_eq in enumerate(monomials):
-                self._meets(
-                    family,
-                    self._pins(m_eq.vars, n, top, (r, r), (r, top)),
-                    *(self._pins(m.vars, n, top, (0, r), (0, top))
-                      for j, m in enumerate(monomials) if j != i),
-                )
-            family.sort()
-            if result is None:
-                result = family
-            else:
-                crossed: list = []
-                self._meets(crossed, result, family)
-                result = sorted(crossed)
+            les = [self._pins(m.vars, n, top, (0, r), (0, top)) for m in eq.lhs.monomials]
+            product = functools.reduce(self._cross, les)
+            # each >= box is one box: every pin gives the same one
+            ges = [self._pins(m.vars, n, top, (r, top), (r, top))[0] for m in eq.lhs.monomials]
+            family = self._cross(ges, product)
+            result = family if result is None else self._cross(result, family)
         return tuple(result)
 
 

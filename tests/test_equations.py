@@ -32,6 +32,7 @@ from fuzzmin.oracles import grid_search_point
 
 from helpers import (
     TupleBoxSolver,
+    case_split_family,
     full_width_family,
     in_box,
     monomial_eq_solutions,
@@ -158,8 +159,7 @@ def test_polynomial_family_splits_on_the_attaining_monomial():
 
 
 def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
-    # k monomials need k = families and k <= families, and a lone monomial
-    # needs no <= family
+    # k monomials need k <= families and k >= boxes, a lone monomial too
     pin_family = equations._pin_family
     built = []
 
@@ -172,7 +172,7 @@ def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
         p = Polynomial(tuple(Monomial((i, (i + 1) % 5)) for i in range(k)))
         built.clear()
         polynomial_eq_solutions(p, CH.value("0.5"), 5)
-        assert len(built) == (1 if k == 1 else 2 * k)
+        assert len(built) == 2 * k
         assert set(built) == set(p.monomials)
 
 
@@ -222,22 +222,24 @@ def test_a_wide_family_is_refused_before_it_is_built(monkeypatch):
         "size 3600000000 exceeds budget 10000000 (interval solution cells)"
     )
     assert built == []
-    # at the top value the family is one box, charged as one: 5 pairs
+    # at the top value the <= family is one box, charged as one: 5 pairs;
+    # the >= box is built after it
     top = system(5, [range(5)], "1")
     assert solve_intervals(top, _max_cells=5).boxes == (((2, 2),) * 5,)
-    assert built == [5]
+    assert built == [5, 5]
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(top, _max_cells=4)
     assert (refused.value.count, refused.value.limit) == (5, 4)
-    # in a case split each <= family is charged before it is built: the
-    # first one would hold 5 boxes of 6 pairs
+    # each <= family is charged before it is built: the first one would
+    # hold 5 boxes of 6 pairs
     built.clear()
     split = system(6, [range(5), [5]], "0.5")
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(split, _max_cells=29)
     assert str(refused.value) == "size 30 exceeds budget 29 (interval solution cells)"
     assert built == []
-    # each case keeps its 5 boxes, so the 10 boxes found hold 60 pairs
+    # each >= box meets the 5 transversals, so the 10 boxes found hold 60
+    # pairs; the two <= families come first, then the two >= boxes
     assert len(solve_intervals(split, _max_cells=60)) == 10
     assert built == [5, 1, 5, 1]
 
@@ -254,10 +256,12 @@ def test_pin_families_come_out_in_canonical_order(used, data):
     dim = len(used)
     shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
     base = _layout(top, dim)[1]
-    for cut, pin in equations._cuts(rank, top):
+    ge, le = equations._cuts(rank, top)
+    # the <= family, one box a variable below the top, and the one >= box
+    for cut, pin, size in ((0, le, len(m.vars) if rank < top else 1), (ge, 0, 1)):
         family = equations._pin_family(m, shift, base, cut, pin)
         assert family == sorted(family, key=lambda box: _unpack(box, top, dim))
-        assert len(family) == (len(m.vars) if rank < top else 1)
+        assert len(family) == size
 
 
 # whole systems
@@ -304,9 +308,9 @@ def test_interval_solver_refuses_as_the_running_set_grows():
 
 
 def test_interval_solver_cap_binds_inside_one_family():
-    # x1 x2 v x3 x4 = 0.5: each case of the family intersects two 2-box
-    # families into 4 boxes, so a cap of 3 refuses at the first case's fourth
-    # box, before the family's 8 boxes are built
+    # x1 x2 v x3 x4 = 0.5: the two 2-box <= families cross into 4
+    # transversals, so a cap of 3 refuses at the fourth, before the family's
+    # 8 boxes are built
     p = Polynomial((Monomial((0, 1)), Monomial((2, 3))))
     system = EquationSystem(CH, 4, (Equation(p, Relation.EQ, CH.value("0.5")),))
     assert len(solve_intervals(system)) == 8
@@ -419,6 +423,34 @@ def test_cheapest_first_finds_the_boxes_of_equation_order(monkeypatch):
     assert [solve_intervals(system).boxes for system in systems] == cheapest
     assert len(systems) >= 1000
     assert 0 < sum(1 for boxes in cheapest if boxes) < len(systems)
+
+
+def _planted(system, seed):
+    """system with each rhs replaced by its polynomial's value at a point
+    drawn from random.Random(f"p/{seed}"), so that it is solvable."""
+    rng = random.Random(f"p/{seed}")
+    chain = system.chain
+    point = PointAssignment(tuple(chain[rng.randrange(len(chain))] for _ in range(system.n_vars)))
+    return EquationSystem(chain, system.n_vars, tuple(
+        Equation(eq.lhs, eq.relation, eval_polynomial(eq.lhs, point)) for eq in system.equations
+    ))
+
+
+def test_transversal_families_match_the_case_split_referee(monkeypatch):
+    # each family, its <= transversals met with its >= boxes, holds the
+    # boxes of the case split over the monomial that attains the rhs; the
+    # planted twins are solvable, so every one of their families is built
+    drawn = [
+        (9000 + seed, gen_system(9000 + seed, *shape))
+        for shape in _ORDER_SHAPES for seed in range(170)
+    ]
+    systems = [system for _, system in drawn] + [_planted(system, seed) for seed, system in drawn]
+    got = [solve_intervals(system).boxes for system in systems]
+    monkeypatch.setattr(equations, "_family", case_split_family)
+    assert [solve_intervals(system).boxes for system in systems] == got
+    assert len(systems) >= 2000
+    assert sum(1 for boxes in got if boxes) > len(systems) // 2
+    assert sum(1 for boxes in got if len(boxes) > 1) > 0
 
 
 def test_families_are_built_cheapest_first_ties_in_equation_order(monkeypatch):
