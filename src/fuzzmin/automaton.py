@@ -24,19 +24,20 @@ implementations:
   length-lex least of the levels' counterexamples is the least one overall.
   On equivalent automata the stabilization index is the deepest level's
   saturation depth: the least l such that words up to length l reach every
-  cut subset at every level.  `minimization._one_state` checks its
-  one-state candidate on the same joint cuts (`_joint_cuts`), and
-  `minimization.decide_k` runs the same kernel, `_saturate_cut`, on every
-  candidate prefix it checks, restricted to the symbols whose transitions
-  the prefix already fixes.  Up to _PACKED_MAX states a symbol's cut matrix
-  is one int, row i in the i-th field of n + 1 bits under a guard bit, and
-  a subset steps in a few int operations: row i meets the subset exactly
-  when adding 2**n - 1 to their meet carries into guard i, and one multiply
-  gathers the guards into the next subset.  The rows, the final set and
-  every subset are below 2**n, so no carry goes past its guard.  The step's
-  ints have n**2 bits, so matrices wider than _PACKED_MAX stay tuples of
-  rows, stepped one row test at a time; the packed step stops winning near
-  36 to 40 states (see `_PACKED_MAX`).
+  cut subset at every level.  `minimization._one_state` builds the input's
+  cut matrices with the same `_cut_mats` and checks its one-state candidate
+  beside them with the same kernel, `_saturate_cut`, and
+  `minimization.decide_k` runs that kernel on every candidate prefix it
+  checks, restricted to the symbols whose transitions the prefix already
+  fixes.  Up to _PACKED_MAX states a symbol's cut matrix is one int, row i
+  in the i-th field of n + 1 bits under a guard bit, and a subset steps in
+  a few int operations: row i meets the subset exactly when adding 2**n - 1
+  to their meet carries into guard i, and one multiply gathers the guards
+  into the next subset.  The rows, the final set and every subset are
+  below 2**n, so no carry goes past its guard.  The step's ints have n**2
+  bits, so matrices wider than _PACKED_MAX stay tuples of rows, stepped one
+  row test at a time; the packed step stops winning near 36 to 40 states
+  (see `_PACKED_MAX`).
 
 * `k_equivalent` / `bounded_counterexample` walk words in length-lex order,
   extending on the right, and memoize on the pair of forward vectors
@@ -369,49 +370,34 @@ def _cut_matrix(
 
 
 @cache
-def _joint_bits(n1: int, n2: int) -> tuple[list[int], list[int]]:
-    """The bit of each entry, row-major, of an n1 x n1 and an n2 x n2 matrix
-    in their packed joint cut matrix, the second's states after the first's."""
-    w = n1 + n2 + 1
-    return tuple(
-        [1 << (first + i) * w + first + j for i in range(k) for j in range(k)]
-        for first, k in ((0, n1), (n1, n2))
-    )
+def _entry_bits(first: int, k: int, size: int) -> list[int]:
+    """The bit of each entry, row-major, of a k x k matrix on states first,
+    ..., first + k - 1 of a packed cut matrix on size states."""
+    w = size + 1
+    return [1 << (first + i) * w + first + j for i in range(k) for j in range(k)]
 
 
-def _joint_cuts(a1: FuzzyAutomaton, a2: FuzzyAutomaton) -> tuple[list, ...]:
-    """The two automata side by side at every positive level, a2's states
-    after a1's: the levels; per symbol, the joint cut matrix at each level in
-    `_saturate_cut`'s form; and per level, the joint final mask and each
-    side's initial mask.
+def _cut_mats(ms: Sequence[FuzzyMatrix], levels: Sequence[int], size: int) -> list:
+    """Per level, the cut matrix on size states, in `_saturate_cut`'s form,
+    of the square matrices ms laid side by side from state 0, each matrix's
+    states after those of the one before it; states past them have empty
+    rows.  levels must hold every positive rank of ms.  Past _PACKED_MAX it
+    is the tuple of ms's rows alone, as `_cut_matrix` makes it.
 
-    A packed matrix is built straight from the weights: one pass over both
-    matrices ORs each entry's bit into the mask of its rank, and the masks
-    then accumulate from the top level down, as in `_cut_table`."""
-    n1 = a1.n
-    levels = _levels(a1, a2)
-    if _layout(n1 + a2.n) is None:
-        mats = [
-            [r1 + r2 for r1, r2 in zip(
-                _cut_by_level(d1.as_row_tuples(), levels),
-                _cut_by_level(d2.as_row_tuples(), levels, n1),
-            )]
-            for d1, d2 in zip(a1.delta, a2.delta)
-        ]
-    else:
-        bits = _joint_bits(n1, a2.n)
-        mats = []
-        for pair in zip(a1.delta, a2.delta):
-            masks = [0] * len(a1.chain)
-            for m, m_bits in zip(pair, bits):
-                for r, bit in zip(m.data, m_bits):
-                    masks[r] |= bit
-            top_down = accumulate((masks[alpha] for alpha in reversed(levels)), or_)
-            mats.append(list(top_down)[::-1])
-    # the joint final column is the two columns one after the other
-    final = _cut_table(a1.eta.data + a2.eta.data, levels)
-    pi1, pi2 = _cut_table(a1.pi.data, levels), _cut_table(a2.pi.data, levels, n1)
-    return levels, mats, final, pi1, pi2
+    A packed matrix is built straight from the weights: one pass over all of
+    ms ORs each entry's bit into the mask of its rank, and the masks then
+    accumulate from the top level down, as in `_cut_table`."""
+    if _layout(size) is None:
+        firsts = accumulate((m.rows for m in ms), initial=0)
+        parts = [_cut_by_level(m.as_row_tuples(), levels, f) for m, f in zip(ms, firsts)]
+        return [sum(rows, ()) for rows in zip(*parts)]
+    masks = [0] * len(ms[0].chain)
+    first = 0
+    for m in ms:
+        for r, bit in zip(m.data, _entry_bits(first, m.rows, size)):
+            masks[r] |= bit
+        first += m.rows
+    return list(accumulate((masks[alpha] for alpha in reversed(levels)), or_))[::-1]
 
 
 def _saturate_cut(
@@ -520,15 +506,19 @@ def equivalent_fixpoint(
     """Decide language equality level by level on the alpha-cuts.
 
     At each level the two automata sit side by side in one cut NFA, the first
-    automaton's states before the second's (`_joint_cuts`, which
-    `minimization._one_state` shares), and `_saturate_cut` stores every
+    automaton's states before the second's, each symbol's two matrices cut
+    together by one `_cut_mats` call, and `_saturate_cut` stores every
     suffix subset up to the level's first mismatch.  The least counterexample
     overall is the length-lex least of the per-level ones.  max_vectors
     bounds the subsets stored over all levels together.
     """
     _require_compatible(a1, a2)
     n = a1.n + a2.n
-    levels, mats, final, pi1, pi2 = _joint_cuts(a1, a2)
+    levels = _levels(a1, a2)
+    mats = [_cut_mats(pair, levels, n) for pair in zip(a1.delta, a2.delta)]
+    # the joint final column is the two columns one after the other
+    final = _cut_table(a1.eta.data + a2.eta.data, levels)
+    pi1, pi2 = _cut_table(a1.pi.data, levels), _cut_table(a2.pi.data, levels, a1.n)
     reached: list[tuple[int, int]] = []
     least: Word | None = None
     depth = 0

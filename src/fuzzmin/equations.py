@@ -260,7 +260,8 @@ def _family(
         _charge_cells(m, le, dim, max_cells)
         family = _pin_family(m, shift, data, 0, le)
         boxes = family if boxes is None else _cross(boxes, family, top, dim, max_vectors)
-    ges = [_pin_family(m, shift, data, ge, 0)[0] for m in monomials]
+    # at rank 0 every >= box is the whole box; a repeated box's meets are all held already
+    ges = list(dict.fromkeys(_pin_family(m, shift, data, ge, 0)[0] for m in monomials))
     return _cross(ges, boxes, top, dim, max_vectors)
 
 

@@ -17,10 +17,11 @@ exists, (c, c, f(a_1), ..., f(a_m)) is one too, where c = f(lambda) and
 f(a_i) is the input's value on the letter a_i.  That point is also the
 first in grid order: pi' >= c and eta' >= c are forced, and each delta'_s
 is forced or can be as low as c.  `_one_state` checks that candidate on
-`equivalent_fixpoint`'s joint cut and returns it, and `minimize` tries it
-before anything else.  So k = 1 has no grid: it is decided by that check
-alone, and the grid steps below (the refusal of an oversized grid, the
-one-point answer, the search) start at k = 2.
+ranks, on the input's cut matrices as `equivalent_fixpoint` builds them,
+and returns it; `minimize` tries it before anything else.  So k = 1 has no
+grid: it is decided by that check alone, and the grid steps below (the
+refusal of an oversized grid, the one-point answer, the search) start at
+k = 2.
 
 A candidate's alpha-cut depends only on which of its weights are >= alpha,
 so at one level and one cut prefix every transition block with the same bit
@@ -70,10 +71,12 @@ from .automaton import (
     _columns,
     _cut_by_level,
     _cut_matrix,
+    _cut_mats,
     _cut_table,
-    _joint_cuts,
+    _dot,
     _levels,
     _saturate_cut,
+    _step,
 )
 from .chain import Chain, ChainValue
 from .errors import (
@@ -529,26 +532,30 @@ def _one_state(a: FuzzyAutomaton, max_vectors: int) -> CandidateAutomaton | None
     none exists when some f(s) exceeds c.  On it every word w takes
     min(c, f(s) for each letter s of w), and so it does on (c, c, f(s) per
     symbol), the least weights, in grid order, that solve those equations;
-    all of them occur in V.  That one automaton is checked level by level
-    on `equivalent_fixpoint`'s joint cut (`_joint_cuts`), each level
-    counting its cut subsets from 0 against max_vectors, as the search's
-    checks do.
+    all of them are word values, so they occur in V and add no level to a's.
+    On ranks, as the search does, the input's cut on n + 1 states
+    (`_cut_mats`) and the candidate's state from `_row_tables(n, 1)` are
+    checked level by level, each level counting its cut subsets from 0
+    against max_vectors; the candidate is built once every level passes.
     """
-    c = language_value(a, ())
-    letters = [language_value(a, (s,)) for s in range(len(a.alphabet))]
-    if max(v.rank for v in letters) > c.rank:
+    pi, eta, n = a.pi.data, a.eta.data, a.n
+    c = _dot(pi, eta)
+    letters = [_dot(pi, _step(eta, d.as_row_tuples())) for d in a.delta]
+    if max(letters) > c:
         return None
-    values = (c, c, *letters)
-    one = decode_candidate(a.chain, a.alphabet, 1, values)
-    levels, mats, final, pi1, pi2 = _joint_cuts(a, one)
-    for p in range(len(levels)):
+    levels = _levels(a)
+    bases = [_cut_mats([d], levels, n + 1) for d in a.delta]
+    (table,), _ = _row_tables(n, 1)
+    final, initial = _cut_table(eta, levels), _cut_table(pi, levels)
+    for p, alpha in enumerate(levels):
+        mats = [base[p] + table[f >= alpha] for base, f in zip(bases, letters)]
+        one = (c >= alpha) << n
         _, mismatch, _ = _saturate_cut(
-            [sym_mats[p] for sym_mats in mats], a.n + 1, final[p], pi1[p], pi2[p], 0,
-            max_vectors,
+            mats, n + 1, final[p] | one, initial[p], one, 0, max_vectors
         )
         if mismatch is not None:
             return None
-    return CandidateAutomaton(values, one)
+    return _candidate(a, 1, (c, c, *letters))
 
 
 # Receives the level and the word pairs of a fooling set that refutes k.

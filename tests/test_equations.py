@@ -176,6 +176,25 @@ def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
         assert set(built) == set(p.monomials)
 
 
+def test_the_last_cross_meets_the_transversals_with_each_ge_box_once(monkeypatch):
+    # at rank 0 all k >= boxes are the whole box, so the transversals are
+    # met with it once; at 0.5 the k boxes differ and each is met
+    cross = equations._cross
+    firsts = []
+
+    def spy(xs, *args):
+        firsts.append(len(xs))
+        return cross(xs, *args)
+
+    monkeypatch.setattr(equations, "_cross", spy)
+    for k in range(1, 6):
+        p = Polynomial(tuple(Monomial((i, (i + 1) % 5)) for i in range(k)))
+        for label, ges in (("0", 1), ("0.5", k)):
+            firsts.clear()
+            polynomial_eq_solutions(p, CH.value(label), 5)
+            assert firsts[-1] == ges
+            assert len(firsts) == k
+
 def test_one_equation_solves_as_its_full_width_family_at_every_cap():
     # polynomial_eq_solutions lays the family out over the variables used and
     # pads it; the referee builds the same family over all n_vars variables

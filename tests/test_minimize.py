@@ -353,14 +353,16 @@ def test_the_one_state_check_fits_every_budget_the_search_fits():
 
 
 def test_a_wide_one_state_check_keeps_the_answer():
-    # padded to 40 states, the check runs on 41 joint states, past the
-    # packing cutoff, as tuples of rows; the padding adds 0 weights on
-    # unreachable states, so the language, f(λ) and every letter's value stay
+    # padded to n states, the check runs on n + 1: packed at 32, and past
+    # the packing cutoff, as tuples of rows, at 33 and 41; the padding adds 0
+    # weights on unreachable states, so the language, f(λ) and every
+    # letter's value stay
     budget = fz.errors.DEFAULT_VECTOR_BUDGET
     answers = []
     for a in [DUP, NONMONO, *minimize_benchmark_automata()[::10]]:
         answers.append(_one_state(a, budget))
-        assert _one_state(pad_states(a, 40), budget) == answers[-1], a
+        for n in (31, 32, 40):
+            assert _one_state(pad_states(a, n), budget) == answers[-1], (a, n)
     assert [w is not None for w in answers].count(False) == 4
 
 
