@@ -15,11 +15,10 @@ never cross, so every box holds a point.  The solver holds each box packed
 into one int, one bit field per coordinate (see `_layout`), so containment,
 meet and the test that a meet holds a point are a few integer operations,
 whatever the dimension.  It solves a whole system on plain lists of packed
-boxes, one layout per system: `_meet_into` meets two lists pair by pair,
-in their order, and keeps the list it stores into maximal as each box is
-stored, so its budget bounds the boxes actually held; `_cross` runs it
-into an empty list and sorts the result once into canonical order, that
-of the boxes' `(lo, hi)` pairs.  A `SolutionSet` is
+boxes, one layout per system: `_cross` meets two lists pair by pair, in
+their order, keeps the boxes it stores maximal as each one is stored, so
+its budget bounds the boxes actually held, and sorts the result once into
+canonical order, that of the boxes' `(lo, hi)` pairs.  A `SolutionSet` is
 the plain record of such a result, its boxes spelled out as tuples of
 those pairs; `cross_intersect` packs two sets, runs `_cross` and spells the
 result out again.  Chain values and printable boxes are built only when a
@@ -219,17 +218,6 @@ def _unpack(packed: int, top: int, dim: int) -> Box:
     return tuple(pairs)
 
 
-def _in_order(kept: list[int], guard: int) -> list[int]:
-    """The packed boxes kept, sorted in place into canonical order: that of
-    their (lo, hi) pairs, coordinate 0 first; guard is the layout's guard
-    mask.  In each field, the guard minus the lowest set bit (rank hi) sets
-    the bits of ranks 0..hi, and clearing the highest set bit (rank lo)
-    leaves a number that grows with lo and, for equal lo, with hi.  The
-    guards stay 0, so these keys compare field by field as the pairs do."""
-    kept.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
-    return kept
-
-
 @dataclass(frozen=True)
 class IntervalVector:
     """One box of a `SolutionSet`, built for printing: chain values
@@ -266,24 +254,28 @@ class SolutionSet:
         return (IntervalVector(self.chain, box) for box in self.boxes)
 
 
-def _meet_into(
-    kept: list[int],
-    xs: Iterable[int],
-    ys: Sequence[int],
-    data: int,
-    guard: int,
-    max_vectors: int | None,
+def _cross(
+    xs: Iterable[int], ys: Sequence[int], top: int, dim: int, max_vectors: int | None
 ) -> list[int]:
-    """kept with the meets of the packed boxes xs with the packed boxes ys
-    stored into it; data and guard are the layout's masks.  The pairs are
-    met in the order of the lists, and disjoint pairs build no box.  Each
-    meet is stored as it is built: dropped if a kept box holds it, else
-    added after the kept boxes it holds are dropped.  Whatever the arrival
-    order, kept stays exactly the maximal boxes seen, each once, and
-    BudgetExceededError is raised as soon as it holds more than
-    max_vectors.  An x inside a kept box is skipped whole: each of its
-    meets would be dropped.  The store is written out here: a call per
-    meet cost a tenth of `solve_intervals`' time."""
+    """The maximal meets of the packed boxes xs with the packed boxes ys,
+    in canonical order.  The pairs are met in the order of the lists, and
+    disjoint pairs build no box.  Each meet is stored as it is built:
+    dropped if a kept box holds it, else added after the kept boxes it
+    holds are dropped.  Whatever the arrival order, the kept list stays
+    exactly the maximal boxes seen, each once, so it never holds more boxes
+    than there are pairs, and BudgetExceededError is raised as soon as it
+    holds more than max_vectors.  An x inside a kept box is skipped
+    whole: each of its meets would be dropped.  The store is written out
+    here: a call per meet cost a tenth of `solve_intervals`' time.
+
+    The result is sorted once, at the end, into the order of the boxes'
+    (lo, hi) pairs, coordinate 0 first.  In each field, the guard minus
+    the lowest set bit (rank hi) sets the bits of ranks 0..hi, and clearing
+    the highest set bit (rank lo) leaves a number that grows with lo and,
+    for equal lo, with hi.  The guards stay 0, so these keys compare field
+    by field as the pairs do."""
+    _, data, guard = _layout(top, dim)
+    kept: list[int] = []
     for x in xs:
         for k in kept:
             if x | k == k:
@@ -301,17 +293,8 @@ def _meet_into(
                     kept.append(meet)
                     if max_vectors is not None and len(kept) > max_vectors:
                         raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
+    kept.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
     return kept
-
-
-def _cross(
-    xs: Sequence[int], ys: Sequence[int], top: int, dim: int, max_vectors: int | None
-) -> list[int]:
-    """The maximal meets of the packed boxes xs with the packed boxes ys,
-    in canonical order: `_meet_into` an empty list, which never holds more
-    than len(xs) * len(ys) boxes, sorted once at the end."""
-    _, data, guard = _layout(top, dim)
-    return _in_order(_meet_into([], xs, ys, data, guard, max_vectors), guard)
 
 
 def cross_intersect(

@@ -322,42 +322,6 @@ def _fooling_bound(
     return found
 
 
-def _later_full(bases: Sequence, full: int | tuple[int, ...]) -> list[list]:
-    """Per i from 0 to len(bases), the distinct joint cut matrices of symbol i
-    and the symbols after it: each symbol's base plus the full candidate
-    block, in which each of the k candidate rows steps to every candidate
-    state.  Entry 0 holds every symbol, and the last entry none."""
-    later: list[list] = [[]]
-    seen: dict = {}
-    for base in reversed(bases):
-        seen[base + full] = None
-        later.append(list(seen))
-    return later[::-1]
-
-
-def _fits_upper(
-    mats: list, later: list, n: int, final: int, pi1: int, pi2: int, max_vectors: int
-) -> bool:
-    """Whether every word the input (initial states pi1) accepts on the joint
-    cut matrices, on n states, followed by the later symbols' matrices, is
-    also accepted by the candidate (pi2).  With no chosen matrix and every
-    symbol's block full, it tests a (pi', eta') head before any block.  With
-    pi1 | pi2 as the first side, the kernel's two-sided test holds exactly
-    where the input accepts and the candidate rejects.  Symbols with the
-    same joint matrix reach the same subsets, so each matrix is saturated
-    once.  With no later symbol the prefix check has already decided, and a
-    test past max_vectors decides nothing, so both answer True."""
-    if not later:
-        return True
-    try:
-        _, mismatch, _ = _saturate_cut(
-            list(dict.fromkeys(mats + later)), n, final, pi1 | pi2, pi2, 0, max_vectors
-        )
-    except BudgetExceededError:
-        return True
-    return mismatch is None
-
-
 class _CutDomain:
     """The k x k cut patterns that can follow one cut prefix at one level.
 
@@ -367,7 +331,8 @@ class _CutDomain:
     bit.  `ok` tells whether some completion of it agrees with the input on
     every word over the symbols so far and, unless the symbol is the last,
     fits the input's cut language inside the candidate's with every later
-    block full (`fits`); `child` maps each full pattern that passes to the
+    block full (`fits`, which adds the full block to each later symbol's
+    base as it runs); `child` maps each full pattern that passes to the
     prefix it leads to.  Both are computed once per code, so each full
     pattern costs at most two kernel calls however many fuzzy blocks share
     it.  A full pattern's joint matrix is the symbol's base, the input's cut
@@ -379,7 +344,7 @@ class _CutDomain:
     def __init__(self, level: tuple, mats: list, final: int, pi2: int) -> None:
         # k, the input's cut rows per symbol as bases, the row tables, n + k,
         # its initial mask pi1, the bits a weight can take at this level,
-        # max_vectors, `_later_full`
+        # max_vectors, the part of a full candidate block
         self.level = level
         self.mats = mats
         self.final = final
@@ -397,11 +362,29 @@ class _CutDomain:
         return self.mats + [joint]
 
     def fits(self, mats: list) -> bool:
-        """`_fits_upper` on the prefix mats, every later block full."""
-        _, _, _, size, pi1, _, max_vectors, later = self.level
-        return _fits_upper(
-            mats, later[len(mats)], size, self.final, pi1, self.pi2, max_vectors
-        )
+        """Whether every word the input (initial states pi1) accepts on the
+        joint cut matrices mats, followed by the later symbols' matrices, is
+        also accepted by the candidate (pi2).  A later symbol's matrix is its
+        base plus the full candidate block, in which each of the k
+        candidate rows steps to every candidate state.  With no chosen
+        matrix it tests a (pi', eta') head before any block.  With pi1 | pi2
+        as the first side, the kernel's two-sided test holds exactly where
+        the input accepts and the candidate rejects.  Symbols with the same
+        joint matrix reach the same subsets, so each matrix is saturated
+        once.  With no later symbol the prefix check has already decided,
+        and a test past max_vectors decides nothing, so both answer True."""
+        _, bases, _, size, pi1, _, max_vectors, full = self.level
+        later = [base + full for base in reversed(bases[len(mats) :])]
+        if not later:
+            return True
+        try:
+            _, mismatch, _ = _saturate_cut(
+                list(dict.fromkeys(mats + later)),
+                size, self.final, pi1 | self.pi2, self.pi2, 0, max_vectors,
+            )
+        except BudgetExceededError:
+            return True
+        return mismatch is None
 
     def ok(self, code: int) -> bool:
         hit = self._ok.get(code)
@@ -456,9 +439,7 @@ def _first_witness(
     for cut in levels:
         bases = [_cut_matrix(rows, size) for rows in cut.rows]
         bits = sorted({int(r >= cut.alpha) for r in value_ranks})
-        shapes.append(
-            (k, bases, tables, size, cut.initial, bits, max_vectors, _later_full(bases, full))
-        )
+        shapes.append((k, bases, tables, size, cut.initial, bits, max_vectors, full))
     # per level, the root node of each cut head, or None for a refuted head
     roots: list[dict[tuple[int, int], _CutDomain | None]] = [{} for _ in levels]
 
@@ -589,9 +570,11 @@ def decide_k(
       candidate state stepping to every candidate state.  Adding
       transitions only adds words, so that NFA's language holds every
       completion's, and a prefix that fails the test has no equivalent
-      completion.  The test is one one-sided `_saturate_cut` call that
-      stops at the first word the input accepts and the candidate rejects;
-      past max_vectors it prunes nothing.  It runs on each distinct cut of
+      completion.  The test, `_CutDomain.fits`, is one one-sided
+      `_saturate_cut` call on the prefix's matrices and each later symbol's
+      base with the full block, that stops at the first word the input
+      accepts and the candidate rejects; past max_vectors it prunes
+      nothing.  It runs on each distinct cut of
       a (pi', eta') head, once per level, before any block, where it fails
       exactly when the input's cut accepts a nonempty word and the head's
       cut has no initial or no final state; and on every block but the last

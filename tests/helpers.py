@@ -22,10 +22,9 @@ from fuzzmin.chain import (
     Box,
     ChainValue,
     SolutionSet,
+    _cross,
     _field,
-    _in_order,
     _layout,
-    _meet_into,
     _pack,
     _unpack,
 )
@@ -148,8 +147,7 @@ def solution_set(chain: fz.Chain, dim: int, boxes: Iterable[Box]) -> SolutionSet
             raise ValueError(f"bad box bounds {box}")
         packed.append(_pack(box, top))
     # each box is its meet with the whole box, stored as the solver stores it
-    _, data, guard = _layout(top, dim)
-    kept = _in_order(_meet_into([], packed, [data], data, guard, None), guard)
+    kept = _cross(packed, [_layout(top, dim)[1]], top, dim, None)
     return SolutionSet(chain, dim, tuple(_unpack(box, top, dim) for box in kept))
 
 
@@ -224,7 +222,7 @@ def case_split_family(
     monomial's = family (every variable in [rank, top], one pinned to
     [rank, rank]) with every other monomial's <= family, and each tuple of
     boxes meets in one box, stored into one antichain."""
-    _, data, guard = _layout(top, dim)
+    data = _layout(top, dim)[1]
     whole, upper = _field(0, top, top), _field(rank, top, top)
     eq_cut, eq_pin = whole ^ upper, upper ^ _field(rank, rank, top)
     le_pin = whole ^ _field(0, rank, top)
@@ -233,13 +231,13 @@ def case_split_family(
         equations._charge_cells(m, le_pin, dim, max_cells)
         eqs.append(equations._pin_family(m, shift, data, eq_cut, eq_pin))
         les.append(equations._pin_family(m, shift, data, 0, le_pin))
-    kept: list[int] = []
-    for i, eq_family in enumerate(eqs):
-        factors = [eq_family, *les[:i], *les[i + 1 :]]
-        meets = (functools.reduce(operator.and_, boxes) for boxes in itertools.product(*factors))
-        # a meet with the whole box is itself, stored as the solver stores it
-        kept = _meet_into(kept, meets, [data], data, guard, max_vectors)
-    return _in_order(kept, guard)
+    meets = (
+        functools.reduce(operator.and_, boxes)
+        for i, eq_family in enumerate(eqs)
+        for boxes in itertools.product(eq_family, *les[:i], *les[i + 1 :])
+    )
+    # a meet with the whole box is itself, stored as the solver stores it
+    return _cross(meets, [data], top, dim, max_vectors)
 
 
 class TupleBoxSolver:
@@ -483,10 +481,11 @@ def reference_joint(rows: Sequence[int], n: int, k: int, code: int):
 
 
 def reference_later_full(rows: Sequence[Sequence[int]], n: int, k: int) -> list[list]:
-    """Referee for `minimization._later_full` on one level's cut rows per
-    symbol: for i from 0 to the symbol count, the distinct joint matrices of
-    symbol i and the symbols after it, each the symbol's rows followed by a
-    full candidate block, rebuilt row by row, last symbol first."""
+    """Referee for the later matrices of `minimization._CutDomain.fits` on
+    one level's cut rows per symbol: for i from 0 to the symbol count, the
+    distinct joint matrices of symbol i and the symbols after it, each the
+    symbol's rows followed by a full candidate block, rebuilt row by row,
+    last symbol first."""
     full = (((1 << k) - 1) << n,) * k
     joint = [_cut_matrix(tuple(sym_rows) + full) for sym_rows in rows]
     return [list(dict.fromkeys(joint[i:][::-1])) for i in range(len(rows) + 1)]

@@ -16,8 +16,8 @@ import fuzzmin.chain
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.chain import (
     ChainValue,
+    _cross,
     _layout,
-    _meet_into,
     _pack,
     cross_intersect,
     is_decimal_label,
@@ -406,13 +406,13 @@ def test_a_stored_set_may_hold_exactly_its_cap():
     # x1 ... x5 each pinned to 0 in a box of its own, on chain (0, 1): none
     # holds another, and each is its own meet with the whole box
     top, dim = 1, 5
-    _, data, guard = _layout(top, dim)
+    data = _layout(top, dim)[1]
     pins = [
         _pack(tuple((0, 0) if i == v else (0, 1) for i in range(dim)), top) for v in range(dim)
     ]
-    assert _meet_into([], [data], pins[:4], data, guard, 4) == pins[:4]
+    assert _cross([data], pins[:4], top, dim, 4) == pins[:4]
     with pytest.raises(BudgetExceededError) as refused:
-        _meet_into([], [data], pins, data, guard, 4)
+        _cross([data], pins, top, dim, 4)
     assert (refused.value.count, refused.value.limit) == (5, 4)
     assert str(refused.value) == "size 5 exceeds budget 4 (interval solution set)"
 

@@ -993,6 +993,30 @@ def test_importing_the_cli_builds_no_parser():
     assert run.stdout == "0 0\n"
 
 
+def test_the_module_entry_hands_the_exit_code_to_the_shell(tmp_path):
+    # `python -m fuzzmin.cli`, in a process of its own: an answer exits 0, a
+    # usage error 2 and a budget refusal 3, each with no traceback
+    src = str(Path(fuzzmin.cli.__file__).parents[1])
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fuzzmin.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    runs = [run("gen", "automaton", "--seed", "1"), run("frobnicate")]
+    path = tmp_path / "a.json"
+    shape = ["--states", "3", "--symbols", "2", "--chain-size", "3"]
+    path.write_text(run("gen", "automaton", "--seed", "1", *shape).stdout, encoding="utf-8")
+    runs.append(run("minimize", str(path), "--budget-phi", "1"))
+    assert [r.returncode for r in runs] == [0, 2, 3]
+    assert all("Traceback" not in r.stderr for r in runs)
+    parse_automaton(runs[0].stdout)
+    assert "error: size 2 exceeds budget 1 (cut subsets)\n" in runs[2].stderr
+
+
 def test_the_shared_parser_answers_as_a_fresh_one(eval_doc, system_doc, monkeypatch, capsys):
     # usage errors, help and valid commands in one process give what each
     # gives on a parser built for it alone

@@ -632,7 +632,7 @@ def _search_corpus(name):
 def _unbounded(inst, **kwargs):
     """decide_k with the upper bound switched off: the search it prunes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fz.minimization, "_fits_upper", lambda *args: True)
+        mp.setattr(fz.minimization._CutDomain, "fits", lambda *args: True)
         return decide_k(inst, **kwargs)
 
 
@@ -649,14 +649,14 @@ def test_the_upper_bound_keeps_the_first_witness(name, monkeypatch):
     # by the same referee
     cases = _search_corpus(name)
     pruned = []
-    fits = fz.minimization._fits_upper
+    fits = fz.minimization._CutDomain.fits
 
-    def spy(*args):
-        fit = fits(*args)
+    def spy(node, mats):
+        fit = fits(node, mats)
         pruned.append(not fit)
         return fit
 
-    monkeypatch.setattr(fz.minimization, "_fits_upper", spy)
+    monkeypatch.setattr(fz.minimization._CutDomain, "fits", spy)
     flat = 0
     for inst, kwargs in cases:
         got = _assignment(decide_k(inst, **kwargs))
@@ -693,13 +693,13 @@ def _kernel_calls(inst, **kwargs):
 def test_the_upper_bound_prunes_the_searches_it_was_built_for(monkeypatch):
     # boolean-21 at k=2 is the k=2 search `minimize` runs on it: 1,184
     # kernel calls with all 16 symbol-b blocks failing after each of about
-    # 70 symbol-a blocks; the lifted g=3 search took 79,311 calls, fooling
-    # set included
+    # 70 symbol-a blocks; the lifted g=3 search takes 40,426 calls with no
+    # upper-bound test and 585 with it, fooling set included
     a = minimize_benchmark_ops()["boolean-21"]
     inst = MinimizeInstance(a, 2)
     _, calls = _kernel_calls(inst, _levels=_cut_levels(a))
     assert calls <= 300
-    monkeypatch.setattr(fz.minimization, "_fits_upper", lambda *args: True)
+    monkeypatch.setattr(fz.minimization._CutDomain, "fits", lambda *args: True)
     _, before = _kernel_calls(inst, _levels=_cut_levels(a))
     assert before >= 1_000
     monkeypatch.undo()
@@ -751,7 +751,7 @@ def test_a_head_is_refuted_before_its_blocks(monkeypatch):
     # gen_automaton(7, 5, 2, 3) at k=4, its 3**40 grid lifted: most (pi',
     # eta') heads leave some cut whose input accepts a word with no initial
     # or no final candidate state, so they fail the root check with every
-    # block full; without that check the search took 1,966,230 kernel calls
+    # block full; without that check the search takes 1,179,737 kernel calls
     inst = MinimizeInstance(fz.gen_automaton(7, 5, 2, 3), 4)
     witness, calls = _kernel_calls(inst, max_candidates=10**20)
     assert calls < 1_000
@@ -770,7 +770,7 @@ def test_a_budget_error_in_the_upper_bound_prunes_nothing(monkeypatch):
     expected = [_assignment(_unbounded(inst, **kwargs)) for inst, kwargs in cases]
     raised = []
     kernel = fz.minimization._saturate_cut
-    upper = fz.minimization._fits_upper.__code__
+    upper = fz.minimization._CutDomain.fits.__code__
 
     def spy(*args, **kw):
         if sys._getframe(1).f_code is upper:
@@ -803,19 +803,25 @@ def _wide_cases():
 
 def _node_builds(runs):
     """Every `_first_witness` search the runs make, as (k, levels, the
-    `_later_full` lists it built, the nodes whose `_joint` ran)."""
+    upper-bound tests it made, the nodes whose `_joint` ran).  An
+    upper-bound test is the level tuple of its node, the prefix matrices
+    `_CutDomain.fits` got and the matrices it handed the kernel."""
     searches = []
     search = fz.minimization._first_witness
-    later_full = fz.minimization._later_full
+    kernel = fz.minimization._saturate_cut
+    fits = fz.minimization._CutDomain.fits.__code__
     joint = fz.minimization._CutDomain._joint
 
     def search_spy(k, value_ranks, levels, max_vectors):
         searches.append((k, levels, [], {}))
         return search(k, value_ranks, levels, max_vectors)
 
-    def later_spy(*args):
-        searches[-1][2].append(later_full(*args))
-        return searches[-1][2][-1]
+    def kernel_spy(mats, *args, **kw):
+        caller = sys._getframe(1)
+        if caller.f_code is fits:
+            node = caller.f_locals["self"]
+            searches[-1][2].append((node.level, caller.f_locals["mats"], mats))
+        return kernel(mats, *args, **kw)
 
     def joint_spy(node, code):
         searches[-1][3][id(node)] = node
@@ -823,7 +829,7 @@ def _node_builds(runs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fz.minimization, "_first_witness", search_spy)
-        mp.setattr(fz.minimization, "_later_full", later_spy)
+        mp.setattr(fz.minimization, "_saturate_cut", kernel_spy)
         mp.setattr(fz.minimization._CutDomain, "_joint", joint_spy)
         for run in runs:
             run()
@@ -833,7 +839,8 @@ def _node_builds(runs):
 def test_the_packed_nodes_are_their_rows_rebuilt():
     # k = 1, 2 and 3 on one level and on several, and the wide k=2 cases;
     # every code of every node visited equals its rebuild from one level's
-    # rows, and each level's later list its rebuild from that level's rows.
+    # rows, and the matrices of each upper-bound test their rebuild from the
+    # rows of the one level that all the tests of its node's level share.
     # decide_k answers k=1 in closed form, so the k=1 searches are called
     # directly.  The one-level k=1 search runs on boolean-01, which accepts
     # λ: every head of boolean-21 at k=1 leaves some cut with no initial or
@@ -853,9 +860,18 @@ def test_the_packed_nodes_are_their_rows_rebuilt():
         for inst in insts
     ]
     seen = set()
-    for k, levels, laters, nodes in _node_builds(runs):
+    for k, levels, tests, nodes in _node_builds(runs):
         n = len(levels[0].rows[0])
-        assert laters == [reference_later_full(cut.rows, n, k) for cut in levels]
+        laters = [reference_later_full(cut.rows, n, k) for cut in levels]
+        assert tests, (k, n)
+        by_level = {}
+        for level, mats, sent in tests:
+            by_level.setdefault(id(level), []).append((mats, sent))
+        for calls in by_level.values():
+            assert any(
+                all(sent == list(dict.fromkeys(mats + later[len(mats)])) for mats, sent in calls)
+                for later in laters
+            ), (k, n)
         codes = range(1 << k * k, 2 << k * k)
         for node in nodes.values():
             s = len(node.mats)
