@@ -18,11 +18,11 @@ whatever the dimension.  It solves a whole system on plain lists of packed
 boxes, one layout per system: `_cross` meets two lists pair by pair, in
 their order, keeps the boxes it stores maximal as each one is stored, so
 its budget bounds the boxes actually held, and sorts the result once into
-canonical order, that of the boxes' `(lo, hi)` pairs.  A `SolutionSet` is
-the plain record of such a result, its boxes spelled out as tuples of
-those pairs; `cross_intersect` packs two sets, runs `_cross` and spells the
-result out again.  Chain values and printable boxes are built only when a
-set is iterated.
+canonical order (`_sort`), that of the boxes' `(lo, hi)` pairs.  A
+`SolutionSet` is the plain record of such a result, its boxes spelled out
+as tuples of those pairs; `cross_intersect` packs two sets, runs `_cross`
+and spells the result out again.  Chain values and printable boxes are
+built only when a set is iterated.
 """
 
 from __future__ import annotations
@@ -265,15 +265,11 @@ def _cross(
     exactly the maximal boxes seen, each once, so it never holds more boxes
     than there are pairs, and BudgetExceededError is raised as soon as it
     holds more than max_vectors.  An x inside a kept box is skipped
-    whole: each of its meets would be dropped.  The store is written out
-    here: a call per meet cost a tenth of `solve_intervals`' time.
-
-    The result is sorted once, at the end, into the order of the boxes'
-    (lo, hi) pairs, coordinate 0 first.  In each field, the guard minus
-    the lowest set bit (rank hi) sets the bits of ranks 0..hi, and clearing
-    the highest set bit (rank lo) leaves a number that grows with lo and,
-    for equal lo, with hi.  The guards stay 0, so these keys compare field
-    by field as the pairs do."""
+    whole: each of its meets would be dropped.  Once a meet equal to x is
+    stored, the rest of ys is skipped: every later meet of x lies inside
+    x, so it would be dropped too.  The store is written out here: a call
+    per meet cost a tenth of `solve_intervals`' time.  The result is
+    sorted once, at the end (`_sort`)."""
     _, data, guard = _layout(top, dim)
     kept: list[int] = []
     for x in xs:
@@ -293,8 +289,20 @@ def _cross(
                     kept.append(meet)
                     if max_vectors is not None and len(kept) > max_vectors:
                         raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
-    kept.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
-    return kept
+                    if meet == x:
+                        break
+    return _sort(kept, guard)
+
+
+def _sort(boxes: list[int], guard: int) -> list[int]:
+    """boxes, packed with guard mask guard, sorted in place into canonical
+    order: that of the boxes' (lo, hi) pairs, coordinate 0 first.  In each
+    field, the guard minus the lowest set bit (rank hi) sets the bits of
+    ranks 0..hi, and clearing the highest set bit (rank lo) leaves a number
+    that grows with lo and, for equal lo, with hi.  The guards stay 0, so
+    these keys compare field by field as the pairs do."""
+    boxes.sort(key=lambda box: (guard - (box & ~(box << 1))) ^ (box & ~(box >> 1)))
+    return boxes
 
 
 def cross_intersect(

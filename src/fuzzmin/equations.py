@@ -4,19 +4,17 @@ A monomial is the min of a duplicate-free set of variables, a polynomial is
 the max of monomials, and an equation constrains a polynomial to equal one
 chain value.  Coefficients are fixed at 1; the solvers rely on that shape.
 
-Two solvers are provided.  `solve_intervals` builds, per equation, the finite
-family of rank boxes that covers the solutions, then intersects the families
-across equations, cheapest first: in the order of a bound on their size,
-read off the monomial sizes before any family is built.  It solves the
-whole system on one packed layout (see `chain`): every box is one int, and
-every family and running set is a plain list of boxes, none inside another,
-in canonical order.  A monomial's pin family comes out in that order as it
-is built, so it is never sorted, and its cells are charged against the cell
-ceiling before it is built.  An equation's family is built by the same
-cross-intersection as the running set: its monomials' <= families crossed
-one after another, then met with one >= box per monomial.  Two boxes that
-share no point build no intersection, so the system is solvable iff the
-final set is non-empty; only that set, padded, becomes a `SolutionSet`.
+Two solvers are provided.  `solve_intervals` solves the system as two
+sides.  Each polynomial is monotone, so the points where every polynomial
+is at or above its right-hand side form an up-set U, the points where
+every one is at or below it a down-set D, and the solutions are D & U.  A
+box [lo, hi] holds only solutions iff lo lies in U and hi in D, so the
+maximal boxes are the [u, m] with u a minimal point of U, m a maximal point
+of D and u <= m.  Each side is one cross-intersection (see `chain`) on one
+packed layout for the whole system: every box is one int, and each side's
+running set is a plain list of boxes, none inside another, in canonical
+order.  The pairs [u, m] are the result, and only that set, padded,
+becomes a `SolutionSet`; the system is solvable iff it is non-empty.
 `polynomial_eq_solutions` is `solve_intervals` on one equation.  Chain
 values enter only as right-hand sides and when the boxes are printed.
 `solve_points` exploits that a solvable system is already solvable using
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -40,6 +37,7 @@ from .chain import (
     _cross,
     _field,
     _layout,
+    _sort,
     _unpack,
 )
 from .errors import (
@@ -211,67 +209,13 @@ def _pin_family(
     return [base ^ pin << s for s in shifts]
 
 
-def _charge_cells(m: Monomial, pin: int, dim: int, max_cells: int) -> None:
-    """Refuse, before it is built, a pin family of m whose boxes of
-    dimension dim would hold more than max_cells (lo, hi) pairs: one box
-    when pin is 0 (see `_pin_family`), one per variable of m otherwise."""
-    cells = (len(m.vars) if pin else 1) * dim
-    if cells > max_cells:
-        raise BudgetExceededError(cells, max_cells, "interval solution cells")
-
-
-def _size_bound(monomials: tuple[Monomial, ...]) -> int:
-    """A bound on the boxes of these monomials' family (`_family`): k * the
-    product of their sizes for k monomials, the k >= boxes each met with
-    at most that product of transversals."""
-    return len(monomials) * math.prod([len(m.vars) for m in monomials])
-
-
-def _family(
-    monomials: tuple[Monomial, ...],
-    shift: Mapping[int, int],
-    rank: int,
-    top: int,
-    dim: int,
-    max_vectors: int | None,
-    max_cells: int,
-) -> list[int]:
-    """The packed boxes of dimension dim that cover the solutions of
-    max(monomials) = the value of rank rank, in canonical order; variable v
-    is the field at shift[v].
-
-    The max equals the value exactly when every monomial is at or below it
-    and some monomial is at or above it.  So the monomials' <= families are
-    crossed one after another (`_cross`), in monomial order: the result is
-    the minimal transversals, one variable of each monomial capped to [0,
-    rank].  The >= boxes, one per monomial, each holding the monomial's
-    variables in [rank, top], are crossed with that set.  No meet is
-    empty: a <= field [0, rank] meets a >= field [rank, top] at [rank,
-    rank].  The family has at most `_size_bound` boxes.  Raises
-    BudgetExceededError as soon as a set it crosses holds more than
-    max_vectors boxes, and before any <= family is built whose boxes would
-    hold more than max_cells pairs; a >= box holds no more pairs than its
-    monomial's <= family.
-    """
-    data = _layout(top, dim)[1]
-    ge, le = _cuts(rank, top)
-    boxes = None
-    for m in monomials:
-        _charge_cells(m, le, dim, max_cells)
-        family = _pin_family(m, shift, data, 0, le)
-        boxes = family if boxes is None else _cross(boxes, family, top, dim, max_vectors)
-    # at rank 0 every >= box is the whole box; a repeated box's meets are all held already
-    ges = list(dict.fromkeys(_pin_family(m, shift, data, ge, 0)[0] for m in monomials))
-    return _cross(ges, boxes, top, dim, max_vectors)
-
-
 def polynomial_eq_solutions(
     p: Polynomial, rhs: ChainValue, n_vars: int, *, max_vectors: int | None = None
 ) -> SolutionSet:
     """Boxes covering the solutions of max(monomials) = rhs over n_vars
     variables: `solve_intervals` on that one equation.  The result has at
     most k * n_vars**k boxes for k monomials.  Raises BudgetExceededError
-    as soon as the family or its <= product holds more than max_vectors
+    as soon as either side or the result holds more than max_vectors
     boxes, or past the default cell ceiling.
     """
     system = EquationSystem(rhs.chain, n_vars, (Equation(p, Relation.EQ, rhs),))
@@ -284,60 +228,92 @@ def solve_intervals(
     max_vectors: int | None = DEFAULT_VECTOR_BUDGET,
     _max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> SolutionSet:
-    """Interval cover of the whole system: the cross-intersection of the
-    per-equation families, cheapest first.  The boxes hold only solutions,
-    cover every solution, and none lies inside another; the system is
-    solvable iff the set is non-empty.  The maximal meets are the maximal
-    boxes of the intersection in any order, so the order changes only the
-    work done and where a capped run refuses.
+    """Interval cover of the whole system: the boxes [u, m] with u a minimal
+    point of the up-set U (every polynomial at or above its right-hand
+    side), m a maximal point of the down-set D (every polynomial at or
+    below it) and u <= m.  The boxes hold only solutions, cover every
+    solution, and none lies inside another; the system is solvable iff the
+    set is non-empty.
 
-    The families are intersected in the order of their size bounds
-    (`_size_bound`), ties in equation order, each built only when the
-    running set reaches it: small families keep the running set small, and
-    an empty one is found sooner.  Raises BudgetExceededError as soon as any
-    set it crosses, an equation's <= product, its family or the running
-    set, holds more than max_vectors boxes; the running set can grow like
-    (k * n**k)**m even though skipping disjoint pairs and dropping
-    contained boxes usually keeps it tiny.  Once the running set is empty
-    no later family is built, so none is refused.
+    The up side holds each u as the box [u, top].  An equation with a
+    right-hand side r above 0 is at or above r exactly where some monomial
+    has all its variables at or above r: one >= box per monomial
+    (`_pin_family`), crossed into the running set (`_cross`) in equation
+    order, so the running set keeps the least points.  The down side holds
+    each m as the box [0, m].  Each monomial M of an equation with r below
+    the top gives the clause "some variable of M is at or below r", whose
+    <= family caps one variable of M to [0, r] per box.  Per set of
+    variables only the least r is kept, and a clause is dropped when
+    another one on a subset of its variables, with an r no larger, implies
+    it.  The rest are crossed into the running set smallest first, ties in
+    order of first appearance (Berge's transversal multiplication); the
+    first family is the running set as built, its boxes capping distinct
+    variables.  After each clause every m with no u <= m is dropped, since
+    later clauses only lower it, and an empty set ends the search with no
+    later family built.  Last, every u <= m gives the box u & m.  A u is
+    minimal and an m maximal, so no pair lies inside another, and the pairs
+    are kept with no store and sorted once.
 
-    The whole system is solved on one packed layout, over only the variables
-    some monomial mentions, in ascending order: each variable's field shift
-    comes straight from its place among them.  Every family (`_family`) and
-    the running set are built by the one cross-intersection `_cross`, as
-    plain lists of packed boxes in canonical order, the pin families built
-    in that order with no sort; only the padded result is a `SolutionSet`.
-    Every box ranges over the whole chain on the unmentioned variables, so
-    those are added once per result box, all sharing one (0, top) pair; the
-    boxes and any refusal are those of the families built at full width.
-    The same pair at the same places keeps the boxes maximal and in order,
-    so the padded set is not normalized again.  Before padding, it refuses
-    when the padded boxes would hold more than _max_cells (boxes times
-    n_vars) pairs, and each pin family is charged against the same ceiling
-    before it is built (boxes times the variables used); the command line
+    Raises BudgetExceededError as soon as a side's running set, or the
+    pairs, hold more than max_vectors boxes, and before a clause's family
+    is built whose boxes would hold more than _max_cells (lo, hi) pairs
+    (boxes times the variables used).  The whole system is solved on one
+    packed layout, over only the variables some monomial mentions, in
+    ascending order: each variable's field shift comes straight from its
+    place among them.  Every box ranges over the whole chain on the
+    unmentioned variables, so those are added once per result box, all
+    sharing one (0, top) pair; the boxes and any max_vectors refusal are
+    those of the sides solved at full width.  The same pair at the same places keeps
+    the boxes maximal and in order, so the padded set is not normalized
+    again.  Before padding, it refuses when the padded boxes would hold
+    more than _max_cells (boxes times n_vars) pairs; the command line
     passes its own ceiling there.
     """
-    lhss = [eq.lhs.monomials for eq in system.equations]
-    used = sorted({i for lhs in lhss for m in lhs for i in m.vars})
+    used = sorted({i for eq in system.equations for m in eq.lhs.monomials for i in m.vars})
     top, dim = len(system.chain) - 1, len(used)
     shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
-    families = (
-        _family(eq.lhs.monomials, shift, eq.rhs.rank, top, dim, max_vectors, _max_cells)
-        for eq in sorted(system.equations, key=lambda eq: _size_bound(eq.lhs.monomials))
-    )
-    # no family is empty (all variables at the rhs solve it), so the running
-    # set first empties at a cross-intersection, and no later family is built
-    result = next(families)
-    for family in families:
-        result = _cross(result, family, top, dim, max_vectors)
-        if not result:
+    _, data, guard = _layout(top, dim)
+    ups = [data]
+    for eq in system.equations:
+        if eq.rhs.rank:  # the monomials are distinct, and so are their >= boxes
+            ge = _cuts(eq.rhs.rank, top)[0]
+            ges = [_pin_family(m, shift, data, ge, 0)[0] for m in eq.lhs.monomials]
+            ups = _cross(ups, ges, top, dim, max_vectors)
+    least: dict[Monomial, int] = {}
+    for eq in system.equations:
+        for m in eq.lhs.monomials:
+            if eq.rhs.rank < least.get(m, top):
+                least[m] = eq.rhs.rank
+    clauses: list[tuple[frozenset[int], int, Monomial]] = []
+    # a clause implied by a dropped one is implied by the one that dropped it
+    for m, rank in sorted(least.items(), key=lambda clause: len(clause[0].vars)):
+        vs = frozenset(m.vars)
+        if not any(r <= rank and ws <= vs for ws, r, _ in clauses):
+            clauses.append((vs, rank, m))
+    downs = [data]
+    for i, (_, rank, m) in enumerate(clauses):
+        cells = len(m.vars) * dim
+        if cells > _max_cells:
+            raise BudgetExceededError(cells, _max_cells, "interval solution cells")
+        family = _pin_family(m, shift, data, 0, _cuts(rank, top)[1])
+        downs = _cross(downs, family, top, dim, max_vectors) if i else family
+        downs = [d for d in downs if any(((u & d) + data) & guard == guard for u in ups)]
+        if not downs:
             break
-    cells = len(result) * system.n_vars
+    pairs = []
+    for d in downs:
+        for u in ups:
+            box = u & d
+            if (box + data) & guard == guard:
+                pairs.append(box)
+                if max_vectors is not None and len(pairs) > max_vectors:
+                    raise BudgetExceededError(len(pairs), max_vectors, "interval solution set")
+    cells = len(pairs) * system.n_vars
     if cells > _max_cells:
         raise BudgetExceededError(cells, _max_cells, "interval solution cells")
     full = (0, top)
     boxes = []
-    for box in result:
+    for box in _sort(pairs, guard):
         padded = [full] * system.n_vars
         for v, pair in zip(used, _unpack(box, top, dim)):
             padded[v] = pair

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import importlib.util
 import itertools
-import math
 import operator
 import random
 import re
@@ -28,7 +27,7 @@ from fuzzmin.chain import (
     _pack,
     _unpack,
 )
-from fuzzmin.errors import DEFAULT_VECTOR_BUDGET
+from fuzzmin.errors import DEFAULT_CELL_BUDGET, DEFAULT_VECTOR_BUDGET
 from fuzzmin.generate import alphabet_of
 from fuzzmin.oracles import (
     all_words_up_to,
@@ -171,14 +170,14 @@ def _full_width_set(chain: fz.Chain, n_vars: int, packed: list[int]) -> Solution
 
 def monomial_eq_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
     """Boxes covering the solutions of min(vars) = rhs: the solver's own
-    `_family` of that one-monomial equation, at full width.
+    boxes for that one-monomial equation (`polynomial_eq_solutions`).
 
     One box per variable of the monomial: that variable is pinned to
     [rhs, rhs], the other monomial variables range over [rhs, 1], and
     variables absent from the monomial are unconstrained.  The family
     collapses to one box when rhs is the top value.
     """
-    return full_width_family(fz.Polynomial((m,)), rhs, n_vars)
+    return equations.polynomial_eq_solutions(fz.Polynomial((m,)), rhs, n_vars)
 
 
 def monomial_le_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
@@ -195,40 +194,34 @@ def monomial_le_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> Solut
 def full_width_family(
     p: fz.Polynomial, rhs: ChainValue, n_vars: int, max_vectors: int | None = None
 ) -> SolutionSet:
-    """Referee for `polynomial_eq_solutions`: the solver's `_family` laid
-    out over all n_vars variables, with no cell ceiling, instead of over
-    the variables used and padded."""
-    top = len(rhs.chain) - 1
-    shift = _full_width(p.monomials, n_vars, top)
-    family = equations._family(
-        p.monomials, shift, rhs.rank, top, n_vars, max_vectors, sys.maxsize
-    )
-    return _full_width_set(rhs.chain, n_vars, family)
+    """Referee for `polynomial_eq_solutions`: `TupleBoxSolver` on that one
+    equation, over all n_vars variables, instead of packed over the
+    variables used and padded."""
+    system = fz.EquationSystem(rhs.chain, n_vars, (fz.Equation(p, fz.Relation.EQ, rhs),))
+    return SolutionSet(rhs.chain, n_vars, TupleBoxSolver(max_vectors).solve(system))
 
 
 def case_split_family(
-    monomials: tuple[fz.Monomial, ...],
-    shift: dict[int, int],
-    rank: int,
-    top: int,
-    dim: int,
-    max_vectors: int | None,
-    max_cells: int,
+    monomials: tuple[fz.Monomial, ...], shift: dict[int, int], rank: int, top: int, dim: int
 ) -> list[int]:
-    """Referee for `equations._family`, with its arguments: the case split.
-    max(monomials) = the value of rank rank exactly when some monomial
-    equals it and every other stays at or below it, so the family is the
-    union over that case split.  Each case is the product of its
-    monomial's = family (every variable in [rank, top], one pinned to
-    [rank, rank]) with every other monomial's <= family, and each tuple of
-    boxes meets in one box, stored into one antichain."""
+    """The packed boxes of dimension dim that cover the solutions of
+    max(monomials) = the value of rank rank, by the case split, at default
+    budgets: the max equals it exactly when some monomial equals it and
+    every other stays at or below it, so the family is the union over that
+    case split.  Each case is the product of its monomial's = family (every
+    variable in [rank, top], one pinned to [rank, rank]) with every other
+    monomial's <= family, and each tuple of boxes meets in one box, stored
+    into one antichain.  Each <= family is refused before it is built when
+    its boxes would hold more than the default cell ceiling."""
     data = _layout(top, dim)[1]
     whole, upper = _field(0, top, top), _field(rank, top, top)
     eq_cut, eq_pin = whole ^ upper, upper ^ _field(rank, rank, top)
     le_pin = whole ^ _field(0, rank, top)
     eqs, les = [], []
     for m in monomials:
-        equations._charge_cells(m, le_pin, dim, max_cells)
+        cells = (len(m.vars) if le_pin else 1) * dim
+        if cells > DEFAULT_CELL_BUDGET:
+            raise fz.BudgetExceededError(cells, DEFAULT_CELL_BUDGET, "interval solution cells")
         eqs.append(equations._pin_family(m, shift, data, eq_cut, eq_pin))
         les.append(equations._pin_family(m, shift, data, 0, le_pin))
     meets = (
@@ -237,23 +230,57 @@ def case_split_family(
         for boxes in itertools.product(eq_family, *les[:i], *les[i + 1 :])
     )
     # a meet with the whole box is itself, stored as the solver stores it
-    return _cross(meets, [data], top, dim, max_vectors)
+    return _cross(meets, [data], top, dim, DEFAULT_VECTOR_BUDGET)
+
+
+def per_equation_boxes(system: fz.EquationSystem) -> tuple[Box, ...]:
+    """Referee for `solve_intervals` at default budgets, by the algorithm
+    it replaced: each equation's `case_split_family`, over all n_vars
+    variables, crossed into the running set in equation order, stopping
+    at an empty set."""
+    top, n = len(system.chain) - 1, system.n_vars
+    result = None
+    for eq in system.equations:
+        shift = _full_width(eq.lhs.monomials, n, top)
+        family = case_split_family(eq.lhs.monomials, shift, eq.rhs.rank, top, n)
+        result = family if result is None else _cross(
+            result, family, top, n, DEFAULT_VECTOR_BUDGET
+        )
+        if not result:
+            break
+    return tuple(_unpack(box, top, n) for box in result)
+
+
+def _meet(a: Box, b: Box) -> Box | None:
+    """The meet of two tuple boxes, or None when it holds no point."""
+    meet = tuple((max(alo, blo), min(ahi, bhi)) for (alo, ahi), (blo, bhi) in zip(a, b))
+    return meet if all(lo <= hi for lo, hi in meet) else None
 
 
 class TupleBoxSolver:
     """Reference interval solver on boxes held as tuples of (lo, hi) rank
-    pairs, at the system's full width: the same families, intersected in
-    the same order (cheapest size bound first, ties in equation order), and
-    the same meets stored in the same order into the same capped antichains
-    as `solve_intervals`, which also builds no family once the running set
-    is empty.  A family is its monomials' <= families crossed in monomial
-    order, then its >= boxes crossed with that product.  peak is the most
-    boxes any capped set held, so every cap below it refuses and every cap
-    from it up answers."""
+    pairs, at the system's full width, in the order `solve_intervals`
+    works, with the same meets stored in the same order into the same
+    capped antichains.  The up side: each equation with a right-hand side
+    r above 0, in equation order, crosses its >= boxes (its monomials'
+    variables in [r, top]) into a running set that starts as the whole
+    box.  The down side: each monomial's least r below the top among the
+    equations it appears in is a clause; a clause is dropped when another
+    one on a subset of its variables has an r no larger; the rest, smallest
+    monomial first, ties in order of first appearance, cross their <=
+    families into a running set, the first family taken as built, each
+    followed by dropping every box that meets no up box, and an empty set
+    ends it.  Last, every down box met with every up box, the meets that
+    hold a point stored into one capped set.  peak is the most boxes any
+    capped set held, so every cap below it refuses and every cap from it
+    up answers.  clauses_all holds the (variables, r) clauses in crossing
+    order, and clauses those whose families were built."""
 
     def __init__(self, max_vectors: int | None = None) -> None:
         self.max_vectors = max_vectors
         self.peak = 0
+        self.clauses: list = []
+        self.clauses_all: list = []
 
     def _store(self, kept: list, box: tuple, capped: bool = True) -> None:
         if any(_inside(box, k) for k in kept):
@@ -272,10 +299,8 @@ class TupleBoxSolver:
         one capped set, skipping the empty ones; sorted."""
         kept: list = []
         for x, y in itertools.product(xs, ys):
-            meet = tuple(
-                (max(xlo, ylo), min(xhi, yhi)) for (xlo, xhi), (ylo, yhi) in zip(x, y)
-            )
-            if all(lo <= hi for lo, hi in meet):
+            meet = _meet(x, y)
+            if meet is not None:
                 self._store(kept, meet)
         return sorted(kept)
 
@@ -292,23 +317,40 @@ class TupleBoxSolver:
     def solve(self, system: fz.EquationSystem) -> tuple:
         """The boxes of the system, sorted, or BudgetExceededError."""
         n, top = system.n_vars, len(system.chain) - 1
-
-        def size_bound(eq):  # k * the product of the monomial sizes
-            sizes = [len(m.vars) for m in eq.lhs.monomials]
-            return len(sizes) * math.prod(sizes)
-
-        result = None
-        for eq in sorted(system.equations, key=size_bound):
-            if result == []:
-                break
+        whole = ((0, top),) * n
+        ups = [whole]
+        for eq in system.equations:
             r = eq.rhs.rank
-            les = [self._pins(m.vars, n, top, (0, r), (0, top)) for m in eq.lhs.monomials]
-            product = functools.reduce(self._cross, les)
-            # each >= box is one box: every pin gives the same one
-            ges = [self._pins(m.vars, n, top, (r, top), (r, top))[0] for m in eq.lhs.monomials]
-            family = self._cross(ges, product)
-            result = family if result is None else self._cross(result, family)
-        return tuple(result)
+            if r:
+                # each >= box is one box: every pin gives the same one
+                ges = [self._pins(m.vars, n, top, (r, top), (r, top))[0] for m in eq.lhs.monomials]
+                ups = self._cross(ups, ges)
+        least: dict = {}
+        for eq in system.equations:
+            for m in eq.lhs.monomials:
+                if eq.rhs.rank < top:
+                    least[m.vars] = min(least.get(m.vars, top), eq.rhs.rank)
+        self.clauses_all = sorted(
+            [
+                (vs, r) for vs, r in least.items()
+                if not any(ws != vs and set(ws) <= set(vs) and q <= r for ws, q in least.items())
+            ],
+            key=lambda clause: len(clause[0]),
+        )
+        downs = [whole]
+        for i, (vs, r) in enumerate(self.clauses_all):
+            self.clauses.append((vs, r))
+            family = self._pins(vs, n, top, (0, r), (0, top))
+            downs = self._cross(downs, family) if i else family
+            downs = [d for d in downs if any(_meet(u, d) for u in ups)]
+            if not downs:
+                break
+        pairs: list = []
+        for d, u in itertools.product(downs, ups):
+            meet = _meet(u, d)
+            if meet is not None:
+                self._store(pairs, meet)
+        return tuple(sorted(pairs))
 
 
 def random_pair(

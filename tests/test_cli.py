@@ -337,12 +337,15 @@ def test_automaton_commands_end_in_a_verdict_or_an_error_on_any_document(
 
 
 def test_solve_budgets(system_doc, capsys):
-    # the point grid is 2**3 = 8; the first interval family already has 4 vectors
+    # the point grid is 2**3 = 8; the up side already holds 2 boxes after
+    # the first equation, and no set ever holds more
     assert main(["solve", system_doc, "--mode", "points", "--budget-candidates", "7"]) == 3
     assert "8 exceeds budget 7" in capsys.readouterr().err
-    assert main(["solve", system_doc, "--budget-phi", "3"]) == 3
+    assert main(["solve", system_doc, "--budget-phi", "1"]) == 3
     err = capsys.readouterr().err
-    assert err == "error: size 4 exceeds budget 3 (interval solution set)\n"
+    assert err == "error: size 2 exceeds budget 1 (interval solution set)\n"
+    assert main(["solve", system_doc, "--budget-phi", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 # 111 bytes: x1 x2 x3 = 0.5 has 3 boxes, which would pad to 3 * 10**9 pairs

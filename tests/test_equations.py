@@ -32,11 +32,11 @@ from fuzzmin.oracles import grid_search_point
 
 from helpers import (
     TupleBoxSolver,
-    case_split_family,
     full_width_family,
     in_box,
     monomial_eq_solutions,
     monomial_le_solutions,
+    per_equation_boxes,
 )
 
 CH = Chain(("0", "0.2", "0.5", "1"))
@@ -176,25 +176,6 @@ def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
         assert set(built) == set(p.monomials)
 
 
-def test_the_last_cross_meets_the_transversals_with_each_ge_box_once(monkeypatch):
-    # at rank 0 all k >= boxes are the whole box, so the transversals are
-    # met with it once; at 0.5 the k boxes differ and each is met
-    cross = equations._cross
-    firsts = []
-
-    def spy(xs, *args):
-        firsts.append(len(xs))
-        return cross(xs, *args)
-
-    monkeypatch.setattr(equations, "_cross", spy)
-    for k in range(1, 6):
-        p = Polynomial(tuple(Monomial((i, (i + 1) % 5)) for i in range(k)))
-        for label, ges in (("0", 1), ("0.5", k)):
-            firsts.clear()
-            polynomial_eq_solutions(p, CH.value(label), 5)
-            assert firsts[-1] == ges
-            assert len(firsts) == k
-
 def test_one_equation_solves_as_its_full_width_family_at_every_cap():
     # polynomial_eq_solutions lays the family out over the variables used and
     # pads it; the referee builds the same family over all n_vars variables
@@ -218,15 +199,15 @@ def test_one_equation_solves_as_its_full_width_family_at_every_cap():
 
 
 def test_a_wide_family_is_refused_before_it_is_built(monkeypatch):
-    # x1 ... x60000 = 0.5 would pin each of its variables in a box of its
-    # own, 60,000 boxes of 60,000 pairs; the cells are charged first, so the
-    # family is never built
+    # x1 ... x60000 = 0.5 would cap each of its variables in a box of its
+    # own, 60,000 boxes of 60,000 pairs; the cells are charged first, so
+    # that <= family is never built, only the up side's one >= box
     built = []
     pin_family = equations._pin_family
 
-    def spy(m, *args):
-        built.append(len(m.vars))
-        return pin_family(m, *args)
+    def spy(m, shift, base, cut, pin):
+        built.append((len(m.vars), "<=" if pin else ">="))
+        return pin_family(m, shift, base, cut, pin)
 
     monkeypatch.setattr(equations, "_pin_family", spy)
     chain = Chain(("0", "0.5", "1"))
@@ -240,27 +221,51 @@ def test_a_wide_family_is_refused_before_it_is_built(monkeypatch):
     assert str(refused.value) == (
         "size 3600000000 exceeds budget 10000000 (interval solution cells)"
     )
-    assert built == []
-    # at the top value the <= family is one box, charged as one: 5 pairs;
-    # the >= box is built after it
+    assert built == [(60_000, ">=")]
+    # at the top value there is no clause, so no <= family: the one >= box
+    # is the answer, 5 pairs
+    built.clear()
     top = system(5, [range(5)], "1")
     assert solve_intervals(top, _max_cells=5).boxes == (((2, 2),) * 5,)
-    assert built == [5, 5]
+    assert built == [(5, ">=")]
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(top, _max_cells=4)
     assert (refused.value.count, refused.value.limit) == (5, 4)
-    # each <= family is charged before it is built: the first one would
-    # hold 5 boxes of 6 pairs
+    # each <= family is charged before it is built: the clauses go smallest
+    # first, and the second one's would hold 5 boxes of 6 pairs
     built.clear()
     split = system(6, [range(5), [5]], "0.5")
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(split, _max_cells=29)
     assert str(refused.value) == "size 30 exceeds budget 29 (interval solution cells)"
-    assert built == []
+    assert built == [(5, ">="), (1, ">="), (1, "<=")]
     # each >= box meets the 5 transversals, so the 10 boxes found hold 60
-    # pairs; the two <= families come first, then the two >= boxes
+    # pairs; the two >= boxes come first, then the two <= families
+    built.clear()
     assert len(solve_intervals(split, _max_cells=60)) == 10
-    assert built == [5, 1, 5, 1]
+    assert built == [(5, ">="), (1, ">="), (1, "<="), (5, "<=")]
+
+
+def test_the_first_clause_family_is_the_running_set_as_built(monkeypatch):
+    # x1 ... x500 = 0.5: its one clause family caps distinct variables, so
+    # none of its boxes lies inside another and it is not stored box by
+    # box; the one cross made is the up side's, of the whole box with the
+    # >= box.  At 0 there is no >= box, and no cross at all
+    crossed = []
+    cross = equations._cross
+
+    def spy(xs, ys, *args):
+        crossed.append((len(xs), len(ys)))
+        return cross(xs, ys, *args)
+
+    monkeypatch.setattr(equations, "_cross", spy)
+    chain = Chain(("0", "0.5", "1"))
+    p = Polynomial((Monomial(tuple(range(500))),))
+    for label, want in (("0.5", [(1, 1)]), ("0", [])):
+        crossed.clear()
+        system = EquationSystem(chain, 500, (Equation(p, Relation.EQ, chain.value(label)),))
+        assert len(solve_intervals(system)) == 500
+        assert crossed == want
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True), st.data())
@@ -322,14 +327,15 @@ def test_interval_solver_refuses_as_the_running_set_grows():
     assert len(solve_intervals(system)) == 9
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(system, max_vectors=4)
-    # refused at the fifth box stored, before the other pairs were tried
+    # refused at the fifth box the up side stores, before the other pairs
+    # were tried
     assert (refused.value.count, refused.value.limit) == (5, 4)
 
 
 def test_interval_solver_cap_binds_inside_one_family():
-    # x1 x2 v x3 x4 = 0.5: the two 2-box <= families cross into 4
-    # transversals, so a cap of 3 refuses at the fourth, before the family's
-    # 8 boxes are built
+    # x1 x2 v x3 x4 = 0.5: the down side's two 2-box clause families cross
+    # into 4 points, so a cap of 3 refuses at the fourth, before the 8 boxes
+    # are paired
     p = Polynomial((Monomial((0, 1)), Monomial((2, 3))))
     system = EquationSystem(CH, 4, (Equation(p, Relation.EQ, CH.value("0.5")),))
     assert len(solve_intervals(system)) == 8
@@ -426,22 +432,11 @@ def test_packed_solver_matches_the_tuple_box_reference_at_every_cap():
     assert widest > 64
 
 
-# the shapes the ordering was sized on: (n_vars, equations, max monomials,
-# chain size)
+# the shapes the old per-equation order was sized on: (n_vars, equations,
+# max monomials, chain size)
 _ORDER_SHAPES = (
     (5, 5, 3, 5), (6, 5, 3, 5), (8, 6, 3, 5), (10, 8, 3, 5), (12, 4, 4, 6), (4, 3, 2, 3)
 )
-
-
-def test_cheapest_first_finds_the_boxes_of_equation_order(monkeypatch):
-    # the maximal meets are the maximal boxes of the intersection in any
-    # order; a constant size bound makes the stable sort keep equation order
-    systems = [gen_system(9000 + seed, *shape) for shape in _ORDER_SHAPES for seed in range(170)]
-    cheapest = [solve_intervals(system).boxes for system in systems]
-    monkeypatch.setattr(equations, "_size_bound", lambda monomials: 0)
-    assert [solve_intervals(system).boxes for system in systems] == cheapest
-    assert len(systems) >= 1000
-    assert 0 < sum(1 for boxes in cheapest if boxes) < len(systems)
 
 
 def _planted(system, seed):
@@ -455,51 +450,80 @@ def _planted(system, seed):
     ))
 
 
-def test_transversal_families_match_the_case_split_referee(monkeypatch):
-    # each family, its <= transversals met with its >= boxes, holds the
-    # boxes of the case split over the monomial that attains the rhs; the
-    # planted twins are solvable, so every one of their families is built
+def test_transversal_families_match_the_case_split_referee():
+    # the two sides give the boxes of the algorithm they replaced: each
+    # equation's case split over the monomial that attains the rhs, crossed
+    # in equation order; the planted twins are solvable, so every one of
+    # their families is crossed
     drawn = [
         (9000 + seed, gen_system(9000 + seed, *shape))
         for shape in _ORDER_SHAPES for seed in range(170)
     ]
     systems = [system for _, system in drawn] + [_planted(system, seed) for seed, system in drawn]
     got = [solve_intervals(system).boxes for system in systems]
-    monkeypatch.setattr(equations, "_family", case_split_family)
-    assert [solve_intervals(system).boxes for system in systems] == got
+    assert [per_equation_boxes(system) for system in systems] == got
     assert len(systems) >= 2000
     assert sum(1 for boxes in got if boxes) > len(systems) // 2
     assert sum(1 for boxes in got if len(boxes) > 1) > 0
 
 
-def test_families_are_built_cheapest_first_ties_in_equation_order(monkeypatch):
-    # size bounds 12, 1, 3 and 1: k * the product of the monomial sizes.  At
-    # the top value every system is solvable, so every family is built
+def _le_families(monkeypatch):
+    """Spy on the solver's <= families: the (variables, rank) of each one
+    built, in order, and "cross" for each cross after the first of them."""
     built = []
-    family = equations._family
+    pin_family, cross = equations._pin_family, equations._cross
 
-    def spy(monomials, *args):
-        built.append(monomials)
-        return family(monomials, *args)
+    def family_spy(m, shift, base, cut, pin):
+        if pin:
+            built.append((m.vars, pin))
+        return pin_family(m, shift, base, cut, pin)
 
-    monkeypatch.setattr(equations, "_family", spy)
+    def cross_spy(*args):
+        if built:
+            built.append("cross")
+        return cross(*args)
+
+    monkeypatch.setattr(equations, "_pin_family", family_spy)
+    monkeypatch.setattr(equations, "_cross", cross_spy)
+    return built
+
+
+def test_clauses_are_crossed_smallest_first_ties_in_first_appearance(monkeypatch):
+    # one clause per monomial at its least rhs below the top; x1 x2 x3 is
+    # implied by x1 x2 and x3 x4 x5 by x4 at the same rank, so of the
+    # sizes 2, 3, 1, 3 and 1 only x6, x4 and x1 x2 are left, in that order.
+    # Each family after the first is crossed into the running set once
+    built = _le_families(monkeypatch)
     lhss = [
         Polynomial((Monomial((0, 1)), Monomial((2, 3, 4)))),
         Polynomial((Monomial((5,)),)),
         Polynomial((Monomial((0, 1, 2)),)),
         Polynomial((Monomial((3,)),)),
     ]
-    system = EquationSystem(CH, 6, tuple(Equation(p, Relation.EQ, CH.value("1")) for p in lhss))
+    system = EquationSystem(CH, 6, tuple(Equation(p, Relation.EQ, CH.value("0.5")) for p in lhss))
     assert len(solve_intervals(system)) > 0
-    assert built == [lhss[i].monomials for i in (1, 3, 2, 0)]
-    # drawn systems: bounds never fall, and ties keep equation order
+    assert [entry if entry == "cross" else entry[0] for entry in built] == [
+        (5,), (3,), "cross", (0, 1), "cross"
+    ]
+    # drawn systems: sizes never fall, ties keep first appearance, and the
+    # solvable ones build every clause's family
     for seed in range(30):
         system = gen_system(7000 + seed, 6, 5, 3, 5)
         built.clear()
-        solve_intervals(system)
-        place = {eq.lhs.monomials: i for i, eq in reversed(list(enumerate(system.equations)))}
-        keys = [(equations._size_bound(lhs), place[lhs]) for lhs in built]
+        solved = len(solve_intervals(system)) > 0
+        place = {}
+        for eq in system.equations:
+            for m in eq.lhs.monomials:
+                place.setdefault(m.vars, len(place))
+        families = [vs for vs, _ in (e for e in built if e != "cross")]
+        keys = [(len(vs), place[vs]) for vs in families]
         assert keys == sorted(keys)
+        assert len(keys) == len(set(keys))
+        reference = TupleBoxSolver()
+        reference.solve(system)
+        assert families == [vs for vs, _ in reference.clauses]
+        if solved:
+            assert reference.clauses == reference.clauses_all
 
 
 def test_point_solver_walks_the_grid_in_order():
@@ -571,34 +595,35 @@ def test_unsolvable_system():
 
 
 def test_solve_intervals_stops_at_the_first_empty_running_set(monkeypatch):
-    # every case of a family holds the point with all its variables at the
-    # rhs, so the only empty set a cross-intersection returns is the running
-    # set; after it, no family is built and nothing is intersected.  The
-    # solver works on the list-level helpers, so those are the ones spied on
-    calls = []
-    family, cross = equations._family, equations._cross
-
-    def family_spy(*args, **kwargs):
-        calls.append("family")
-        return family(*args, **kwargs)
-
-    def cross_spy(*args, **kwargs):
-        out = cross(*args, **kwargs)
-        calls.append("cross" if out else "empty")
-        return out
-
-    monkeypatch.setattr(equations, "_family", family_spy)
-    monkeypatch.setattr(equations, "_cross", cross_spy)
+    # the up side never empties (every variable at the top is above every
+    # rhs), so the only set that empties is the down side's, once no point
+    # of it has a u below; after it no clause family is built and nothing
+    # is crossed.  The solver works on the list-level helpers, so those are
+    # the ones spied on
+    built = _le_families(monkeypatch)
     stopped_early = 0
     for seed in range(30):
         system = gen_system(7000 + seed, 5, 5, 3, 5)
-        calls.clear()
+        built.clear()
         solved = len(solve_intervals(system)) > 0
-        assert calls.count("empty") == (not solved)
-        if not solved:
-            assert calls[-1] == "empty"
-            stopped_early += calls.count("family") < len(system.equations)
+        families = [e for e in built if e != "cross"]
+        # each family after the first is crossed once, and the families
+        # are those of the clauses the reference crosses before its down
+        # side empties, so nothing is built or crossed after it
+        assert built == families[:1] + [e for f in families[1:] for e in (f, "cross")]
+        reference = TupleBoxSolver()
+        assert bool(reference.solve(system)) == solved
+        assert [vs for vs, _ in families] == [vs for vs, _ in reference.clauses]
+        stopped_early += len(families) < len(reference.clauses_all)
     assert stopped_early > 0
+
+
+def test_the_two_sides_refute_a_heavy_draw_within_a_small_cap():
+    # 20 equations over 30 variables: no point of D keeps a point of U
+    # below it past a few clauses, so no set ever holds more than 100
+    # boxes; crossing one family per equation passed 500 boxes on it
+    system = gen_system(16, 30, 20, 5, 6)
+    assert len(solve_intervals(system, max_vectors=100)) == 0
 
 
 def test_rhs_value_pool_is_sorted_and_distinct():
