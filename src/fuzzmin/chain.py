@@ -264,33 +264,28 @@ def _cross(
     holds are dropped.  Whatever the arrival order, the kept list stays
     exactly the maximal boxes seen, each once, so it never holds more boxes
     than there are pairs, and BudgetExceededError is raised as soon as it
-    holds more than max_vectors.  An x inside a kept box is skipped
-    whole: each of its meets would be dropped.  Once a meet equal to x is
-    stored, the rest of ys is skipped: every later meet of x lies inside
-    x, so it would be dropped too.  The store is written out here: a call
-    per meet cost a tenth of `solve_intervals`' time.  The result is
-    sorted once, at the end (`_sort`)."""
+    holds more than max_vectors.  Once a meet equal to x is stored, the
+    rest of ys is skipped: every later meet of x lies inside x, so it
+    would be dropped.  The store is written out here: a call per meet cost
+    a tenth of `solve_intervals`' time.  The result is sorted once, at the
+    end (`_sort`)."""
     _, data, guard = _layout(top, dim)
     kept: list[int] = []
     for x in xs:
-        for k in kept:
-            if x | k == k:
-                break  # so is each meet of x
-        else:
-            for y in ys:
-                meet = x & y
-                if (meet + data) & guard != guard:
-                    continue
-                for k in kept:
-                    if meet | k == k:
-                        break
-                else:
-                    kept = [k for k in kept if k | meet != meet]
-                    kept.append(meet)
-                    if max_vectors is not None and len(kept) > max_vectors:
-                        raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
-                    if meet == x:
-                        break
+        for y in ys:
+            meet = x & y
+            if (meet + data) & guard != guard:
+                continue
+            for k in kept:
+                if meet | k == k:
+                    break
+            else:
+                kept = [k for k in kept if k | meet != meet]
+                kept.append(meet)
+                if max_vectors is not None and len(kept) > max_vectors:
+                    raise BudgetExceededError(len(kept), max_vectors, "interval solution set")
+                if meet == x:
+                    break
     return _sort(kept, guard)
 
 

@@ -13,18 +13,18 @@ maximal boxes are the [u, m] with u a minimal point of U, m a maximal point
 of D and u <= m.  Each side is one cross-intersection (see `chain`) on one
 packed layout for the whole system: every box is one int, and each side's
 running set is a plain list of boxes, none inside another, in canonical
-order.  The pairs [u, m] are the result, and only that set, padded,
-becomes a `SolutionSet`; the system is solvable iff it is non-empty.
-`polynomial_eq_solutions` is `solve_intervals` on one equation.  Chain
-values enter only as right-hand sides and when the boxes are printed.
-`solve_points` exploits that a solvable system is already solvable using
-only values that appear on some right-hand side, and searches that finite
-grid directly.
+order.  Each side builds its own boxes: `_ge_box` gives a monomial's one
+>= box, `_le_family` its <= family.  The pairs [u, m] are the result, and
+only that set, padded, becomes a `SolutionSet`; the system is solvable iff
+it is non-empty.  `polynomial_eq_solutions` is `solve_intervals` on one
+equation.  Chain values enter only as right-hand sides and when the boxes
+are printed.  `solve_points` exploits that a solvable system is already
+solvable using only values that appear on some right-hand side, and
+searches that finite grid directly.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -170,43 +170,35 @@ def rhs_values(system: EquationSystem) -> tuple[ChainValue, ...]:
     return tuple(system.chain[r] for r in ranks)
 
 
-@functools.lru_cache(maxsize=256)
-def _cuts(rank: int, top: int) -> tuple[int, int]:
-    """The (cut, pin) field bits of a >= box and of a <= family at rank
-    (see `_pin_family`): the >= box holds every variable of its monomial
-    in [rank, top], and each box of the <= family caps one to [0, rank]."""
-    whole = _field(0, top, top)
-    return whole ^ _field(rank, top, top), whole ^ _field(0, rank, top)
+def _ge_box(m: Monomial, shift: Mapping[int, int], base: int, rank: int, top: int) -> int:
+    """The packed >= box of monomial m at rank: every variable of m in
+    [rank, top], every other field as in base, the layout's data mask
+    (every field whole); variable v is the field at shift[v].  The ranks
+    below rank are cleared from the fields of m by one multiply of their
+    bits with an int that has bit s set for each shift s, built from bytes,
+    so the box costs time linear in its width where clearing one field at
+    a time is quadratic."""
+    cut = _field(0, top, top) ^ _field(rank, top, top)
+    marks = bytearray(shift[m.vars[0]] // 8 + 1)  # the first shift is the largest
+    for v in m.vars:
+        marks[shift[v] >> 3] |= 1 << (shift[v] & 7)
+    return base ^ cut * int.from_bytes(marks, "little")
 
 
-def _pin_family(
-    m: Monomial, shift: Mapping[int, int], base: int, cut: int, pin: int
+def _le_family(
+    m: Monomial, shift: Mapping[int, int], base: int, rank: int, top: int
 ) -> list[int]:
-    """The packed boxes of one monomial's family, one per variable of m, in
-    canonical order: its <= family, or with pin 0 its one >= box (see
-    `_cuts`).  base is the layout's data mask, every field whole; variable
-    v is the field at shift[v].  Every variable of m loses the bits cut
-    from its field, and in its own box also the bits pin.  The cuts are
-    cleared by one multiply of cut with an int that has bit s set for each
-    shift s, built from bytes, so the base costs time linear in its width
-    where clearing one field at a time is quadratic.
-
-    Two of these boxes differ only in the two fields where one has pin
-    cleared and the other not, so none holds another unless pin is 0, and
-    then all are one box.  Otherwise clearing pin keeps a field's lo and
-    lowers its hi ([0, top] to [0, rank]), so two boxes first differ at the
-    field of the lower variable, which lies further left, and the box of
-    that variable sorts first.  m's variables are ascending, and so are the
+    """The packed <= family of monomial m at a rank below top, in canonical
+    order: one box per variable of m, that variable capped to [0, rank],
+    every other field as in base (see `_ge_box`).  Two of these boxes
+    differ only in the fields of their two variables, each capped in one
+    box and whole in the other, so none holds another.  Capping keeps a
+    field's lo and lowers its hi, so two boxes first differ at the field of
+    the lower variable, which lies further left, and the box of that
+    variable sorts first.  m's variables are ascending, and so are the
     boxes, with no sort."""
-    shifts = [shift[v] for v in m.vars]
-    if cut:
-        marks = bytearray(shifts[0] // 8 + 1)  # the first shift is the largest
-        for s in shifts:
-            marks[s >> 3] |= 1 << (s & 7)
-        base ^= cut * int.from_bytes(marks, "little")
-    if not pin:
-        return [base]
-    return [base ^ pin << s for s in shifts]
+    cap = _field(0, top, top) ^ _field(0, rank, top)
+    return [base ^ cap << shift[v] for v in m.vars]
 
 
 def polynomial_eq_solutions(
@@ -238,12 +230,12 @@ def solve_intervals(
     The up side holds each u as the box [u, top].  An equation with a
     right-hand side r above 0 is at or above r exactly where some monomial
     has all its variables at or above r: one >= box per monomial
-    (`_pin_family`), crossed into the running set (`_cross`) in equation
+    (`_ge_box`), crossed into the running set (`_cross`) in equation
     order, so the running set keeps the least points.  The down side holds
     each m as the box [0, m].  Each monomial M of an equation with r below
     the top gives the clause "some variable of M is at or below r", whose
-    <= family caps one variable of M to [0, r] per box.  Per set of
-    variables only the least r is kept, and a clause is dropped when
+    <= family (`_le_family`) caps one variable of M to [0, r] per box.  Per
+    set of variables only the least r is kept, and a clause is dropped when
     another one on a subset of its variables, with an r no larger, implies
     it.  The rest are crossed into the running set smallest first, ties in
     order of first appearance (Berge's transversal multiplication); the
@@ -255,19 +247,19 @@ def solve_intervals(
     are kept with no store and sorted once.
 
     Raises BudgetExceededError as soon as a side's running set, or the
-    pairs, hold more than max_vectors boxes, and before a clause's family
-    is built whose boxes would hold more than _max_cells (lo, hi) pairs
-    (boxes times the variables used).  The whole system is solved on one
-    packed layout, over only the variables some monomial mentions, in
-    ascending order: each variable's field shift comes straight from its
-    place among them.  Every box ranges over the whole chain on the
-    unmentioned variables, so those are added once per result box, all
-    sharing one (0, top) pair; the boxes and any max_vectors refusal are
-    those of the sides solved at full width.  The same pair at the same places keeps
-    the boxes maximal and in order, so the padded set is not normalized
-    again.  Before padding, it refuses when the padded boxes would hold
-    more than _max_cells (boxes times n_vars) pairs; the command line
-    passes its own ceiling there.
+    pairs, hold more than max_vectors boxes, and before an equation's >=
+    boxes or a clause's family are built when those boxes would hold more
+    than _max_cells (lo, hi) pairs (boxes times the variables used).  The
+    whole system is solved on one packed layout, over only the variables
+    some monomial mentions, in ascending order: each variable's field shift
+    comes straight from its place among them.  Every box ranges over the
+    whole chain on the unmentioned variables, so those are added once per
+    result box, all sharing one (0, top) pair; the boxes and any
+    max_vectors refusal are those of the sides solved at full width.  The
+    same pair at the same places keeps the boxes maximal and in order, so
+    the padded set is not normalized again.  Before padding, it refuses
+    when the padded boxes would hold more than _max_cells (boxes times
+    n_vars) pairs; the command line passes its own ceiling there.
     """
     used = sorted({i for eq in system.equations for m in eq.lhs.monomials for i in m.vars})
     top, dim = len(system.chain) - 1, len(used)
@@ -276,8 +268,10 @@ def solve_intervals(
     ups = [data]
     for eq in system.equations:
         if eq.rhs.rank:  # the monomials are distinct, and so are their >= boxes
-            ge = _cuts(eq.rhs.rank, top)[0]
-            ges = [_pin_family(m, shift, data, ge, 0)[0] for m in eq.lhs.monomials]
+            cells = len(eq.lhs.monomials) * dim
+            if cells > _max_cells:
+                raise BudgetExceededError(cells, _max_cells, "interval solution cells")
+            ges = [_ge_box(m, shift, data, eq.rhs.rank, top) for m in eq.lhs.monomials]
             ups = _cross(ups, ges, top, dim, max_vectors)
     least: dict[Monomial, int] = {}
     for eq in system.equations:
@@ -295,7 +289,7 @@ def solve_intervals(
         cells = len(m.vars) * dim
         if cells > _max_cells:
             raise BudgetExceededError(cells, _max_cells, "interval solution cells")
-        family = _pin_family(m, shift, data, 0, _cuts(rank, top)[1])
+        family = _le_family(m, shift, data, rank, top)
         downs = _cross(downs, family, top, dim, max_vectors) if i else family
         downs = [d for d in downs if any(((u & d) + data) & guard == guard for u in ups)]
         if not downs:

@@ -182,12 +182,14 @@ def monomial_eq_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> Solut
 
 def monomial_le_solutions(m: fz.Monomial, rhs: ChainValue, n_vars: int) -> SolutionSet:
     """Boxes covering the solutions of min(vars) <= rhs, from the solver's
-    own `_pin_family` at full width: one box per variable of the monomial,
-    that variable capped to [0, rhs], everything else unconstrained."""
+    own `_le_family` at full width: one box per variable of the monomial,
+    that variable capped to [0, rhs], everything else unconstrained.  At the
+    top value every point is a solution, and the solver builds no family:
+    the one box is the whole box."""
     top = len(rhs.chain) - 1
     shift = _full_width((m,), n_vars, top)
-    le = equations._cuts(rhs.rank, top)[1]
-    family = equations._pin_family(m, shift, _layout(top, n_vars)[1], 0, le)
+    data = _layout(top, n_vars)[1]
+    family = equations._le_family(m, shift, data, rhs.rank, top) if rhs.rank < top else [data]
     return _full_width_set(rhs.chain, n_vars, family)
 
 
@@ -199,6 +201,21 @@ def full_width_family(
     variables used and padded."""
     system = fz.EquationSystem(rhs.chain, n_vars, (fz.Equation(p, fz.Relation.EQ, rhs),))
     return SolutionSet(rhs.chain, n_vars, TupleBoxSolver(max_vectors).solve(system))
+
+
+def _pin_family(
+    m: fz.Monomial, shift: dict[int, int], base: int, cut: int, pin: int
+) -> list[int]:
+    """The case split's packed family of monomial m, one box per variable
+    of m, or one box when pin is 0: every variable of m loses the field
+    bits cut, and in its own box also the bits pin.  base is the layout's
+    data mask; variable v is the field at shift[v].  Cleared one field at a
+    time, unlike the solver's `_ge_box`."""
+    for v in m.vars:
+        base ^= cut << shift[v]
+    if not pin:
+        return [base]
+    return [base ^ pin << shift[v] for v in m.vars]
 
 
 def case_split_family(
@@ -222,8 +239,8 @@ def case_split_family(
         cells = (len(m.vars) if le_pin else 1) * dim
         if cells > DEFAULT_CELL_BUDGET:
             raise fz.BudgetExceededError(cells, DEFAULT_CELL_BUDGET, "interval solution cells")
-        eqs.append(equations._pin_family(m, shift, data, eq_cut, eq_pin))
-        les.append(equations._pin_family(m, shift, data, 0, le_pin))
+        eqs.append(_pin_family(m, shift, data, eq_cut, eq_pin))
+        les.append(_pin_family(m, shift, data, 0, le_pin))
     meets = (
         functools.reduce(operator.and_, boxes)
         for i, eq_family in enumerate(eqs)

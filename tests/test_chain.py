@@ -16,6 +16,7 @@ import fuzzmin.chain
 from fuzzmin import BudgetExceededError, Chain
 from fuzzmin.chain import (
     ChainValue,
+    SolutionSet,
     _cross,
     _layout,
     _pack,
@@ -372,17 +373,31 @@ def _points(box):
     return {p for p in itertools.product(CH, repeat=len(box)) if in_box(box, p)}
 
 
-@given(sets2, sets2, st.integers(1, 4))
-def test_cross_intersect_covers_exactly_the_common_points(s1, s2, cap):
+def _live_meets(xs, ys):
+    """The meets of every box of xs with every box of ys that hold a point."""
+    meets = [
+        tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(v, w)) for v in xs for w in ys
+    ]
+    return [m for m in meets if all(lo <= hi for lo, hi in m)]
+
+
+@given(sets2, sets2, st.integers(1, 4), st.data())
+def test_cross_intersect_covers_exactly_the_common_points(s1, s2, cap, data):
     prod = cross_intersect(s1, s2)
     assert len(prod) <= len(s1) * len(s2)
     # the maximal meets, in canonical order
-    meets = [
-        tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(v, w))
-        for v in s1.boxes
-        for w in s2.boxes
-    ]
-    assert prod == solution_set(CH, 2, [m for m in meets if all(lo <= hi for lo, hi in m)])
+    live = _live_meets(s1.boxes, s2.boxes)
+    assert prod == solution_set(CH, 2, live)
+    # xs that hold nested boxes and repeats, in any order: the boxes of s1
+    # and their meets with s2, each twice.  The store alone keeps the
+    # maximal meets, each once, as found naively
+    xs = data.draw(st.permutations([*s1.boxes, *live] * 2))
+    meets = set(_live_meets(xs, s2.boxes))
+    def inside(a, b):
+        return all(c <= x and y <= d for (x, y), (c, d) in zip(a, b))
+
+    maximal = [m for m in meets if not any(m != k and inside(m, k) for k in meets)]
+    assert cross_intersect(SolutionSet(CH, 2, tuple(xs)), s2).boxes == tuple(sorted(maximal))
     for p in itertools.product(CH, repeat=2):
         in1 = any(in_box(v, p) for v in s1.boxes)
         in2 = any(in_box(v, p) for v in s2.boxes)

@@ -158,22 +158,29 @@ def test_polynomial_family_splits_on_the_attaining_monomial():
     ]
 
 
+def _builders(monkeypatch):
+    """Spy on the solver's two box builders: (side, monomial) for each >=
+    box (`_ge_box`) and each <= family (`_le_family`) built, in order."""
+    built = []
+    for side, name in ((">=", "_ge_box"), ("<=", "_le_family")):
+        def spy(m, *args, side=side, build=getattr(equations, name)):
+            built.append((side, m))
+            return build(m, *args)
+
+        monkeypatch.setattr(equations, name, spy)
+    return built
+
+
 def test_each_monomial_family_is_built_once_per_equation(monkeypatch):
     # k monomials need k <= families and k >= boxes, a lone monomial too
-    pin_family = equations._pin_family
-    built = []
-
-    def spy(m, *args):
-        built.append(m)
-        return pin_family(m, *args)
-
-    monkeypatch.setattr(equations, "_pin_family", spy)
+    built = _builders(monkeypatch)
     for k in range(1, 6):
         p = Polynomial(tuple(Monomial((i, (i + 1) % 5)) for i in range(k)))
         built.clear()
         polynomial_eq_solutions(p, CH.value("0.5"), 5)
         assert len(built) == 2 * k
-        assert set(built) == set(p.monomials)
+        assert {m for _, m in built} == set(p.monomials)
+        assert sorted(side for side, _ in built) == ["<="] * k + [">="] * k
 
 
 def test_one_equation_solves_as_its_full_width_family_at_every_cap():
@@ -202,14 +209,11 @@ def test_a_wide_family_is_refused_before_it_is_built(monkeypatch):
     # x1 ... x60000 = 0.5 would cap each of its variables in a box of its
     # own, 60,000 boxes of 60,000 pairs; the cells are charged first, so
     # that <= family is never built, only the up side's one >= box
-    built = []
-    pin_family = equations._pin_family
+    spied = _builders(monkeypatch)
 
-    def spy(m, shift, base, cut, pin):
-        built.append((len(m.vars), "<=" if pin else ">="))
-        return pin_family(m, shift, base, cut, pin)
+    def built():
+        return [(len(m.vars), side) for side, m in spied]
 
-    monkeypatch.setattr(equations, "_pin_family", spy)
     chain = Chain(("0", "0.5", "1"))
 
     def system(n_vars, monomials, label):
@@ -221,29 +225,57 @@ def test_a_wide_family_is_refused_before_it_is_built(monkeypatch):
     assert str(refused.value) == (
         "size 3600000000 exceeds budget 10000000 (interval solution cells)"
     )
-    assert built == [(60_000, ">=")]
+    assert built() == [(60_000, ">=")]
     # at the top value there is no clause, so no <= family: the one >= box
-    # is the answer, 5 pairs
-    built.clear()
+    # is the answer, 5 pairs.  The >= boxes are charged before they are
+    # built, 1 box of 5 pairs, so a ceiling of 4 builds none
+    spied.clear()
     top = system(5, [range(5)], "1")
     assert solve_intervals(top, _max_cells=5).boxes == (((2, 2),) * 5,)
-    assert built == [(5, ">=")]
+    assert built() == [(5, ">=")]
+    spied.clear()
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(top, _max_cells=4)
     assert (refused.value.count, refused.value.limit) == (5, 4)
+    assert built() == []
     # each <= family is charged before it is built: the clauses go smallest
     # first, and the second one's would hold 5 boxes of 6 pairs
-    built.clear()
+    spied.clear()
     split = system(6, [range(5), [5]], "0.5")
     with pytest.raises(BudgetExceededError) as refused:
         solve_intervals(split, _max_cells=29)
     assert str(refused.value) == "size 30 exceeds budget 29 (interval solution cells)"
-    assert built == [(5, ">="), (1, ">="), (1, "<=")]
+    assert built() == [(5, ">="), (1, ">="), (1, "<=")]
     # each >= box meets the 5 transversals, so the 10 boxes found hold 60
     # pairs; the two >= boxes come first, then the two <= families
-    built.clear()
+    spied.clear()
     assert len(solve_intervals(split, _max_cells=60)) == 10
-    assert built == [(5, ">="), (1, ">="), (1, "<="), (5, "<=")]
+    assert built() == [(5, ">="), (1, ">="), (1, "<="), (5, "<=")]
+
+
+def test_a_wide_disjunction_is_refused_before_its_ge_boxes_are_built(monkeypatch):
+    # x1 v ... v x4000 = 0.5: its 4,000 >= boxes over 4,000 variables would
+    # hold 16,000,000 pairs, so the cells are charged before any box is
+    # built or crossed
+    built = _builders(monkeypatch)
+    crossed = []
+    cross = equations._cross
+
+    def spy(*args):
+        crossed.append(len(args[1]))
+        return cross(*args)
+
+    monkeypatch.setattr(equations, "_cross", spy)
+    chain = Chain(("0", "0.5", "1"))
+    p = Polynomial(tuple(Monomial((i,)) for i in range(4000)))
+    system = EquationSystem(chain, 4000, (Equation(p, Relation.EQ, chain.value("0.5")),))
+    with pytest.raises(BudgetExceededError) as refused:
+        solve_intervals(system)
+    assert str(refused.value) == (
+        "size 16000000 exceeds budget 10000000 (interval solution cells)"
+    )
+    assert built == []
+    assert crossed == []
 
 
 def test_the_first_clause_family_is_the_running_set_as_built(monkeypatch):
@@ -270,22 +302,29 @@ def test_the_first_clause_family_is_the_running_set_as_built(monkeypatch):
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True), st.data())
 def test_pin_families_come_out_in_canonical_order(used, data):
-    # a family is built in the order of m's variables, which the fields of
-    # the compact renaming keep, and never sorted; canonical order is that
-    # of the boxes' (lo, hi) pairs
+    # a <= family is built in the order of m's variables, which the fields
+    # of the compact renaming keep, and never sorted; canonical order is
+    # that of the boxes' (lo, hi) pairs
     used.sort()
     top = data.draw(st.integers(1, 6))
     m = Monomial(tuple(data.draw(st.lists(st.sampled_from(used), min_size=1, unique=True))))
-    rank = data.draw(st.integers(0, top))
+    rank = data.draw(st.integers(0, top - 1))
     dim = len(used)
     shift = {v: (dim - 1 - i) * (top + 2) for i, v in enumerate(used)}
     base = _layout(top, dim)[1]
-    ge, le = equations._cuts(rank, top)
-    # the <= family, one box a variable below the top, and the one >= box
-    for cut, pin, size in ((0, le, len(m.vars) if rank < top else 1), (ge, 0, 1)):
-        family = equations._pin_family(m, shift, base, cut, pin)
-        assert family == sorted(family, key=lambda box: _unpack(box, top, dim))
-        assert len(family) == size
+    # the <= family below the top, one box a variable, each capping its
+    # variable to [0, rank]
+    family = equations._le_family(m, shift, base, rank, top)
+    assert family == sorted(family, key=lambda box: _unpack(box, top, dim))
+    assert len(family) == len(m.vars)
+    assert [_unpack(box, top, dim) for box in family] == [
+        tuple((0, rank) if u == v else (0, top) for u in used) for v in m.vars
+    ]
+    # the one >= box above 0, every variable of m in [rank + 1, top]
+    ge = equations._ge_box(m, shift, base, rank + 1, top)
+    assert _unpack(ge, top, dim) == tuple(
+        (rank + 1, top) if u in m.vars else (0, top) for u in used
+    )
 
 
 # whole systems
@@ -471,19 +510,18 @@ def _le_families(monkeypatch):
     """Spy on the solver's <= families: the (variables, rank) of each one
     built, in order, and "cross" for each cross after the first of them."""
     built = []
-    pin_family, cross = equations._pin_family, equations._cross
+    le_family, cross = equations._le_family, equations._cross
 
-    def family_spy(m, shift, base, cut, pin):
-        if pin:
-            built.append((m.vars, pin))
-        return pin_family(m, shift, base, cut, pin)
+    def family_spy(m, shift, base, rank, top):
+        built.append((m.vars, rank))
+        return le_family(m, shift, base, rank, top)
 
     def cross_spy(*args):
         if built:
             built.append("cross")
         return cross(*args)
 
-    monkeypatch.setattr(equations, "_pin_family", family_spy)
+    monkeypatch.setattr(equations, "_le_family", family_spy)
     monkeypatch.setattr(equations, "_cross", cross_spy)
     return built
 
